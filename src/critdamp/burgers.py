@@ -20,13 +20,12 @@ from .damping import DampingLaw
 from .numerics import scan_maximum, solve_bracketed
 from .outcome import (
     BreakdownCause,
+    BreakdownError,
     FiniteLifespan,
     Global,
-    NumericalBreakdown,
     Verdict,
+    march,
 )
-
-DT_FLOOR = 1e-10
 
 
 class LifespanError(RuntimeError):
@@ -209,7 +208,8 @@ def simulate_fv(
     beta(t_n)/beta(t_{n+1}), so the decay law  int w dx * beta(t) = const
     holds to round-off.  Breakdown is reported (never silently continued)
     when the discrete gradient exceeds ``gradient_threshold`` (default: 1000x
-    its initial value), when values go non-finite, or when dt collapses.
+    its initial value), when values go non-finite, or when dt collapses; the
+    stepping and sampling rule is :func:`critdamp.outcome.march`.
     """
     if n_cells < 16:
         raise ValueError("n_cells must be at least 16")
@@ -236,60 +236,44 @@ def simulate_fv(
     x = x_lo + (np.arange(n_cells) + 0.5) * dx
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
 
-    grad0 = float(np.max(np.abs(np.diff(w)))) / dx
-    if gradient_threshold is None:
-        gradient_threshold = 1e3 * grad0 if grad0 > 0 else np.inf
-
     wanted = sorted(set(float(s) for s in (snapshot_times if snapshot_times is not None else (t_end,))))
     if any(s < 0 or s > t_end for s in wanted):
         raise ValueError("snapshot times must lie in [0, t_end]")
 
     snapshots: list[Snapshot1D] = []
-    t = 0.0
-    log_beta = law.log_integrating_factor
 
     def stable_dt(values: np.ndarray) -> float:
         speed = float(np.max(np.abs(values)))
         return cfl * dx / speed if speed > 0 else t_end
 
-    def take(time: float, values: np.ndarray) -> None:
-        snapshots.append(Snapshot1D(time, x.copy(), values.copy(), stable_dt(values)))
-
-    next_i = 0
-    if wanted and wanted[0] == 0.0:
-        take(0.0, w)
-        next_i = 1
-
-    while t < t_end - 1e-14 * t_end:
-        dt = stable_dt(w)
-        if dt <= DT_FLOOR:
-            return snapshots, NumericalBreakdown(t, BreakdownCause.CFL_COLLAPSE)
-        clamp_to = None
-        if next_i < len(wanted) and t + dt >= wanted[next_i]:
-            clamp_to = wanted[next_i]
-            dt = clamp_to - t
-        elif t + dt > t_end:
-            clamp_to = t_end
-            dt = clamp_to - t
-
+    def advance(values: np.ndarray, t: float, dt: float) -> np.ndarray:
         # Local Lax-Friedrichs flux on faces, zero ghost states at both ends;
         # the support never reaches the boundary, so the total telescopes.
-        wl = np.concatenate([[0.0], w])
-        wr = np.concatenate([w, [0.0]])
+        wl = np.concatenate([[0.0], values])
+        wr = np.concatenate([values, [0.0]])
         speed_face = np.maximum(np.abs(wl), np.abs(wr))
         flux = 0.25 * (wl * wl + wr * wr) - 0.5 * speed_face * (wr - wl)
-        w_hyp = w - dt / dx * (flux[1:] - flux[:-1])
-        factor = float(np.exp(log_beta(t) - log_beta(t + dt)))
-        w = w_hyp * factor
-        t = clamp_to if clamp_to is not None else t + dt
+        w_hyp = values - dt / dx * (flux[1:] - flux[:-1])
+        out = w_hyp * float(np.exp(law.log_integrating_factor(t) - law.log_integrating_factor(t + dt)))
+        if not np.all(np.isfinite(out)):
+            raise BreakdownError(t + dt, BreakdownCause.NON_FINITE)
+        return out
 
-        if not np.all(np.isfinite(w)):
-            return snapshots, NumericalBreakdown(t, BreakdownCause.NON_FINITE)
-        if float(np.max(np.abs(np.diff(w)))) / dx >= gradient_threshold:
-            return snapshots, NumericalBreakdown(t, BreakdownCause.GRADIENT_THRESHOLD)
+    def sample(values: np.ndarray, t: float) -> None:
+        snapshots.append(Snapshot1D(t, x.copy(), values.copy(), stable_dt(values)))
 
-        if next_i < len(wanted) and t >= wanted[next_i] - 1e-14 * max(1.0, t_end):
-            take(wanted[next_i], w)
-            next_i += 1
+    verdict = march(w, t_end, wanted, stable_dt, advance,
+                    lambda values: float(np.max(np.abs(np.diff(values)))) / dx, sample, gradient_threshold)
+    return snapshots, verdict
 
-    return snapshots, Global(horizon=t_end)
+
+def series(snapshots: Sequence[Snapshot1D]) -> dict[str, np.ndarray]:
+    """Columns of the 1-D series, one value per snapshot: the total
+    Q = int w dx, max |w|, max |dw/dx| and the CFL-stable ``dt``."""
+    dx = snapshots[0].x[1] - snapshots[0].x[0] if snapshots else 0.0
+    return {
+        "Q": np.array([float(np.sum(s.w)) * dx for s in snapshots]),
+        "max_w": np.array([float(np.max(np.abs(s.w))) for s in snapshots]),
+        "max_dw_dx": np.array([float(np.max(np.abs(np.diff(s.w)))) / dx for s in snapshots]),
+        "dt": np.array([s.dt for s in snapshots]),
+    }

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import burgers, csvio, euler, monitors, profiles
 from .config import MODES, ConfigError, ExperimentConfig, parse_config
+from .damping import DampingLaw
 from .numerics import adaptive_quad
-from .outcome import FiniteLifespan, Global, Verdict
+from .outcome import FiniteLifespan, Global, Verdict, sample_times
 
 
 def _line_profile(cfg: ExperimentConfig):
@@ -84,7 +85,7 @@ def _run_burgers_lifespan(cfg: ExperimentConfig, out: str) -> None:
 def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
     value, deriv, support = _line_profile(cfg)
     slope_max = burgers.max_negative_slope(
-        burgers.BurgersProblem(value, deriv, support, 1.0, cfg.damping_for(0.0, 0.0))
+        burgers.BurgersProblem(value, deriv, support, 1.0, DampingLaw(mu=0.0, lam=0.0))
     )
     combos = [
         (lam, mu, eps)
@@ -95,15 +96,14 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
 
     def one(combo):
         lam, mu, eps = combo
-        problem = burgers.BurgersProblem(value, deriv, support, eps, cfg.damping_for(mu, lam))
+        problem = burgers.BurgersProblem(value, deriv, support, eps, DampingLaw(mu=mu, lam=lam))
         verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
         return (lam, mu, eps, verdict, _finite_time(verdict))
 
-    workers = os.environ.get("CRITDAMP_THREADS")
-    max_workers = int(workers) if workers else (os.cpu_count() or 1)
-    if max_workers < 1:
+    workers = os.environ.get("CRITDAMP_THREADS") or str(os.cpu_count() or 1)
+    if not workers.strip().isdecimal() or int(workers) < 1:
         raise ConfigError("CRITDAMP_THREADS must be a positive integer")
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
         rows = list(pool.map(one, combos))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
@@ -111,24 +111,16 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
 def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
     problem = _burgers_problem(cfg)
     t_end = cfg["run.t_end"]
-    cadence = cfg["run.monitor_cadence"]
-    times = list(np.arange(0.0, t_end, cadence))
-    if not times or times[-1] < t_end:
-        times.append(t_end)
     span = None
     if cfg["grid.x_lo"] is not None:
         span = (cfg["grid.x_lo"], cfg["grid.x_hi"])
     snapshots, verdict = burgers.simulate_fv(
-        problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"], snapshot_times=times, x_span=span
+        problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"],
+        snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]), x_span=span,
     )
-    dx = snapshots[0].x[1] - snapshots[0].x[0] if snapshots else 0.0
-    cols = {
-        "Q": np.array([float(np.sum(s.w)) * dx for s in snapshots]),
-        "max_w": np.array([float(np.max(np.abs(s.w))) for s in snapshots]),
-        "max_dw_dx": np.array([float(np.max(np.abs(np.diff(s.w)))) / dx for s in snapshots]),
-        "dt": np.array([s.dt for s in snapshots]),
-    }
-    csvio.write_series(os.path.join(out, "series.csv"), np.array([s.t for s in snapshots]), cols)
+    csvio.write_series(
+        os.path.join(out, "series.csv"), np.array([s.t for s in snapshots]), burgers.series(snapshots)
+    )
     csvio.write_line_snapshots(os.path.join(out, "snapshots.csv"), snapshots)
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
@@ -167,17 +159,10 @@ def _run_functionals(cfg: ExperimentConfig, out: str) -> None:
         states = csvio.read_radial_snapshots(path, gas.rho_bar)
     except OSError as exc:
         raise ConfigError(f"key 'output.dir': cannot read {path!r}: {exc}") from exc
-    times = np.array([s.t for s in states])
-    cols = {
-        "L": np.array([monitors.mass_excess(s, gas) for s in states]),
-        "H": np.array([monitors.weighted_momentum(s) for s in states]),
-        "E0": np.array([monitors.weighted_potential_energy(s, gas, damping) for s in states]),
-        "min_rho": np.array([float(np.min(s.rho)) for s in states]),
-        "max_u": np.array([float(np.max(np.abs(s.mom / s.rho))) for s in states]),
-        "max_du_dr": np.array([euler.max_velocity_gradient(s) for s in states]),
-        "dt": np.array([euler.stable_dt(gas, s, cfg["run.cfl"]) for s in states]),
-    }
-    csvio.write_series(os.path.join(out, "series.csv"), times, cols)
+    csvio.write_series(
+        os.path.join(out, "series.csv"), np.array([s.t for s in states]),
+        euler.series(states, gas, damping, cfg["run.cfl"]),
+    )
 
 
 def _run_criterion(cfg: ExperimentConfig, out: str) -> None:

@@ -9,6 +9,7 @@ offending key.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,9 +25,12 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -96,9 +100,6 @@ class ExperimentConfig:
 
     def damping(self) -> DampingLaw:
         return DampingLaw(mu=self["damping.mu"], lam=self["damping.lambda"])
-
-    def damping_for(self, mu: float, lam: float) -> DampingLaw:
-        return DampingLaw(mu=mu, lam=lam)
 
 
 def _unknown_key_error(key: str) -> ConfigError:

@@ -22,23 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import monitors as mon
 from .damping import DampingLaw
 from .gas import GasModel
-from .outcome import (
-    BreakdownCause,
-    BreakdownError,
-    Global,
-    NumericalBreakdown,
-    Verdict,
-)
+from .outcome import DT_FLOOR, BreakdownCause, BreakdownError, Verdict, march, sample_times
 
-DT_FLOOR = 1e-10
 DENSITY_FLOOR_FACTOR = 1e-6
-GRADIENT_BLOWUP_FACTOR = 1e3
 
 # Gauss-Legendre nodes/weights on [-1, 1] for per-cell profile averages.
 _GAUSS_X = np.array([
@@ -309,6 +302,35 @@ def validate_horizon(
         )
 
 
+def _series_monitors(extra: Mapping[str, Callable] | None) -> dict[str, Callable]:
+    """The standard columns f(state, gas, damping), then ``extra``."""
+    columns: dict[str, Callable] = {
+        "L": lambda s, g, d: mon.mass_excess(s, g),
+        "H": lambda s, g, d: mon.weighted_momentum(s),
+        "E0": lambda s, g, d: mon.weighted_potential_energy(s, g, d),
+        "min_rho": lambda s, g, d: float(np.min(s.rho)),
+        "max_u": lambda s, g, d: float(np.max(np.abs(s.mom / s.rho))),
+        "max_du_dr": lambda s, g, d: max_velocity_gradient(s),
+    }
+    for name, fn in (extra or {}).items():
+        if name in columns or name in ("t", "dt"):
+            raise ValueError(f"monitor name {name!r} collides with a standard column")
+        columns[name] = fn
+    return columns
+
+
+def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw, cfl: float,
+           extra: Mapping[str, Callable] | None = None) -> dict[str, np.ndarray]:
+    """Radial series columns, one value per state: L, H, E0, min_rho, max_u,
+    max_du_dr, then ``extra``, then the CFL-stable ``dt`` of each state."""
+    columns = {
+        name: np.asarray([float(fn(s, gas, damping)) for s in states])
+        for name, fn in _series_monitors(extra).items()
+    }
+    columns["dt"] = np.asarray([stable_dt(gas, s, cfl) for s in states])
+    return columns
+
+
 def run(
     gas: GasModel,
     damping: DampingLaw,
@@ -325,80 +347,31 @@ def run(
     """Advance to ``t_end`` (or breakdown), sampling monitors on a fixed cadence.
 
     ``monitors`` maps column names to callables ``f(state, gas, damping)``;
-    they are appended after the standard set (L, H, E0, min_rho, max_u,
-    max_du_dr).  Snapshots are stored at the same cadence.  The verdict is
-    Global (with the reached horizon) or NumericalBreakdown; the gradient
-    trigger fires at 1000x the initial max |du/dr| (disabled when that is 0,
-    e.g. for velocity-free data; the state then starts trivially smooth and
-    the other triggers still guard the run).
+    they are appended after the standard set (see :func:`series`).
+    Snapshots are stored at the same cadence.  The verdict follows
+    :func:`critdamp.outcome.march` with max |du/dr| as the gradient (its
+    trigger is off for velocity-free data, which starts trivially smooth).
     """
-    from . import monitors as mon
-
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if not 0.0 < cfl <= 0.9:
         raise ValueError("cfl must lie in (0, 0.9]")
     if not monitor_cadence > 0:
         raise ValueError("monitor_cadence must be positive")
+    _series_monitors(monitors)  # reject colliding names before stepping
 
     state = init_state(gas, profile, grid)
     if check_horizon:
         validate_horizon(gas, profile, grid, t_end, state)
 
-    columns: dict[str, Callable] = {
-        "L": lambda s, g, d: mon.mass_excess(s, g),
-        "H": lambda s, g, d: mon.weighted_momentum(s),
-        "E0": lambda s, g, d: mon.weighted_potential_energy(s, g, d),
-        "min_rho": lambda s, g, d: float(np.min(s.rho)),
-        "max_u": lambda s, g, d: float(np.max(np.abs(s.mom / s.rho))),
-        "max_du_dr": lambda s, g, d: max_velocity_gradient(s),
-    }
-    for name, fn in (monitors or {}).items():
-        if name in columns or name in ("t", "dt"):
-            raise ValueError(f"monitor name {name!r} collides with a standard column")
-        columns[name] = fn
-
-    grad0 = max_velocity_gradient(state)
-    grad_limit = GRADIENT_BLOWUP_FACTOR * grad0 if grad0 > 0 else np.inf
-
-    times: list[float] = []
-    values: dict[str, list[float]] = {name: [] for name in columns}
-    dts: list[float] = []
     snapshots: list[RadialState] = []
 
-    def sample(s: RadialState) -> None:
-        times.append(s.t)
-        for name, fn in columns.items():
-            values[name].append(float(fn(s, gas, damping)))
-        dts.append(stable_dt(gas, s, cfl))
+    def sample(s: RadialState, t: float) -> None:
+        s.t = t  # march lands exactly on t; the next step starts from there
         snapshots.append(s.copy())
 
-    sample(state)
-    k = 1
-    verdict: Verdict | None = None
-    while state.t < t_end - 1e-14 * t_end:
-        next_t = min(k * monitor_cadence, t_end)
-        dt_full = stable_dt(gas, state, cfl)
-        if not np.isfinite(dt_full) or dt_full <= DT_FLOOR:
-            verdict = NumericalBreakdown(state.t, BreakdownCause.CFL_COLLAPSE)
-            break
-        clamped = state.t + dt_full >= next_t
-        try:
-            state = step(gas, damping, state, cfl, dt=min(dt_full, next_t - state.t), muscl=muscl)
-        except BreakdownError as exc:
-            verdict = NumericalBreakdown(exc.time, exc.cause)
-            break
-        if max_velocity_gradient(state) >= grad_limit:
-            verdict = NumericalBreakdown(state.t, BreakdownCause.GRADIENT_THRESHOLD)
-            break
-        if clamped:
-            state.t = next_t
-            sample(state)
-            k += 1
-
-    if verdict is None:
-        verdict = Global(horizon=t_end)
-
-    cols = {name: np.asarray(vals) for name, vals in values.items()}
-    cols["dt"] = np.asarray(dts)
-    return RunResult(np.asarray(times), cols, snapshots, verdict)
+    verdict = march(state, t_end, sample_times(t_end, monitor_cadence), lambda s: stable_dt(gas, s, cfl),
+                    lambda s, t, dt: step(gas, damping, s, cfl, dt=dt, muscl=muscl),
+                    max_velocity_gradient, sample)
+    columns = series(snapshots, gas, damping, cfl, monitors)
+    return RunResult(np.asarray([s.t for s in snapshots]), columns, snapshots, verdict)

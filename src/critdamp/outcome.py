@@ -1,10 +1,15 @@
-"""Run outcomes: global solution, finite lifespan, or numerical breakdown."""
+"""Run outcomes: global solution, finite lifespan, or numerical breakdown,
+and the explicit time-marching rule that both solvers share."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Sequence, Union
+
+DT_FLOOR = 1e-10
+GRADIENT_BLOWUP_FACTOR = 1e3
 
 
 class BreakdownCause(str, Enum):
@@ -80,3 +85,54 @@ def parse_verdict_label(label: str) -> Verdict:
     if parts[0] == "NumericalBreakdown" and len(parts) == 3:
         return NumericalBreakdown(float(parts[1]), BreakdownCause(parts[2]))
     raise ValueError(f"unrecognized verdict label: {label!r}")
+
+
+def sample_times(t_end: float, cadence: float) -> list[float]:
+    """Sample times 0, cadence, 2*cadence, ... with the last one clamped to
+    ``t_end``; sampling stops once a time is within 1e-14 * t_end of it."""
+    times = [0.0]
+    k = 1
+    while times[-1] < t_end - 1e-14 * t_end:
+        times.append(min(k * cadence, t_end))
+        k += 1
+    return times
+
+
+def march(
+    state, t_end: float, sample_times: Sequence[float], stable_dt: Callable, advance: Callable,
+    gradient: Callable, sample: Callable, grad_limit: float | None = None,
+) -> Verdict:
+    """Advance ``state`` from t = 0 to ``t_end``; ``advance(state, t, dt)``
+    returns the state at t + dt or raises :class:`BreakdownError`.
+
+    Steps land exactly on each sorted sample time (then on ``t_end``), where
+    ``sample(state, t)`` is called; a leading 0 samples the initial state.
+    Breakdown: ``stable_dt(state)`` non-finite or <= DT_FLOOR, a raise from
+    ``advance``, or ``gradient(state) >= grad_limit`` (default 1000x the
+    initial gradient, never when that is 0).  Otherwise Global(t_end).
+    """
+    if grad_limit is None:
+        grad0 = gradient(state)
+        grad_limit = GRADIENT_BLOWUP_FACTOR * grad0 if grad0 > 0 else math.inf
+    t, i = 0.0, 0
+    if sample_times and sample_times[0] == 0.0:
+        sample(state, t)
+        i = 1
+    while t < t_end - 1e-14 * t_end:
+        dt = stable_dt(state)
+        if not math.isfinite(dt) or dt <= DT_FLOOR:
+            return NumericalBreakdown(t, BreakdownCause.CFL_COLLAPSE)
+        target = sample_times[i] if i < len(sample_times) else t_end
+        clamped = t + dt >= target
+        dt = min(dt, target - t)
+        try:
+            state = advance(state, t, dt)
+        except BreakdownError as exc:
+            return NumericalBreakdown(exc.time, exc.cause)
+        t = target if clamped else t + dt
+        if gradient(state) >= grad_limit:
+            return NumericalBreakdown(t, BreakdownCause.GRADIENT_THRESHOLD)
+        if clamped and i < len(sample_times):
+            sample(state, t)
+            i += 1
+    return Global(horizon=t_end)

@@ -218,3 +218,39 @@ def test_cli_config_file_plus_flag_precedence(tmp_path, capsys):
                "--output.dir", out])
     assert rc == 0
     assert "damping.mu = 3.0" in read(os.path.join(out, "verdict.txt"))
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["burgers-lifespan", "--damping.lambda", "inf"], "damping.lambda"),
+    (["criterion", "--run.t_end", "inf"], "run.t_end"),
+    (["euler-sim", "--run.t_end", "inf"], "run.t_end"),
+    (["burgers-sim", "--run.t_end", "inf"], "run.t_end"),
+])
+def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
+    out = str(tmp_path / "inf")
+    rc = main(argv + ["--output.dir", out])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config-error: key {key!r}:")
+    assert not os.path.exists(out)
+
+
+def test_cli_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CRITDAMP_THREADS", "abc")
+    rc = main(["sweep", "--sweep.lambda", "0,2", "--sweep.mu", "1", "--sweep.epsilon", "0.1",
+               "--output.dir", str(tmp_path / "thr")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config-error:") and "CRITDAMP_THREADS" in err
+
+
+def test_burgers_and_euler_sim_share_sample_times(tmp_path):
+    times = {}
+    for mode in ("burgers-sim", "euler-sim"):
+        out = str(tmp_path / mode)
+        rc = main([mode, "--run.t_end", "0.7", "--run.monitor_cadence", "0.1",
+                   "--grid.n_cells", "64", "--output.dir", out])
+        assert rc == 0
+        times[mode], _ = read_series(os.path.join(out, "series.csv"))
+    assert times["burgers-sim"].tolist() == times["euler-sim"].tolist()
+    assert times["euler-sim"][-1] == 0.7 and len(times["euler-sim"]) == 8
