@@ -24,6 +24,11 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
+def _reprs(values: np.ndarray):
+    """:func:`fmt` of each element of a float array."""
+    return map(repr, values.tolist())
+
+
 def write_series(path: str, times: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
     lines = ["t," + ",".join(columns.keys())]
     for i, t in enumerate(times):
@@ -42,16 +47,16 @@ def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 def write_radial_snapshots(path: str, snapshots: Sequence[RadialState]) -> None:
     lines = ["t,r,rho,mom"]
     for snap in snapshots:
-        lines.append(f"# t={fmt(snap.t)}")
-        r = snap.grid.centers
-        for i in range(len(r)):
-            lines.append(f"{fmt(snap.t)},{fmt(r[i])},{fmt(snap.rho[i])},{fmt(snap.mom[i])}")
+        t = fmt(snap.t)
+        lines.append(f"# t={t}")
+        lines.extend(f"{t},{r},{rho},{mom}" for r, rho, mom in zip(
+            _reprs(snap.grid.centers), _reprs(snap.rho), _reprs(snap.mom)))
     _write(path, lines)
 
 
 def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
     """Rebuild states from a snapshot file; the uniform grid is inferred from
-    the r column (support radius is not stored and defaults to r_max)."""
+    the r column."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows or rows[0] != "t,r,rho,mom":
@@ -72,18 +77,16 @@ def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
         r = arr[:, 1]
         dr = r[1] - r[0]
         grid = RadialGrid(r_max=float(r[-1] + 0.5 * dr), n_cells=len(r))
-        states.append(RadialState.from_absolute(
-            float(arr[0, 0]), arr[:, 2], arr[:, 3], grid.r_max, grid, rho_bar
-        ))
+        states.append(RadialState(float(arr[0, 0]), arr[:, 2] - rho_bar, arr[:, 3], grid, rho_bar))
     return states
 
 
 def write_line_snapshots(path: str, snapshots) -> None:
     lines = ["t,x,w"]
     for snap in snapshots:
-        lines.append(f"# t={fmt(snap.t)}")
-        for i in range(len(snap.x)):
-            lines.append(f"{fmt(snap.t)},{fmt(snap.x[i])},{fmt(snap.w[i])}")
+        t = fmt(snap.t)
+        lines.append(f"# t={t}")
+        lines.extend(f"{t},{x},{w}" for x, w in zip(_reprs(snap.x), _reprs(snap.w)))
     _write(path, lines)
 
 

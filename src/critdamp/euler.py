@@ -16,12 +16,20 @@ per-cell identity (1/r^2) d(r^2 p)/dr - 2p_c/r = (1/r^2) d(r^2 (p - p_c))/dr,
 so the constant state (rho_bar, 0) is an exact fixed point of the update.
 Damping is applied after the hyperbolic update through the exact integrating
 factor beta(t_n)/beta(t_{n+1}), unconditionally stable for any (mu, lam).
+
+Window invariant: a step updates only the cells before and one past the last
+live cell (live: rho_pert or mom not +0.0).  A face between two +0.0 cells
+carries exactly zero flux at either order (a zero difference has minmod slope
+0, and p_face - p_c is 0), so every cell beyond the window stays +0.0 and the
+update equals the full-grid one bit for bit.  The window ends on a background
+cell (speed |u| + c exactly 1) unless it is the whole grid, so stable_dt and
+max_velocity_gradient over it equal their full-grid values too.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -69,6 +77,14 @@ class RadialGrid:
     def faces(self) -> np.ndarray:
         return np.arange(self.n_cells + 1) * self.dr
 
+    @cached_property
+    def _area(self) -> np.ndarray:
+        return self.faces**2
+
+    @cached_property
+    def _inv_vol(self) -> np.ndarray:
+        return 1.0 / (self.centers**2 * self.dr)
+
 
 @dataclass(frozen=True)
 class InitialProfile:
@@ -96,32 +112,58 @@ class RadialState:
     """Cell values of (rho, rho*u) at time ``t``.
 
     The density is stored as ``rho_pert = rho - rho_bar`` (see module notes);
-    ``rho`` reconstructs the absolute density.  ``support_radius`` bounds the
-    region where the state can differ from the background.
+    ``rho`` reconstructs the absolute density.  The arrays are read-only by
+    convention: a state made by :func:`step` caches values derived from them.
     """
 
     t: float
     rho_pert: np.ndarray
     mom: np.ndarray
-    support_radius: float
     grid: RadialGrid
     rho_bar: float
+    # Set by ``step`` on the state it returns; other states build one per call.
+    _window: _Window | None = field(default=None, init=False, repr=False)
 
     @property
     def rho(self) -> np.ndarray:
         return self.rho_bar + self.rho_pert
 
-    @classmethod
-    def from_absolute(
-        cls, t: float, rho: np.ndarray, mom: np.ndarray,
-        support_radius: float, grid: RadialGrid, rho_bar: float,
-    ) -> "RadialState":
-        return cls(t, np.asarray(rho, dtype=float) - rho_bar, np.asarray(mom, dtype=float),
-                   support_radius, grid, rho_bar)
-
     def copy(self) -> "RadialState":
-        return RadialState(self.t, self.rho_pert.copy(), self.mom.copy(),
-                           self.support_radius, self.grid, self.rho_bar)
+        return RadialState(self.t, self.rho_pert.copy(), self.mom.copy(), self.grid, self.rho_bar)
+
+
+class _Window:
+    """Cells [0, w) (see module notes; w >= 2) plus two ghost cells per side:
+    mirrored at r = 0, the next cells or the background beyond.  rho and u
+    are computed once, pressure and wave speed |u| + c once per gas model."""
+
+    def __init__(self, state: RadialState) -> None:
+        n = state.grid.n_cells
+        live = np.flatnonzero(state.rho_pert.view(np.int64) | state.mom.view(np.int64))
+        self.w = w = min(int(live[-1]) + 2 if live.size else 2, n)
+        pad = np.zeros(max(w + 2 - n, 0))
+        self.q = np.concatenate([state.rho_pert[1::-1], state.rho_pert[:w + 2], pad])
+        self.mom = np.concatenate([-state.mom[1::-1], state.mom[:w + 2], pad])
+        self.rho = state.rho_bar + self.q
+        self.u = self.mom / self.rho
+        self._gas = None
+
+    def kernels(self, gas: GasModel, t: float) -> tuple[np.ndarray, np.ndarray]:
+        if gas is not self._gas:
+            self._p, self._speed = _kernels(gas, t, self.rho, self.u)
+            self._gas = gas
+        return self._p, self._speed
+
+
+def _window(state: RadialState) -> _Window:
+    return state._window if state._window is not None else _Window(state)
+
+
+def _kernels(gas: GasModel, t: float, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pressure and wave speed |u| + c; raises :class:`BreakdownError` unless rho > 0."""
+    if not (rho > 0).all():
+        raise BreakdownError(t, BreakdownCause.NEGATIVE_DENSITY)
+    return gas.pressure_unchecked(rho), np.abs(u) + np.sqrt(gas.sound_speed_sq_unchecked(rho))
 
 
 @dataclass(eq=False)
@@ -148,15 +190,9 @@ def _cell_weighted_average(f: Callable, grid: RadialGrid) -> np.ndarray:
 
 
 def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> RadialState:
-    """Cell-averaged initial state (rho_bar + eps*rho0, (rho_bar + eps*rho0) * eps*u0).
-
-    The support radius starts at the outer face of the cell containing M, so
-    the zero-momentum invariant beyond it is exact for cell-averaged data.
-    """
-    support = min(math.ceil(profile.M / grid.dr) * grid.dr, grid.r_max)
+    """Cell-averaged initial state (rho_bar + eps*rho0, (rho_bar + eps*rho0) * eps*u0)."""
     if profile.epsilon == 0.0:
-        return RadialState(0.0, np.zeros(grid.n_cells), np.zeros(grid.n_cells),
-                           support, grid, gas.rho_bar)
+        return RadialState(0.0, np.zeros(grid.n_cells), np.zeros(grid.n_cells), grid, gas.rho_bar)
 
     pert = profile.epsilon * _cell_weighted_average(profile.rho0, grid)
     mom = _cell_weighted_average(
@@ -166,19 +202,27 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
     )
     if np.any(gas.rho_bar + pert <= 0):
         raise ValueError("initial density is not positive everywhere on the grid")
-    return RadialState(0.0, pert, mom, support, grid, gas.rho_bar)
+    return RadialState(0.0, pert, mom, grid, gas.rho_bar)
+
+
+def _max_speed(gas: GasModel, state: RadialState) -> float:
+    """max(|u| + c) over the grid, read off the window."""
+    win = _window(state)
+    return float(np.max(win.kernels(gas, state.t)[1][2:win.w + 2]))
 
 
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
     """CFL step cfl * dr / max(|u| + c) for the current state."""
-    rho = state.rho
-    u = state.mom / rho
-    c = np.sqrt(gas.sound_speed_sq(rho))
-    return cfl * state.grid.dr / float(np.max(np.abs(u) + c))
+    return cfl * state.grid.dr / _max_speed(gas, state)
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MUSCL values left and right of faces 0..w from extended cell values,
+    with minmod-limited slopes."""
+    d = np.diff(a)
+    lo, hi = d[:-1], d[1:]
+    slope = np.where(lo * hi > 0, np.where(np.abs(lo) < np.abs(hi), lo, hi), 0.0)
+    return a[1:-2] + 0.5 * slope[:-1], a[2:-1] - 0.5 * slope[1:]
 
 
 def step(
@@ -198,83 +242,70 @@ def step(
     constant state (rho_bar, 0) outside, where waves must never arrive.  An
     explicit ``dt`` (used for sample-time clamping and step-halving tests)
     bypasses the CFL floor check, which only guards internally computed steps.
+    Only the window's cells are updated (see module notes).
     """
     grid = state.grid
-    dr = grid.dr
-    r = grid.centers
-
     internal_dt = dt is None
     if internal_dt:
         dt = stable_dt(gas, state, cfl)
     if not np.isfinite(dt) or dt <= 0 or (internal_dt and dt <= DT_FLOOR):
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
 
-    # Ghost cells: two per side to feed the optional MUSCL stencil.
-    q_e = np.concatenate([state.rho_pert[1::-1], state.rho_pert, [0.0, 0.0]])
-    mom_e = np.concatenate([-state.mom[1::-1], state.mom, [0.0, 0.0]])
-
+    win = _window(state)
+    w = win.w
+    p_cell, speed_cell = win.kernels(gas, state.t)
+    # Face j (0 <= j <= w) sits between extended cells j+1 and j+2.
     if muscl:
-        d_q = np.diff(q_e)
-        d_mom = np.diff(mom_e)
-        s_q = _minmod(d_q[:-1], d_q[1:])
-        s_mom = _minmod(d_mom[:-1], d_mom[1:])
-        # Face j sits between extended cells j+1 and j+2.
-        q_l = q_e[1:-2] + 0.5 * s_q[:-1]
-        mom_l = mom_e[1:-2] + 0.5 * s_mom[:-1]
-        q_r = q_e[2:-1] - 0.5 * s_q[1:]
-        mom_r = mom_e[2:-1] - 0.5 * s_mom[1:]
+        q_l, q_r = _reconstruct(win.q)
+        mom_l, mom_r = _reconstruct(win.mom)
+        rho_l, rho_r = gas.rho_bar + q_l, gas.rho_bar + q_r
+        u_l, u_r = mom_l / rho_l, mom_r / rho_r
+        p_l, speed_l = _kernels(gas, state.t, rho_l, u_l)
+        p_r, speed_r = _kernels(gas, state.t, rho_r, u_r)
     else:
-        q_l, q_r = q_e[1:-2], q_e[2:-1]
-        mom_l, mom_r = mom_e[1:-2], mom_e[2:-1]
-
-    rho_l = gas.rho_bar + q_l
-    rho_r = gas.rho_bar + q_r
-    if np.any(rho_l <= 0) or np.any(rho_r <= 0):
-        raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
-
-    u_l = mom_l / rho_l
-    u_r = mom_r / rho_r
-    p_l = gas.pressure(rho_l)
-    p_r = gas.pressure(rho_r)
-    c_l = np.sqrt(gas.sound_speed_sq(rho_l))
-    c_r = np.sqrt(gas.sound_speed_sq(rho_r))
-    s_max = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
+        q_l, q_r = win.q[1:-2], win.q[2:-1]
+        mom_l, mom_r = win.mom[1:-2], win.mom[2:-1]
+        u_l, u_r = win.u[1:-2], win.u[2:-1]
+        p_l, p_r = p_cell[1:-2], p_cell[2:-1]
+        speed_l, speed_r = speed_cell[1:-2], speed_cell[2:-1]
+    s_max = np.maximum(speed_l, speed_r)
 
     f_rho = 0.5 * (mom_l + mom_r) - 0.5 * s_max * (q_r - q_l)
     f_adv = 0.5 * (mom_l * u_l + mom_r * u_r) - 0.5 * s_max * (mom_r - mom_l)
     p_face = 0.5 * (p_l + p_r)
 
-    area = grid.faces**2
-    inv_vol = 1.0 / (r**2 * dr)
-    q_new = state.rho_pert - dt * (area[1:] * f_rho[1:] - area[:-1] * f_rho[:-1]) * inv_vol
+    area = grid._area[:w + 1]
+    inv_vol = grid._inv_vol[:w]
+    q_new = state.rho_pert.copy()
+    q_new[:w] -= dt * (area[1:] * f_rho[1:] - area[:-1] * f_rho[:-1]) * inv_vol
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
     # vanishes identically on any state with uniform pressure.
-    p_c = gas.pressure(state.rho)
+    p_c = p_cell[2:w + 2]
     dp_l = p_face[:-1] - p_c
     dp_r = p_face[1:] - p_c
-    mom_star = state.mom - dt * (
-        (area[1:] * f_adv[1:] - area[:-1] * f_adv[:-1]) * inv_vol
-        + (area[1:] * dp_r - area[:-1] * dp_l) * inv_vol
-    )
     t_new = state.t + dt
     factor = float(np.exp(damping.log_integrating_factor(state.t) - damping.log_integrating_factor(t_new)))
-    mom_new = mom_star * factor
+    mom_new = state.mom.copy()
+    mom_new[:w] = (mom_new[:w] - dt * (
+        (area[1:] * f_adv[1:] - area[:-1] * f_adv[:-1]) * inv_vol
+        + (area[1:] * dp_r - area[:-1] * dp_l) * inv_vol
+    )) * factor
 
-    if np.any(gas.rho_bar + q_new <= DENSITY_FLOOR_FACTOR * gas.rho_bar):
+    if (gas.rho_bar + q_new[:w] <= DENSITY_FLOOR_FACTOR * gas.rho_bar).any():
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(mom_new))):
+    if not (np.isfinite(q_new[:w]).all() and np.isfinite(mom_new[:w]).all()):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
 
-    spread = 2 * dr if muscl else dr
-    support = min(state.support_radius + spread, grid.r_max)
-    return RadialState(t_new, q_new, mom_new, support, grid, gas.rho_bar)
+    new = RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
+    new._window = _Window(new)
+    return new
 
 
 def max_velocity_gradient(state: RadialState) -> float:
-    u = state.mom / state.rho
-    return float(np.max(np.abs(np.diff(u)))) / state.grid.dr
+    win = _window(state)
+    return float(np.max(np.abs(np.diff(win.u[2:win.w + 2])))) / state.grid.dr
 
 
 def validate_horizon(
@@ -291,10 +322,7 @@ def validate_horizon(
     """
     if state is None:
         state = init_state(gas, profile, grid)
-    rho = state.rho
-    u = state.mom / rho
-    c = np.sqrt(gas.sound_speed_sq(rho))
-    guess = 1.2 * float(np.max(np.abs(u) + c))
+    guess = 1.2 * _max_speed(gas, state)
     if profile.M + t_end * guess >= grid.r_max:
         raise ValueError(
             f"grid.r_max={grid.r_max!r} too small: support {profile.M!r} plus "

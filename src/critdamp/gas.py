@@ -44,12 +44,20 @@ class GasModel:
     def pressure(self, rho):
         """Pressure A * rho**gamma; rho may be a scalar or ndarray."""
         _check_density(rho)
-        return self.A * np.asarray(rho) ** self.gamma if np.ndim(rho) else self.A * rho**self.gamma
+        return self.pressure_unchecked(np.asarray(rho) if np.ndim(rho) else rho)
 
     def sound_speed_sq(self, rho):
         """Squared sound speed p'(rho) = (rho/rho_bar)**(gamma-1); equals 1 at rho_bar."""
         _check_density(rho)
-        return np.exp((self.gamma - 1.0) * np.log(np.asarray(rho) / self.rho_bar)) if np.ndim(rho) else (rho / self.rho_bar) ** (self.gamma - 1.0)
+        return self.sound_speed_sq_unchecked(np.asarray(rho) if np.ndim(rho) else rho)
+
+    def pressure_unchecked(self, rho):
+        """:meth:`pressure` for callers that have checked rho > 0 themselves."""
+        return self.A * rho**self.gamma
+
+    def sound_speed_sq_unchecked(self, rho):
+        """:meth:`sound_speed_sq` for callers that have checked rho > 0 themselves."""
+        return np.exp((self.gamma - 1.0) * np.log(rho / self.rho_bar))
 
     def enthalpy(self, rho):
         """Specific enthalpy: primitive of c^2(rho)/rho vanishing at rho_bar.

@@ -88,13 +88,12 @@ def parse_verdict_label(label: str) -> Verdict:
 
 
 def sample_times(t_end: float, cadence: float) -> list[float]:
-    """Sample times 0, cadence, 2*cadence, ... with the last one clamped to
-    ``t_end``; sampling stops once a time is within 1e-14 * t_end of it."""
+    """Sample times 0, cadence, 2*cadence, ... ending on ``t_end`` exactly: a
+    time past ``t_end`` or within 1e-14 * t_end below it becomes ``t_end``."""
     times = [0.0]
-    k = 1
-    while times[-1] < t_end - 1e-14 * t_end:
-        times.append(min(k * cadence, t_end))
-        k += 1
+    while times[-1] < t_end:
+        t = len(times) * cadence
+        times.append(t if t < t_end - 1e-14 * t_end else t_end)
     return times
 
 

@@ -2,10 +2,14 @@
 
 These deliberately avoid the package's own numeric kernels: fixed-order
 composite rules at extreme refinement and plain bisection, so every dual-route
-check compares two independent code paths.
+check compares two independent code paths.  The exception is the full-grid
+radial step below, which the windowed ``euler.step`` must reproduce bit for bit.
 """
 
 import numpy as np
+
+from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
+from critdamp.outcome import DT_FLOOR, BreakdownCause, BreakdownError
 
 
 def composite_simpson(f, a, b, n_panels):
@@ -35,3 +39,83 @@ def bisect_root(f, lo, hi, n_iter=200):
             lo = mid
             f_lo = f(lo)
     return 0.5 * (lo + hi)
+
+
+def full_grid_stable_dt(gas, state, cfl):
+    rho = state.rho
+    u = state.mom / rho
+    c = np.sqrt(gas.sound_speed_sq(rho))
+    return cfl * state.grid.dr / float(np.max(np.abs(u) + c))
+
+
+def full_grid_max_velocity_gradient(state):
+    u = state.mom / state.rho
+    return float(np.max(np.abs(np.diff(u)))) / state.grid.dr
+
+
+def _minmod(a, b):
+    return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+
+
+def full_grid_step(gas, damping, state, cfl, *, dt=None, muscl=False):
+    """The radial Rusanov/MUSCL step evaluated on every cell of the grid."""
+    grid = state.grid
+    dr = grid.dr
+    r = grid.centers
+
+    internal_dt = dt is None
+    if internal_dt:
+        dt = full_grid_stable_dt(gas, state, cfl)
+    if not np.isfinite(dt) or dt <= 0 or (internal_dt and dt <= DT_FLOOR):
+        raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
+
+    q_e = np.concatenate([state.rho_pert[1::-1], state.rho_pert, [0.0, 0.0]])
+    mom_e = np.concatenate([-state.mom[1::-1], state.mom, [0.0, 0.0]])
+    if muscl:
+        d_q = np.diff(q_e)
+        d_mom = np.diff(mom_e)
+        s_q = _minmod(d_q[:-1], d_q[1:])
+        s_mom = _minmod(d_mom[:-1], d_mom[1:])
+        q_l = q_e[1:-2] + 0.5 * s_q[:-1]
+        mom_l = mom_e[1:-2] + 0.5 * s_mom[:-1]
+        q_r = q_e[2:-1] - 0.5 * s_q[1:]
+        mom_r = mom_e[2:-1] - 0.5 * s_mom[1:]
+    else:
+        q_l, q_r = q_e[1:-2], q_e[2:-1]
+        mom_l, mom_r = mom_e[1:-2], mom_e[2:-1]
+
+    rho_l = gas.rho_bar + q_l
+    rho_r = gas.rho_bar + q_r
+    if np.any(rho_l <= 0) or np.any(rho_r <= 0):
+        raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
+    u_l = mom_l / rho_l
+    u_r = mom_r / rho_r
+    p_l = gas.pressure(rho_l)
+    p_r = gas.pressure(rho_r)
+    c_l = np.sqrt(gas.sound_speed_sq(rho_l))
+    c_r = np.sqrt(gas.sound_speed_sq(rho_r))
+    s_max = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
+
+    f_rho = 0.5 * (mom_l + mom_r) - 0.5 * s_max * (q_r - q_l)
+    f_adv = 0.5 * (mom_l * u_l + mom_r * u_r) - 0.5 * s_max * (mom_r - mom_l)
+    p_face = 0.5 * (p_l + p_r)
+
+    area = grid.faces**2
+    inv_vol = 1.0 / (r**2 * dr)
+    q_new = state.rho_pert - dt * (area[1:] * f_rho[1:] - area[:-1] * f_rho[:-1]) * inv_vol
+    p_c = gas.pressure(state.rho)
+    dp_l = p_face[:-1] - p_c
+    dp_r = p_face[1:] - p_c
+    mom_star = state.mom - dt * (
+        (area[1:] * f_adv[1:] - area[:-1] * f_adv[:-1]) * inv_vol
+        + (area[1:] * dp_r - area[:-1] * dp_l) * inv_vol
+    )
+    t_new = state.t + dt
+    factor = float(np.exp(damping.log_integrating_factor(state.t) - damping.log_integrating_factor(t_new)))
+    mom_new = mom_star * factor
+
+    if np.any(gas.rho_bar + q_new <= DENSITY_FLOOR_FACTOR * gas.rho_bar):
+        raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
+    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(mom_new))):
+        raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
+    return RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)

@@ -254,3 +254,14 @@ def test_burgers_and_euler_sim_share_sample_times(tmp_path):
         times[mode], _ = read_series(os.path.join(out, "series.csv"))
     assert times["burgers-sim"].tolist() == times["euler-sim"].tolist()
     assert times["euler-sim"][-1] == 0.7 and len(times["euler-sim"]) == 8
+
+
+@pytest.mark.parametrize("mode", ["burgers-sim", "euler-sim"])
+def test_last_series_row_is_t_end_when_cadence_rounds_short(tmp_path, mode):
+    out = str(tmp_path / mode)
+    rc = main([mode, "--run.t_end", "0.9", "--run.monitor_cadence", "0.3",
+               "--grid.n_cells", "64", "--output.dir", out])
+    assert rc == 0
+    times, _ = read_series(os.path.join(out, "series.csv"))
+    assert times.tolist() == [0.0, 0.3, 0.6, 0.9]
+    assert read(os.path.join(out, "series.csv")).splitlines()[-1].startswith("0.9,")

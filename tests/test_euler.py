@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critdamp import (
     DampingLaw,
@@ -12,9 +16,16 @@ from critdamp import (
     run,
     step,
 )
+from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
 from critdamp.euler import max_velocity_gradient, stable_dt, validate_horizon
+from critdamp.outcome import BreakdownError
 from critdamp.profiles import mollifier, radial_bump, radial_outgoing_shell
-from helpers import composite_simpson
+from helpers import (
+    composite_simpson,
+    full_grid_max_velocity_gradient,
+    full_grid_stable_dt,
+    full_grid_step,
+)
 
 GAS = GasModel(gamma=2.0, rho_bar=1.0)
 LAW = DampingLaw(mu=1.0, lam=0.5)
@@ -82,11 +93,14 @@ def test_step_second_order_self_consistency():
 
 
 def test_momentum_zero_beyond_support():
+    # the initial support ends on the outer face of the cell holding M, and a
+    # first-order step moves it by at most one cell
     grid = RadialGrid(20.0, 256)
     s = init_state(GAS, shell_profile(0.1), grid)
     for _ in range(30):
         s = step(GAS, LAW, s, 0.4)
-    outside = grid.centers > s.support_radius
+    bound = math.ceil(1.0 / grid.dr) * grid.dr + 30 * grid.dr
+    outside = grid.centers > bound
     assert outside.any()
     assert np.all(s.mom[outside] == 0.0)
     assert np.all(s.rho_pert[outside] == 0.0)
@@ -210,3 +224,78 @@ def test_stable_dt_positive_and_sane():
     dt = stable_dt(GAS, s, 0.4)
     assert 0 < dt < grid.dr  # wave speed exceeds c(rho_bar) = 1
     assert max_velocity_gradient(s) >= 0.0
+
+
+# ---------------------------------------------------------------- windowed step
+
+def outcome_of(fn):
+    """The state ``fn`` returns, or the (time, cause) of its breakdown."""
+    try:
+        return fn()
+    except BreakdownError as exc:
+        return (exc.time, exc.cause)
+
+
+def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
+    """Step ``s`` with ``step`` and with the full-grid oracle; every state,
+    stable_dt and max_velocity_gradient must agree bit for bit."""
+    for _ in range(n_steps):
+        assert stable_dt(GAS, s, 0.4) == full_grid_stable_dt(GAS, s, 0.4)
+        assert max_velocity_gradient(s) == full_grid_max_velocity_gradient(s)
+        dt = None if dt_fraction is None else dt_fraction * full_grid_stable_dt(GAS, s, 0.4)
+        full = outcome_of(lambda: full_grid_step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
+        windowed = outcome_of(lambda: step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
+        if isinstance(full, tuple):
+            assert windowed == full
+            return
+        # stricter than np.array_equal: bytes also tell -0.0 from 0.0, which
+        # the snapshot CSV writes apart
+        assert windowed.rho_pert.tobytes() == full.rho_pert.tobytes()
+        assert windowed.mom.tobytes() == full.mom.tobytes()
+        assert windowed.t == full.t
+        s = windowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.0, 0.6),
+    lam=st.floats(0.0, 3.0),
+    mu=st.floats(0.0, 2.0),
+    n_cells=st.integers(32, 512),
+    muscl=st.booleans(),
+    dt_fraction=st.none() | st.floats(0.05, 1.0),
+    rarefied=st.booleans(),
+    inward=st.booleans(),
+    edge=st.booleans(),
+)
+@example(eps=0.0, lam=1.0, mu=1.0, n_cells=64, muscl=True, dt_fraction=None,
+         rarefied=False, inward=False, edge=False)
+@example(eps=0.3, lam=2.0, mu=1.0, n_cells=32, muscl=False, dt_fraction=None,
+         rarefied=False, inward=False, edge=True)
+@example(eps=0.3, lam=2.0, mu=1.0, n_cells=100, muscl=True, dt_fraction=0.5,
+         rarefied=True, inward=True, edge=False)
+def test_windowed_step_matches_full_grid(eps, lam, mu, n_cells, muscl, dt_fraction,
+                                         rarefied, inward, edge):
+    # a negative density or velocity shell leaves -0.0 outside its support;
+    # with ``edge`` the support reaches the last cell, so the window is the grid
+    rho0, u0 = radial_outgoing_shell(0.3, 1.0)
+    rho_sign = -1.0 if rarefied else 1.0
+    u_sign = -1.0 if inward else 1.0
+    prof = InitialProfile(lambda r: rho_sign * rho0(r), lambda r: u_sign * u0(r),
+                          epsilon=eps, M=1.0, M0=0.3)
+    grid = RadialGrid(1.0 if edge else 12.0, n_cells)
+    s = init_state(GAS, prof, grid)
+    assert_windowed_matches_full_grid(DampingLaw(mu, lam), s, 25, muscl, dt_fraction)
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+def test_windowed_step_matches_full_grid_on_read_back_state(tmp_path, muscl):
+    grid = RadialGrid(12.0, 256)
+    s = init_state(GAS, shell_profile(0.3), grid)
+    for _ in range(40):
+        s = step(GAS, LAW, s, 0.4, muscl=muscl)
+    path = str(tmp_path / "snapshots.csv")
+    write_radial_snapshots(path, [s])
+    (back,) = read_radial_snapshots(path, GAS.rho_bar)
+    assert back.grid == grid
+    assert_windowed_matches_full_grid(LAW, back, 25, muscl)

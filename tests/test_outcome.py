@@ -35,6 +35,14 @@ def test_sample_times_clamp_to_t_end():
     assert sample_times(2.0, 5.0) == [0.0, 2.0]
 
 
+def test_sample_times_end_exactly_on_t_end():
+    # 3 * 0.3 rounds to 0.8999999999999999, a few ulps short of t_end
+    assert sample_times(0.9, 0.3) == [0.0, 0.3, 0.6, 0.9]
+    _, samples = decay_march(0.9, sample_times(0.9, 0.3))
+    assert samples[-1][0] == 0.9
+    assert sample_times(20.0, 0.1)[-2:] == [19.900000000000002, 20.0]
+
+
 def test_leading_zero_samples_initial_state():
     _, with_zero = decay_march(0.2, [0.0, 0.2])
     _, without = decay_march(0.2, [0.2])
