@@ -112,9 +112,8 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
         idx = bisect_right(known_t, t) - 1
         base_t, base_i = known_t[idx], known_i[idx]
         val = base_i + law._segment_quad(base_t, t, abs_tol=seg_tol)
-        insort_pos = idx + 1
-        known_t.insert(insort_pos, t)
-        known_i.insert(insort_pos, val)
+        known_t.insert(idx + 1, t)
+        known_i.insert(idx + 1, val)
         return val
 
     hi = 1.0
@@ -254,7 +253,7 @@ def simulate_fv(
         speed_face = np.maximum(np.abs(wl), np.abs(wr))
         flux = 0.25 * (wl * wl + wr * wr) - 0.5 * speed_face * (wr - wl)
         w_hyp = values - dt / dx * (flux[1:] - flux[:-1])
-        out = w_hyp * float(np.exp(law.log_integrating_factor(t) - law.log_integrating_factor(t + dt)))
+        out = w_hyp * law.damping_factor(t, t + dt)
         if not np.all(np.isfinite(out)):
             raise BreakdownError(t + dt, BreakdownCause.NON_FINITE)
         return out

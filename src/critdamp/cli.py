@@ -9,6 +9,7 @@ of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,20 +24,38 @@ from .numerics import adaptive_quad
 from .outcome import FiniteLifespan, Global, Verdict, sample_times
 
 
+@contextlib.contextmanager
+def _as_config_error(key: str):
+    """Report a bad value (ValueError) or an unreadable file (OSError) met in
+    the block as a config error on ``key``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from exc
+
+
+def _profile_columns(path: str, header: str) -> np.ndarray:
+    names, data = csvio.read_csv(path)
+    if ",".join(names) != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    return data.T
+
+
 def _line_profile(cfg: ExperimentConfig):
     if cfg["profile.file"] is not None:
-        xs, cols = _load_samples(cfg["profile.file"], ("x", "w0"))
-        value, deriv = profiles.sampled_profile(xs, cols[0])
-        support = (float(xs[0]), float(xs[-1]))
-        return value, deriv, support
+        with _as_config_error("profile.file"):
+            xs, w0 = _profile_columns(cfg["profile.file"], "x,w0")
+            value, deriv = profiles.sampled_profile(xs, w0)
+        return value, deriv, (float(xs[0]), float(xs[-1]))
     return profiles.line_profile_callables(cfg["profile.name"], cfg["profile.M"])
 
 
 def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
     if cfg["profile.file"] is not None:
-        rs, cols = _load_samples(cfg["profile.file"], ("r", "rho0", "u0"))
-        rho0, _ = profiles.sampled_profile(rs, cols[0])
-        u0, _ = profiles.sampled_profile(rs, cols[1])
+        with _as_config_error("profile.file"):
+            rs, rho0s, u0s = _profile_columns(cfg["profile.file"], "r,rho0,u0")
+            rho0, _ = profiles.sampled_profile(rs, rho0s)
+            u0, _ = profiles.sampled_profile(rs, u0s)
     else:
         rho0, u0 = profiles.radial_profile_callables(
             cfg["profile.name"], cfg["profile.M0"], cfg["profile.M"]
@@ -44,18 +63,6 @@ def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
     return euler.InitialProfile(
         rho0=rho0, u0=u0, epsilon=cfg["profile.epsilon"], M=cfg["profile.M"], M0=cfg["profile.M0"]
     )
-
-
-def _load_samples(path: str, expected_header: tuple[str, ...]):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"key 'profile.file': cannot read {path!r}: {exc}") from exc
-    if not rows or tuple(rows[0].split(",")) != expected_header:
-        raise ConfigError(f"key 'profile.file': expected header {','.join(expected_header)!r}")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    return data[:, 0], [data[:, j] for j in range(1, data.shape[1])]
 
 
 def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
@@ -111,9 +118,7 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
 def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
     problem = _burgers_problem(cfg)
     t_end = cfg["run.t_end"]
-    span = None
-    if cfg["grid.x_lo"] is not None:
-        span = (cfg["grid.x_lo"], cfg["grid.x_hi"])
+    span = (cfg["grid.x_lo"], cfg["grid.x_hi"]) if cfg["grid.x_lo"] is not None else None
     snapshots, verdict = burgers.simulate_fv(
         problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"],
         snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]), x_span=span,
@@ -137,10 +142,8 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
     damping = cfg.damping()
     profile = _radial_profile(cfg)
     grid = _euler_grid(cfg)
-    try:
+    with _as_config_error("grid.r_max"):
         euler.validate_horizon(gas, profile, grid, cfg["run.t_end"])
-    except ValueError as exc:
-        raise ConfigError(f"key 'grid.r_max': {exc}") from exc
     result = euler.run(
         gas, damping, profile, grid, cfg["run.t_end"], cfg["run.cfl"],
         monitor_cadence=cfg["run.monitor_cadence"], check_horizon=False,
@@ -154,11 +157,8 @@ def _run_functionals(cfg: ExperimentConfig, out: str) -> None:
     """Recompute the monitor series from snapshots.csv (round-trip path)."""
     gas = cfg.gas()
     damping = cfg.damping()
-    path = os.path.join(out, "snapshots.csv")
-    try:
-        states = csvio.read_radial_snapshots(path, gas.rho_bar)
-    except OSError as exc:
-        raise ConfigError(f"key 'output.dir': cannot read {path!r}: {exc}") from exc
+    with _as_config_error("output.dir"):
+        states = csvio.read_radial_snapshots(os.path.join(out, "snapshots.csv"), gas.rho_bar)
     csvio.write_series(
         os.path.join(out, "series.csv"), np.array([s.t for s in states]),
         euler.series(states, gas, damping, cfg["run.cfl"]),
@@ -244,8 +244,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"runtime-error: {exc}", file=sys.stderr)
         return 1

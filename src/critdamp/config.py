@@ -16,6 +16,8 @@ from typing import Mapping
 from .damping import DampingLaw
 from .gas import GasModel
 
+MAX_SAMPLES = 100_000  # cap on run.t_end / run.monitor_cadence: each sample keeps a snapshot
+
 MODES = ("burgers-lifespan", "burgers-sim", "euler-sim", "functionals", "criterion", "sweep")
 
 
@@ -188,6 +190,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             _require(v["grid.x_lo"] < v["grid.x_hi"], "grid.x_lo", "must be below grid.x_hi")
     if cfg.mode in ("euler-sim",):
         _require(v["grid.n_cells"] >= 32, "grid.n_cells", "must be at least 32")
+    if cfg.mode in ("euler-sim", "burgers-sim"):
+        _require(v["run.t_end"] / v["run.monitor_cadence"] <= MAX_SAMPLES, "run.monitor_cadence",
+                 f"must be at least run.t_end / {MAX_SAMPLES}")
     if cfg.mode == "sweep":
         for key in ("sweep.lambda", "sweep.mu", "sweep.epsilon"):
             _require(v[key] is not None, key, "required for sweep mode")

@@ -7,6 +7,7 @@ re-ingestion loses no precision.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -17,76 +18,82 @@ from .outcome import Verdict, verdict_label
 
 
 def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
 def _reprs(values: np.ndarray):
     """:func:`fmt` of each element of a float array."""
-    return map(repr, values.tolist())
+    return map(repr, np.asarray(values).tolist())
 
 
 def write_series(path: str, times: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
     lines = ["t," + ",".join(columns.keys())]
-    for i, t in enumerate(times):
-        lines.append(",".join([fmt(t)] + [fmt(col[i]) for col in columns.values()]))
+    lines.extend(map(",".join, zip(*map(_reprs, (times, *columns.values())))))
     _write(path, lines)
+
+
+def read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header names and float rows of a CSV file; empty and ``#`` lines are
+    skipped.  Raises ValueError naming ``path`` when the header is missing, a
+    row is ragged or holds a non-number, or there are no data rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        content = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+        header, first = next(content, ""), next(content, "")
+        try:
+            if not first:
+                raise ValueError("no data rows" if header else "no header line")
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments="#", ndmin=2)
+            if data.shape[1] != header.count(",") + 1:
+                raise ValueError(f"rows of {data.shape[1]} fields under the header {header!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return header.split(","), data
 
 
 def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    header = rows[0].split(",")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])}
+    names, data = read_csv(path)
+    return data[:, 0], {name: data[:, j] for j, name in enumerate(names) if j}
 
 
 def write_radial_snapshots(path: str, snapshots: Sequence[RadialState]) -> None:
-    lines = ["t,r,rho,mom"]
-    for snap in snapshots:
-        t = fmt(snap.t)
-        lines.append(f"# t={t}")
-        lines.extend(f"{t},{r},{rho},{mom}" for r, rho, mom in zip(
-            _reprs(snap.grid.centers), _reprs(snap.rho), _reprs(snap.mom)))
-    _write(path, lines)
+    _write_blocks(path, "t,r,rho,mom", ((s.t, (s.grid.centers, s.rho, s.mom)) for s in snapshots))
 
 
 def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
-    """Rebuild states from a snapshot file; the uniform grid is inferred from
-    the r column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "t,r,rho,mom":
+    """States from a snapshot file, one per run of rows with equal ``t`` and
+    increasing ``r`` (``t`` never decreases).  Each grid has dr = 2 r[0] (the
+    first centre is dr / 2 exactly) and r_max = dr * n_cells; a block whose
+    ``r`` column that grid does not reproduce bit for bit is rejected."""
+    names, data = read_csv(path)
+    if names != ["t", "r", "rho", "mom"]:
         raise ValueError(f"{path}: expected a radial snapshot file with header t,r,rho,mom")
-    blocks: list[list[tuple[float, float, float, float]]] = []
-    for row in rows[1:]:
-        if row.startswith("#"):
-            blocks.append([])
-            continue
-        t, r, rho, mom = (float(v) for v in row.split(","))
-        if not blocks:
-            raise ValueError(f"{path}: data row before the first block marker")
-        blocks[-1].append((t, r, rho, mom))
-
+    steps = np.diff(data[:, 0])
+    if not np.all(steps >= 0):
+        raise ValueError(f"{path}: snapshot times must not decrease")
     states = []
-    for block in blocks:
-        arr = np.array(block)
-        r = arr[:, 1]
-        dr = r[1] - r[0]
-        grid = RadialGrid(r_max=float(r[-1] + 0.5 * dr), n_cells=len(r))
-        states.append(RadialState(float(arr[0, 0]), arr[:, 2] - rho_bar, arr[:, 3], grid, rho_bar))
+    for block in np.split(data, np.flatnonzero((steps != 0) | (np.diff(data[:, 1]) <= 0)) + 1):
+        t, r = float(block[0, 0]), block[:, 1]
+        try:
+            grid = RadialGrid(r_max=float(2.0 * r[0] * len(r)), n_cells=len(r))
+        except ValueError as exc:
+            raise ValueError(f"{path}: the block at t={t!r}: {exc}") from exc
+        if not np.array_equal(grid.centers, r):
+            raise ValueError(f"{path}: the r column at t={t!r} is not a uniform cell-centred grid")
+        states.append(RadialState(t, block[:, 2] - rho_bar, block[:, 3], grid, rho_bar))
     return states
 
 
 def write_line_snapshots(path: str, snapshots) -> None:
-    lines = ["t,x,w"]
-    for snap in snapshots:
-        t = fmt(snap.t)
+    _write_blocks(path, "t,x,w", ((s.t, (s.x, s.w)) for s in snapshots))
+
+
+def _write_blocks(path: str, header: str, blocks) -> None:
+    """One block of rows per ``(t, columns)``, led by a ``# t=<t>`` comment."""
+    lines = [header]
+    for t, columns in blocks:
+        t = fmt(t)
         lines.append(f"# t={t}")
-        lines.extend(f"{t},{x},{w}" for x, w in zip(_reprs(snap.x), _reprs(snap.w)))
+        lines.extend(map(",".join, zip(itertools.repeat(t), *map(_reprs, columns))))
     _write(path, lines)
 
 

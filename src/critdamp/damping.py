@@ -59,10 +59,17 @@ class DampingLaw:
     def log_integrating_factor(self, t):
         """log(beta(t)); overflow-free form used wherever ratios of beta appear."""
         self._check_time(t)
-        t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+        return self._log_beta(np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+
+    def _log_beta(self, t):
         if self.lam == 1.0:
             return self.mu * np.log1p(t)
         return self.mu / (1.0 - self.lam) * np.expm1((1.0 - self.lam) * np.log1p(t))
+
+    def damping_factor(self, t0: float, t1: float) -> float:
+        """beta(t0) / beta(t1) for scalar times 0 <= t0 <= t1: the exact factor
+        by which damping alone scales the momentum from t0 to t1."""
+        return float(np.exp(self._log_beta(t0) - self._log_beta(t1)))
 
     def integrating_factor(self, t):
         """beta(t) = exp((mu/(1-lam)) ((1+t)**(1-lam) - 1)), or (1+t)**mu at lam = 1."""

@@ -286,7 +286,7 @@ def step(
     dp_l = p_face[:-1] - p_c
     dp_r = p_face[1:] - p_c
     t_new = state.t + dt
-    factor = float(np.exp(damping.log_integrating_factor(state.t) - damping.log_integrating_factor(t_new)))
+    factor = damping.damping_factor(state.t, t_new)
     mom_new = state.mom.copy()
     mom_new[:w] = (mom_new[:w] - dt * (
         (area[1:] * f_adv[1:] - area[:-1] * f_adv[:-1]) * inv_vol

@@ -74,7 +74,6 @@ class GasModel:
         Raises :class:`VacuumError` when 1 + (gamma-1) y <= 0, i.e. when the
         requested enthalpy signals vacuum formation.
         """
-        y = np.asarray(y) if np.ndim(y) else y
         arg = 1.0 + (self.gamma - 1.0) * np.asarray(y)
         if np.any(~(arg > 0)):
             raise VacuumError("enthalpy at or below the vacuum bound -1/(gamma-1)")

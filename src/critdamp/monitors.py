@@ -72,12 +72,13 @@ def _split_cells(state, l: float) -> tuple[np.ndarray, np.ndarray]:
     Whole cells above l keep their centers/width; the cell containing l is
     split at l and represented by the midpoint of its surviving part.
     """
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     grid = state.grid
     dr = grid.dr
     faces = grid.faces
     if l >= grid.r_max:
         return np.empty(0), np.empty(0)
-    l = max(l, 0.0)
     i0 = min(int(l / dr), grid.n_cells - 1)
     mids = grid.centers[i0:].copy()
     widths = np.full(mids.shape, dr)
@@ -89,11 +90,7 @@ def _split_cells(state, l: float) -> tuple[np.ndarray, np.ndarray]:
 
 def density_moment(state, gas: GasModel, l: float) -> float:
     """P(t, l) = 4 pi int_l^inf r (r-l)^2 (rho - rho_bar) dr on the discrete state."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
     mids, widths = _split_cells(state, l)
-    if mids.size == 0:
-        return 0.0
     i0 = state.grid.n_cells - mids.size
     excess = state.rho[i0:] - gas.rho_bar
     return FOUR_PI * float(np.sum(mids * (mids - l) ** 2 * excess * widths))
@@ -117,11 +114,7 @@ def density_moment_tolerance(state, gas: GasModel, l: float) -> float:
 
 def pressure_excess_moment(state, gas: GasModel, l: float) -> float:
     """G(t, l) = 8 pi int_l^inf r (p - p_bar - (rho - rho_bar)) dr; nonnegative."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
     mids, widths = _split_cells(state, l)
-    if mids.size == 0:
-        return 0.0
     i0 = state.grid.n_cells - mids.size
     excess = gas.pressure_excess(state.rho[i0:])
     return 2.0 * FOUR_PI * float(np.sum(mids * excess * widths))

@@ -86,8 +86,6 @@ def adaptive_quad(
     else:
         # Depth cap reached: accept whatever remains (bounded-work guarantee).
         total += float(np.sum(simpson))
-        return total
-
     return total
 
 
@@ -97,7 +95,6 @@ def solve_bracketed(
     hi: float,
     *,
     x_tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Root of a continuous scalar function on a sign-changing bracket [lo, hi].
 
@@ -114,7 +111,7 @@ def solve_bracketed(
     if f_lo * f_hi > 0.0:
         raise ValueError("root bracket endpoints must have opposite signs")
 
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= x_tol:
             break
         x = 0.5 * (lo + hi)
@@ -138,7 +135,6 @@ def scan_maximum(
     hi: float,
     *,
     n_scan: int = 100_000,
-    refine_iter: int = 80,
 ) -> tuple[float, float]:
     """Maximum of a continuous function on [lo, hi] by dense scan plus refinement.
 
@@ -157,7 +153,7 @@ def scan_maximum(
     x2 = a + inv_phi * (b - a)
     f1 = float(f(np.array([x1]))[0])
     f2 = float(f(np.array([x2]))[0])
-    for _ in range(refine_iter):
+    for _ in range(80):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + inv_phi * (b - a)

@@ -121,14 +121,9 @@ def radial_shell(m0: float, m: float) -> tuple[Callable, Callable]:
 
 
 def radial_outgoing_shell(m0: float, m: float) -> tuple[Callable, Callable]:
-    """Density shell plus an outward (nonnegative) velocity shell on m0 < r < m."""
+    """Density shell plus an outward velocity shell of the same (nonnegative) shape on m0 < r < m."""
     rho0, _ = radial_shell(m0, m)
-
-    def u0(r):
-        s = (2.0 * np.asarray(r, dtype=float) - (m + m0)) / (m - m0)
-        return mollifier(s)
-
-    return rho0, u0
+    return rho0, rho0
 
 
 def radial_profile_callables(name: str, m0: float, m: float) -> tuple[Callable, Callable]:

@@ -3,10 +3,20 @@ import os
 import numpy as np
 import pytest
 
+from critdamp import (
+    BurgersProblem,
+    DampingLaw,
+    GasModel,
+    InitialProfile,
+    RadialGrid,
+    classify_lifespan,
+    run,
+)
 from critdamp.cli import main, run_experiment
 from critdamp.config import ConfigError, parse_config
 from critdamp.csvio import read_radial_snapshots, read_series
 from critdamp.outcome import parse_verdict_label
+from critdamp.profiles import sampled_profile
 
 
 def read(path):
@@ -64,6 +74,17 @@ def test_type_and_invariant_errors_name_key():
 def test_unknown_mode():
     with pytest.raises(ConfigError, match="mode"):
         parse_config("", "turbo")
+
+
+@pytest.mark.parametrize("mode", ["euler-sim", "burgers-sim"])
+def test_sample_count_is_capped(mode):
+    # 1e12 / 0.5 samples would be listed (and snapshotted) before the first step
+    with pytest.raises(ConfigError, match="run.monitor_cadence"):
+        parse_config("", mode, {"run.t_end": "1e12"})
+    with pytest.raises(ConfigError, match="run.monitor_cadence"):
+        parse_config("", mode, {"run.t_end": "1", "run.monitor_cadence": "1e-300"})
+    parse_config("", mode, {"run.t_end": "50000", "run.monitor_cadence": "0.5"})  # 100,000: allowed
+    parse_config("", "criterion", {"run.t_end": "1e12"})  # no samples in this mode
 
 
 # ---------------------------------------------------------------- modes
@@ -265,3 +286,82 @@ def test_last_series_row_is_t_end_when_cadence_rounds_short(tmp_path, mode):
     times, _ = read_series(os.path.join(out, "series.csv"))
     assert times.tolist() == [0.0, 0.3, 0.6, 0.9]
     assert read(os.path.join(out, "series.csv")).splitlines()[-1].startswith("0.9,")
+
+
+# ---------------------------------------------------------------- input files
+
+def write_profile(path, header, columns):
+    """A profile file with comment and empty lines before and inside the table."""
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    half = len(rows) // 2
+    path.write_text("# sampled profile\n\n# columns below\n" + header + "\n"
+                    + "\n".join(rows[:half]) + "\n\n# second half\n" + "\n".join(rows[half:]) + "\n\n")
+
+
+def test_line_profile_file_matches_library(tmp_path):
+    xs = np.linspace(-1.0, 1.0, 41)
+    ws = (1.0 - xs**2) ** 2
+    write_profile(tmp_path / "line.csv", "x,w0", (xs, ws))
+    out = str(tmp_path / "out")
+    rc = main(["burgers-lifespan", "--profile.file", str(tmp_path / "line.csv"), "--profile.epsilon", "0.2",
+               "--damping.mu", "0.5", "--damping.lambda", "1.0", "--output.dir", out])
+    assert rc == 0
+    value, deriv = sampled_profile(xs, ws)
+    expected = classify_lifespan(BurgersProblem(value, deriv, (-1.0, 1.0), 0.2, DampingLaw(0.5, 1.0)))
+    assert type(expected).__name__ == "FiniteLifespan"
+    assert verdict_of(out) == expected
+
+
+def test_radial_profile_file_matches_library(tmp_path):
+    rs = np.linspace(0.0, 1.0, 41)
+    rho0s, u0s = (1.0 - rs**2) ** 3, 0.5 * rs * (1.0 - rs**2) ** 2
+    write_profile(tmp_path / "radial.csv", "r,rho0,u0", (rs, rho0s, u0s))
+    out = str(tmp_path / "out")
+    rc = main(["euler-sim", "--profile.file", str(tmp_path / "radial.csv"), "--profile.epsilon", "0.1",
+               "--grid.r_max", "8", "--grid.n_cells", "64", "--run.t_end", "1",
+               "--output.dir", out])
+    assert rc == 0
+    (rho0, _), (u0, _) = sampled_profile(rs, rho0s), sampled_profile(rs, u0s)
+    expected = run(GasModel(2.0, 1.0), DampingLaw(1.0, 1.0), InitialProfile(rho0, u0, 0.1, 1.0),
+                   RadialGrid(8.0, 64), 1.0)
+    times, cols = read_series(os.path.join(out, "series.csv"))
+    assert times.tolist() == expected.times.tolist()
+    assert list(cols) == list(expected.columns)
+    for name, values in expected.columns.items():
+        assert cols[name].tolist() == values.tolist()
+
+
+SNAPSHOT_HEAD = "t,r,rho,mom\n# t=0.0\n"
+
+
+@pytest.mark.parametrize("mode, file, text, key", [
+    ("burgers-lifespan", "profile", "x,w0\n0,abc\n", "profile.file"),
+    ("burgers-lifespan", "profile", "x,w0\n", "profile.file"),
+    ("burgers-lifespan", "profile", "x,w0\n0,1\n", "profile.file"),
+    ("functionals", "snapshots.csv", SNAPSHOT_HEAD + "0.0,0.5,1.0,0.0\n0.0,1.5,1.0\n", "output.dir"),
+    ("functionals", "snapshots.csv", "t,r,rho,mom\n0.0,0.5,1.0,0.0\n0.0,1.5,1.0,0.0\n", "output.dir"),
+], ids=["non-numeric-cell", "header-only", "single-row", "three-field-row", "no-block-marker"])
+def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text, key):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / file
+    path.write_text(text)
+    argv = [mode, "--output.dir", str(out)]
+    if key == "profile.file":
+        argv += ["--profile.file", str(path), "--profile.epsilon", "0.1"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config-error: key {key!r}:")
+
+
+def test_functionals_reproduces_series_on_any_grid(tmp_path):
+    # r_max = 10, 33 cells: r[-1] + (r[1] - r[0]) / 2 misses 10 by an ulp, so
+    # a grid inferred that way changes dr and the last digits of every column
+    out = str(tmp_path / "g")
+    argv = ["--grid.r_max", "10", "--grid.n_cells", "33", "--run.t_end", "1",
+            "--profile.epsilon", "0.05", "--output.dir", out]
+    assert main(["euler-sim"] + argv) == 0
+    original = read(os.path.join(out, "series.csv"))
+    assert main(["functionals"] + argv) == 0
+    assert read(os.path.join(out, "series.csv")) == original

@@ -113,3 +113,15 @@ def test_invalid_inputs():
         DampingLaw(1.0, 1.0).integrating_factor(-1.0)
     with pytest.raises(ValueError):
         DampingLaw(1.0, 1.0).reciprocal_integral(-2.0)
+
+
+@pytest.mark.parametrize("mu, lam", [(0.0, 0.0), (1.3, 0.0), (1.0, 0.5), (0.5, 1.0), (2.0, 1.0), (0.7, 2.5)])
+def test_damping_factor_is_the_beta_ratio(mu, lam):
+    law = DampingLaw(mu, lam)
+    for t0, t1 in [(0.0, 0.1), (0.3, 0.30000000000000004), (2.0, 7.5), (1e6, 1e6 + 3.0)]:
+        # the solvers' momentum factor: exactly the log-difference form
+        expected = float(np.exp(law.log_integrating_factor(t0) - law.log_integrating_factor(t1)))
+        assert law.damping_factor(t0, t1) == expected
+        if t1 < 10:
+            ratio = law.integrating_factor(t0) / law.integrating_factor(t1)
+            assert law.damping_factor(t0, t1) == pytest.approx(ratio, rel=1e-12)
