@@ -101,20 +101,27 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
     if law.lam == 0.0:
         return FiniteLifespan(float(-np.log1p(-law.mu * target) / law.mu))
 
-    # Root-find on the cumulative reciprocal integral.  Evaluations reuse
-    # previously integrated prefixes (the bracket only ever refines), so the
-    # total quadrature work stays proportional to one pass over [0, T].
-    seg_tol = 1e-12 * (1.0 + target)
-    known_t = [0.0]
-    known_i = [0.0]
+    # The bracket closes to the accuracy of I: about 1e-15 relative for the
+    # incomplete gamma form, the 1e-12 tolerance of quadrature otherwise.
+    if law.gamma_form:
+        integral_at, rel_tol = law.reciprocal_integral, 1e-15
+    else:
+        # lam > 1, mu = 0 and the lam -> 1- corner integrate by quadrature.
+        # Evaluations reuse previously integrated prefixes (the bracket only
+        # ever refines), so the total quadrature work stays proportional to
+        # one pass over [0, T].
+        rel_tol = 1e-12
+        seg_tol = rel_tol * (1.0 + target)
+        known_t = [0.0]
+        known_i = [0.0]
 
-    def integral_at(t: float) -> float:
-        idx = bisect_right(known_t, t) - 1
-        base_t, base_i = known_t[idx], known_i[idx]
-        val = base_i + law._segment_quad(base_t, t, abs_tol=seg_tol)
-        known_t.insert(idx + 1, t)
-        known_i.insert(idx + 1, val)
-        return val
+        def integral_at(t: float) -> float:
+            idx = bisect_right(known_t, t) - 1
+            base_t, base_i = known_t[idx], known_i[idx]
+            val = base_i + law._segment_quad(base_t, t, abs_tol=seg_tol)
+            known_t.insert(idx + 1, t)
+            known_i.insert(idx + 1, val)
+            return val
 
     hi = 1.0
     for _ in range(200):
@@ -125,7 +132,7 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
         lambda t: integral_at(t) - target,
         0.0,
         hi,
-        x_tol=1e-12 * (1.0 + hi),
+        x_tol=rel_tol * (1.0 + hi),
     )
     return FiniteLifespan(t_cross)
 
@@ -221,12 +228,11 @@ def simulate_fv(
     if x_span is None:
         lo_s, hi_s = problem.support
         _, w_abs = scan_maximum(lambda x: np.abs(np.asarray(problem.w0(x))), lo_s, hi_s, n_scan=20_000)
-        verdict0 = classify_lifespan(problem)
+        m = max_negative_slope(problem)
+        verdict0 = classify_lifespan(problem, slope_max=m)
         i_cap = law.reciprocal_integral(t_end)
         if isinstance(verdict0, FiniteLifespan) and np.isfinite(verdict0.lifespan):
-            m = max_negative_slope(problem)
-            if m > 0:
-                i_cap = min(i_cap, 1.0 / (problem.epsilon * m))
+            i_cap = min(i_cap, 1.0 / (problem.epsilon * m))
         pad = problem.epsilon * w_abs * i_cap + 0.05 * (hi_s - lo_s)
         x_span = (lo_s - pad, hi_s + pad)
 

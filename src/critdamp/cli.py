@@ -34,18 +34,23 @@ def _as_config_error(key: str):
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
-def _profile_columns(path: str, header: str) -> np.ndarray:
+def _sampled_profiles(path: str, header: str):
+    """The abscissae of a ``profile.file`` and a (value, derivative) pair of
+    callables for each further column; errors name the file."""
     names, data = csvio.read_csv(path)
     if ",".join(names) != header:
         raise ValueError(f"{path}: expected header {header!r}")
-    return data.T
+    xs, *columns = data.T
+    try:
+        return xs, [profiles.sampled_profile(xs, ys) for ys in columns]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _line_profile(cfg: ExperimentConfig):
     if cfg["profile.file"] is not None:
         with _as_config_error("profile.file"):
-            xs, w0 = _profile_columns(cfg["profile.file"], "x,w0")
-            value, deriv = profiles.sampled_profile(xs, w0)
+            xs, [(value, deriv)] = _sampled_profiles(cfg["profile.file"], "x,w0")
         return value, deriv, (float(xs[0]), float(xs[-1]))
     return profiles.line_profile_callables(cfg["profile.name"], cfg["profile.M"])
 
@@ -53,9 +58,7 @@ def _line_profile(cfg: ExperimentConfig):
 def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
     if cfg["profile.file"] is not None:
         with _as_config_error("profile.file"):
-            rs, rho0s, u0s = _profile_columns(cfg["profile.file"], "r,rho0,u0")
-            rho0, _ = profiles.sampled_profile(rs, rho0s)
-            u0, _ = profiles.sampled_profile(rs, u0s)
+            _, [(rho0, _), (u0, _)] = _sampled_profiles(cfg["profile.file"], "r,rho0,u0")
     else:
         rho0, u0 = profiles.radial_profile_callables(
             cfg["profile.name"], cfg["profile.M0"], cfg["profile.M"]

@@ -1,4 +1,5 @@
-"""Deterministic numeric kernels: adaptive quadrature and bracketed root finding.
+"""Deterministic numeric kernels: adaptive quadrature, bracketed root finding
+and the incomplete gamma function.
 
 Every routine here is branch-deterministic (no randomness, no environment
 dependence), so callers can rely on bit-identical results for identical
@@ -7,9 +8,18 @@ inputs on the same build.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+
+GAMMA_MAX_TERMS = 10_000
+_EPS = float(np.finfo(float).eps)
+_TINY = 1e-300
+
+
+class ConvergenceError(ArithmeticError):
+    """An expansion did not converge within its term cap."""
 
 
 def adaptive_quad(
@@ -167,3 +177,66 @@ def scan_maximum(
     candidates = [(f_best, x_best), (f1, x1), (f2, x2), (float(vals[i]), float(xs[i]))]
     f_best, x_best = max(candidates)
     return x_best, f_best
+
+
+def gamma_series(s: float, x: float) -> float:
+    """e^x x^-s gamma(s, x) = sum_k x^k / (s (s+1) ... (s+k)) (DLMF 8.7.1).
+
+    The lower incomplete gamma function without its factor x^s e^-x; every
+    term is positive, and the terms fall off fast for x < s + 1.  Raises
+    ``ConvergenceError`` if ``GAMMA_MAX_TERMS`` terms do not converge.
+    """
+    term = total = 1.0 / s
+    for k in range(1, GAMMA_MAX_TERMS):
+        term *= x / (s + k)
+        total += term
+        if term <= total * _EPS:
+            return total
+    raise ConvergenceError(f"incomplete gamma series did not converge (s={s!r}, x={x!r})")
+
+
+def gamma_fraction(s: float, x: float) -> float:
+    """e^x x^-s Gamma(s, x), the upper incomplete gamma function without its
+    factor x^s e^-x, from the continued fraction (DLMF 8.9.2)
+
+        1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / (x + 5 - s - ...)))
+
+    by the modified Lentz method, for x >= s + 1, where it converges fast.
+    Raises ``ConvergenceError`` if ``GAMMA_MAX_TERMS`` terms do not converge.
+    """
+    b = x + 1.0 - s
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
+    for i in range(1, GAMMA_MAX_TERMS):
+        a_i = -i * (i - s)
+        b += 2.0
+        d = a_i * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        d = 1.0 / d
+        c = b + a_i / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+    raise ConvergenceError(f"incomplete gamma continued fraction did not converge (s={s!r}, x={x!r})")
+
+
+def regularized_gamma(s: float, x: float) -> tuple[float, float]:
+    """(P, Q) = (gamma(s, x), Gamma(s, x)) / Gamma(s) for s > 0, finite x >= 0.
+
+    The series gives P for x < s + 1 and the continued fraction gives Q
+    otherwise; the other one is its complement, so P + Q = 1 to round-off.
+    """
+    if not (0.0 < s < math.inf and 0.0 <= x < math.inf):
+        raise ValueError("regularized_gamma needs finite s > 0 and x >= 0")
+    if x == 0.0:
+        return 0.0, 1.0
+    scale = math.exp(s * math.log(x) - x - math.lgamma(s))
+    if x < s + 1.0:
+        p = scale * gamma_series(s, x)
+        return p, 1.0 - p
+    q = scale * gamma_fraction(s, x)
+    return 1.0 - q, q

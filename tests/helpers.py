@@ -1,12 +1,14 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the package's own numeric kernels: fixed-order
-composite rules at extreme refinement and plain bisection, so every dual-route
-check compares two independent code paths.  The exception is the full-grid
-radial step below, which the windowed ``euler.step`` must reproduce bit for bit.
+composite rules at extreme refinement, plain bisection and mpmath's incomplete
+gamma function, so every dual-route check compares two independent code
+paths.  The exception is the full-grid radial step below, which the windowed
+``euler.step`` must reproduce bit for bit.
 """
 
 import numpy as np
+import pytest
 
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
 from critdamp.outcome import DT_FLOOR, BreakdownCause, BreakdownError
@@ -39,6 +41,29 @@ def bisect_root(f, lo, hi, n_iter=200):
             lo = mid
             f_lo = f(lo)
     return 0.5 * (lo + hi)
+
+
+def mp_reciprocal_integral(mu, lam, t=None):
+    """I(t) (or I(inf) for t None) of the law (mu, lam), 0 < lam < 1, from
+    mpmath at 50 digits: (e^c c^-s / a) times the incomplete gamma integral of
+    y^(s-1) e^-y over [c, c (1+t)^a], with a = 1 - lam, s = 1/a, c = mu/a.
+
+    The difference is taken of lower gammas for c < s and of upper gammas
+    otherwise, so that the 50 digits are not lost to cancellation.  Skips the
+    calling test when mpmath is missing.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = 1 - mp.mpf(lam)
+        s = 1 / a
+        c = mp.mpf(mu) / a
+        scale = mp.exp(c) * c ** -s / a
+        if t is None:
+            return scale * mp.gammainc(s, c)
+        x = c * mp.exp(a * mp.log1p(mp.mpf(t)))
+        if c < s:
+            return scale * (mp.gammainc(s, 0, x) - mp.gammainc(s, 0, c))
+        return scale * (mp.gammainc(s, c) - mp.gammainc(s, x))
 
 
 def full_grid_stable_dt(gas, state, cfl):

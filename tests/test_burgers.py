@@ -14,7 +14,7 @@ from critdamp import (
     simulate_fv,
 )
 from critdamp.profiles import line_bump, line_ramp
-from helpers import bisect_root, composite_simpson
+from helpers import bisect_root, composite_simpson, mp_reciprocal_integral
 
 
 def bump_problem(epsilon, mu, lam):
@@ -78,6 +78,35 @@ def test_lifespan_supercritical_root_oracle():
     v = classify_lifespan(p)
     assert isinstance(v, FiniteLifespan)
     assert v.lifespan == pytest.approx(t_oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu, lam, eps", [
+    (0.05, 0.05, 0.5), (0.3, 0.3, 0.5), (0.3, 0.7, 0.5), (1.0, 0.5, 2.0),
+    (1.0, 0.9, 2.0), (1.0, 0.99, 2.0), (3.0, 0.7, 10.0),
+])
+def test_lifespan_interior_lambda_matches_mpmath(mu, lam, eps):
+    # root of eps * m * I(T) = 1 with m = 1, polished by mpmath at 50 digits
+    mp = pytest.importorskip("mpmath")
+    v = classify_lifespan(ramp_problem(eps, mu, lam), slope_max=1.0)
+    assert isinstance(v, FiniteLifespan)
+    with mp.workdps(50):
+        exact = mp.findroot(lambda t: mp_reciprocal_integral(mu, lam, t) - 1 / mp.mpf(eps), v.lifespan)
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-11)
+
+
+def test_interior_lambda_classification_needs_no_quadrature(monkeypatch):
+    # I(t) and I(inf) for lam <= 1 are closed forms, so classifying never
+    # reaches adaptive quadrature (for I(inf) at lam = 0.7, mu = 0.3 it ran
+    # to its 2^21-interval cap)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adaptive_quad called")
+
+    monkeypatch.setattr("critdamp.damping.adaptive_quad", forbidden)
+    assert isinstance(classify_lifespan(bump_problem(0.5, 0.3, 0.7)), FiniteLifespan)
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for mu in (0.25, 0.5, 1.0, 1.5, 2.0):
+            for eps in (1e-3, 0.5):
+                classify_lifespan(ramp_problem(eps, mu, lam))
 
 
 def test_dichotomy_grid():

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,9 +341,10 @@ SNAPSHOT_HEAD = "t,r,rho,mom\n# t=0.0\n"
     ("burgers-lifespan", "profile", "x,w0\n0,abc\n", "profile.file"),
     ("burgers-lifespan", "profile", "x,w0\n", "profile.file"),
     ("burgers-lifespan", "profile", "x,w0\n0,1\n", "profile.file"),
+    ("euler-sim", "profile", "r,rho0,u0\n0,1,0\n1,1,0\n1,1,0\n", "profile.file"),
     ("functionals", "snapshots.csv", SNAPSHOT_HEAD + "0.0,0.5,1.0,0.0\n0.0,1.5,1.0\n", "output.dir"),
     ("functionals", "snapshots.csv", "t,r,rho,mom\n0.0,0.5,1.0,0.0\n0.0,1.5,1.0,0.0\n", "output.dir"),
-], ids=["non-numeric-cell", "header-only", "single-row", "three-field-row", "no-block-marker"])
+], ids=["non-numeric-cell", "header-only", "single-row", "radial-repeated-abscissa", "three-field-row", "no-block-marker"])
 def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text, key):
     out = tmp_path / "out"
     out.mkdir()
@@ -353,6 +357,7 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"config-error: key {key!r}:")
+    assert str(path) in err
 
 
 def test_functionals_reproduces_series_on_any_grid(tmp_path):
@@ -365,3 +370,12 @@ def test_functionals_reproduces_series_on_any_grid(tmp_path):
     original = read(os.path.join(out, "series.csv"))
     assert main(["functionals"] + argv) == 0
     assert read(os.path.join(out, "series.csv")) == original
+
+
+def test_cli_import_loads_no_scipy_or_mpmath():
+    # every CLI run pays its imports; mpmath is a test-only oracle
+    code = "import sys, critdamp.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

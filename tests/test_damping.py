@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from critdamp import DampingLaw
-from helpers import composite_simpson
+from critdamp import DampingLaw, numerics
+from helpers import composite_simpson, mp_reciprocal_integral
 
 
 def test_factor_initial_condition():
@@ -71,7 +71,8 @@ def test_integral_generic_matches_brute_force():
     assert law.reciprocal_integral(5.0) == pytest.approx(oracle, abs=1e-10)
 
 
-@pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.5, 0.0)])
+@pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.5, 0.0),
+                                    (0.3, 0.7), (1.0, 0.5), (3.0, 0.05), (1.0, 0.99)])
 def test_closed_forms_agree_with_quadrature(mu, lam):
     law = DampingLaw(mu, lam)
     for t in (0.5, 10.0, 1e4):
@@ -102,6 +103,44 @@ def test_limit_tail_is_negligible():
     # the limit dominates any truncation: integrating twice as far changes nothing
     probe = law._integral_quad(3e7)
     assert lim.value == pytest.approx(probe, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("mu", [0.05, 0.3, 1.0, 3.0])
+def test_gamma_form_matches_mpmath(mu, lam):
+    law = DampingLaw(mu, lam)
+    assert law.gamma_form
+    for t in (1e-6, 0.5, 5.0, 50.0, 1e4, 1e8):
+        oracle = float(mp_reciprocal_integral(mu, lam, t))
+        assert abs(law.reciprocal_integral(t) - oracle) <= 1e-12 * max(1.0, oracle), t
+    oracle = float(mp_reciprocal_integral(mu, lam))
+    assert abs(law.reciprocal_integral_limit().value - oracle) <= 1e-13 * oracle
+
+
+def test_gamma_form_corners():
+    # nearer lam = 1 than lam = 0.999, I(t) stays on quadrature; I(inf) does not
+    assert DampingLaw(1.0, 0.999).gamma_form
+    assert not DampingLaw(1.0, 0.9999).gamma_form
+    assert not DampingLaw(0.0, 0.5).gamma_form
+    law = DampingLaw(1.0, 0.9999)
+    assert law.reciprocal_integral(0.5) == pytest.approx(float(mp_reciprocal_integral(1.0, 0.9999, 0.5)), rel=1e-12)
+    oracle = float(mp_reciprocal_integral(1.0, 0.9999))
+    assert law.reciprocal_integral_limit().value == pytest.approx(oracle, rel=1e-13)
+    # an I(inf) beyond the float range (about 1e890 here) is +inf, still finite in kind
+    huge = DampingLaw(0.05, 0.999).reciprocal_integral_limit()
+    assert huge.finite and huge.value == np.inf
+    assert DampingLaw(0.05, 0.999).reciprocal_integral(1e8) == pytest.approx(
+        float(mp_reciprocal_integral(0.05, 0.999, 1e8)), rel=1e-12)
+
+
+def test_limit_beyond_the_term_cap_uses_quadrature(monkeypatch):
+    # at lam = 1 - 1e-7, mu = 1 the gamma expansions need ~27,000 terms
+    law = DampingLaw(1.0, 1.0 - 1e-7)
+    with pytest.raises(numerics.ConvergenceError):
+        law._gamma_limit()
+    by_quadrature = law.reciprocal_integral_limit().value
+    monkeypatch.setattr(numerics, "GAMMA_MAX_TERMS", 100_000)
+    assert law.reciprocal_integral_limit().value == pytest.approx(by_quadrature, rel=1e-9)
 
 
 def test_invalid_inputs():

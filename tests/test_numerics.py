@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from critdamp.numerics import adaptive_quad, scan_maximum, solve_bracketed
+from critdamp import numerics
+from critdamp.numerics import adaptive_quad, regularized_gamma, scan_maximum, solve_bracketed
 
 
 def test_quad_polynomial_exact():
@@ -64,3 +67,33 @@ def test_scan_maximum_plateau():
     f = lambda x: np.minimum(1.0, 2.0 - np.abs(x))
     _, val = scan_maximum(f, -2.0, 2.0, n_scan=4001)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("s, x", [(0.5, 0.2), (1.0, 1.5), (3.3, 2.0), (100.0, 80.0),   # series: x < s + 1
+                                  (0.5, 4.0), (1.0, 2.0), (3.3, 9.0), (100.0, 140.0)])  # fraction
+def test_regularized_gamma_closed_forms(s, x):
+    p, q = regularized_gamma(s, x)
+    assert p + q == pytest.approx(1.0, abs=2e-16)
+    if s == 1.0:
+        assert q == pytest.approx(math.exp(-x), rel=1e-14)
+    if s == 0.5:
+        assert p == pytest.approx(math.erf(math.sqrt(x)), rel=1e-14)
+        assert q == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-13)
+    # Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1)  (DLMF 8.8.6)
+    q_up = regularized_gamma(s + 1.0, x)[1]
+    assert q_up == pytest.approx(q + math.exp(s * math.log(x) - x - math.lgamma(s + 1.0)), rel=1e-13)
+
+
+def test_regularized_gamma_edges():
+    assert regularized_gamma(2.0, 0.0) == (0.0, 1.0)
+    for s, x in [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (1.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            regularized_gamma(s, x)
+
+
+def test_regularized_gamma_cap_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "GAMMA_MAX_TERMS", 3)
+    with pytest.raises(numerics.ConvergenceError, match="series"):
+        regularized_gamma(10.0, 9.0)
+    with pytest.raises(numerics.ConvergenceError, match="continued fraction"):
+        regularized_gamma(10.0, 12.0)
