@@ -89,6 +89,8 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
         # has no finite root, the gradient only diverges as t -> infinity.
         return Global()
 
+    if law.mu == 0.0:
+        return FiniteLifespan(target)
     if law.lam == 1.0:
         if law.mu == 1.0:
             with np.errstate(over="ignore"):
@@ -96,20 +98,23 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
         arg = 1.0 + (1.0 - law.mu) * target
         with np.errstate(over="ignore"):
             return FiniteLifespan(float(np.expm1(np.log(arg) / (1.0 - law.mu))))
-    if law.lam == 0.0 and law.mu == 0.0:
-        return FiniteLifespan(target)
     if law.lam == 0.0:
         return FiniteLifespan(float(-np.log1p(-law.mu * target) / law.mu))
 
     # The bracket closes to the accuracy of I: about 1e-15 relative for the
-    # incomplete gamma form, the 1e-12 tolerance of quadrature otherwise.
-    if law.gamma_form:
+    # incomplete gamma form and the Poisson series, the 1e-12 tolerance of
+    # quadrature otherwise.
+    if law.gamma_form or law.series_form:
         integral_at, rel_tol = law.reciprocal_integral, 1e-15
     else:
-        # lam > 1, mu = 0 and the lam -> 1- corner integrate by quadrature.
-        # Evaluations reuse previously integrated prefixes (the bracket only
-        # ever refines), so the total quadrature work stays proportional to
-        # one pass over [0, T].
+        # Only the lam -> 1 corners integrate by quadrature: 0.999 < lam < 1
+        # and lam - 1 < mu/SERIES_MAX_C.  Evaluations reuse previously
+        # integrated prefixes (the bracket only ever refines), so the total
+        # quadrature work stays proportional to one pass over [0, T].  Without
+        # them the law (0.9999, 1) at eps*m = 0.0096 took 22 s and returned
+        # 1.1e15 for a root of 1.19e60: ``adaptive_quad`` from 0 accepts
+        # unresolved intervals at its depth cap (it gives 1.8e11 for
+        # I(2^100) = 64).
         rel_tol = 1e-12
         seg_tol = rel_tol * (1.0 + target)
         known_t = [0.0]
@@ -124,10 +129,11 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
             return val
 
     hi = 1.0
-    for _ in range(200):
-        if integral_at(hi) >= target:
-            break
+    while integral_at(hi) < target:
         hi *= 2.0
+        if hi == np.inf:
+            # the root lies beyond the float range, as at lam = 1 above
+            return FiniteLifespan(np.inf)
     t_cross = solve_bracketed(
         lambda t: integral_at(t) - target,
         0.0,

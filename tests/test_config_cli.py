@@ -13,13 +13,14 @@ from critdamp import (
     InitialProfile,
     RadialGrid,
     classify_lifespan,
+    max_negative_slope,
     run,
 )
 from critdamp.cli import main, run_experiment
 from critdamp.config import ConfigError, parse_config
 from critdamp.csvio import read_radial_snapshots, read_series
 from critdamp.outcome import parse_verdict_label
-from critdamp.profiles import sampled_profile
+from critdamp.profiles import line_bump, sampled_profile
 
 
 def read(path):
@@ -185,6 +186,19 @@ def test_sweep_mode_matches_dichotomy(tmp_path):
     for (lam, mu), verdict in verdicts.items():
         expect = "Global" if (lam < 1 or (lam == 1 and mu > 1)) else "FiniteLifespan"
         assert verdict == expect, (lam, mu, verdict)
+
+
+def test_sweep_without_damping_is_exact(tmp_path):
+    # mu = 0 gives I(t) = t for every lambda, so T = 1/(eps m) exactly
+    out = str(tmp_path / "sw")
+    run_experiment(parse_config(
+        f"sweep.lambda = 0,1,1.5,3\nsweep.mu = 0\nsweep.epsilon = 0.5\noutput.dir = {out}", "sweep"))
+    w0, w0p, support = line_bump(1.0)
+    m = max_negative_slope(BurgersProblem(w0, w0p, support, 1.0, DampingLaw(0.0, 0.0)))
+    rows = [row.split(",") for row in read(os.path.join(out, "sweep.csv")).splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.0", "1.0", "1.5", "3.0"]
+    assert {row[3] for row in rows} == {"FiniteLifespan"}
+    assert {float(row[4]) for row in rows} == {1.0 / (0.5 * m)}
 
 
 def test_sweep_insensitive_to_thread_count(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critdamp import DampingLaw, numerics
 from helpers import composite_simpson, mp_reciprocal_integral
@@ -133,6 +137,35 @@ def test_gamma_form_corners():
         float(mp_reciprocal_integral(0.05, 0.999, 1e8)), rel=1e-12)
 
 
+@pytest.mark.parametrize("mu, lam", [(1.0, 2.0), (0.3, 1.0 + 1.0 / 3.0), (3.0, 1.001), (1.94, 2.66), (0.05, 5.0)])
+def test_poisson_series_matches_mpmath(mu, lam):
+    # integer s = 1/(lam-1) (lam = 2), near-integer s (lam = 1 + 1/3) and a
+    # large C = mu/(lam-1) = 3000 (lam = 1.001)
+    law = DampingLaw(mu, lam)
+    assert law.series_form
+    for t in (1e-6, 0.5, 50.0, 1e4):
+        oracle = float(mp_reciprocal_integral(mu, lam, t))
+        assert abs(law.reciprocal_integral(t) - oracle) <= 1e-13 * oracle, t
+
+
+# subnormal t would carry too few bits for the 1e-14 bounds below
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.01, 5.0), lam=st.floats(1.0, 6.0, exclude_min=True),
+       t=st.floats(0.0, 1e6, allow_subnormal=False))
+def test_poisson_series_properties(mu, lam, t):
+    law = DampingLaw(mu, lam)
+    if not law.series_form:  # lam - 1 < mu/SERIES_MAX_C: quadrature on both sides
+        return
+    value = law.reciprocal_integral(t)
+    # quadrature to 1e-11 of the value: its fixed 1e-12 absolute tolerance
+    # sinks below round-off at large t and then takes up to 0.6 s per call
+    quad = law._segment_quad(0.0, t, abs_tol=1e-11 * max(1.0, value))
+    assert abs(value - quad) <= 1e-10 * max(1.0, value)
+    # e^-C <= 1/beta <= 1 with C = mu/(lam-1), so t e^-C <= I(t) <= t
+    assert t * math.exp(-mu / (lam - 1.0)) * (1 - 1e-14) <= value <= t * (1 + 1e-14)
+    assert law.reciprocal_integral(2.0 * t + 1e-3) > value
+
+
 def test_limit_beyond_the_term_cap_uses_quadrature(monkeypatch):
     # at lam = 1 - 1e-7, mu = 1 the gamma expansions need ~27,000 terms
     law = DampingLaw(1.0, 1.0 - 1e-7)
@@ -141,6 +174,19 @@ def test_limit_beyond_the_term_cap_uses_quadrature(monkeypatch):
     by_quadrature = law.reciprocal_integral_limit().value
     monkeypatch.setattr(numerics, "GAMMA_MAX_TERMS", 100_000)
     assert law.reciprocal_integral_limit().value == pytest.approx(by_quadrature, rel=1e-9)
+
+
+@pytest.mark.parametrize("field, mu, lam", [("mu", math.inf, 1.0), ("mu", math.nan, 1.0),
+                                            ("lam", 1.0, math.inf), ("lam", 1.0, math.nan)])
+def test_nonfinite_parameters_are_rejected(field, mu, lam):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DampingLaw(mu, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_nan_time_is_rejected(lam):
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        DampingLaw(1.0, lam).reciprocal_integral(math.nan)
 
 
 def test_invalid_inputs():
