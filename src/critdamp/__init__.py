@@ -12,7 +12,7 @@ from .burgers import (
     max_negative_slope,
     simulate_fv,
 )
-from .damping import DampingLaw, IntegralLimit
+from .damping import DampingLaw
 from .euler import (
     InitialProfile,
     RadialGrid,
@@ -57,7 +57,6 @@ __all__ = [
     "GasModel",
     "Global",
     "InitialProfile",
-    "IntegralLimit",
     "LifespanError",
     "NumericalBreakdown",
     "RadialGrid",

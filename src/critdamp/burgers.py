@@ -9,7 +9,7 @@ I the reciprocal integral of the damping law.  Characteristics first cross
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -48,10 +48,10 @@ class BurgersProblem:
 
     def __post_init__(self) -> None:
         lo, hi = self.support
-        if not lo < hi:
-            raise ValueError("support must be a nonempty interval (lo, hi)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("support must be a finite nonempty interval (lo, hi)")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +75,40 @@ def max_negative_slope(problem: BurgersProblem, n_scan: int = 100_000) -> float:
     return max(0.0, float(best))
 
 
+def _least_doubling(integral_at: Callable[[float], float], target: float) -> float:
+    """The least 2^k, 0 <= k <= 1023, with integral_at(2^k) >= target, or inf.
+
+    Gallops over k (0, 1, 3, 7, ...) and then bisects, so a root near the
+    end of the float range costs about 20 evaluations, not 1024.
+    """
+    below, k, step = -1, 0, 1  # integral_at(2^below) < target
+    while integral_at(math.ldexp(1.0, k)) < target:
+        if k == 1023:
+            return math.inf
+        below, k, step = k, min(k + step, 1023), 2 * step
+    while k - below > 1:
+        mid = (below + k) // 2
+        if integral_at(math.ldexp(1.0, mid)) < target:
+            below = mid
+        else:
+            k = mid
+    return math.ldexp(1.0, k)
+
+
 @lru_cache(maxsize=256)
 def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
+    """The verdict of ``classify_lifespan``.  Closed forms give T directly at
+    mu = 0 and lam in {0, 1}.  Every other law root-finds I(T) = target on
+    ``law.reciprocal_integral`` (incomplete gamma, Poisson series, or
+    log-time quadrature in the lam -> 1 corners), bracketed by the least
+    power of two past the root and closed to 1e-15 relative."""
     m = max_negative_slope(problem) if slope_max is None else slope_max
     if m <= 0.0:
         return Global()
     eps_m = problem.epsilon * m
     target = 1.0 / eps_m
     law = problem.damping
-    limit = law.reciprocal_integral_limit()
-    if limit.finite and eps_m * limit.value <= 1.0:
+    if eps_m * law.reciprocal_integral_limit() <= 1.0:
         # Border case eps*m*I(inf) == 1 stays global: the crossing equation
         # has no finite root, the gradient only diverges as t -> infinity.
         return Global()
@@ -101,44 +125,15 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
     if law.lam == 0.0:
         return FiniteLifespan(float(-np.log1p(-law.mu * target) / law.mu))
 
-    # The bracket closes to the accuracy of I: about 1e-15 relative for the
-    # incomplete gamma form and the Poisson series, the 1e-12 tolerance of
-    # quadrature otherwise.
-    if law.gamma_form or law.series_form:
-        integral_at, rel_tol = law.reciprocal_integral, 1e-15
-    else:
-        # Only the lam -> 1 corners integrate by quadrature: 0.999 < lam < 1
-        # and lam - 1 < mu/SERIES_MAX_C.  Evaluations reuse previously
-        # integrated prefixes (the bracket only ever refines), so the total
-        # quadrature work stays proportional to one pass over [0, T].  Without
-        # them the law (0.9999, 1) at eps*m = 0.0096 took 22 s and returned
-        # 1.1e15 for a root of 1.19e60: ``adaptive_quad`` from 0 accepts
-        # unresolved intervals at its depth cap (it gives 1.8e11 for
-        # I(2^100) = 64).
-        rel_tol = 1e-12
-        seg_tol = rel_tol * (1.0 + target)
-        known_t = [0.0]
-        known_i = [0.0]
-
-        def integral_at(t: float) -> float:
-            idx = bisect_right(known_t, t) - 1
-            base_t, base_i = known_t[idx], known_i[idx]
-            val = base_i + law._segment_quad(base_t, t, abs_tol=seg_tol)
-            known_t.insert(idx + 1, t)
-            known_i.insert(idx + 1, val)
-            return val
-
-    hi = 1.0
-    while integral_at(hi) < target:
-        hi *= 2.0
-        if hi == np.inf:
-            # the root lies beyond the float range, as at lam = 1 above
-            return FiniteLifespan(np.inf)
+    hi = _least_doubling(law.reciprocal_integral, target)
+    if hi == math.inf:
+        # the root lies beyond the float range, as at lam = 1 above
+        return FiniteLifespan(math.inf)
     t_cross = solve_bracketed(
-        lambda t: integral_at(t) - target,
+        lambda t: law.reciprocal_integral(t) - target,
         0.0,
         hi,
-        x_tol=rel_tol * (1.0 + hi),
+        x_tol=1e-15 * (1.0 + hi),
     )
     return FiniteLifespan(t_cross)
 

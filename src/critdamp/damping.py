@@ -13,30 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, adaptive_quad, gamma_fraction, gamma_series
+from .numerics import ConvergenceError, adaptive_quad, gamma_fraction, gamma_series, time_integral
 
 QUAD_TOL = 1e-12
 GAMMA_MAX_S = 1000.0  # lam <= 0.999
 SERIES_MAX_C = 1e4  # lam >= 1 + mu/SERIES_MAX_C
 _SERIES_TOL = 2.0**-53  # half the float64 epsilon
-
-
-@dataclass(frozen=True)
-class IntegralLimit:
-    """Limit of the reciprocal integral as t -> infinity: finite value or divergent."""
-
-    finite: bool
-    value: float | None = None
-
-    @classmethod
-    def finite_limit(cls, value: float) -> "IntegralLimit":
-        if not value > 0:
-            raise ValueError("a finite reciprocal-integral limit must be positive")
-        return cls(True, value)
-
-    @classmethod
-    def divergent(cls) -> "IntegralLimit":
-        return cls(False, None)
 
 
 @dataclass(frozen=True)
@@ -106,8 +88,11 @@ class DampingLaw:
         Closed forms cover mu = 0, lam in {0, 1} and, through the incomplete
         gamma function, 0 < lam < 1 (see ``gamma_form`` and ``_gamma_limit``);
         a Poisson series covers lam > 1 (see ``series_form``).  Only the
-        lam -> 1 corners, 0.999 < lam < 1 and lam - 1 < mu/SERIES_MAX_C, go
-        through adaptive quadrature at absolute tolerance 1e-12.
+        lam -> 1 corners, 0.999 < lam < 1 and lam - 1 < mu/SERIES_MAX_C, are
+        integrated by quadrature, in log time from 0 through t
+        (``numerics.time_integral``, relative tolerance 1e-14).  There 1/beta
+        is close to a power of 1+t, so it is smooth in log(1+t), and one call
+        resolves any t up to the float range.
         """
         self._check_time(t)
         t = float(t)
@@ -122,7 +107,7 @@ class DampingLaw:
         if self.series_form:
             return self._poisson_series(t)
         if not self.gamma_form:
-            return self._integral_quad(t)
+            return time_integral(lambda tau: np.exp(-self._log_beta(tau)), t)
         # I(t) = (e^c c^-s / a) int_c^x e^-y y^(s-1) dy with x = c (1+t)^a, and
         # (e^c c^-s) x^s e^-x = (1+t) / beta(t) exactly.  Both ends below
         # s + 1: difference of lower gammas; otherwise I(inf) minus the upper
@@ -184,18 +169,6 @@ class DampingLaw:
                 break
         return total / weights
 
-    def _integral_quad(self, t: float) -> float:
-        return self._segment_quad(0.0, t)
-
-    def _segment_quad(self, t_lo: float, t_hi: float, abs_tol: float = QUAD_TOL) -> float:
-        """Adaptive quadrature of 1/beta over [t_lo, t_hi]."""
-        return adaptive_quad(
-            lambda tau: np.exp(-self.log_integrating_factor(tau)),
-            t_lo,
-            t_hi,
-            abs_tol=abs_tol,
-        )
-
     def _gamma_limit(self) -> float:
         """I(inf) = e^c c^-s Gamma(s, c) / a for a = 1 - lam, s = 1/a, c = mu/a.
 
@@ -218,29 +191,28 @@ class DampingLaw:
             return math.inf
         return (scale * (gamma_series(s, x0) + gamma_fraction(s, x0)) - gamma_series(s, c)) / a
 
-    def reciprocal_integral_limit(self) -> IntegralLimit:
-        """Classify I(infinity): finite iff (lam < 1 and mu > 0) or (lam = 1 and mu > 1).
+    def reciprocal_integral_limit(self) -> float:
+        """I(infinity): finite iff (lam < 1 and mu > 0) or (lam = 1 and mu > 1),
+        ``math.inf`` where the integral diverges.
 
         The finite values are closed forms: 1/(mu-1) at lam = 1, 1/mu at
-        lam = 0 and an upper incomplete gamma function for 0 < lam < 1 (+inf
-        where it exceeds the float range).  Only where the gamma expansions
-        hit their term cap (lam within about 1e-7 of 1, mu near 1) is I(inf)
-        integrated by quadrature.  For lam > 1 the integrating factor is
-        bounded above by exp(mu/(lam-1)), so the integrand is bounded below
-        and the integral diverges.
+        lam = 0 and an upper incomplete gamma function for 0 < lam < 1 (also
+        +inf where it exceeds the float range).  Only where the gamma
+        expansions hit their term cap (lam within about 1e-7 of 1, mu near 1)
+        is I(inf) integrated by quadrature.  For lam > 1 the integrating
+        factor is bounded above by exp(mu/(lam-1)), so the integrand is
+        bounded below and the integral diverges.
         """
         if self.lam == 1.0:
-            if self.mu > 1.0:
-                return IntegralLimit.finite_limit(1.0 / (self.mu - 1.0))
-            return IntegralLimit.divergent()
+            return 1.0 / (self.mu - 1.0) if self.mu > 1.0 else math.inf
         if self.lam > 1.0 or self.mu == 0.0:
-            return IntegralLimit.divergent()
+            return math.inf
         if self.lam == 0.0:
-            return IntegralLimit.finite_limit(1.0 / self.mu)
+            return 1.0 / self.mu
         try:
-            return IntegralLimit.finite_limit(self._gamma_limit())
+            return self._gamma_limit()
         except ConvergenceError:
-            return IntegralLimit.finite_limit(self._limit_quad())
+            return self._limit_quad()
 
     def _limit_quad(self) -> float:
         """I(inf) for 0 < lam < 1 by quadrature in u = (1+tau)^(1-lam).

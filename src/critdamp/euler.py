@@ -60,8 +60,8 @@ class RadialGrid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError("r_max must be finite and positive")
         if self.n_cells < 32:
             raise ValueError("n_cells must be at least 32")
 
@@ -99,10 +99,10 @@ class InitialProfile:
     M0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not self.M > 0:
-            raise ValueError("M must be positive")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
+        if not 0 < self.M < np.inf:
+            raise ValueError("M must be finite and positive")
         if not 0 <= self.M0 < self.M:
             raise ValueError("M0 must satisfy 0 <= M0 < M")
 

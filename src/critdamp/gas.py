@@ -35,10 +35,10 @@ class GasModel:
     A: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1:
-            raise ValueError("gamma must exceed 1")
-        if not self.rho_bar > 0:
-            raise ValueError("rho_bar must be positive")
+        if not 1 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and exceed 1")
+        if not 0 < self.rho_bar < np.inf:
+            raise ValueError("rho_bar must be finite and positive")
         object.__setattr__(self, "A", 1.0 / (self.gamma * self.rho_bar ** (self.gamma - 1.0)))
 
     def pressure(self, rho):

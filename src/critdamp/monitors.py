@@ -22,7 +22,7 @@ import numpy as np
 
 from .damping import DampingLaw
 from .gas import GasModel
-from .numerics import adaptive_quad
+from .numerics import adaptive_quad, time_integral
 
 FOUR_PI = 4.0 * np.pi
 
@@ -236,6 +236,9 @@ def blowup_criterion(
 ) -> CriterionReport:
     """Evaluate H0 * int_0^T* dtau / (alpha(tau) beta(tau)) > 1.
 
+    The integral is taken in log time (``numerics.time_integral``), which
+    resolves every decade of a large T* alike.
+
     When satisfied, no smooth solution with these initial functionals can
     reach t = T*.  Requires L0 >= 0; the integrand is positive, so a satisfied
     report stays satisfied for every larger T*.
@@ -249,7 +252,7 @@ def blowup_criterion(
         tau = np.asarray(tau, dtype=float)
         return np.exp(-damping.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, l0, gas)
 
-    integral = adaptive_quad(integrand, 0.0, t_star)
+    integral = time_integral(integrand, t_star)
     return CriterionReport(h0, l0, t_star, integral, h0 * integral > 1.0)
 
 

@@ -1,5 +1,5 @@
-"""Deterministic numeric kernels: adaptive quadrature, bracketed root finding
-and the incomplete gamma function.
+"""Deterministic numeric kernels: adaptive quadrature (in log time for time
+integrals), bracketed root finding and the incomplete gamma function.
 
 Every routine here is branch-deterministic (no randomness, no environment
 dependence), so callers can rely on bit-identical results for identical
@@ -14,12 +14,15 @@ from typing import Callable
 import numpy as np
 
 GAMMA_MAX_TERMS = 10_000
+MAX_ROUNDS = 60  # adaptive_quad: halvings of the range
+MAX_INTERVALS = 1 << 21  # adaptive_quad: pending intervals
+TIME_REL_TOL = 1e-14  # time_integral
 _EPS = float(np.finfo(float).eps)
 _TINY = 1e-300
 
 
 class ConvergenceError(ArithmeticError):
-    """An expansion did not converge within its term cap."""
+    """An expansion or a quadrature did not converge within its cap."""
 
 
 def adaptive_quad(
@@ -28,8 +31,6 @@ def adaptive_quad(
     b: float,
     *,
     abs_tol: float = 1e-12,
-    max_rounds: int = 60,
-    max_intervals: int = 1 << 21,
 ) -> float:
     """Adaptive Simpson integral of a vectorized integrand over [a, b].
 
@@ -37,13 +38,13 @@ def adaptive_quad(
     when the classic 15x Simpson error estimate falls below its tolerance
     budget (each split halves the budget, so the accepted total honors
     ``abs_tol``), and the Richardson-corrected value is accumulated.
-    ``max_rounds`` caps the subdivision depth and ``max_intervals`` the queue
-    width; intervals still pending at a cap are accepted as-is, keeping the
-    run time bounded.
-
     Subdivision also stops once the error estimate falls to the local
     round-off scale of the interval values; tolerances below what float64
     supports for the integral's magnitude would otherwise never be met.
+
+    The work is capped: ``MAX_ROUNDS`` halvings deep and ``MAX_INTERVALS``
+    pending intervals wide.  Reaching either cap with intervals still
+    unresolved raises ``ConvergenceError``.
 
     ``f`` must accept an ndarray of abscissae and return an ndarray of values.
     """
@@ -51,7 +52,6 @@ def adaptive_quad(
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0
-    eps = np.finfo(float).eps
 
     lo = np.array([a], dtype=float)
     hi = np.array([b], dtype=float)
@@ -63,26 +63,25 @@ def adaptive_quad(
     budget = np.array([abs_tol], dtype=float)
 
     total = 0.0
-    for _ in range(max_rounds):
-        if lo.size == 0:
-            break
+    for _ in range(MAX_ROUNDS):
         m_left = 0.5 * (lo + mid)
         m_right = 0.5 * (mid + hi)
         f_ml = np.asarray(f(m_left), dtype=float)
         f_mr = np.asarray(f(m_right), dtype=float)
-        h6 = (mid - lo) / 6.0
-        s_left = h6 * (f_lo + 4.0 * f_ml + f_mid)
-        s_right = h6 * (f_mid + 4.0 * f_mr + f_hi)
+        s_left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_ml + f_mid)
+        s_right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_mr + f_hi)
         refined = s_left + s_right
         err = refined - simpson
-        noise_floor = 64.0 * eps * (np.abs(s_left) + np.abs(s_right))
+        noise_floor = 64.0 * _EPS * (np.abs(s_left) + np.abs(s_right))
         done = (np.abs(err) <= 15.0 * budget) | (np.abs(err) <= noise_floor)
-        if lo.size * 2 > max_intervals:
-            done = np.ones_like(done, dtype=bool)
-
         total += float(np.sum(refined[done] + err[done] / 15.0))
 
         keep = ~done
+        n_keep = int(np.count_nonzero(keep))
+        if n_keep == 0:
+            return total
+        if 2 * n_keep > MAX_INTERVALS:
+            break
         half_budget = 0.5 * budget[keep]
         new_lo = np.concatenate([lo[keep], mid[keep]])
         new_hi = np.concatenate([mid[keep], hi[keep]])
@@ -93,10 +92,29 @@ def adaptive_quad(
         simpson = np.concatenate([s_left[keep], s_right[keep]])
         budget = np.concatenate([half_budget, half_budget])
         lo, mid, hi = new_lo, new_mid, new_hi
-    else:
-        # Depth cap reached: accept whatever remains (bounded-work guarantee).
-        total += float(np.sum(simpson))
-    return total
+    raise ConvergenceError(
+        f"adaptive quadrature over [{a!r}, {b!r}] left {n_keep} intervals unresolved at its "
+        f"cap ({MAX_ROUNDS} rounds, {MAX_INTERVALS} intervals)"
+    )
+
+
+def time_integral(f: Callable[[np.ndarray], np.ndarray], t: float) -> float:
+    """int_0^t f(tau) dtau for finite t >= 0 and positive f, integrated in log time.
+
+    With L = log(1+tau) the integral becomes int_0^log1p(t) f(expm1 L) e^L dL,
+    whose range is at most 709.78 long, so ``adaptive_quad`` resolves power
+    laws and slowly varying integrands over every decade of t alike.  The
+    tolerance is ``TIME_REL_TOL`` times a first five-point estimate of the
+    integral (``adaptive_quad`` with an infinite tolerance stops after one
+    refinement): an absolute one would sink below the round-off that large
+    integrands carry from their exponents.
+    """
+    def g(log_time):
+        return f(np.expm1(log_time)) * np.exp(log_time)
+
+    end = math.log1p(t)
+    scale = adaptive_quad(g, 0.0, end, abs_tol=math.inf)
+    return adaptive_quad(g, 0.0, end, abs_tol=TIME_REL_TOL * scale)
 
 
 def solve_bracketed(

@@ -105,6 +105,25 @@ def test_lifespan_supercritical_matches_mpmath(mu, lam, eps):
     assert v.lifespan == pytest.approx(float(exact), rel=1e-13)
 
 
+@pytest.mark.parametrize("mu, lam, eps", [
+    (1.0, 0.9999, 0.0096), (1.0, 0.9995, 0.04), (1.0, 1.00001, 0.04), (0.3, 1.00001, 0.04),
+])
+def test_lifespan_corner_lambda_matches_mpmath(mu, lam, eps):
+    # 0.999 < lam < 1 and 1 < lam < 1 + mu/1e4: the root of the log-time
+    # quadrature.  The first law's is about 1.2e60, so mpmath solves for
+    # log(1+T).
+    mp = pytest.importorskip("mpmath")
+    law = DampingLaw(mu, lam)
+    assert not (law.gamma_form or law.series_form)
+    v = classify_lifespan(ramp_problem(eps, mu, lam), slope_max=1.0)
+    assert isinstance(v, FiniteLifespan)
+    with mp.workdps(50):
+        log_root = mp.findroot(lambda L: mp_reciprocal_integral(mu, lam, mp.expm1(L)) - 1 / mp.mpf(eps),
+                               mp.log1p(v.lifespan))
+        exact = mp.expm1(log_root)
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-11)
+
+
 def test_lifespan_beyond_the_doubling_bracket():
     # C = mu/(lam-1) = 200: T is about e^200, far beyond 2^200 but finite
     v = classify_lifespan(ramp_problem(1.0, 200.0, 2.0), slope_max=1.0)
@@ -124,6 +143,7 @@ def test_interior_lambda_classification_needs_no_quadrature(monkeypatch):
         raise AssertionError("adaptive_quad called")
 
     monkeypatch.setattr("critdamp.damping.adaptive_quad", forbidden)
+    monkeypatch.setattr("critdamp.numerics.adaptive_quad", forbidden)  # log-time quadrature
     assert isinstance(classify_lifespan(bump_problem(0.5, 0.3, 0.7)), FiniteLifespan)
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
         for mu in (0.25, 0.5, 1.0, 1.5, 2.0):

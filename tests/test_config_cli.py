@@ -169,6 +169,19 @@ def test_criterion_mode(tmp_path):
     assert "H0 = 0.0" in body
 
 
+def test_criterion_at_a_huge_horizon(tmp_path):
+    # the integral to T* = 1e30 against mpmath (0.014329871058273749);
+    # H0 = 0.655 times it stays below 1.  Quadrature in tau rather than in
+    # log time returned about 1e10 here, and a satisfied verdict.
+    out = str(tmp_path / "c")
+    rc = main(["criterion", "--profile.name", "outgoing-shell", "--profile.epsilon", "1.0",
+               "--damping.lambda", "0.5", "--run.t_end", "1e30", "--output.dir", out])
+    assert rc == 0
+    fields = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
+    assert float(fields["integral_value"]) == pytest.approx(0.014329871058273749, rel=1e-13)
+    assert fields["satisfied"] == "false"
+
+
 def test_sweep_mode_matches_dichotomy(tmp_path):
     out = str(tmp_path / "sw")
     cfg = parse_config(

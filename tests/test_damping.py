@@ -9,6 +9,11 @@ from critdamp import DampingLaw, numerics
 from helpers import composite_simpson, mp_reciprocal_integral
 
 
+def log_time_quad(law, t):
+    """I(t) by the package's log-time quadrature of 1/beta."""
+    return numerics.time_integral(lambda tau: np.exp(-law.log_integrating_factor(tau)), t)
+
+
 def test_factor_initial_condition():
     for mu, lam in [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (3.0, 2.5)]:
         assert DampingLaw(mu, lam).integrating_factor(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -80,33 +85,30 @@ def test_integral_generic_matches_brute_force():
 def test_closed_forms_agree_with_quadrature(mu, lam):
     law = DampingLaw(mu, lam)
     for t in (0.5, 10.0, 1e4):
-        quad = law._integral_quad(t)
+        quad = log_time_quad(law, t)
         assert law.reciprocal_integral(t) == pytest.approx(quad, abs=1e-10)
 
 
 def test_limit_classification():
-    assert DampingLaw(2.0, 1.0).reciprocal_integral_limit().value == pytest.approx(1.0, abs=0)
-    assert not DampingLaw(0.5, 1.0).reciprocal_integral_limit().finite
-    assert not DampingLaw(1.0, 1.0).reciprocal_integral_limit().finite
-    assert not DampingLaw(3.0, 2.0).reciprocal_integral_limit().finite
-    assert not DampingLaw(0.0, 0.5).reciprocal_integral_limit().finite
-    lim = DampingLaw(2.0, 0.0).reciprocal_integral_limit()
-    assert lim.finite and lim.value == pytest.approx(0.5, rel=1e-14)
+    assert DampingLaw(2.0, 1.0).reciprocal_integral_limit() == pytest.approx(1.0, abs=0)
+    assert DampingLaw(0.5, 1.0).reciprocal_integral_limit() == math.inf
+    assert DampingLaw(1.0, 1.0).reciprocal_integral_limit() == math.inf
+    assert DampingLaw(3.0, 2.0).reciprocal_integral_limit() == math.inf
+    assert DampingLaw(0.0, 0.5).reciprocal_integral_limit() == math.inf
+    assert DampingLaw(2.0, 0.0).reciprocal_integral_limit() == pytest.approx(0.5, rel=1e-14)
 
 
 def test_limit_subcritical_value():
     # mu=1, lam=1/2: substitute s = sqrt(1+tau); limit is 2 e^2 int_1^inf s e^{-2s} ds = 1.5
-    lim = DampingLaw(1.0, 0.5).reciprocal_integral_limit()
-    assert lim.finite
-    assert lim.value == pytest.approx(1.5, rel=1e-10)
+    assert DampingLaw(1.0, 0.5).reciprocal_integral_limit() == pytest.approx(1.5, rel=1e-10)
 
 
 def test_limit_tail_is_negligible():
     law = DampingLaw(0.25, 0.75)
     lim = law.reciprocal_integral_limit()
     # the limit dominates any truncation: integrating twice as far changes nothing
-    probe = law._integral_quad(3e7)
-    assert lim.value == pytest.approx(probe, rel=1e-9)
+    probe = log_time_quad(law, 3e7)
+    assert lim == pytest.approx(probe, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -118,7 +120,7 @@ def test_gamma_form_matches_mpmath(mu, lam):
         oracle = float(mp_reciprocal_integral(mu, lam, t))
         assert abs(law.reciprocal_integral(t) - oracle) <= 1e-12 * max(1.0, oracle), t
     oracle = float(mp_reciprocal_integral(mu, lam))
-    assert abs(law.reciprocal_integral_limit().value - oracle) <= 1e-13 * oracle
+    assert abs(law.reciprocal_integral_limit() - oracle) <= 1e-13 * oracle
 
 
 def test_gamma_form_corners():
@@ -129,10 +131,9 @@ def test_gamma_form_corners():
     law = DampingLaw(1.0, 0.9999)
     assert law.reciprocal_integral(0.5) == pytest.approx(float(mp_reciprocal_integral(1.0, 0.9999, 0.5)), rel=1e-12)
     oracle = float(mp_reciprocal_integral(1.0, 0.9999))
-    assert law.reciprocal_integral_limit().value == pytest.approx(oracle, rel=1e-13)
-    # an I(inf) beyond the float range (about 1e890 here) is +inf, still finite in kind
-    huge = DampingLaw(0.05, 0.999).reciprocal_integral_limit()
-    assert huge.finite and huge.value == np.inf
+    assert law.reciprocal_integral_limit() == pytest.approx(oracle, rel=1e-13)
+    # an I(inf) beyond the float range (about 1e890 here) is +inf
+    assert DampingLaw(0.05, 0.999).reciprocal_integral_limit() == np.inf
     assert DampingLaw(0.05, 0.999).reciprocal_integral(1e8) == pytest.approx(
         float(mp_reciprocal_integral(0.05, 0.999, 1e8)), rel=1e-12)
 
@@ -148,6 +149,17 @@ def test_poisson_series_matches_mpmath(mu, lam):
         assert abs(law.reciprocal_integral(t) - oracle) <= 1e-13 * oracle, t
 
 
+@pytest.mark.parametrize("mu, lam", [(1.0, 0.9999), (0.5, 0.9995), (1.0, 1.00001), (3.0, 1.0001), (0.3, 1.00001)])
+def test_corner_integral_matches_mpmath(mu, lam):
+    # 0.999 < lam < 1 and 1 < lam < 1 + mu/SERIES_MAX_C: one log-time
+    # quadrature from 0, accurate far beyond t = 1e17
+    law = DampingLaw(mu, lam)
+    assert not (law.gamma_form or law.series_form)
+    for t in (0.5, 1e4, 1e18, 1e100):
+        oracle = float(mp_reciprocal_integral(mu, lam, t))
+        assert abs(law.reciprocal_integral(t) - oracle) <= 1e-13 * oracle, t
+
+
 # subnormal t would carry too few bits for the 1e-14 bounds below
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(0.01, 5.0), lam=st.floats(1.0, 6.0, exclude_min=True),
@@ -157,9 +169,7 @@ def test_poisson_series_properties(mu, lam, t):
     if not law.series_form:  # lam - 1 < mu/SERIES_MAX_C: quadrature on both sides
         return
     value = law.reciprocal_integral(t)
-    # quadrature to 1e-11 of the value: its fixed 1e-12 absolute tolerance
-    # sinks below round-off at large t and then takes up to 0.6 s per call
-    quad = law._segment_quad(0.0, t, abs_tol=1e-11 * max(1.0, value))
+    quad = log_time_quad(law, t)
     assert abs(value - quad) <= 1e-10 * max(1.0, value)
     # e^-C <= 1/beta <= 1 with C = mu/(lam-1), so t e^-C <= I(t) <= t
     assert t * math.exp(-mu / (lam - 1.0)) * (1 - 1e-14) <= value <= t * (1 + 1e-14)
@@ -171,9 +181,9 @@ def test_limit_beyond_the_term_cap_uses_quadrature(monkeypatch):
     law = DampingLaw(1.0, 1.0 - 1e-7)
     with pytest.raises(numerics.ConvergenceError):
         law._gamma_limit()
-    by_quadrature = law.reciprocal_integral_limit().value
+    by_quadrature = law.reciprocal_integral_limit()
     monkeypatch.setattr(numerics, "GAMMA_MAX_TERMS", 100_000)
-    assert law.reciprocal_integral_limit().value == pytest.approx(by_quadrature, rel=1e-9)
+    assert law.reciprocal_integral_limit() == pytest.approx(by_quadrature, rel=1e-9)
 
 
 @pytest.mark.parametrize("field, mu, lam", [("mu", math.inf, 1.0), ("mu", math.nan, 1.0),

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critdamp import (
+    BurgersProblem,
     DampingLaw,
     GasModel,
     Global,
@@ -19,7 +20,7 @@ from critdamp import (
 from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
 from critdamp.euler import max_velocity_gradient, stable_dt, validate_horizon
 from critdamp.outcome import BreakdownError
-from critdamp.profiles import mollifier, radial_bump, radial_outgoing_shell
+from critdamp.profiles import line_bump, mollifier, radial_bump, radial_outgoing_shell
 from helpers import (
     composite_simpson,
     full_grid_max_velocity_gradient,
@@ -216,6 +217,26 @@ def test_grid_and_profile_validation():
         InitialProfile(rho0, u0, epsilon=-0.1, M=1.0)
     with pytest.raises(ValueError):
         InitialProfile(rho0, u0, epsilon=0.1, M=1.0, M0=1.5)
+
+
+_RHO0, _U0 = radial_bump(1.0)
+_W0, _W0P, _SUPPORT = line_bump(1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field, build", [
+    ("gamma", lambda v: GasModel(gamma=v, rho_bar=1.0)),
+    ("rho_bar", lambda v: GasModel(gamma=2.0, rho_bar=v)),
+    ("r_max", lambda v: RadialGrid(r_max=v, n_cells=64)),
+    ("epsilon", lambda v: InitialProfile(_RHO0, _U0, epsilon=v, M=1.0)),
+    ("M", lambda v: InitialProfile(_RHO0, _U0, epsilon=0.1, M=v)),
+    ("epsilon", lambda v: BurgersProblem(_W0, _W0P, _SUPPORT, v, LAW)),
+    ("support", lambda v: BurgersProblem(_W0, _W0P, (-1.0, v), 0.1, LAW)),
+], ids=["GasModel.gamma", "GasModel.rho_bar", "RadialGrid.r_max", "InitialProfile.epsilon",
+        "InitialProfile.M", "BurgersProblem.epsilon", "BurgersProblem.support"])
+def test_constructors_reject_nonfinite_values(field, build, value):
+    with pytest.raises(ValueError, match=f"^{field} must be (a )?finite"):
+        build(value)
 
 
 def test_stable_dt_positive_and_sane():

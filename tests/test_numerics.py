@@ -5,6 +5,7 @@ import pytest
 
 from critdamp import numerics
 from critdamp.numerics import adaptive_quad, regularized_gamma, scan_maximum, solve_bracketed
+from helpers import mp_reciprocal_integral
 
 
 def test_quad_polynomial_exact():
@@ -34,6 +35,40 @@ def test_quad_deterministic():
     a = adaptive_quad(f, 0.0, 30.0)
     b = adaptive_quad(f, 0.0, 30.0)
     assert a == b
+
+
+def test_quad_caps_raise(monkeypatch):
+    # 1/sqrt(x) is never resolved next to 0, so the depth cap is reached
+    with pytest.raises(numerics.ConvergenceError, match="cap"):
+        adaptive_quad(lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 1.0)
+    # 16 pending intervals cannot resolve sin over 16 periods
+    monkeypatch.setattr(numerics, "MAX_INTERVALS", 16)
+    with pytest.raises(numerics.ConvergenceError, match="cap"):
+        adaptive_quad(np.sin, 0.0, 100.0)
+
+
+def test_quad_tight_tolerance_converges():
+    # 1/beta of (mu 0.5, lam 0.9995) in log time L = log(1+t) over
+    # [0, log 1e4].  Simpson's right half once used the left half-width,
+    # which differs by an ulp of L: that left an error floor near |f| ulp(L)
+    # that this tolerance never got under (10.7 M evaluations to the cap).
+    n_evals = 0
+
+    def f(L):
+        nonlocal n_evals
+        n_evals += L.size
+        return np.exp(L - 1000.0 * np.expm1(5e-4 * L))
+
+    value = adaptive_quad(f, 0.0, math.log(1e4), abs_tol=2e-12)
+    assert n_evals < 100_000
+    assert value == pytest.approx(float(mp_reciprocal_integral(0.5, 0.9995, 9999.0)), rel=1e-13)
+
+
+def test_time_integral_in_log_time():
+    # int_0^t (1+tau)^-2 dtau = t/(1+t) for t up to the float range
+    for t in (0.0, 1e-8, 0.5, 1e4, 1e100, 1e308):
+        value = numerics.time_integral(lambda tau: (1.0 + tau) ** -2.0, t)
+        assert value == pytest.approx(t / (1.0 + t), rel=1e-13, abs=0.0)
 
 
 def test_root_simple():
