@@ -3,6 +3,14 @@
 Numbers are written with Python's shortest round-trip float representation,
 so identical configs on the same build produce byte-identical files and
 re-ingestion loses no precision.
+
+Snapshot files hold one block of rows per state.  The coordinate column is
+formatted once per grid, and so are the background rows: ``(r, rho_bar, 0.0)``
+for a radial state, ``(x, 0.0)`` for a line one.  Every row after the last one
+whose values differ in their bits from the background row is written from
+those fixed strings.  The test is on bits, so a ``-0.0`` momentum (written
+``-0.0``) or a ``nan`` keeps its row live, while a density perturbation too
+small to move ``rho`` off ``rho_bar`` writes the same bytes as the background.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def _reprs(values: np.ndarray):
+def _reprs(values: np.ndarray) -> list[str]:
     """:func:`fmt` of each element of a float array."""
-    return map(repr, np.asarray(values).tolist())
+    return list(map(repr, np.asarray(values).tolist()))
 
 
 def write_series(path: str, times: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
@@ -56,7 +64,8 @@ def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 
 def write_radial_snapshots(path: str, snapshots: Sequence[RadialState]) -> None:
-    _write_blocks(path, "t,r,rho,mom", ((s.t, (s.grid.centers, s.rho, s.mom)) for s in snapshots))
+    _write_blocks(path, "t,r,rho,mom",
+                  ((s.t, s.grid, s.grid.centers, (s.rho, s.mom), (s.rho_bar, 0.0)) for s in snapshots))
 
 
 def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
@@ -84,17 +93,38 @@ def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
 
 
 def write_line_snapshots(path: str, snapshots) -> None:
-    _write_blocks(path, "t,x,w", ((s.t, (s.x, s.w)) for s in snapshots))
+    _write_blocks(path, "t,x,w", ((s.t, s.x.tobytes(), s.x, (s.w,), (0.0,)) for s in snapshots))
 
 
 def _write_blocks(path: str, header: str, blocks) -> None:
-    """One block of rows per ``(t, columns)``, led by a ``# t=<t>`` comment."""
-    lines = [header]
-    for t, columns in blocks:
+    """One block of rows per ``(t, key, coords, values, background)``, led by
+    a ``# t=<t>`` comment.  ``key`` names the grid whose coordinate column is
+    ``coords``; ``values`` are float arrays on it, and ``background`` holds
+    their values in a background row (see the module notes).  The strings of
+    ``coords`` and of the background rows are made once per ``key`` and
+    ``background``."""
+    grids: dict = {}
+    parts = [header, "\n"]
+    for t, key, coords, values, background in blocks:
+        bg = tuple(map(fmt, background))
+        if (key, bg) not in grids:
+            r = _reprs(coords)
+            grids[key, bg] = r, [",".join((x, *bg)) for x in r]
+        r, tail = grids[key, bg]
+        columns = [np.asarray(v, dtype=float) for v in values]
+        live = np.zeros(len(r), dtype=bool)
+        for col, value in zip(columns, background):
+            live |= col.view(np.int64) != np.float64(value).view(np.int64)
+        end = len(r) - int(np.argmax(live[::-1])) if live.any() else 0
+        rows = list(map(",".join, zip(r[:end], *(_reprs(col[:end]) for col in columns))))
+        rows += tail[end:]
         t = fmt(t)
-        lines.append(f"# t={t}")
-        lines.extend(map(",".join, zip(itertools.repeat(t), *map(_reprs, columns))))
-    _write(path, lines)
+        parts.append(f"# t={t}\n")
+        if rows:
+            parts += (t, ",", f"\n{t},".join(rows), "\n")
+    text = "".join(parts)
+    del parts, grids  # writing encodes ``text`` into one more copy; free the blocks first
+    write_text(path, text)
 
 
 def write_sweep(path: str, rows: Iterable[tuple[float, float, float, Verdict, float]]) -> None:

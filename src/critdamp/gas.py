@@ -68,18 +68,6 @@ class GasModel:
         _check_density(rho)
         return np.expm1((self.gamma - 1.0) * np.log(np.asarray(rho) / self.rho_bar)) / (self.gamma - 1.0)
 
-    def density_from_enthalpy(self, y):
-        """Inverse of :meth:`enthalpy`: rho_bar * (1 + (gamma-1) y)**(1/(gamma-1)).
-
-        Raises :class:`VacuumError` when 1 + (gamma-1) y <= 0, i.e. when the
-        requested enthalpy signals vacuum formation.
-        """
-        arg = 1.0 + (self.gamma - 1.0) * np.asarray(y)
-        if np.any(~(arg > 0)):
-            raise VacuumError("enthalpy at or below the vacuum bound -1/(gamma-1)")
-        out = self.rho_bar * np.exp(np.log1p((self.gamma - 1.0) * np.asarray(y)) / (self.gamma - 1.0))
-        return out if np.ndim(y) else float(out)
-
     def pressure_excess(self, rho):
         """p(rho) - p(rho_bar) - (rho - rho_bar); nonnegative for all rho > 0.
 

@@ -96,22 +96,6 @@ def density_moment(state, gas: GasModel, l: float) -> float:
     return FOUR_PI * float(np.sum(mids * (mids - l) ** 2 * excess * widths))
 
 
-def density_moment_tolerance(state, gas: GasModel, l: float) -> float:
-    """Discretization estimate for :func:`density_moment` sign checks.
-
-    Midpoint-rule bound (dr^2/24) * int |f''| with f = r (r-l)^2 (rho-rho_bar),
-    f'' estimated by second differences on the grid.  Sign checks should never
-    hard-fail below roughly 10x this estimate.
-    """
-    grid = state.grid
-    r = grid.centers
-    f = r * (r - l) ** 2 * np.where(r >= l, state.rho - gas.rho_bar, 0.0)
-    if f.size < 3:
-        return 0.0
-    f2 = np.abs(np.diff(f, 2)) / grid.dr**2
-    return FOUR_PI * grid.dr**2 / 24.0 * float(np.sum(f2) * grid.dr)
-
-
 def pressure_excess_moment(state, gas: GasModel, l: float) -> float:
     """G(t, l) = 8 pi int_l^inf r (p - p_bar - (rho - rho_bar)) dr; nonnegative."""
     mids, widths = _split_cells(state, l)
@@ -148,18 +132,6 @@ def initial_momentum_moment(profile, gas: GasModel, l: float) -> float:
         return (r * r - l * l) * rho * eps * np.asarray(profile.u0(r))
 
     return FOUR_PI * adaptive_quad(integrand, l, profile.M)
-
-
-def initial_moment_margins(profile, gas: GasModel, n_l: int = 256) -> tuple[float, float]:
-    """Margins (min q0, min q1) over a dense l-grid in (M0, M).
-
-    Positive first margin and nonnegative second margin certify the sign
-    hypotheses the small-data blowup argument needs for this initial data.
-    """
-    ls = np.linspace(profile.M0, profile.M, n_l + 2)[1:-1]
-    q0 = np.array([initial_density_moment(profile, gas, l) for l in ls])
-    q1 = np.array([initial_momentum_moment(profile, gas, l) for l in ls])
-    return float(np.min(q0)), float(np.min(q1))
 
 
 def moment_band(state, gas: GasModel, m0: float, m: float, n_l: int = 64) -> tuple[np.ndarray, np.ndarray]:

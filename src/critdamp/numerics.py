@@ -240,21 +240,3 @@ def gamma_fraction(s: float, x: float) -> float:
         if abs(delta - 1.0) <= _EPS:
             return h
     raise ConvergenceError(f"incomplete gamma continued fraction did not converge (s={s!r}, x={x!r})")
-
-
-def regularized_gamma(s: float, x: float) -> tuple[float, float]:
-    """(P, Q) = (gamma(s, x), Gamma(s, x)) / Gamma(s) for s > 0, finite x >= 0.
-
-    The series gives P for x < s + 1 and the continued fraction gives Q
-    otherwise; the other one is its complement, so P + Q = 1 to round-off.
-    """
-    if not (0.0 < s < math.inf and 0.0 <= x < math.inf):
-        raise ValueError("regularized_gamma needs finite s > 0 and x >= 0")
-    if x == 0.0:
-        return 0.0, 1.0
-    scale = math.exp(s * math.log(x) - x - math.lgamma(s))
-    if x < s + 1.0:
-        p = scale * gamma_series(s, x)
-        return p, 1.0 - p
-    q = scale * gamma_fraction(s, x)
-    return 1.0 - q, q

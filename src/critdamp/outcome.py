@@ -76,17 +76,6 @@ def verdict_label(verdict: Verdict) -> str:
     raise TypeError(f"not a verdict: {verdict!r}")
 
 
-def parse_verdict_label(label: str) -> Verdict:
-    parts = label.split(":")
-    if parts[0] == "Global":
-        return Global()
-    if parts[0] == "FiniteLifespan" and len(parts) == 2:
-        return FiniteLifespan(float(parts[1]))
-    if parts[0] == "NumericalBreakdown" and len(parts) == 3:
-        return NumericalBreakdown(float(parts[1]), BreakdownCause(parts[2]))
-    raise ValueError(f"unrecognized verdict label: {label!r}")
-
-
 def sample_times(t_end: float, cadence: float) -> list[float]:
     """Sample times 0, cadence, 2*cadence, ... ending on ``t_end`` exactly: a
     time past ``t_end`` or within 1e-14 * t_end below it becomes ``t_end``."""

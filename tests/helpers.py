@@ -3,15 +3,29 @@
 These deliberately avoid the package's own numeric kernels: fixed-order
 composite rules at extreme refinement, plain bisection and mpmath's incomplete
 gamma function, so every dual-route check compares two independent code
-paths.  The exception is the full-grid radial step below, which the windowed
-``euler.step`` must reproduce bit for bit.
+paths.  The exceptions are the full-grid radial step, which the windowed
+``euler.step`` must reproduce bit for bit, the naive snapshot writer, whose
+bytes ``csvio`` must reproduce, and the helpers at the end, which only the
+tests call.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
-from critdamp.outcome import DT_FLOOR, BreakdownCause, BreakdownError
+from critdamp.gas import VacuumError
+from critdamp.monitors import FOUR_PI, initial_density_moment, initial_momentum_moment
+from critdamp.numerics import gamma_fraction, gamma_series
+from critdamp.outcome import (
+    DT_FLOOR,
+    BreakdownCause,
+    BreakdownError,
+    FiniteLifespan,
+    Global,
+    NumericalBreakdown,
+)
 
 
 def composite_simpson(f, a, b, n_panels):
@@ -157,3 +171,93 @@ def full_grid_step(gas, damping, state, cfl, *, dt=None, muscl=False):
     if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(mom_new))):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
     return RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
+
+
+def naive_snapshot_text(header, blocks):
+    """Snapshot file text with every value formatted on its own: one block
+    per ``(t, columns)``, led by a ``# t=<t>`` comment, each value written as
+    ``repr(float(value))``."""
+    lines = [header]
+    for t, columns in blocks:
+        lines.append(f"# t={float(t)!r}")
+        lines.extend(",".join(repr(float(v)) for v in (t, *row)) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def naive_radial_snapshot_text(snapshots):
+    return naive_snapshot_text("t,r,rho,mom", ((s.t, (s.grid.centers, s.rho, s.mom)) for s in snapshots))
+
+
+def naive_line_snapshot_text(snapshots):
+    return naive_snapshot_text("t,x,w", ((s.t, (s.x, s.w)) for s in snapshots))
+
+
+def regularized_gamma(s: float, x: float) -> tuple[float, float]:
+    """(P, Q) = (gamma(s, x), Gamma(s, x)) / Gamma(s) for s > 0, finite x >= 0.
+
+    The series gives P for x < s + 1 and the continued fraction gives Q
+    otherwise; the other one is its complement, so P + Q = 1 to round-off.
+    """
+    if not (0.0 < s < math.inf and 0.0 <= x < math.inf):
+        raise ValueError("regularized_gamma needs finite s > 0 and x >= 0")
+    if x == 0.0:
+        return 0.0, 1.0
+    scale = math.exp(s * math.log(x) - x - math.lgamma(s))
+    if x < s + 1.0:
+        p = scale * gamma_series(s, x)
+        return p, 1.0 - p
+    q = scale * gamma_fraction(s, x)
+    return 1.0 - q, q
+
+
+def parse_verdict_label(label: str):
+    """Inverse of ``outcome.verdict_label``."""
+    parts = label.split(":")
+    if parts[0] == "Global":
+        return Global()
+    if parts[0] == "FiniteLifespan" and len(parts) == 2:
+        return FiniteLifespan(float(parts[1]))
+    if parts[0] == "NumericalBreakdown" and len(parts) == 3:
+        return NumericalBreakdown(float(parts[1]), BreakdownCause(parts[2]))
+    raise ValueError(f"unrecognized verdict label: {label!r}")
+
+
+def density_moment_tolerance(state, gas, l: float) -> float:
+    """Discretization estimate for ``monitors.density_moment`` sign checks.
+
+    Midpoint-rule bound (dr^2/24) * int |f''| with f = r (r-l)^2 (rho-rho_bar),
+    f'' estimated by second differences on the grid.  Sign checks should never
+    hard-fail below roughly 10x this estimate.
+    """
+    grid = state.grid
+    r = grid.centers
+    f = r * (r - l) ** 2 * np.where(r >= l, state.rho - gas.rho_bar, 0.0)
+    if f.size < 3:
+        return 0.0
+    f2 = np.abs(np.diff(f, 2)) / grid.dr**2
+    return FOUR_PI * grid.dr**2 / 24.0 * float(np.sum(f2) * grid.dr)
+
+
+def initial_moment_margins(profile, gas, n_l: int = 256) -> tuple[float, float]:
+    """Margins (min q0, min q1) over a dense l-grid in (M0, M).
+
+    Positive first margin and nonnegative second margin certify the sign
+    hypotheses the small-data blowup argument needs for this initial data.
+    """
+    ls = np.linspace(profile.M0, profile.M, n_l + 2)[1:-1]
+    q0 = np.array([initial_density_moment(profile, gas, l) for l in ls])
+    q1 = np.array([initial_momentum_moment(profile, gas, l) for l in ls])
+    return float(np.min(q0)), float(np.min(q1))
+
+
+def density_from_enthalpy(gas, y):
+    """Inverse of ``gas.enthalpy``: rho_bar * (1 + (gamma-1) y)**(1/(gamma-1)).
+
+    Raises ``VacuumError`` when 1 + (gamma-1) y <= 0, i.e. when the requested
+    enthalpy signals vacuum formation.
+    """
+    arg = 1.0 + (gas.gamma - 1.0) * np.asarray(y)
+    if np.any(~(arg > 0)):
+        raise VacuumError("enthalpy at or below the vacuum bound -1/(gamma-1)")
+    out = gas.rho_bar * np.exp(np.log1p((gas.gamma - 1.0) * np.asarray(y)) / (gas.gamma - 1.0))
+    return out if np.ndim(y) else float(out)

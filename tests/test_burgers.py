@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critdamp import (
     BurgersProblem,
@@ -13,7 +15,7 @@ from critdamp import (
     max_negative_slope,
     simulate_fv,
 )
-from critdamp.profiles import line_bump, line_ramp
+from critdamp.profiles import line_bump, line_ramp, mollifier, mollifier_prime
 from helpers import bisect_root, composite_simpson, mp_reciprocal_integral
 
 
@@ -267,6 +269,28 @@ def test_fv_weighted_total_is_conserved(mu, lam):
     for s in snaps:
         q = np.sum(s.w) * dx
         assert q * p.damping.integrating_factor(s.t) / q0 == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+# amplitudes of either sign, away from the subnormals, where round-off is absolute
+@given(amplitude=st.floats(0.01, 1.0) | st.floats(-1.0, -0.01), centre=st.floats(-1.0, 1.0),
+       width=st.floats(0.2, 1.5), eps=st.floats(0.05, 1.0), mu=st.floats(0.0, 2.0), lam=st.floats(0.0, 3.0),
+       t_end=st.floats(1.0, 10.0), n_cells=st.integers(64, 256))
+def test_fv_weighted_total_is_conserved_for_random_smooth_data(amplitude, centre, width, eps, mu, lam,
+                                                               t_end, n_cells):
+    p = BurgersProblem(lambda x: amplitude * mollifier((x - centre) / width),
+                       lambda x: amplitude * mollifier_prime((x - centre) / width) / width,
+                       (centre - width, centre + width), eps, DampingLaw(mu, lam))
+    # |w| <= eps e^-1, so the data never travel further than eps * t_end
+    pad = eps * t_end + 0.5
+    snaps, _ = simulate_fv(p, n_cells, t_end, 0.5, snapshot_times=np.linspace(0.0, t_end, 5),
+                           x_span=(centre - width - pad, centre + width + pad))
+    dx = snaps[0].x[1] - snaps[0].x[0]
+    q0 = float(np.sum(snaps[0].w)) * dx
+    scale = float(np.sum(np.abs(snaps[0].w))) * dx
+    for s in snaps:
+        q = float(np.sum(s.w)) * dx
+        assert abs(q * p.damping.integrating_factor(s.t) - q0) <= 32 * np.finfo(float).eps * scale
 
 
 def test_fv_matches_characteristics_first_order():

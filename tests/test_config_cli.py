@@ -19,8 +19,8 @@ from critdamp import (
 from critdamp.cli import main, run_experiment
 from critdamp.config import ConfigError, parse_config
 from critdamp.csvio import read_radial_snapshots, read_series
-from critdamp.outcome import parse_verdict_label
 from critdamp.profiles import line_bump, sampled_profile
+from helpers import parse_verdict_label
 
 
 def read(path):

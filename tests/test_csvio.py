@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import tempfile
@@ -8,14 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critdamp import RadialGrid, RadialState
+from critdamp import DampingLaw, GasModel, InitialProfile, RadialGrid, RadialState, init_state, step
+from critdamp.burgers import Snapshot1D
 from critdamp.csvio import (
     read_csv,
     read_radial_snapshots,
     read_series,
+    write_line_snapshots,
     write_radial_snapshots,
     write_series,
 )
+from critdamp.profiles import radial_outgoing_shell
+from helpers import naive_line_snapshot_text, naive_radial_snapshot_text
 
 # Finite floats, with the values a float parser most easily gets wrong drawn
 # often: signed zero, subnormals, the extremes and 17-significant-digit values.
@@ -78,6 +83,106 @@ def test_series_round_trip_is_exact(n_rows, data):
     assert list(back) == list(columns)
     for name in columns:
         assert bits(back[name]) == bits(columns[name])
+
+
+# Values the snapshot writer must keep apart from the background: -0.0 and nan
+# have their own reprs, and 1e-17 moves no rho of order one.
+TAIL_QUIRKS = [-0.0, 1e-17, -1e-17, 5e-324]
+WRITER_VALUES = VALUES | st.just(math.nan) | st.sampled_from(TAIL_QUIRKS)
+
+
+def live_then_background(draw, n):
+    """A column of ``n`` values: drawn ones up to a drawn cell, +0.0 after it,
+    with a few tail cells set to a value from TAIL_QUIRKS."""
+    out = np.zeros(n)
+    end = draw(st.integers(0, n))
+    out[:end] = draw(st.lists(WRITER_VALUES, min_size=end, max_size=end))
+    if end < n:
+        for i in draw(st.lists(st.integers(end, n - 1), max_size=3)):
+            out[i] = draw(st.sampled_from(TAIL_QUIRKS))
+    return out
+
+
+@st.composite
+def radial_snapshot_sets(draw):
+    """States on one or two grids, each live up to some cell and background
+    (possibly with quirks) after it."""
+    grids = draw(st.lists(st.builds(RadialGrid, st.floats(1e-3, 1e4), st.integers(32, 40)),
+                          min_size=1, max_size=2))
+    rho_bar = draw(st.sampled_from([0.7, 1.0, 2.5]))
+    states = []
+    for t in sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4))):
+        grid = draw(st.sampled_from(grids))
+        n = grid.n_cells
+        states.append(RadialState(t, live_then_background(draw, n), live_then_background(draw, n), grid, rho_bar))
+    return states
+
+
+def shell_after_steps(rho_bar, n_steps=5):
+    """A rarefied, inward shell after a few steps: negative density
+    perturbations and momenta, then the background past the wave."""
+    gas = GasModel(gamma=2.0, rho_bar=rho_bar)
+    rho0, u0 = radial_outgoing_shell(0.3, 1.0)
+    prof = InitialProfile(lambda r: -rho0(r), lambda r: -u0(r), epsilon=0.3, M=1.0, M0=0.3)
+    s = init_state(gas, prof, RadialGrid(12.0, 128))
+    for _ in range(n_steps):
+        s = step(gas, DampingLaw(1.0, 2.0), s, 0.4)
+    return s
+
+
+def radial_case(rho_bar, grid, rho_pert=None, mom=None, t=0.5):
+    n = grid.n_cells
+    pert = np.zeros(n)
+    moms = np.zeros(n)
+    for col, cells in ((pert, rho_pert), (moms, mom)):
+        for i, v in (cells or {}).items():
+            col[i] = v
+    return RadialState(t, pert, moms, grid, rho_bar)
+
+
+G32, G40 = RadialGrid(3.0, 32), RadialGrid(7.5, 40)
+
+
+@settings(max_examples=50, deadline=None)
+@given(radial_snapshot_sets())
+# -0.0 momentum inside the background tail; real shells on either side of rho_bar = 1
+@example([radial_case(1.0, G32, {0: 0.25}, {0: 0.5, 20: -0.0})])
+@example([shell_after_steps(0.7), shell_after_steps(2.5, 9)])
+# rho_pert too small to move rho off rho_bar, in and after the live part
+@example([radial_case(1.0, G32, {0: 0.1, 3: 1e-17, 9: -1e-17, 30: 1e-17})])
+# all background; live to the last cell
+@example([radial_case(2.5, G32), radial_case(0.7, G32, {31: 0.125})])
+@example([RadialState(1.0, np.full(40, 0.5), np.full(40, -0.25), G40, 1.0)])
+# two grids in one file, and back to the first
+@example([radial_case(1.0, G32, {5: 0.1}), radial_case(1.0, G40, {5: 0.1}, t=1.0),
+          radial_case(1.0, G32, {}, {7: -0.0}, t=2.0)])
+# nan in the live part
+@example([radial_case(0.7, G32, {2: math.nan, 4: 0.5}, {3: math.nan})])
+def test_radial_snapshot_bytes_match_naive_writer(tmp_path_factory, snaps):
+    path = tmp_path_factory.mktemp("radial") / "snapshots.csv"
+    write_radial_snapshots(str(path), snaps)
+    assert path.read_bytes() == naive_radial_snapshot_text(snaps).encode()
+
+
+@st.composite
+def line_snapshot_sets(draw):
+    """Line snapshots on one or two x arrays; the two may differ only in the
+    sign of a zero coordinate, which the file writes apart."""
+    n = draw(st.integers(0, 40))
+    x = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    xs = [x, np.where(x == 0.0, np.where(np.signbit(x), 0.0, -0.0), x)]
+    return [Snapshot1D(t, draw(st.sampled_from(xs)), live_then_background(draw, n), 1.0)
+            for t in sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4)))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(line_snapshot_sets())
+@example([Snapshot1D(0.0, np.array([-0.0, 1.0]), np.array([1.0, 0.0]), 1.0),
+          Snapshot1D(1.0, np.array([0.0, 1.0]), np.array([-0.0, 0.0]), 1.0)])
+def test_line_snapshot_bytes_match_naive_writer(tmp_path_factory, snaps):
+    path = tmp_path_factory.mktemp("line") / "snapshots.csv"
+    write_line_snapshots(str(path), snaps)
+    assert path.read_bytes() == naive_line_snapshot_text(snaps).encode()
 
 
 def test_block_markers_are_comments(tmp_path):

@@ -21,14 +21,14 @@ from critdamp import (
     weighted_momentum,
     weighted_potential_energy,
 )
-from critdamp.monitors import (
-    CriterionReport,
-    FunctionalSeries,
+from critdamp.monitors import CriterionReport, FunctionalSeries
+from critdamp.profiles import radial_bump, radial_outgoing_shell
+from helpers import (
+    composite_midpoint,
+    composite_simpson,
     density_moment_tolerance,
     initial_moment_margins,
 )
-from critdamp.profiles import radial_bump, radial_outgoing_shell
-from helpers import composite_midpoint, composite_simpson
 
 GAS = GasModel(gamma=2.0, rho_bar=1.0)
 LAW = DampingLaw(mu=1.0, lam=2.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from critdamp import numerics
-from critdamp.numerics import adaptive_quad, regularized_gamma, scan_maximum, solve_bracketed
-from helpers import mp_reciprocal_integral
+from critdamp.numerics import adaptive_quad, scan_maximum, solve_bracketed
+from helpers import mp_reciprocal_integral, regularized_gamma
 
 
 def test_quad_polynomial_exact():
