@@ -22,7 +22,7 @@ from .euler import (
     run,
     step,
 )
-from .gas import GasModel, VacuumError
+from .gas import GasModel
 from .monitors import (
     CriterionReport,
     FunctionalSeries,
@@ -63,7 +63,6 @@ __all__ = [
     "RadialState",
     "RunResult",
     "Snapshot1D",
-    "VacuumError",
     "Verdict",
     "blowup_criterion",
     "cauchy_schwarz_weight",

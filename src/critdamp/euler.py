@@ -23,7 +23,12 @@ carries exactly zero flux at either order (a zero difference has minmod slope
 0, and p_face - p_c is 0), so every cell beyond the window stays +0.0 and the
 update equals the full-grid one bit for bit.  The window ends on a background
 cell (speed |u| + c exactly 1) unless it is the whole grid, so stable_dt and
-max_velocity_gradient over it equal their full-grid values too.
+max_velocity_gradient over it equal their full-grid values too.  The cells
+from w on leave a step as the +0.0 they were copied as, so the next window's
+last live cell lies in [w-3, w) (the front moves at most one cell a step) or
+else a scan of the cells before finds it: the next window is exactly the one
+a full scan gives.  Its rho is rho_bar + q_new over the updated cells, which
+is where the density floor is tested, so it needs no second rho > 0 check.
 """
 
 from __future__ import annotations
@@ -135,34 +140,46 @@ class RadialState:
 class _Window:
     """Cells [0, w) (see module notes; w >= 2) plus two ghost cells per side:
     mirrored at r = 0, the next cells or the background beyond.  rho and u
-    are computed once, pressure and wave speed |u| + c once per gas model."""
+    are computed once, pressure and wave speed |u| + c once per gas model,
+    checking rho > 0 unless ``step`` has set ``positive``."""
 
-    def __init__(self, state: RadialState) -> None:
+    def __init__(self, state: RadialState, span: int) -> None:
         n = state.grid.n_cells
-        live = np.flatnonzero(state.rho_pert.view(np.int64) | state.mom.view(np.int64))
-        self.w = w = min(int(live[-1]) + 2 if live.size else 2, n)
+        self.w = w = min(max(span + 1, 2), n)
         pad = np.zeros(max(w + 2 - n, 0))
         self.q = np.concatenate([state.rho_pert[1::-1], state.rho_pert[:w + 2], pad])
         self.mom = np.concatenate([-state.mom[1::-1], state.mom[:w + 2], pad])
         self.rho = state.rho_bar + self.q
-        self.u = self.mom / self.rho
+        self.positive = False
         self._gas = None
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.mom / self.rho
 
     def kernels(self, gas: GasModel, t: float) -> tuple[np.ndarray, np.ndarray]:
         if gas is not self._gas:
-            self._p, self._speed = _kernels(gas, t, self.rho, self.u)
+            if not (self.positive or (self.rho > 0).all()):
+                raise BreakdownError(t, BreakdownCause.NEGATIVE_DENSITY)
+            self._p, self._speed = _kernels(gas, self.rho, self.u)
             self._gas = gas
         return self._p, self._speed
 
 
+def _span(q: np.ndarray, mom: np.ndarray, lo: int = 0) -> int:
+    """1 + the index of the last live cell (0 if none); cells from ``lo`` on are scanned first."""
+    live = np.flatnonzero(q[lo:].view(np.int64) | mom[lo:].view(np.int64))
+    if live.size:
+        return lo + int(live[-1]) + 1
+    return _span(q[:lo], mom[:lo]) if lo else 0
+
+
 def _window(state: RadialState) -> _Window:
-    return state._window if state._window is not None else _Window(state)
+    return state._window if state._window is not None else _Window(state, _span(state.rho_pert, state.mom))
 
 
-def _kernels(gas: GasModel, t: float, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pressure and wave speed |u| + c; raises :class:`BreakdownError` unless rho > 0."""
-    if not (rho > 0).all():
-        raise BreakdownError(t, BreakdownCause.NEGATIVE_DENSITY)
+def _kernels(gas: GasModel, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pressure and wave speed |u| + c, for rho > 0."""
     return gas.pressure_unchecked(rho), np.abs(u) + np.sqrt(gas.sound_speed_sq_unchecked(rho))
 
 
@@ -208,7 +225,7 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
 def _max_speed(gas: GasModel, state: RadialState) -> float:
     """max(|u| + c) over the grid, read off the window."""
     win = _window(state)
-    return float(np.max(win.kernels(gas, state.t)[1][2:win.w + 2]))
+    return float(win.kernels(gas, state.t)[1][2:win.w + 2].max())
 
 
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
@@ -225,15 +242,8 @@ def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[1:-2] + 0.5 * slope[:-1], a[2:-1] - 0.5 * slope[1:]
 
 
-def step(
-    gas: GasModel,
-    damping: DampingLaw,
-    state: RadialState,
-    cfl: float,
-    *,
-    dt: float | None = None,
-    muscl: bool = False,
-) -> RadialState:
+def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
+         dt: float | None = None, muscl: bool = False) -> RadialState:
     """One explicit update; raises :class:`BreakdownError` on CFL collapse,
     loss of positivity, or non-finite values.
 
@@ -248,7 +258,7 @@ def step(
     internal_dt = dt is None
     if internal_dt:
         dt = stable_dt(gas, state, cfl)
-    if not np.isfinite(dt) or dt <= 0 or (internal_dt and dt <= DT_FLOOR):
+    if not 0 < dt < np.inf or (internal_dt and dt <= DT_FLOOR):
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
 
     win = _window(state)
@@ -259,25 +269,30 @@ def step(
         q_l, q_r = _reconstruct(win.q)
         mom_l, mom_r = _reconstruct(win.mom)
         rho_l, rho_r = gas.rho_bar + q_l, gas.rho_bar + q_r
+        if not ((rho_l > 0).all() and (rho_r > 0).all()):
+            raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
         u_l, u_r = mom_l / rho_l, mom_r / rho_r
-        p_l, speed_l = _kernels(gas, state.t, rho_l, u_l)
-        p_r, speed_r = _kernels(gas, state.t, rho_r, u_r)
+        p_l, speed_l = _kernels(gas, rho_l, u_l)
+        p_r, speed_r = _kernels(gas, rho_r, u_r)
+        adv_l, adv_r = mom_l * u_l, mom_r * u_r
     else:
         q_l, q_r = win.q[1:-2], win.q[2:-1]
         mom_l, mom_r = win.mom[1:-2], win.mom[2:-1]
-        u_l, u_r = win.u[1:-2], win.u[2:-1]
+        adv = win.mom * win.u
+        adv_l, adv_r = adv[1:-2], adv[2:-1]
         p_l, p_r = p_cell[1:-2], p_cell[2:-1]
         speed_l, speed_r = speed_cell[1:-2], speed_cell[2:-1]
-    s_max = np.maximum(speed_l, speed_r)
+    half_s = 0.5 * np.maximum(speed_l, speed_r)
 
-    f_rho = 0.5 * (mom_l + mom_r) - 0.5 * s_max * (q_r - q_l)
-    f_adv = 0.5 * (mom_l * u_l + mom_r * u_r) - 0.5 * s_max * (mom_r - mom_l)
+    f_rho = 0.5 * (mom_l + mom_r) - half_s * (q_r - q_l)
+    f_adv = 0.5 * (adv_l + adv_r) - half_s * (mom_r - mom_l)
     p_face = 0.5 * (p_l + p_r)
 
     area = grid._area[:w + 1]
     inv_vol = grid._inv_vol[:w]
     q_new = state.rho_pert.copy()
-    q_new[:w] -= dt * (area[1:] * f_rho[1:] - area[:-1] * f_rho[:-1]) * inv_vol
+    a = area * f_rho
+    q_new[:w] -= dt * (a[1:] - a[:-1]) * inv_vol
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
@@ -288,33 +303,31 @@ def step(
     t_new = state.t + dt
     factor = damping.damping_factor(state.t, t_new)
     mom_new = state.mom.copy()
+    a = area * f_adv
     mom_new[:w] = (mom_new[:w] - dt * (
-        (area[1:] * f_adv[1:] - area[:-1] * f_adv[:-1]) * inv_vol
+        (a[1:] - a[:-1]) * inv_vol
         + (area[1:] * dp_r - area[:-1] * dp_l) * inv_vol
     )) * factor
 
-    if (gas.rho_bar + q_new[:w] <= DENSITY_FLOOR_FACTOR * gas.rho_bar).any():
+    new = RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
+    new._window = win = _Window(new, _span(q_new[:w], mom_new[:w], max(w - 3, 0)))
+    # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
+    if np.fmin.reduce(win.rho) <= DENSITY_FLOOR_FACTOR * gas.rho_bar:
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
     if not (np.isfinite(q_new[:w]).all() and np.isfinite(mom_new[:w]).all()):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-
-    new = RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
-    new._window = _Window(new)
+    win.positive = True
     return new
 
 
 def max_velocity_gradient(state: RadialState) -> float:
     win = _window(state)
-    return float(np.max(np.abs(np.diff(win.u[2:win.w + 2])))) / state.grid.dr
+    u = win.u[2:win.w + 2]
+    return float(np.abs(u[1:] - u[:-1]).max()) / state.grid.dr
 
 
-def validate_horizon(
-    gas: GasModel,
-    profile: InitialProfile,
-    grid: RadialGrid,
-    t_end: float,
-    state: RadialState | None = None,
-) -> None:
+def validate_horizon(gas: GasModel, profile: InitialProfile, grid: RadialGrid, t_end: float,
+                     state: RadialState | None = None) -> None:
     """Reject configurations whose waves could reach the outer boundary.
 
     Uses the finite-propagation bound: support M plus t_end times a wave-speed
@@ -359,19 +372,9 @@ def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw, cf
     return columns
 
 
-def run(
-    gas: GasModel,
-    damping: DampingLaw,
-    profile: InitialProfile,
-    grid: RadialGrid,
-    t_end: float,
-    cfl: float = 0.4,
-    *,
-    monitor_cadence: float = 0.5,
-    monitors: Mapping[str, Callable] | None = None,
-    muscl: bool = False,
-    check_horizon: bool = True,
-) -> RunResult:
+def run(gas: GasModel, damping: DampingLaw, profile: InitialProfile, grid: RadialGrid, t_end: float,
+        cfl: float = 0.4, *, monitor_cadence: float = 0.5, monitors: Mapping[str, Callable] | None = None,
+        muscl: bool = False, check_horizon: bool = True) -> RunResult:
     """Advance to ``t_end`` (or breakdown), sampling monitors on a fixed cadence.
 
     ``monitors`` maps column names to callables ``f(state, gas, damping)``;

@@ -12,10 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class VacuumError(ValueError):
-    """Requested enthalpy lies at or below the vacuum bound -1/(gamma-1)."""
-
-
 def _check_density(rho) -> None:
     if np.any(~(np.asarray(rho) > 0)):
         raise ValueError("density must be positive")

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
-from critdamp.gas import VacuumError
 from critdamp.monitors import FOUR_PI, initial_density_moment, initial_momentum_moment
 from critdamp.numerics import gamma_fraction, gamma_series
 from critdamp.outcome import (
@@ -248,6 +247,10 @@ def initial_moment_margins(profile, gas, n_l: int = 256) -> tuple[float, float]:
     q0 = np.array([initial_density_moment(profile, gas, l) for l in ls])
     q1 = np.array([initial_momentum_moment(profile, gas, l) for l in ls])
     return float(np.min(q0)), float(np.min(q1))
+
+
+class VacuumError(ValueError):
+    """Requested enthalpy lies at or below the vacuum bound -1/(gamma-1)."""
 
 
 def density_from_enthalpy(gas, y):

@@ -18,9 +18,9 @@ from critdamp import (
     step,
 )
 from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
-from critdamp.euler import max_velocity_gradient, stable_dt, validate_horizon
+from critdamp.euler import RadialState, _window, max_velocity_gradient, stable_dt, validate_horizon
 from critdamp.monitors import FOUR_PI, mass_excess
-from critdamp.outcome import BreakdownError
+from critdamp.outcome import BreakdownCause, BreakdownError
 from critdamp.profiles import line_bump, mollifier, radial_bump, radial_outgoing_shell
 from helpers import (
     composite_simpson,
@@ -290,7 +290,8 @@ def outcome_of(fn):
 
 def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
     """Step ``s`` with ``step`` and with the full-grid oracle; every state,
-    stable_dt and max_velocity_gradient must agree bit for bit."""
+    stable_dt and max_velocity_gradient must agree bit for bit, and the window
+    ``step`` attaches must end where a full scan of the new state ends it."""
     for _ in range(n_steps):
         assert stable_dt(GAS, s, 0.4) == full_grid_stable_dt(GAS, s, 0.4)
         assert max_velocity_gradient(s) == full_grid_max_velocity_gradient(s)
@@ -305,6 +306,7 @@ def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
         assert windowed.rho_pert.tobytes() == full.rho_pert.tobytes()
         assert windowed.mom.tobytes() == full.mom.tobytes()
         assert windowed.t == full.t
+        assert windowed._window.w == _window(windowed.copy()).w
         s = windowed
 
 
@@ -328,8 +330,10 @@ def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
          rarefied=True, inward=True, edge=False)
 def test_windowed_step_matches_full_grid(eps, lam, mu, n_cells, muscl, dt_fraction,
                                          rarefied, inward, edge):
-    # a negative density or velocity shell leaves -0.0 outside its support;
-    # with ``edge`` the support reaches the last cell, so the window is the grid
+    # ``rarefied`` and ``inward`` flip the signs of the shell (its cell
+    # averages are +0.0 outside the support, never -0.0; the hand-built
+    # states below cover -0.0); with ``edge`` the support reaches the last
+    # cell, so the window is the grid
     rho0, u0 = radial_outgoing_shell(0.3, 1.0)
     rho_sign = -1.0 if rarefied else 1.0
     u_sign = -1.0 if inward else 1.0
@@ -351,3 +355,73 @@ def test_windowed_step_matches_full_grid_on_read_back_state(tmp_path, muscl):
     (back,) = read_radial_snapshots(path, GAS.rho_bar)
     assert back.grid == grid
     assert_windowed_matches_full_grid(LAW, back, 25, muscl)
+
+
+def shell_state(n_cells=128):
+    """The eps = 0.3 shell on [0, 12] and the index of its last live cell."""
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, n_cells))
+    return s, int(np.flatnonzero(s.rho_pert.view(np.int64) | s.mom.view(np.int64))[-1])
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+@pytest.mark.parametrize("field", ["rho_pert", "mom"])
+@pytest.mark.parametrize("offset", [1, 2, 3, 40, "last"])
+def test_windowed_step_matches_full_grid_with_negative_zero(field, offset, muscl):
+    # a -0.0 is live: it keeps the window open out to its cell, in the
+    # [w-3, w) probe of the next window (offsets 1 to 3 past the support),
+    # well past the front (40), or at the last cell, where the window is the grid
+    s, last = shell_state()
+    cell = s.grid.n_cells - 1 if offset == "last" else last + offset
+    getattr(s, field)[cell] = -0.0
+    assert _window(s).w == min(cell + 2, s.grid.n_cells)
+    assert_windowed_matches_full_grid(LAW, s, 25, muscl)
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+@pytest.mark.parametrize("shell", [True, False])
+def test_window_falls_back_to_scan_when_front_vanishes(shell, muscl):
+    # a subnormal momentum past the support sees zero flux and is damped to
+    # +0.0 (factor < 1/2), so the [w-3, w) probe of the next window finds no
+    # live cell; the scan then finds the shell's front, or nothing (w = 2)
+    s, last = shell_state()
+    if not shell:
+        s = RadialState(0.0, np.zeros_like(s.rho_pert), np.zeros_like(s.mom), s.grid, GAS.rho_bar)
+    cell = last + 20
+    s.mom[cell] = 5e-324
+    law = DampingLaw(mu=100.0, lam=0.0)
+    assert _window(s).w == cell + 2
+    new = step(GAS, law, s, 0.4, muscl=muscl)
+    assert new.mom[cell] == 0.0
+    assert new._window.w < cell - 1 if shell else new._window.w == 2
+    assert_windowed_matches_full_grid(law, s, 3, muscl)
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+def test_breakdown_negative_density_matches_full_grid(muscl):
+    # an oversized explicit step empties the rarefied shell's trough
+    rho0, u0 = radial_outgoing_shell(0.3, 1.0)
+    prof = InitialProfile(lambda r: -rho0(r), u0, epsilon=0.9, M=1.0, M0=0.3)
+    s = init_state(GAS, prof, RadialGrid(12.0, 128))
+    dt = 16.0 * stable_dt(GAS, s, 0.4)
+    full = outcome_of(lambda: full_grid_step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
+    assert full == (s.t + dt, BreakdownCause.NEGATIVE_DENSITY)
+    assert outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl)) == full
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+@pytest.mark.parametrize("band", [1, 3])
+def test_breakdown_non_finite_matches_full_grid(band, muscl):
+    # huge momenta overflow the fluxes.  One cell of them overflows only
+    # mom * u, and the step is too small to move any density; three in a row
+    # overflow the mass flux too, which leaves -inf, nan and +inf densities,
+    # and the floor test must see the -inf past the nan
+    s, last = shell_state()
+    k = last // 2
+    s.mom[k:k + band] = 1e200 if band == 1 else 1e308
+    dt = 1e-205
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = outcome_of(lambda: full_grid_step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
+        windowed = outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
+    cause = BreakdownCause.NON_FINITE if band == 1 else BreakdownCause.NEGATIVE_DENSITY
+    assert full == (s.t + dt, cause)
+    assert windowed == full

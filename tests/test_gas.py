@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from critdamp import GasModel, VacuumError
-from helpers import composite_simpson, density_from_enthalpy
+from critdamp import GasModel
+from helpers import VacuumError, composite_simpson, density_from_enthalpy
 
 
 def test_pressure_closed_form():
