@@ -37,7 +37,7 @@ class BurgersProblem:
     """Initial profile eps*w0 with compact support and a damping law.
 
     ``w0`` and ``w0_prime`` must be vectorized callables vanishing outside
-    ``support``.  Immutable; safe to share between concurrent simulations.
+    ``support``.  Immutable; safe to share between simulations.
     """
 
     w0: Callable

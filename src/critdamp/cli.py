@@ -2,17 +2,15 @@
 
 Modes: burgers-lifespan, burgers-sim, euler-sim, functionals, criterion,
 sweep.  All artifacts are plain CSV/text with deterministic, byte-stable
-formatting; sweeps fan out over a thread pool sized by CRITDAMP_THREADS
-(default: logical CPU count) with results emitted in input order regardless
-of scheduling.
+formatting; a sweep classifies its combos one after another, in input order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +32,15 @@ def _as_config_error(key: str):
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
+def _profile_error(cfg: ExperimentConfig, problem) -> ConfigError:
+    """A config error for a fault of the initial profile itself: it names
+    ``profile.file`` and the file when one is set, else ``profile.name``."""
+    path = cfg["profile.file"]
+    if path is None:
+        return ConfigError(f"key 'profile.name': {problem}")
+    return ConfigError(f"key 'profile.file': {path}: {problem}")
+
+
 def _sampled_profiles(path: str, header: str):
     """The abscissae of a ``profile.file`` and a (value, derivative) pair of
     callables for each further column; errors name the file."""
@@ -52,7 +59,7 @@ def _line_profile(cfg: ExperimentConfig):
         with _as_config_error("profile.file"):
             xs, [(value, deriv)] = _sampled_profiles(cfg["profile.file"], "x,w0")
         return value, deriv, (float(xs[0]), float(xs[-1]))
-    return profiles.line_profile_callables(cfg["profile.name"], cfg["profile.M"])
+    return profiles.LINE_PROFILES[cfg["profile.name"]](cfg["profile.M"])
 
 
 def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
@@ -60,9 +67,7 @@ def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
         with _as_config_error("profile.file"):
             _, [(rho0, _), (u0, _)] = _sampled_profiles(cfg["profile.file"], "r,rho0,u0")
     else:
-        rho0, u0 = profiles.radial_profile_callables(
-            cfg["profile.name"], cfg["profile.M0"], cfg["profile.M"]
-        )
+        rho0, u0 = profiles.RADIAL_PROFILES[cfg["profile.name"]](cfg["profile.M0"], cfg["profile.M"])
     return euler.InitialProfile(
         rho0=rho0, u0=u0, epsilon=cfg["profile.epsilon"], M=cfg["profile.M"], M0=cfg["profile.M0"]
     )
@@ -97,24 +102,11 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
     slope_max = burgers.max_negative_slope(
         burgers.BurgersProblem(value, deriv, support, 1.0, DampingLaw(mu=0.0, lam=0.0))
     )
-    combos = [
-        (lam, mu, eps)
-        for lam in cfg["sweep.lambda"]
-        for mu in cfg["sweep.mu"]
-        for eps in cfg["sweep.epsilon"]
-    ]
-
-    def one(combo):
-        lam, mu, eps = combo
+    rows = []
+    for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
         problem = burgers.BurgersProblem(value, deriv, support, eps, DampingLaw(mu=mu, lam=lam))
         verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
-        return (lam, mu, eps, verdict, _finite_time(verdict))
-
-    workers = os.environ.get("CRITDAMP_THREADS") or str(os.cpu_count() or 1)
-    if not workers.strip().isdecimal() or int(workers) < 1:
-        raise ConfigError("CRITDAMP_THREADS must be a positive integer")
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        rows = list(pool.map(one, combos))
+        rows.append((lam, mu, eps, verdict, _finite_time(verdict)))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
 
@@ -145,8 +137,12 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
     damping = cfg.damping()
     profile = _radial_profile(cfg)
     grid = _euler_grid(cfg)
+    try:
+        state = euler.init_state(gas, profile, grid)
+    except ValueError as exc:
+        raise _profile_error(cfg, exc) from exc
     with _as_config_error("grid.r_max"):
-        euler.validate_horizon(gas, profile, grid, cfg["run.t_end"])
+        euler.validate_horizon(gas, profile, grid, cfg["run.t_end"], state)
     result = euler.run(
         gas, damping, profile, grid, cfg["run.t_end"], cfg["run.cfl"],
         monitor_cadence=cfg["run.monitor_cadence"], check_horizon=False,
@@ -160,8 +156,12 @@ def _run_functionals(cfg: ExperimentConfig, out: str) -> None:
     """Recompute the monitor series from snapshots.csv (round-trip path)."""
     gas = cfg.gas()
     damping = cfg.damping()
+    path = os.path.join(out, "snapshots.csv")
     with _as_config_error("output.dir"):
-        states = csvio.read_radial_snapshots(os.path.join(out, "snapshots.csv"), gas.rho_bar)
+        states = csvio.read_radial_snapshots(path, gas.rho_bar)
+        for s in states:  # the monitors need rho > 0; the reader takes any finite rho
+            if s.rho.min() <= 0:
+                raise ValueError(f"{path}: the block at t={s.t!r} holds a density that is not positive")
     csvio.write_series(
         os.path.join(out, "series.csv"), np.array([s.t for s in states]),
         euler.series(states, gas, damping, cfg["run.cfl"]),
@@ -184,7 +184,7 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
         lambda r: r**2 * eps * np.asarray(profile.rho0(r)), 0.0, m
     )
     if l0 < 0:
-        raise ConfigError("key 'profile.name': initial mass excess L0 is negative")
+        raise _profile_error(cfg, "initial mass excess L0 is negative")
     report = monitors.blowup_criterion(h0, l0, m, cfg.damping(), gas, cfg["run.t_end"])
     csvio.write_text(os.path.join(out, "criterion.txt"), report.text_block())
 

@@ -19,6 +19,7 @@ from .gas import GasModel
 MAX_SAMPLES = 100_000  # cap on run.t_end / run.monitor_cadence: each sample keeps a snapshot
 
 MODES = ("burgers-lifespan", "burgers-sim", "euler-sim", "functionals", "criterion", "sweep")
+LINE_MODES = ("burgers-lifespan", "burgers-sim", "sweep")  # the 1-D (Burgers) modes
 
 
 class ConfigError(ValueError):
@@ -173,14 +174,14 @@ def _validate(cfg: ExperimentConfig) -> None:
     from .profiles import LINE_PROFILES, RADIAL_PROFILES
 
     if v["profile.file"] is None:
-        if cfg.mode in ("burgers-lifespan", "burgers-sim", "sweep"):
+        if cfg.mode in LINE_MODES:
             _require(v["profile.name"] in LINE_PROFILES, "profile.name",
-                     f"must be one of {LINE_PROFILES} for mode {cfg.mode!r}")
+                     f"must be one of {tuple(LINE_PROFILES)} for mode {cfg.mode!r}")
         else:
             _require(v["profile.name"] in RADIAL_PROFILES, "profile.name",
-                     f"must be one of {RADIAL_PROFILES}")
+                     f"must be one of {tuple(RADIAL_PROFILES)}")
 
-    if cfg.mode in ("burgers-lifespan", "burgers-sim", "sweep"):
+    if cfg.mode in LINE_MODES:
         _require(v["profile.epsilon"] > 0, "profile.epsilon", "must be positive for Burgers modes")
     if cfg.mode == "burgers-sim":
         _require(v["grid.n_cells"] >= 16, "grid.n_cells", "must be at least 16")

@@ -72,10 +72,15 @@ def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
     """States from a snapshot file, one per run of rows with equal ``t`` and
     increasing ``r`` (``t`` never decreases).  Each grid has dr = 2 r[0] (the
     first centre is dr / 2 exactly) and r_max = dr * n_cells; a block whose
-    ``r`` column that grid does not reproduce bit for bit is rejected."""
+    ``r`` column that grid does not reproduce bit for bit is rejected, and so
+    is a non-finite value."""
     names, data = read_csv(path)
     if names != ["t", "r", "rho", "mom"]:
         raise ValueError(f"{path}: expected a radial snapshot file with header t,r,rho,mom")
+    finite = np.isfinite(data)
+    if not finite.all():
+        t = float(data[np.argmin(finite.all(axis=1)), 0])
+        raise ValueError(f"{path}: the block at t={t!r} holds a non-finite value")
     steps = np.diff(data[:, 0])
     if not np.all(steps >= 0):
         raise ValueError(f"{path}: snapshot times must not decrease")

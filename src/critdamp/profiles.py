@@ -10,9 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-RADIAL_PROFILES = ("bump", "shell", "outgoing-shell")
-LINE_PROFILES = ("bump",)
-
 
 def mollifier(s):
     """exp(-1/(1-s^2)) on |s| < 1, zero outside; peak value exp(-1) at s = 0."""
@@ -126,20 +123,14 @@ def radial_outgoing_shell(m0: float, m: float) -> tuple[Callable, Callable]:
     return rho0, rho0
 
 
-def radial_profile_callables(name: str, m0: float, m: float) -> tuple[Callable, Callable]:
-    if name == "bump":
-        return radial_bump(m)
-    if name == "shell":
-        return radial_shell(m0, m)
-    if name == "outgoing-shell":
-        return radial_outgoing_shell(m0, m)
-    raise ValueError(f"unknown radial profile {name!r}; expected one of {RADIAL_PROFILES}")
-
-
-def line_profile_callables(name: str, m: float) -> tuple[Callable, Callable, tuple[float, float]]:
-    if name == "bump":
-        return line_bump(m)
-    raise ValueError(f"profile {name!r} is not available in one dimension; expected one of {LINE_PROFILES}")
+# name -> builder: radial ones take (M0, M) and return (rho0, u0); line ones
+# take M and return (w0, w0', support).
+RADIAL_PROFILES: dict[str, Callable] = {
+    "bump": lambda m0, m: radial_bump(m),
+    "shell": radial_shell,
+    "outgoing-shell": radial_outgoing_shell,
+}
+LINE_PROFILES: dict[str, Callable] = {"bump": line_bump}
 
 
 def sampled_profile(xs: np.ndarray, ys: np.ndarray) -> tuple[Callable, Callable]:

@@ -214,20 +214,6 @@ def test_sweep_without_damping_is_exact(tmp_path):
     assert {float(row[4]) for row in rows} == {1.0 / (0.5 * m)}
 
 
-def test_sweep_insensitive_to_thread_count(tmp_path):
-    text = "sweep.lambda = 0,1,2\nsweep.mu = 0.5,2\nsweep.epsilon = 0.001\noutput.dir = {}"
-    outputs = []
-    for threads in ("1", "4"):
-        out = str(tmp_path / f"t{threads}")
-        os.environ["CRITDAMP_THREADS"] = threads
-        try:
-            run_experiment(parse_config(text.format(out), "sweep"))
-        finally:
-            del os.environ["CRITDAMP_THREADS"]
-        outputs.append(read(os.path.join(out, "sweep.csv")))
-    assert outputs[0] == outputs[1]
-
-
 def test_deterministic_outputs(tmp_path):
     text = (
         "damping.lambda = 0.5\nprofile.epsilon = 0.05\nrun.t_end = 2.0\n"
@@ -284,15 +270,6 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     assert rc == 2
     assert err.startswith(f"config-error: key {key!r}:")
     assert not os.path.exists(out)
-
-
-def test_cli_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CRITDAMP_THREADS", "abc")
-    rc = main(["sweep", "--sweep.lambda", "0,2", "--sweep.mu", "1", "--sweep.epsilon", "0.1",
-               "--output.dir", str(tmp_path / "thr")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("config-error:") and "CRITDAMP_THREADS" in err
 
 
 def test_burgers_and_euler_sim_share_sample_times(tmp_path):
@@ -362,6 +339,13 @@ def test_radial_profile_file_matches_library(tmp_path):
 
 
 SNAPSHOT_HEAD = "t,r,rho,mom\n# t=0.0\n"
+NEGATIVE_PROFILE = "r,rho0,u0\n0,0,0\n0.5,-50,0\n1,0,0\n"  # rho_bar + 0.1 * rho0 < 0 mid-support
+
+
+def snapshot_32(rho):
+    """A valid 32-cell snapshot block (dr = 1) whose density at r = 15.5 is ``rho``."""
+    rows = [f"0.0,{i + 0.5!r},{rho if i == 15 else '1.0'},0.0" for i in range(32)]
+    return SNAPSHOT_HEAD + "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize("mode, file, text, key", [
@@ -371,7 +355,12 @@ SNAPSHOT_HEAD = "t,r,rho,mom\n# t=0.0\n"
     ("euler-sim", "profile", "r,rho0,u0\n0,1,0\n1,1,0\n1,1,0\n", "profile.file"),
     ("functionals", "snapshots.csv", SNAPSHOT_HEAD + "0.0,0.5,1.0,0.0\n0.0,1.5,1.0\n", "output.dir"),
     ("functionals", "snapshots.csv", "t,r,rho,mom\n0.0,0.5,1.0,0.0\n0.0,1.5,1.0,0.0\n", "output.dir"),
-], ids=["non-numeric-cell", "header-only", "single-row", "radial-repeated-abscissa", "three-field-row", "no-block-marker"])
+    ("euler-sim", "profile", NEGATIVE_PROFILE, "profile.file"),
+    ("criterion", "profile", NEGATIVE_PROFILE, "profile.file"),
+    ("functionals", "snapshots.csv", snapshot_32("nan"), "output.dir"),
+    ("functionals", "snapshots.csv", snapshot_32("-1.0"), "output.dir"),
+], ids=["non-numeric-cell", "header-only", "single-row", "radial-repeated-abscissa", "three-field-row", "no-block-marker",
+        "negative-initial-density", "negative-initial-mass", "snapshot-nan-density", "snapshot-negative-density"])
 def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text, key):
     out = tmp_path / "out"
     out.mkdir()
@@ -400,8 +389,9 @@ def test_functionals_reproduces_series_on_any_grid(tmp_path):
 
 
 def test_cli_import_loads_no_scipy_or_mpmath():
-    # every CLI run pays its imports; mpmath is a test-only oracle
-    code = "import sys, critdamp.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    # every CLI run pays its imports; mpmath is a test-only oracle, and the
+    # CLI starts no thread, so it needs no concurrent.futures
+    code = "import sys, critdamp.cli; print(sorted({'scipy', 'mpmath', 'concurrent.futures'} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critdamp import DampingLaw, numerics
@@ -164,6 +164,7 @@ def test_corner_integral_matches_mpmath(mu, lam):
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(0.01, 5.0), lam=st.floats(1.0, 6.0, exclude_min=True),
        t=st.floats(0.0, 1e6, allow_subnormal=False))
+@example(mu=5.0, lam=1.0312781209700266, t=61364.0)  # true rise about 2 ulps of I
 def test_poisson_series_properties(mu, lam, t):
     law = DampingLaw(mu, lam)
     if not law.series_form:  # lam - 1 < mu/SERIES_MAX_C: quadrature on both sides
@@ -173,7 +174,18 @@ def test_poisson_series_properties(mu, lam, t):
     assert abs(value - quad) <= 1e-10 * max(1.0, value)
     # e^-C <= 1/beta <= 1 with C = mu/(lam-1), so t e^-C <= I(t) <= t
     assert t * math.exp(-mu / (lam - 1.0)) * (1 - 1e-14) <= value <= t * (1 + 1e-14)
-    assert law.reciprocal_integral(2.0 * t + 1e-3) > value
+    # beta increases, so I(later) - I(t) lies between (later - t)/beta(later)
+    # and (later - t)/beta(t).  The rise must be strict wherever that lower
+    # bound clears the series' few-ulp error; near C = mu/(lam-1) ~ 160 and
+    # t ~ 1e5 the true rise is below an ulp of I and even exact rounding ties.
+    later_t = 2.0 * t + 1e-3
+    later = law.reciprocal_integral(later_t)
+    low = (later_t - t) * math.exp(-law.log_integrating_factor(later_t))
+    high = (later_t - t) * math.exp(-law.log_integrating_factor(t))
+    slack = 1e-14 * later
+    assert low - slack <= later - value <= high + slack
+    if low > slack:
+        assert later > value
 
 
 def test_limit_beyond_the_term_cap_uses_quadrature(monkeypatch):
