@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -127,9 +127,8 @@ def _write_blocks(path: str, header: str, blocks) -> None:
         parts.append(f"# t={t}\n")
         if rows:
             parts += (t, ",", f"\n{t},".join(rows), "\n")
-    text = "".join(parts)
-    del parts, grids  # writing encodes ``text`` into one more copy; free the blocks first
-    write_text(path, text)
+    with _create(path) as fh:
+        fh.writelines(parts)
 
 
 def write_sweep(path: str, rows: Iterable[tuple[float, float, float, Verdict, float]]) -> None:
@@ -148,9 +147,14 @@ def write_verdict(path: str, verdict: Verdict, params: Mapping[str, object]) -> 
 
 
 def write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text)
+
+
+def _create(path: str) -> TextIO:
+    """``path`` opened for writing UTF-8 text with \\n line ends, its directory made if missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write(path: str, lines: list[str]) -> None:

@@ -29,6 +29,15 @@ last live cell lies in [w-3, w) (the front moves at most one cell a step) or
 else a scan of the cells before finds it: the next window is exactly the one
 a full scan gives.  Its rho is rho_bar + q_new over the updated cells, which
 is where the density floor is tested, so it needs no second rho > 0 check.
+
+In-place rule: a step is bound by numpy call overhead on small windows, so
+step, its helpers and max_velocity_gradient update the temporaries they
+allocate (wave speeds, slopes, fluxes, face differences) in place.  They never write to the
+input state's arrays or to its cached window, whose arrays the first-order
+branch slices.  Each in-place pass keeps the operation and operand order of
+the expression it replaces, up to swapping the operands of * or + (exact in
+IEEE 754), and nothing is reassociated or fused, so states, dt values and
+artifacts stay bit-identical to the out-of-place formulas.
 """
 
 from __future__ import annotations
@@ -168,8 +177,10 @@ class _Window:
 
 def _span(q: np.ndarray, mom: np.ndarray, lo: int = 0) -> int:
     """1 + the index of the last live cell (0 if none); cells from ``lo`` on are scanned first."""
-    live = np.flatnonzero(q[lo:].view(np.int64) | mom[lo:].view(np.int64))
-    if live.size:
+    bits = q[lo:].view(np.int64) | mom[lo:].view(np.int64)
+    # the probe after a step is at most 3 cells: a Python scan beats flatnonzero there
+    live = [i for i, b in enumerate(bits.tolist()) if b] if bits.size <= 3 else np.flatnonzero(bits)
+    if len(live):
         return lo + int(live[-1]) + 1
     return _span(q[:lo], mom[:lo]) if lo else 0
 
@@ -180,7 +191,9 @@ def _window(state: RadialState) -> _Window:
 
 def _kernels(gas: GasModel, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pressure and wave speed |u| + c, for rho > 0."""
-    return gas.pressure_unchecked(rho), np.abs(u) + np.sqrt(gas.sound_speed_sq_unchecked(rho))
+    speed = np.sqrt(gas.sound_speed_sq_unchecked(rho))
+    speed += np.abs(u)
+    return gas.pressure_unchecked(rho), speed
 
 
 @dataclass(eq=False)
@@ -225,7 +238,7 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
 def _max_speed(gas: GasModel, state: RadialState) -> float:
     """max(|u| + c) over the grid, read off the window."""
     win = _window(state)
-    return float(win.kernels(gas, state.t)[1][2:win.w + 2].max())
+    return float(np.maximum.reduce(win.kernels(gas, state.t)[1][2:win.w + 2]))
 
 
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
@@ -238,8 +251,10 @@ def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with minmod-limited slopes."""
     d = np.diff(a)
     lo, hi = d[:-1], d[1:]
-    slope = np.where(lo * hi > 0, np.where(np.abs(lo) < np.abs(hi), lo, hi), 0.0)
-    return a[1:-2] + 0.5 * slope[:-1], a[2:-1] - 0.5 * slope[1:]
+    mag = np.abs(d)
+    half_slope = np.where(lo * hi > 0, np.where(mag[:-1] < mag[1:], lo, hi), 0.0)
+    half_slope *= 0.5
+    return a[1:-2] + half_slope[:-1], a[2:-1] - half_slope[1:]
 
 
 def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
@@ -282,17 +297,31 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
         adv_l, adv_r = adv[1:-2], adv[2:-1]
         p_l, p_r = p_cell[1:-2], p_cell[2:-1]
         speed_l, speed_r = speed_cell[1:-2], speed_cell[2:-1]
-    half_s = 0.5 * np.maximum(speed_l, speed_r)
+    half_s = np.maximum(speed_l, speed_r)
+    half_s *= 0.5
 
-    f_rho = 0.5 * (mom_l + mom_r) - half_s * (q_r - q_l)
-    f_adv = 0.5 * (adv_l + adv_r) - half_s * (mom_r - mom_l)
-    p_face = 0.5 * (p_l + p_r)
+    # Rusanov fluxes 0.5 (l + r) - half_s (r - l), formed in place.
+    f_rho = mom_l + mom_r
+    f_rho *= 0.5
+    jump = q_r - q_l
+    jump *= half_s
+    f_rho -= jump
+    f_adv = adv_l + adv_r
+    f_adv *= 0.5
+    np.subtract(mom_r, mom_l, out=jump)
+    jump *= half_s
+    f_adv -= jump
+    p_face = p_l + p_r
+    p_face *= 0.5
 
     area = grid._area[:w + 1]
     inv_vol = grid._inv_vol[:w]
     q_new = state.rho_pert.copy()
-    a = area * f_rho
-    q_new[:w] -= dt * (a[1:] - a[:-1]) * inv_vol
+    f_rho *= area
+    d = f_rho[1:] - f_rho[:-1]
+    d *= dt
+    d *= inv_vol
+    q_new[:w] -= d
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
@@ -303,11 +332,17 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     t_new = state.t + dt
     factor = damping.damping_factor(state.t, t_new)
     mom_new = state.mom.copy()
-    a = area * f_adv
-    mom_new[:w] = (mom_new[:w] - dt * (
-        (a[1:] - a[:-1]) * inv_vol
-        + (area[1:] * dp_r - area[:-1] * dp_l) * inv_vol
-    )) * factor
+    f_adv *= area
+    np.subtract(f_adv[1:], f_adv[:-1], out=d)
+    d *= inv_vol
+    dp_r *= area[1:]
+    dp_l *= area[:-1]
+    dp_r -= dp_l
+    dp_r *= inv_vol
+    d += dp_r
+    d *= dt
+    mom_new[:w] -= d
+    mom_new[:w] *= factor
 
     new = RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
     new._window = win = _Window(new, _span(q_new[:w], mom_new[:w], max(w - 3, 0)))
@@ -323,7 +358,8 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
 def max_velocity_gradient(state: RadialState) -> float:
     win = _window(state)
     u = win.u[2:win.w + 2]
-    return float(np.abs(u[1:] - u[:-1]).max()) / state.grid.dr
+    d = u[1:] - u[:-1]
+    return float(np.maximum.reduce(np.abs(d, out=d))) / state.grid.dr
 
 
 def validate_horizon(gas: GasModel, profile: InitialProfile, grid: RadialGrid, t_end: float,

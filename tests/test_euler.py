@@ -18,7 +18,7 @@ from critdamp import (
     step,
 )
 from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
-from critdamp.euler import RadialState, _window, max_velocity_gradient, stable_dt, validate_horizon
+from critdamp.euler import RadialState, _span, _window, max_velocity_gradient, stable_dt, validate_horizon
 from critdamp.monitors import FOUR_PI, mass_excess
 from critdamp.outcome import BreakdownCause, BreakdownError
 from critdamp.profiles import line_bump, mollifier, radial_bump, radial_outgoing_shell
@@ -394,6 +394,60 @@ def test_window_falls_back_to_scan_when_front_vanishes(shell, muscl):
     assert new.mom[cell] == 0.0
     assert new._window.w < cell - 1 if shell else new._window.w == 2
     assert_windowed_matches_full_grid(law, s, 3, muscl)
+
+
+# bit patterns of -0.0, nan, the smallest subnormal and a negative subnormal
+SPECIAL_BITS = [int(np.array(x).view(np.int64)) for x in (-0.0, math.nan, 5e-324, -2.2250738585072e-308)]
+CELL_BITS = st.one_of(st.just(0), st.sampled_from(SPECIAL_BITS), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_bits=st.lists(CELL_BITS, max_size=9), mom_bits=st.lists(CELL_BITS, max_size=9),
+       lo=st.integers(0, 9))
+@example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, 0, 0], lo=2)
+@example(q_bits=[1, 0, 0, 0, 0], mom_bits=[0, 0, 0, 0, 0], lo=2)
+@example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, SPECIAL_BITS[0], 0], lo=2)
+@example(q_bits=[0, SPECIAL_BITS[1], 0], mom_bits=[0, 0, 0], lo=3)
+def test_span_matches_full_scan(q_bits, mom_bits, lo):
+    # the probe of cells [lo, n) is scanned first (in Python when it holds
+    # at most 3 cells), then the cells before it when the probe is all +0.0
+    n = min(len(q_bits), len(mom_bits))
+    q = np.array(q_bits[:n], dtype=np.int64).view(np.float64)
+    mom = np.array(mom_bits[:n], dtype=np.int64).view(np.float64)
+    live = np.flatnonzero(q.view(np.int64) | mom.view(np.int64))
+    assert _span(q, mom, min(lo, n)) == (int(live[-1]) + 1 if live.size else 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(eps=st.floats(0.0, 0.6), rarefied=st.booleans(), inward=st.booleans(),
+       n_cells=st.integers(32, 160), stepped=st.booleans(), dt_fraction=st.none() | st.floats(0.05, 1.0))
+def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_cells, stepped, dt_fraction):
+    # step, stable_dt and max_velocity_gradient update their own temporaries
+    # in place; none may write through to the input state or to the window
+    # that a stepped state caches (its first-order faces are slices of it)
+    rho0, u0 = radial_outgoing_shell(0.3, 1.0)
+    rho_sign = -1.0 if rarefied else 1.0
+    u_sign = -1.0 if inward else 1.0
+    prof = InitialProfile(lambda r: rho_sign * rho0(r), lambda r: u_sign * u0(r),
+                          epsilon=eps, M=1.0, M0=0.3)
+    s = init_state(GAS, prof, RadialGrid(12.0, n_cells))
+    if stepped:
+        s = step(GAS, LAW, s, 0.4)
+    win = _window(s)
+    arrays = [s.rho_pert, s.mom, win.q, win.mom, win.rho, win.u]
+    before = [a.tobytes() for a in arrays]
+    # pressure and wave speed, computed here from the arrays above
+    arrays += win.kernels(GAS, s.t)
+    assert [a.tobytes() for a in arrays[:6]] == before
+    before = [a.tobytes() for a in arrays]
+    dt = None if dt_fraction is None else dt_fraction * stable_dt(GAS, s, 0.4)
+    for muscl in (False, True):
+        outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
+        assert [a.tobytes() for a in arrays] == before
+    stable_dt(GAS, s, 0.4)
+    max_velocity_gradient(s)
+    assert [a.tobytes() for a in arrays] == before
+    assert (s._window is win) == stepped
 
 
 @pytest.mark.parametrize("muscl", [False, True])
