@@ -142,10 +142,9 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
     except ValueError as exc:
         raise _profile_error(cfg, exc) from exc
     with _as_config_error("grid.r_max"):
-        euler.validate_horizon(gas, profile, grid, cfg["run.t_end"], state)
+        euler.validate_horizon(gas, state, profile.M, cfg["run.t_end"])
     result = euler.run(
-        gas, damping, profile, grid, cfg["run.t_end"], cfg["run.cfl"],
-        monitor_cadence=cfg["run.monitor_cadence"], check_horizon=False,
+        gas, damping, state, cfg["run.t_end"], cfg["run.cfl"], monitor_cadence=cfg["run.monitor_cadence"]
     )
     csvio.write_series(os.path.join(out, "series.csv"), result.times, result.columns)
     csvio.write_radial_snapshots(os.path.join(out, "snapshots.csv"), result.snapshots)

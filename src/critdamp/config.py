@@ -197,5 +197,5 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.mode == "sweep":
         for key in ("sweep.lambda", "sweep.mu", "sweep.epsilon"):
             _require(v[key] is not None, key, "required for sweep mode")
-            if v[key] is not None:
-                _require(all(x >= 0 for x in v[key]), key, "entries must be nonnegative")
+            _require(all(x >= 0 for x in v[key]), key, "entries must be nonnegative")
+        _require(all(x > 0 for x in v["sweep.epsilon"]), "sweep.epsilon", "entries must be positive")

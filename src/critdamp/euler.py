@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -362,74 +362,59 @@ def max_velocity_gradient(state: RadialState) -> float:
     return float(np.maximum.reduce(np.abs(d, out=d))) / state.grid.dr
 
 
-def validate_horizon(gas: GasModel, profile: InitialProfile, grid: RadialGrid, t_end: float,
-                     state: RadialState | None = None) -> None:
-    """Reject configurations whose waves could reach the outer boundary.
+def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) -> None:
+    """Reject an initial state whose waves could reach the outer boundary.
 
     Uses the finite-propagation bound: support M plus t_end times a wave-speed
     guess (1.2x the initial max of |u| + c) must stay inside r_max.
     """
-    if state is None:
-        state = init_state(gas, profile, grid)
     guess = 1.2 * _max_speed(gas, state)
-    if profile.M + t_end * guess >= grid.r_max:
+    if M + t_end * guess >= state.grid.r_max:
         raise ValueError(
-            f"grid.r_max={grid.r_max!r} too small: support {profile.M!r} plus "
+            f"grid.r_max={state.grid.r_max!r} too small: support {M!r} plus "
             f"t_end*{guess!r} reaches the boundary before t_end={t_end!r}"
         )
 
 
-def _series_monitors(extra: Mapping[str, Callable] | None) -> dict[str, Callable]:
-    """The standard columns f(state, gas, damping), then ``extra``."""
-    columns: dict[str, Callable] = {
-        "L": lambda s, g, d: mon.mass_excess(s, g),
-        "H": lambda s, g, d: mon.weighted_momentum(s),
-        "E0": lambda s, g, d: mon.weighted_potential_energy(s, g, d),
-        "min_rho": lambda s, g, d: float(np.min(s.rho)),
-        "max_u": lambda s, g, d: float(np.max(np.abs(s.mom / s.rho))),
-        "max_du_dr": lambda s, g, d: max_velocity_gradient(s),
-    }
-    for name, fn in (extra or {}).items():
-        if name in columns or name in ("t", "dt"):
-            raise ValueError(f"monitor name {name!r} collides with a standard column")
-        columns[name] = fn
-    return columns
+# The radial series columns f(state, gas, damping), in output order.
+_SERIES_COLUMNS: dict[str, Callable] = {
+    "L": lambda s, g, d: mon.mass_excess(s, g),
+    "H": lambda s, g, d: mon.weighted_momentum(s),
+    "E0": lambda s, g, d: mon.weighted_potential_energy(s, g, d),
+    "min_rho": lambda s, g, d: float(np.min(s.rho)),
+    "max_u": lambda s, g, d: float(np.max(np.abs(s.mom / s.rho))),
+    "max_du_dr": lambda s, g, d: max_velocity_gradient(s),
+}
 
 
-def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw, cfl: float,
-           extra: Mapping[str, Callable] | None = None) -> dict[str, np.ndarray]:
+def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
+           cfl: float) -> dict[str, np.ndarray]:
     """Radial series columns, one value per state: L, H, E0, min_rho, max_u,
-    max_du_dr, then ``extra``, then the CFL-stable ``dt`` of each state."""
+    max_du_dr, then the CFL-stable ``dt`` of each state."""
     columns = {
         name: np.asarray([float(fn(s, gas, damping)) for s in states])
-        for name, fn in _series_monitors(extra).items()
+        for name, fn in _SERIES_COLUMNS.items()
     }
     columns["dt"] = np.asarray([stable_dt(gas, s, cfl) for s in states])
     return columns
 
 
-def run(gas: GasModel, damping: DampingLaw, profile: InitialProfile, grid: RadialGrid, t_end: float,
-        cfl: float = 0.4, *, monitor_cadence: float = 0.5, monitors: Mapping[str, Callable] | None = None,
-        muscl: bool = False, check_horizon: bool = True) -> RunResult:
-    """Advance to ``t_end`` (or breakdown), sampling monitors on a fixed cadence.
-
-    ``monitors`` maps column names to callables ``f(state, gas, damping)``;
-    they are appended after the standard set (see :func:`series`).
-    Snapshots are stored at the same cadence.  The verdict follows
+def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cfl: float = 0.4, *,
+        monitor_cadence: float = 0.5, muscl: bool = False) -> RunResult:
+    """Advance the initial ``state`` (t = 0, built by :func:`init_state` and
+    guarded by :func:`validate_horizon`) to ``t_end`` or breakdown, sampling
+    snapshots and the :func:`series` columns on a fixed cadence.  The verdict follows
     :func:`critdamp.outcome.march` with max |du/dr| as the gradient (its
     trigger is off for velocity-free data, which starts trivially smooth).
     """
+    if state.t != 0:
+        raise ValueError("the initial state must be at t = 0")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if not 0.0 < cfl <= 0.9:
         raise ValueError("cfl must lie in (0, 0.9]")
     if not monitor_cadence > 0:
         raise ValueError("monitor_cadence must be positive")
-    _series_monitors(monitors)  # reject colliding names before stepping
-
-    state = init_state(gas, profile, grid)
-    if check_horizon:
-        validate_horizon(gas, profile, grid, t_end, state)
 
     snapshots: list[RadialState] = []
 
@@ -440,5 +425,5 @@ def run(gas: GasModel, damping: DampingLaw, profile: InitialProfile, grid: Radia
     verdict = march(state, t_end, sample_times(t_end, monitor_cadence), lambda s: stable_dt(gas, s, cfl),
                     lambda s, t, dt: step(gas, damping, s, cfl, dt=dt, muscl=muscl),
                     max_velocity_gradient, sample)
-    columns = series(snapshots, gas, damping, cfl, monitors)
+    columns = series(snapshots, gas, damping, cfl)
     return RunResult(np.asarray([s.t for s in snapshots]), columns, snapshots, verdict)

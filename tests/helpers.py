@@ -264,3 +264,25 @@ def density_from_enthalpy(gas, y):
         raise VacuumError("enthalpy at or below the vacuum bound -1/(gamma-1)")
     out = gas.rho_bar * np.exp(np.log1p((gas.gamma - 1.0) * np.asarray(y)) / (gas.gamma - 1.0))
     return out if np.ndim(y) else float(out)
+
+
+def momentum_ode_residual(res, gas, law) -> float:
+    """Sum over sample intervals of the trapezoid residual of
+    H' + mu (1+t)^-lam H = int (rho u^2 + 3 (p - p_bar)) along a radial run,
+    with the right side computed from the run's snapshots."""
+    rhs = []
+    for s in res.snapshots:
+        r = s.grid.centers
+        rho = s.rho
+        u = s.mom / rho
+        pe = gas.pressure(rho) - gas.pressure(gas.rho_bar)
+        rhs.append(4 * np.pi * float(np.sum(r**2 * (rho * u * u + 3.0 * pe)) * s.grid.dr))
+    t = res.times
+    H = res.columns["H"]
+    damp = law.mu * (1.0 + t) ** (-law.lam) * H
+    total = 0.0
+    for k in range(len(t) - 1):
+        dtk = t[k + 1] - t[k]
+        total += abs(H[k + 1] - H[k] + 0.5 * dtk * (damp[k] + damp[k + 1])
+                     - 0.5 * dtk * (rhs[k] + rhs[k + 1]))
+    return total

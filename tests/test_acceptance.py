@@ -21,7 +21,7 @@ from critdamp.profiles import (
     radial_outgoing_shell,
     radial_shell,
 )
-from helpers import composite_simpson
+from helpers import composite_simpson, momentum_ode_residual
 
 GAS = cd.GasModel(gamma=2.0, rho_bar=1.0)
 
@@ -129,7 +129,7 @@ def test_criterion_05_mass_conservation():
     prof = cd.InitialProfile(rho0, u0, epsilon=0.1, M=1.0)
     grid = cd.RadialGrid(r_max=30.0, n_cells=1024)
     law = cd.DampingLaw(mu=1.0, lam=0.5)
-    res = cd.run(GAS, law, prof, grid, t_end=20.0, cfl=0.4, monitor_cadence=0.5)
+    res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=20.0, cfl=0.4, monitor_cadence=0.5)
     L = res.columns["L"]
     drift = float(np.max(np.abs(L - L[0])) / abs(L[0]))
     elapsed = time.monotonic() - t0
@@ -145,27 +145,10 @@ def test_criterion_06_momentum_ode_residual():
     rho0, u0 = radial_outgoing_shell(0.3, 1.0)
     prof = cd.InitialProfile(rho0, u0, epsilon=0.05, M=1.0, M0=0.3)
 
-    def h_rhs(s, g, d):
-        r = s.grid.centers
-        rho = s.rho
-        u = s.mom / rho
-        pe = g.pressure(rho) - g.pressure(g.rho_bar)
-        return 4 * np.pi * float(np.sum(r**2 * (rho * u * u + 3.0 * pe)) * s.grid.dr)
-
     def residual(n):
-        grid = cd.RadialGrid(12.0, n)
-        res = cd.run(GAS, law, prof, grid, t_end=4.0, cfl=0.4,
-                     monitor_cadence=0.2, monitors={"H_rhs": h_rhs})
-        t = res.times
-        H = res.columns["H"]
-        rhs = res.columns["H_rhs"]
-        damp = law.mu * (1.0 + t) ** (-law.lam) * H
-        total = 0.0
-        for k in range(len(t) - 1):
-            dtk = t[k + 1] - t[k]
-            total += abs(H[k + 1] - H[k] + 0.5 * dtk * (damp[k] + damp[k + 1])
-                         - 0.5 * dtk * (rhs[k] + rhs[k + 1]))
-        return total
+        state = cd.init_state(GAS, prof, cd.RadialGrid(12.0, n))
+        res = cd.run(GAS, law, state, t_end=4.0, cfl=0.4, monitor_cadence=0.2)
+        return momentum_ode_residual(res, GAS, law)
 
     r_coarse, r_fine = residual(192), residual(384)
     ratio = r_coarse / r_fine
@@ -210,13 +193,13 @@ def test_criterion_07_large_data_blowup_criterion():
     assert rep.satisfied
 
     grid = cd.RadialGrid(r_max=1.0 + t_star * 1.3 * 52.0, n_cells=4096)
-    res = cd.run(GAS, law, prof, grid, t_end=t_star, cfl=0.85,
-                 monitor_cadence=t_star / 20, muscl=True, check_horizon=False)
+    res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=t_star, cfl=0.85,
+                 monitor_cadence=t_star / 20, muscl=True)
     broke = isinstance(res.verdict, cd.NumericalBreakdown) and res.verdict.time < t_star
 
     control = cd.InitialProfile(rho0, velocity(0.01), epsilon=1.0, M=1.0, M0=0.2)
-    res_ctrl = cd.run(GAS, law, control, grid, t_end=t_star, cfl=0.85,
-                      monitor_cadence=t_star / 4, muscl=True, check_horizon=False)
+    res_ctrl = cd.run(GAS, law, cd.init_state(GAS, control, grid), t_end=t_star, cfl=0.85,
+                      monitor_cadence=t_star / 4, muscl=True)
     control_ok = isinstance(res_ctrl.verdict, cd.Global)
     elapsed = time.monotonic() - t0
     report(7, broke and control_ok, elapsed, 600.0,
@@ -235,7 +218,7 @@ def test_criterion_08_small_data_boundedness():
     ok = True
     for lam in (0.0, 0.5, 1.0):
         law = cd.DampingLaw(mu=1.0, lam=lam)
-        res = cd.run(GAS, law, prof, grid, t_end=200.0, cfl=0.4, monitor_cadence=1.0)
+        res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=200.0, cfl=0.4, monitor_cadence=1.0)
         E0 = res.columns["E0"]
         max_u = res.columns["max_u"]
         i5 = int(np.searchsorted(res.times, 5.0))
@@ -268,7 +251,7 @@ def test_criterion_09_weak_damping_steepening():
     law = cd.DampingLaw(mu=1.0, lam=2.0)
     prof = cd.InitialProfile(rho0, u0_in, epsilon=0.3, M=1.0, M0=0.3)
     grid = cd.RadialGrid(r_max=6.5, n_cells=8192)
-    res = cd.run(GAS, law, prof, grid, t_end=3.0, cfl=0.4, monitor_cadence=0.02)
+    res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4, monitor_cadence=0.02)
     g = res.columns["max_du_dr"]
     growth = float(np.max(g) / g[0])
     broke = isinstance(res.verdict, cd.NumericalBreakdown)
@@ -306,7 +289,7 @@ def test_criterion_10_functional_identities():
 
     def band_residual(n, cadence):
         grid = cd.RadialGrid(20.0, n)
-        res = cd.run(GAS, law, prof, grid, t_end=3.0, cfl=0.4, monitor_cadence=cadence)
+        res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4, monitor_cadence=cadence)
         slices = [(s.t, *cd.moment_band(s, GAS, prof.M0, prof.M, n_l=64)) for s in res.snapshots]
         F, band = cd.double_time_integral(slices, prof.M0, prof.M)
         dt = F.times[1] - F.times[0]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from critdamp import (
     InitialProfile,
     RadialGrid,
     classify_lifespan,
+    euler,
+    init_state,
     max_negative_slope,
     run,
 )
@@ -329,8 +332,9 @@ def test_radial_profile_file_matches_library(tmp_path):
                "--output.dir", out])
     assert rc == 0
     (rho0, _), (u0, _) = sampled_profile(rs, rho0s), sampled_profile(rs, u0s)
-    expected = run(GasModel(2.0, 1.0), DampingLaw(1.0, 1.0), InitialProfile(rho0, u0, 0.1, 1.0),
-                   RadialGrid(8.0, 64), 1.0)
+    gas = GasModel(2.0, 1.0)
+    state = init_state(gas, InitialProfile(rho0, u0, 0.1, 1.0), RadialGrid(8.0, 64))
+    expected = run(gas, DampingLaw(1.0, 1.0), state, 1.0)
     times, cols = read_series(os.path.join(out, "series.csv"))
     assert times.tolist() == expected.times.tolist()
     assert list(cols) == list(expected.columns)
@@ -396,3 +400,33 @@ def test_cli_import_loads_no_scipy_or_mpmath():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_zero_epsilon_is_config_error(tmp_path, capsys):
+    # a zero amplitude has no lifespan to classify; BurgersProblem rejects it
+    rc = main(["sweep", "--sweep.lambda", "1", "--sweep.mu", "1", "--sweep.epsilon", "0",
+               "--output.dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'sweep.epsilon':")
+
+
+def test_euler_sim_builds_initial_state_once(tmp_path, monkeypatch):
+    calls = []
+    build = euler.init_state
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(euler, "init_state", counted)
+    assert main(["euler-sim", "--grid.n_cells", "64", "--run.t_end", "1", "--output.dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    lifespan, radial = capsys.readouterr().out.splitlines()
+    assert lifespan == "FiniteLifespan(lifespan=35.0)"
+    assert radial.startswith("Global(")

@@ -27,6 +27,7 @@ from helpers import (
     full_grid_max_velocity_gradient,
     full_grid_stable_dt,
     full_grid_step,
+    momentum_ode_residual,
 )
 
 GAS = GasModel(gamma=2.0, rho_bar=1.0)
@@ -110,7 +111,7 @@ def test_momentum_zero_beyond_support():
 
 def test_mass_conserved_along_run():
     grid = RadialGrid(30.0, 512)
-    res = run(GAS, LAW, bump_profile(0.1), grid, t_end=20.0, cfl=0.4, monitor_cadence=2.0)
+    res = run(GAS, LAW, init_state(GAS, bump_profile(0.1), grid), t_end=20.0, cfl=0.4, monitor_cadence=2.0)
     L = res.columns["L"]
     assert isinstance(res.verdict, Global)
     assert np.max(np.abs(L - L[0])) <= 1e-10 * abs(L[0])
@@ -148,7 +149,7 @@ def test_mass_conserved_for_random_smooth_data(rho_bump, u_bump, eps, mu, lam, r
 
 def test_run_zero_perturbation_constant_series():
     grid = RadialGrid(16.0, 64)
-    res = run(GAS, LAW, bump_profile(0.0), grid, t_end=10.0, cfl=0.4, monitor_cadence=2.0)
+    res = run(GAS, LAW, init_state(GAS, bump_profile(0.0), grid), t_end=10.0, cfl=0.4, monitor_cadence=2.0)
     assert isinstance(res.verdict, Global)
     for name in ("L", "H", "E0", "max_u", "max_du_dr"):
         assert np.all(res.columns[name] == 0.0)
@@ -157,7 +158,7 @@ def test_run_zero_perturbation_constant_series():
 
 def test_small_data_velocity_decays():
     grid = RadialGrid(70.0, 512)
-    res = run(GAS, LAW, bump_profile(0.01), grid, t_end=50.0, cfl=0.4, monitor_cadence=1.0)
+    res = run(GAS, LAW, init_state(GAS, bump_profile(0.01), grid), t_end=50.0, cfl=0.4, monitor_cadence=1.0)
     assert isinstance(res.verdict, Global)
     mu = res.columns["max_u"]
     i5 = np.searchsorted(res.times, 5.0)
@@ -182,7 +183,7 @@ def test_cfl_safety_random_smooth_data(seed):
 
     prof = InitialProfile(rho0, u0, epsilon=amp, M=1.0)
     grid = RadialGrid(12.0, 128)
-    res = run(GAS, LAW, prof, grid, t_end=6.0, cfl=0.5, monitor_cadence=1.0)
+    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=6.0, cfl=0.5, monitor_cadence=1.0)
     for s in res.snapshots:
         assert np.all(np.isfinite(s.rho)) and np.all(np.isfinite(s.mom))
         assert np.all(s.rho > 0)
@@ -194,8 +195,8 @@ def test_violent_data_reports_breakdown_cause():
     rho0, u0 = radial_outgoing_shell(0.2, 1.0)
     prof = InitialProfile(rho0, lambda r: 50.0 * np.asarray(u0(r)), epsilon=1.0, M=1.0, M0=0.2)
     grid = RadialGrid(15.0, 512)
-    res = run(GAS, DampingLaw(1.0, 1.0), prof, grid, t_end=0.2, cfl=0.85,
-              monitor_cadence=0.05, muscl=True, check_horizon=False)
+    res = run(GAS, DampingLaw(1.0, 1.0), init_state(GAS, prof, grid), t_end=0.2, cfl=0.85,
+              monitor_cadence=0.05, muscl=True)
     assert isinstance(res.verdict, NumericalBreakdown)
     assert res.verdict.time < 0.2
     for s in res.snapshots:
@@ -205,27 +206,10 @@ def test_violent_data_reports_breakdown_cause():
 def test_discrete_momentum_ode_residual_shrinks():
     # residual of H' + mu (1+t)^-lam H = int (rho u^2 + 3 (p - p_bar)) halves
     # when (dr, dt) halve together at fixed cfl
-    def h_rhs(s, g, d):
-        r = s.grid.centers
-        rho = s.rho
-        u = s.mom / rho
-        pe = g.pressure(rho) - g.pressure(g.rho_bar)
-        return 4 * np.pi * float(np.sum(r**2 * (rho * u * u + 3.0 * pe)) * s.grid.dr)
-
     def residual(n):
-        grid = RadialGrid(12.0, n)
-        res = run(GAS, LAW, shell_profile(0.05), grid, t_end=4.0, cfl=0.4,
-                  monitor_cadence=0.2, monitors={"H_rhs": h_rhs})
-        t = res.times
-        H = res.columns["H"]
-        rhs = res.columns["H_rhs"]
-        damp = LAW.mu * (1.0 + t) ** (-LAW.lam) * H
-        total = 0.0
-        for k in range(len(t) - 1):
-            dtk = t[k + 1] - t[k]
-            total += abs(H[k + 1] - H[k] + 0.5 * dtk * (damp[k] + damp[k + 1])
-                         - 0.5 * dtk * (rhs[k] + rhs[k + 1]))
-        return total
+        state = init_state(GAS, shell_profile(0.05), RadialGrid(12.0, n))
+        res = run(GAS, LAW, state, t_end=4.0, cfl=0.4, monitor_cadence=0.2)
+        return momentum_ode_residual(res, GAS, LAW)
 
     assert residual(192) / residual(384) >= 1.8
 
@@ -233,9 +217,14 @@ def test_discrete_momentum_ode_residual_shrinks():
 def test_horizon_validation():
     grid = RadialGrid(5.0, 64)
     with pytest.raises(ValueError):
-        validate_horizon(GAS, bump_profile(0.1), grid, t_end=10.0)
-    with pytest.raises(ValueError):
-        run(GAS, LAW, bump_profile(0.1), grid, t_end=10.0, cfl=0.4)
+        validate_horizon(GAS, init_state(GAS, bump_profile(0.1), grid), 1.0, t_end=10.0)
+
+
+def test_run_starts_at_time_zero():
+    state = init_state(GAS, bump_profile(0.1), RadialGrid(30.0, 64))
+    later = step(GAS, LAW, state, 0.4)
+    with pytest.raises(ValueError, match="t = 0"):
+        run(GAS, LAW, later, t_end=1.0)
 
 
 def test_grid_and_profile_validation():

@@ -158,7 +158,7 @@ def test_moment_sign_claim_along_run():
     # tolerance for l >= M0 over the whole run
     prof = shell_profile()
     grid = RadialGrid(20.0, 512)
-    res = run(GAS, LAW, prof, grid, t_end=6.0, cfl=0.4, monitor_cadence=0.5)
+    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=6.0, cfl=0.4, monitor_cadence=0.5)
     for s in res.snapshots:
         ls, vals = moment_band(s, GAS, prof.M0, prof.M, n_l=24)
         tols = np.array([density_moment_tolerance(s, GAS, l) for l in ls])
@@ -169,7 +169,7 @@ def test_moment_damped_convexity_residual():
     # second differences of P in t plus the damping term stay above -O(dt)
     prof = shell_profile()
     grid = RadialGrid(20.0, 512)
-    res = run(GAS, LAW, prof, grid, t_end=4.0, cfl=0.4, monitor_cadence=0.1)
+    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=4.0, cfl=0.4, monitor_cadence=0.1)
     t = res.times
     dt = t[1] - t[0]
     for l_probe in (0.5, 0.8):
@@ -186,7 +186,7 @@ def test_moment_damped_convexity_residual():
 def run_band_slices(cadence=0.25, n_l=64, t_end=3.0, n=512):
     prof = shell_profile()
     grid = RadialGrid(20.0, n)
-    res = run(GAS, LAW, prof, grid, t_end=t_end, cfl=0.4, monitor_cadence=cadence)
+    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=t_end, cfl=0.4, monitor_cadence=cadence)
     return [(s.t, *moment_band(s, GAS, prof.M0, prof.M, n_l=n_l)) for s in res.snapshots]
 
 
@@ -238,7 +238,7 @@ def test_weighted_momentum_zero_for_rest_data():
 def test_mass_excess_constant_along_run():
     prof = shell_profile()
     grid = RadialGrid(20.0, 256)
-    res = run(GAS, LAW, prof, grid, t_end=8.0, cfl=0.4, monitor_cadence=1.0)
+    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=8.0, cfl=0.4, monitor_cadence=1.0)
     L = res.columns["L"]
     assert np.max(np.abs(L - L[0])) <= 1e-10 * abs(L[0])
 
