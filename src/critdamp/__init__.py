@@ -25,16 +25,9 @@ from .euler import (
 from .gas import GasModel
 from .monitors import (
     CriterionReport,
-    FunctionalSeries,
     blowup_criterion,
     cauchy_schwarz_weight,
-    density_moment,
-    double_time_integral,
-    initial_density_moment,
-    initial_momentum_moment,
     mass_excess,
-    moment_band,
-    pressure_excess_moment,
     weighted_momentum,
     weighted_potential_energy,
 )
@@ -53,7 +46,6 @@ __all__ = [
     "CriterionReport",
     "DampingLaw",
     "FiniteLifespan",
-    "FunctionalSeries",
     "GasModel",
     "Global",
     "InitialProfile",
@@ -67,16 +59,10 @@ __all__ = [
     "blowup_criterion",
     "cauchy_schwarz_weight",
     "classify_lifespan",
-    "density_moment",
-    "double_time_integral",
     "eval_characteristic",
     "init_state",
-    "initial_density_moment",
-    "initial_momentum_moment",
     "mass_excess",
     "max_negative_slope",
-    "moment_band",
-    "pressure_excess_moment",
     "run",
     "simulate_fv",
     "step",

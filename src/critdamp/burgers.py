@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,13 +94,15 @@ def _least_doubling(integral_at: Callable[[float], float], target: float) -> flo
     return math.ldexp(1.0, k)
 
 
-@lru_cache(maxsize=256)
-def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
-    """The verdict of ``classify_lifespan``.  Closed forms give T directly at
-    mu = 0 and lam in {0, 1}.  Every other law root-finds I(T) = target on
-    ``law.reciprocal_integral`` (incomplete gamma, Poisson series, or
-    log-time quadrature in the lam -> 1 corners), bracketed by the least
-    power of two past the root and closed to 1e-15 relative."""
+def classify_lifespan(problem: BurgersProblem, slope_max: float | None = None) -> Verdict:
+    """Global when eps*m*I(inf) <= 1 (or m = 0); otherwise FiniteLifespan(T)
+    with T the unique root of eps * m * I(T) = 1.
+
+    Closed forms give T directly at mu = 0 and lam in {0, 1}.  Every other
+    law root-finds I(T) = target on ``law.reciprocal_integral`` (incomplete
+    gamma, Poisson series, or log-time quadrature in the lam -> 1 corners),
+    bracketed by the least power of two past the root and closed to 1e-15
+    relative."""
     m = max_negative_slope(problem) if slope_max is None else slope_max
     if m <= 0.0:
         return Global()
@@ -136,12 +137,6 @@ def _classify(problem: BurgersProblem, slope_max: float | None) -> Verdict:
         x_tol=1e-15 * (1.0 + hi),
     )
     return FiniteLifespan(t_cross)
-
-
-def classify_lifespan(problem: BurgersProblem, slope_max: float | None = None) -> Verdict:
-    """Global when eps*m*I(inf) <= 1 (or m = 0); otherwise FiniteLifespan(T)
-    with T the unique root of eps * m * I(T) = 1."""
-    return _classify(problem, slope_max)
 
 
 def _invert_characteristics(problem: BurgersProblem, i_t: float, x: np.ndarray) -> np.ndarray:

@@ -136,7 +136,8 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
     gas = cfg.gas()
     damping = cfg.damping()
     profile = _radial_profile(cfg)
-    grid = _euler_grid(cfg)
+    with _as_config_error("grid.r_max"):
+        grid = _euler_grid(cfg)
     try:
         state = euler.init_state(gas, profile, grid)
     except ValueError as exc:

@@ -103,8 +103,8 @@ class RadialGrid:
 @dataclass(frozen=True)
 class InitialProfile:
     """Perturbation profiles rho0, u0 (vectorized, supported in r < M) with
-    amplitude ``epsilon``; ``M0 < M`` marks the inner radius used by the
-    moment functionals."""
+    amplitude ``epsilon``; ``M0 < M`` is the inner radius of a shell profile,
+    supported in M0 < r < M (0 for a bump)."""
 
     rho0: Callable
     u0: Callable
@@ -224,12 +224,15 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
     if profile.epsilon == 0.0:
         return RadialState(0.0, np.zeros(grid.n_cells), np.zeros(grid.n_cells), grid, gas.rho_bar)
 
-    pert = profile.epsilon * _cell_weighted_average(profile.rho0, grid)
-    mom = _cell_weighted_average(
-        lambda r: (gas.rho_bar + profile.epsilon * np.asarray(profile.rho0(r)))
-        * profile.epsilon * np.asarray(profile.u0(r)),
-        grid,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        pert = profile.epsilon * _cell_weighted_average(profile.rho0, grid)
+        mom = _cell_weighted_average(
+            lambda r: (gas.rho_bar + profile.epsilon * np.asarray(profile.rho0(r)))
+            * profile.epsilon * np.asarray(profile.u0(r)),
+            grid,
+        )
+    if not (np.isfinite(pert).all() and np.isfinite(mom).all()):
+        raise ValueError("initial cell averages are not finite")
     if np.any(gas.rho_bar + pert <= 0):
         raise ValueError("initial density is not positive everywhere on the grid")
     return RadialState(0.0, pert, mom, grid, gas.rho_bar)

@@ -23,7 +23,7 @@ class GasModel:
 
     ``A`` is computed as 1/(gamma * rho_bar**(gamma-1)) and cannot be supplied:
     user-chosen values would silently break the unit-sound-speed normalization.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable.
     """
 
     gamma: float

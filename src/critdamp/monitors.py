@@ -1,45 +1,27 @@
-"""Scalar functionals of radial states: weighted moments of the density and
-momentum, the large-data blowup criterion, and the time-weighted potential
-energy.  All are pure functions of immutable snapshots and trivially parallel.
+"""Scalar functionals of radial states: the weighted momentum, the mass
+excess, the Cauchy-Schwarz weight and large-data blowup criterion, and the
+time-weighted potential energy.  All are pure functions of immutable
+snapshots.
 
 Radial reductions used throughout (state quantities depend on r = |x| only):
 
-    density moment      P(t, l) = 4 pi   int_l^inf r (r-l)^2 (rho - rho_bar) dr
-    pressure moment     G(t, l) = 8 pi   int_l^inf r (p - p_bar - (rho - rho_bar)) dr
     weighted momentum   H(t)    = 4 pi   int_0^inf r^3 (rho u) dr
     mass excess         L(t)    = 4 pi   int_0^inf r^2 (rho - rho_bar) dr
 
-Discrete integrals use the midpoint rule on the solver grid with an exact
-split of the cell containing r = l, which keeps the moments C^1 in l.
+Discrete integrals use the midpoint rule on the solver grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .damping import DampingLaw
 from .gas import GasModel
-from .numerics import adaptive_quad, time_integral
+from .numerics import time_integral
 
 FOUR_PI = 4.0 * np.pi
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionalSeries:
-    """Named time series of a scalar functional."""
-
-    name: str
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -64,116 +46,6 @@ class CriterionReport:
             f"integral_value = {float(self.integral_value)!r}\n"
             f"satisfied = {'true' if self.satisfied else 'false'}\n"
         )
-
-
-def _split_cells(state, l: float) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and widths of the integration segments of [l, r_max].
-
-    Whole cells above l keep their centers/width; the cell containing l is
-    split at l and represented by the midpoint of its surviving part.
-    """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    grid = state.grid
-    dr = grid.dr
-    faces = grid.faces
-    if l >= grid.r_max:
-        return np.empty(0), np.empty(0)
-    i0 = min(int(l / dr), grid.n_cells - 1)
-    mids = grid.centers[i0:].copy()
-    widths = np.full(mids.shape, dr)
-    cut = max(l, faces[i0])
-    widths[0] = max(faces[i0 + 1] - cut, 0.0)
-    mids[0] = 0.5 * (cut + faces[i0 + 1])
-    return mids, widths
-
-
-def density_moment(state, gas: GasModel, l: float) -> float:
-    """P(t, l) = 4 pi int_l^inf r (r-l)^2 (rho - rho_bar) dr on the discrete state."""
-    mids, widths = _split_cells(state, l)
-    i0 = state.grid.n_cells - mids.size
-    excess = state.rho[i0:] - gas.rho_bar
-    return FOUR_PI * float(np.sum(mids * (mids - l) ** 2 * excess * widths))
-
-
-def pressure_excess_moment(state, gas: GasModel, l: float) -> float:
-    """G(t, l) = 8 pi int_l^inf r (p - p_bar - (rho - rho_bar)) dr; nonnegative."""
-    mids, widths = _split_cells(state, l)
-    i0 = state.grid.n_cells - mids.size
-    excess = gas.pressure_excess(state.rho[i0:])
-    return 2.0 * FOUR_PI * float(np.sum(mids * excess * widths))
-
-
-def initial_density_moment(profile, gas: GasModel, l: float) -> float:
-    """Same moment as :func:`density_moment` evaluated on the smooth initial
-    profile by adaptive quadrature over [l, M]."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if l >= profile.M:
-        return 0.0
-    eps = profile.epsilon
-
-    def integrand(r):
-        return r * (r - l) ** 2 * eps * np.asarray(profile.rho0(r))
-
-    return FOUR_PI * adaptive_quad(integrand, l, profile.M)
-
-
-def initial_momentum_moment(profile, gas: GasModel, l: float) -> float:
-    """4 pi int_l^M (r^2 - l^2) (rho u)(0, r) dr from the smooth initial profile."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if l >= profile.M:
-        return 0.0
-    eps = profile.epsilon
-
-    def integrand(r):
-        rho = gas.rho_bar + eps * np.asarray(profile.rho0(r))
-        return (r * r - l * l) * rho * eps * np.asarray(profile.u0(r))
-
-    return FOUR_PI * adaptive_quad(integrand, l, profile.M)
-
-
-def moment_band(state, gas: GasModel, m0: float, m: float, n_l: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Sample P(t, l) for l uniform on [t + m0, t + m] (one slice per state)."""
-    ls = np.linspace(state.t + m0, state.t + m, n_l)
-    vals = np.array([density_moment(state, gas, l) for l in ls])
-    return ls, vals
-
-
-def double_time_integral(
-    slices: Sequence[tuple[float, np.ndarray, np.ndarray]],
-    m0: float,
-    m: float,
-) -> tuple[FunctionalSeries, FunctionalSeries]:
-    """F(t) = int_0^t (t - tau) B(tau) dtau with B the band integral
-    int_{tau+m0}^{tau+m} P(tau, l) dl/l.
-
-    ``slices`` holds (t, l-grid, P values) samples; the band integral uses the
-    trapezoid rule in l, and F the trapezoid rule in tau.  Returns (F, B):
-    with this quadrature the second difference of F reproduces B exactly on a
-    uniform time grid, so B doubles as the F'' reference series.
-    """
-    if len(slices) < 3:
-        raise ValueError("at least 3 time samples are required")
-    times = np.array([s[0] for s in slices], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("slice times must be strictly increasing")
-    band = np.empty(len(slices))
-    for i, (t_i, ls, vals) in enumerate(slices):
-        ls = np.asarray(ls, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        if abs(ls[0] - (t_i + m0)) > 1e-9 * (1 + abs(ls[0])) or abs(ls[-1] - (t_i + m)) > 1e-9 * (1 + abs(ls[-1])):
-            raise ValueError("slice l-grid must span [t + M0, t + M]")
-        band[i] = float(np.trapezoid(vals / ls, ls))
-
-    f_vals = np.empty(len(times))
-    for k, t_k in enumerate(times):
-        f_vals[k] = float(np.trapezoid((t_k - times[: k + 1]) * band[: k + 1], times[: k + 1])) if k else 0.0
-    return (
-        FunctionalSeries("F", times, f_vals),
-        FunctionalSeries("F_band", times, band),
-    )
 
 
 def weighted_momentum(state) -> float:

@@ -6,7 +6,11 @@ gamma function, so every dual-route check compares two independent code
 paths.  The exceptions are the full-grid radial step, which the windowed
 ``euler.step`` must reproduce bit for bit, the naive snapshot writer, whose
 bytes ``csvio`` must reproduce, and the helpers at the end, which only the
-tests call.
+tests call.  Among those are the weighted density moments of the paper's
+blowup argument for lambda > 1 (P(t, l), its smooth-data values q0 and q1,
+the pressure-excess moment G and the twice-integrated band functional F),
+which the radial solver is checked against; the smooth-data moments use the
+package's ``adaptive_quad``.
 """
 
 import math
@@ -15,8 +19,8 @@ import numpy as np
 import pytest
 
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
-from critdamp.monitors import FOUR_PI, initial_density_moment, initial_momentum_moment
-from critdamp.numerics import gamma_fraction, gamma_series
+from critdamp.monitors import FOUR_PI
+from critdamp.numerics import adaptive_quad, gamma_fraction, gamma_series
 from critdamp.outcome import (
     DT_FLOOR,
     BreakdownCause,
@@ -221,8 +225,112 @@ def parse_verdict_label(label: str):
     raise ValueError(f"unrecognized verdict label: {label!r}")
 
 
+def _split_cells(state, l: float) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and widths of the integration segments of [l, r_max].
+
+    Whole cells above l keep their centers/width; the cell containing l is
+    split at l and represented by the midpoint of its surviving part.
+    """
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    grid = state.grid
+    dr = grid.dr
+    faces = grid.faces
+    if l >= grid.r_max:
+        return np.empty(0), np.empty(0)
+    i0 = min(int(l / dr), grid.n_cells - 1)
+    mids = grid.centers[i0:].copy()
+    widths = np.full(mids.shape, dr)
+    cut = max(l, faces[i0])
+    widths[0] = max(faces[i0 + 1] - cut, 0.0)
+    mids[0] = 0.5 * (cut + faces[i0 + 1])
+    return mids, widths
+
+
+def density_moment(state, gas, l: float) -> float:
+    """P(t, l) = 4 pi int_l^inf r (r-l)^2 (rho - rho_bar) dr on the discrete state."""
+    mids, widths = _split_cells(state, l)
+    i0 = state.grid.n_cells - mids.size
+    excess = state.rho[i0:] - gas.rho_bar
+    return FOUR_PI * float(np.sum(mids * (mids - l) ** 2 * excess * widths))
+
+
+def pressure_excess_moment(state, gas, l: float) -> float:
+    """G(t, l) = 8 pi int_l^inf r (p - p_bar - (rho - rho_bar)) dr; nonnegative."""
+    mids, widths = _split_cells(state, l)
+    i0 = state.grid.n_cells - mids.size
+    excess = gas.pressure_excess(state.rho[i0:])
+    return 2.0 * FOUR_PI * float(np.sum(mids * excess * widths))
+
+
+def initial_density_moment(profile, gas, l: float) -> float:
+    """Same moment as :func:`density_moment` evaluated on the smooth initial
+    profile by adaptive quadrature over [l, M]."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    if l >= profile.M:
+        return 0.0
+    eps = profile.epsilon
+
+    def integrand(r):
+        return r * (r - l) ** 2 * eps * np.asarray(profile.rho0(r))
+
+    return FOUR_PI * adaptive_quad(integrand, l, profile.M)
+
+
+def initial_momentum_moment(profile, gas, l: float) -> float:
+    """4 pi int_l^M (r^2 - l^2) (rho u)(0, r) dr from the smooth initial profile."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    if l >= profile.M:
+        return 0.0
+    eps = profile.epsilon
+
+    def integrand(r):
+        rho = gas.rho_bar + eps * np.asarray(profile.rho0(r))
+        return (r * r - l * l) * rho * eps * np.asarray(profile.u0(r))
+
+    return FOUR_PI * adaptive_quad(integrand, l, profile.M)
+
+
+def moment_band(state, gas, m0: float, m: float, n_l: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Sample P(t, l) for l uniform on [t + m0, t + m] (one slice per state)."""
+    ls = np.linspace(state.t + m0, state.t + m, n_l)
+    vals = np.array([density_moment(state, gas, l) for l in ls])
+    return ls, vals
+
+
+def double_time_integral(slices, m0: float, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(t) = int_0^t (t - tau) B(tau) dtau with B the band integral
+    int_{tau+m0}^{tau+m} P(tau, l) dl/l.
+
+    ``slices`` holds (t, l-grid, P values) samples; the band integral uses the
+    trapezoid rule in l, and F the trapezoid rule in tau.  Returns the arrays
+    (times, F, B): with this quadrature the second difference of F reproduces
+    B exactly on a uniform time grid, so B doubles as the F'' reference
+    series.
+    """
+    if len(slices) < 3:
+        raise ValueError("at least 3 time samples are required")
+    times = np.array([s[0] for s in slices], dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("slice times must be strictly increasing")
+    band = np.empty(len(slices))
+    for i, (t_i, ls, vals) in enumerate(slices):
+        ls = np.asarray(ls, dtype=float)
+        vals = np.asarray(vals, dtype=float)
+        if abs(ls[0] - (t_i + m0)) > 1e-9 * (1 + abs(ls[0])) or abs(ls[-1] - (t_i + m)) > 1e-9 * (1 + abs(ls[-1])):
+            raise ValueError("slice l-grid must span [t + M0, t + M]")
+        band[i] = float(np.trapezoid(vals / ls, ls))
+
+    f_vals = np.empty(len(times))
+    for k, t_k in enumerate(times):
+        f_vals[k] = float(np.trapezoid((t_k - times[: k + 1]) * band[: k + 1], times[: k + 1])) if k else 0.0
+    return times, f_vals, band
+
+
 def density_moment_tolerance(state, gas, l: float) -> float:
-    """Discretization estimate for ``monitors.density_moment`` sign checks.
+    """Discretization estimate for :func:`density_moment` sign checks.
 
     Midpoint-rule bound (dr^2/24) * int |f''| with f = r (r-l)^2 (rho-rho_bar),
     f'' estimated by second differences on the grid.  Sign checks should never

@@ -21,7 +21,17 @@ from critdamp.profiles import (
     radial_outgoing_shell,
     radial_shell,
 )
-from helpers import composite_simpson, momentum_ode_residual
+from helpers import (
+    _split_cells,
+    composite_simpson,
+    density_moment,
+    double_time_integral,
+    initial_density_moment,
+    initial_momentum_moment,
+    moment_band,
+    momentum_ode_residual,
+    pressure_excess_moment,
+)
 
 GAS = cd.GasModel(gamma=2.0, rho_bar=1.0)
 
@@ -272,7 +282,7 @@ def test_criterion_10_functional_identities():
 
     def p_err(n):
         s = cd.init_state(GAS, prof, cd.RadialGrid(20.0, n))
-        return max(abs(cd.density_moment(s, GAS, l) - cd.initial_density_moment(prof, GAS, l))
+        return max(abs(density_moment(s, GAS, l) - initial_density_moment(prof, GAS, l))
                    for l in probes)
 
     def dp_err(n):
@@ -280,8 +290,8 @@ def test_criterion_10_functional_identities():
         s1 = cd.step(GAS, law, s0, 0.4)
         out = 0.0
         for l in probes:
-            dp = (cd.density_moment(s1, GAS, l) - cd.density_moment(s0, GAS, l)) / (s1.t - s0.t)
-            out = max(out, abs(dp - cd.initial_momentum_moment(prof, GAS, l)))
+            dp = (density_moment(s1, GAS, l) - density_moment(s0, GAS, l)) / (s1.t - s0.t)
+            out = max(out, abs(dp - initial_momentum_moment(prof, GAS, l)))
         return out
 
     p_halves = p_err(1024) <= 0.6 * p_err(512)
@@ -290,12 +300,12 @@ def test_criterion_10_functional_identities():
     def band_residual(n, cadence):
         grid = cd.RadialGrid(20.0, n)
         res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4, monitor_cadence=cadence)
-        slices = [(s.t, *cd.moment_band(s, GAS, prof.M0, prof.M, n_l=64)) for s in res.snapshots]
-        F, band = cd.double_time_integral(slices, prof.M0, prof.M)
-        dt = F.times[1] - F.times[0]
-        d2 = (F.values[2:] - 2 * F.values[1:-1] + F.values[:-2]) / dt**2
-        scale = float(np.max(np.abs(band.values)))
-        return float(np.max(np.abs(d2 - band.values[1:-1]))), scale
+        slices = [(s.t, *moment_band(s, GAS, prof.M0, prof.M, n_l=64)) for s in res.snapshots]
+        times, F, band = double_time_integral(slices, prof.M0, prof.M)
+        dt = times[1] - times[0]
+        d2 = (F[2:] - 2 * F[1:-1] + F[:-2]) / dt**2
+        scale = float(np.max(np.abs(band)))
+        return float(np.max(np.abs(d2 - band[1:-1]))), scale
 
     res_c, scale_c = band_residual(256, 0.25)
     res_f, scale_f = band_residual(512, 0.125)
@@ -308,11 +318,10 @@ def test_criterion_10_functional_identities():
     s = cd.init_state(GAS, prof, cd.RadialGrid(20.0, 512))
     for _ in range(20):
         s = cd.step(GAS, law, s, 0.4)
-    from critdamp.monitors import _split_cells
 
     g_ok = True
     for l in (0.05, 0.4, 0.9):
-        g_val = cd.pressure_excess_moment(s, GAS, l)
+        g_val = pressure_excess_moment(s, GAS, l)
         mids, widths = _split_cells(s, l)
         i0 = s.grid.n_cells - mids.size
         ref = 8 * np.pi * GAS.A * float(np.sum(mids * s.rho_pert[i0:] ** 2 * widths))

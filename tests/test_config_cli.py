@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,24 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--grid.r_max", "0"], "grid.r_max"),
+    (["--grid.r_max", "-1"], "grid.r_max"),
+    # the auto-sized r_max = M + 2 (t_end + 1) overflows to inf
+    (["--run.t_end", "1e308", "--run.monitor_cadence", "1e304"], "grid.r_max"),
+    # eps**2 * rho0 overflows, and inf * (u0 = 0) makes NaN cell averages
+    (["--profile.epsilon", "1e300"], "profile.name"),
+    (["--profile.epsilon", "1e200"], "profile.name"),
+    (["--profile.name", "shell", "--profile.M0", "0.3", "--profile.epsilon", "1e300"], "profile.name"),
+], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300"])
+def test_euler_sim_grid_and_profile_faults_are_config_errors(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    rc = main(["euler-sim", "--run.t_end", "1", "--output.dir", str(out)] + argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config-error: key {key!r}:")
+    assert list(out.iterdir()) == []
+
+
 def test_burgers_and_euler_sim_share_sample_times(tmp_path):
     times = {}
     for mode in ("burgers-sim", "euler-sim"):
@@ -400,6 +419,16 @@ def test_cli_import_loads_no_scipy_or_mpmath():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    # __all__ names every public non-module attribute of the package, once
+    import critdamp
+
+    public = {name for name, value in vars(critdamp).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(critdamp.__all__)) == len(critdamp.__all__)
+    assert set(critdamp.__all__) == public
 
 
 def test_sweep_zero_epsilon_is_config_error(tmp_path, capsys):

@@ -70,6 +70,14 @@ def test_init_rejects_vacuum_data():
         init_state(GAS, deep, RadialGrid(8.0, 128))
 
 
+@pytest.mark.parametrize("epsilon", [1e200, 1e300])
+def test_init_rejects_overflowing_data(epsilon):
+    # eps**2 * rho0 overflows to inf, and inf * (u0 = 0) leaves NaN cell averages
+    for profile in (bump_profile(epsilon), shell_profile(epsilon)):
+        with pytest.raises(ValueError, match="not finite"):
+            init_state(GAS, profile, RadialGrid(8.0, 128))
+
+
 # ---------------------------------------------------------------- stepping
 
 def test_constant_state_is_exact_fixed_point():
