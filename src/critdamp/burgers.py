@@ -170,17 +170,16 @@ def eval_characteristic(problem: BurgersProblem, t: float, x):
     """Exact solution value(s) at time ``t`` (strictly before the lifespan).
 
     Positions outside the image of the support return 0.  Raises
-    :class:`LifespanError` at or beyond a finite lifespan.
+    :class:`LifespanError` where eps * m * I(t) >= 1, at or beyond the crossing.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    verdict = classify_lifespan(problem)
-    if isinstance(verdict, FiniteLifespan) and t >= verdict.lifespan:
-        raise LifespanError(f"t={t!r} is at or beyond the lifespan {verdict.lifespan!r}")
+    i_t = problem.damping.reciprocal_integral(t)
+    if problem.epsilon * max_negative_slope(problem) * i_t >= 1.0:
+        raise LifespanError(f"t={t!r} is at or beyond the lifespan: eps * m * I(t) >= 1")
 
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    i_t = problem.damping.reciprocal_integral(t)
     inv_beta = float(np.exp(-problem.damping.log_integrating_factor(t)))
 
     lo_s, hi_s = problem.support
@@ -211,7 +210,9 @@ def simulate_fv(
     holds to round-off.  Breakdown is reported (never silently continued)
     when the discrete gradient exceeds ``gradient_threshold`` (default: 1000x
     its initial value), when values go non-finite, or when dt collapses; the
-    stepping and sampling rule is :func:`critdamp.outcome.march`.
+    stepping and sampling rule is :func:`critdamp.outcome.march`.  The
+    automatic ``x_span`` pads the support by eps * max|w0| * I(t_end), with
+    I capped at the crossing value 1/(eps*m) when m > 0.
     """
     if n_cells < 16:
         raise ValueError("n_cells must be at least 16")
@@ -225,9 +226,8 @@ def simulate_fv(
         lo_s, hi_s = problem.support
         _, w_abs = scan_maximum(lambda x: np.abs(np.asarray(problem.w0(x))), lo_s, hi_s, n_scan=20_000)
         m = max_negative_slope(problem)
-        verdict0 = classify_lifespan(problem, slope_max=m)
         i_cap = law.reciprocal_integral(t_end)
-        if isinstance(verdict0, FiniteLifespan) and np.isfinite(verdict0.lifespan):
+        if m > 0.0:
             i_cap = min(i_cap, 1.0 / (problem.epsilon * m))
         pad = problem.epsilon * w_abs * i_cap + 0.05 * (hi_s - lo_s)
         x_span = (lo_s - pad, hi_s + pad)

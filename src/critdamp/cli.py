@@ -19,7 +19,7 @@ from . import burgers, csvio, euler, monitors, profiles
 from .config import MODES, ConfigError, ExperimentConfig, parse_config
 from .damping import DampingLaw
 from .numerics import adaptive_quad
-from .outcome import FiniteLifespan, Global, Verdict, sample_times
+from .outcome import sample_times
 
 
 @contextlib.contextmanager
@@ -84,14 +84,6 @@ def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
     )
 
 
-def _finite_time(verdict: Verdict) -> float:
-    if isinstance(verdict, FiniteLifespan):
-        return verdict.lifespan
-    if isinstance(verdict, Global):
-        return verdict.horizon if verdict.horizon is not None else np.inf
-    return verdict.time
-
-
 def _run_burgers_lifespan(cfg: ExperimentConfig, out: str) -> None:
     verdict = burgers.classify_lifespan(_burgers_problem(cfg))
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
@@ -106,7 +98,7 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
     for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
         problem = burgers.BurgersProblem(value, deriv, support, eps, DampingLaw(mu=mu, lam=lam))
         verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
-        rows.append((lam, mu, eps, verdict, _finite_time(verdict)))
+        rows.append((lam, mu, eps, verdict))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
 
@@ -179,10 +171,14 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
         rho = gas.rho_bar + eps * np.asarray(profile.rho0(r))
         return r**3 * rho * eps * np.asarray(profile.u0(r))
 
-    h0 = monitors.FOUR_PI * adaptive_quad(mom_integrand, 0.0, m)
-    l0 = monitors.FOUR_PI * adaptive_quad(
-        lambda r: r**2 * eps * np.asarray(profile.rho0(r)), 0.0, m
-    )
+    def quad(integrand):  # eps near the float range: a profile error, not a quadrature of nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(integrand(np.linspace(0.0, m, 1025))).all():
+                raise _profile_error(cfg, "an initial functional's integrand is not finite")
+        return monitors.FOUR_PI * adaptive_quad(integrand, 0.0, m)
+
+    h0 = quad(mom_integrand)
+    l0 = quad(lambda r: r**2 * eps * np.asarray(profile.rho0(r)))
     if l0 < 0:
         raise _profile_error(cfg, "initial mass excess L0 is negative")
     report = monitors.blowup_criterion(h0, l0, m, cfg.damping(), gas, cfg["run.t_end"])

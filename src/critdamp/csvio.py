@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .euler import RadialGrid, RadialState
-from .outcome import Verdict, verdict_label
+from .outcome import FiniteLifespan, Verdict, verdict_label
 
 
 def fmt(value) -> str:
@@ -131,10 +131,12 @@ def _write_blocks(path: str, header: str, blocks) -> None:
         fh.writelines(parts)
 
 
-def write_sweep(path: str, rows: Iterable[tuple[float, float, float, Verdict, float]]) -> None:
+def write_sweep(path: str, rows: Iterable[tuple[float, float, float, Verdict]]) -> None:
+    """Rows ``(lam, mu, eps, verdict)``; ``T_or_horizon`` is T for FiniteLifespan, else inf."""
     lines = ["lambda,mu,epsilon,verdict,T_or_horizon"]
-    for lam, mu, eps, verdict, t_val in rows:
+    for lam, mu, eps, verdict in rows:
         kind = verdict_label(verdict).split(":")[0]
+        t_val = verdict.lifespan if isinstance(verdict, FiniteLifespan) else np.inf
         lines.append(f"{fmt(lam)},{fmt(mu)},{fmt(eps)},{kind},{fmt(t_val)}")
     _write(path, lines)
 

@@ -26,17 +26,16 @@ FOUR_PI = 4.0 * np.pi
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Large-data blowup criterion: satisfied iff H0 * integral_value > 1."""
+    """Large-data blowup criterion at T* = ``t_star``; satisfied iff H0 * integral_value > 1."""
 
     h0: float
     l0: float
     t_star: float
     integral_value: float
-    satisfied: bool
 
-    def __post_init__(self) -> None:
-        if self.satisfied != (self.h0 * self.integral_value > 1.0):
-            raise ValueError("satisfied flag inconsistent with H0 * integral > 1")
+    @property
+    def satisfied(self) -> bool:
+        return self.h0 * self.integral_value > 1.0
 
     def text_block(self) -> str:
         return (
@@ -67,7 +66,8 @@ def cauchy_schwarz_weight(t: float, m: float, l0: float, gas: GasModel) -> float
     support ball |x| <= t + M.
     """
     tm = t + m
-    return tm * tm * (l0 + (4.0 * np.pi**2 * gas.rho_bar / 3.0) * tm**3)
+    with np.errstate(over="ignore"):  # inf is the limit: the criterion integrand tends to 0
+        return tm * tm * (l0 + (4.0 * np.pi**2 * gas.rho_bar / 3.0) * tm**3)
 
 
 def blowup_criterion(
@@ -97,7 +97,7 @@ def blowup_criterion(
         return np.exp(-damping.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, l0, gas)
 
     integral = time_integral(integrand, t_star)
-    return CriterionReport(h0, l0, t_star, integral, h0 * integral > 1.0)
+    return CriterionReport(h0, l0, t_star, integral)
 
 
 def weighted_potential_energy(state, gas: GasModel, damping: DampingLaw) -> float:

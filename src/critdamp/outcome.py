@@ -21,9 +21,7 @@ class BreakdownCause(str, Enum):
 
 @dataclass(frozen=True)
 class Global:
-    """Smooth solution for all computed times; ``horizon`` records how far a run got."""
-
-    horizon: float | None = None
+    """Smooth for all time (a lifespan verdict), or up to ``t_end`` (a run)."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def march(
     ``sample(state, t)`` is called; a leading 0 samples the initial state.
     Breakdown: ``stable_dt(state)`` non-finite or <= DT_FLOOR, a raise from
     ``advance``, or ``gradient(state) >= grad_limit`` (default 1000x the
-    initial gradient, never when that is 0).  Otherwise Global(t_end).
+    initial gradient, never when that is 0).  Otherwise Global().
     """
     if grad_limit is None:
         grad0 = gradient(state)
@@ -123,4 +121,4 @@ def march(
         if clamped and i < len(sample_times):
             sample(state, t)
             i += 1
-    return Global(horizon=t_end)
+    return Global()

@@ -157,6 +157,20 @@ def test_interior_lambda_classification_needs_no_quadrature(monkeypatch):
         eval_characteristic(problem, 1.0, np.linspace(-1.0, 1.0, 5))
 
 
+def test_simulation_and_characteristics_need_no_lifespan(monkeypatch):
+    # both only ask whether eps * m * I(t) < 1, which needs no root solve for T
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify_lifespan called")
+
+    monkeypatch.setattr("critdamp.burgers.classify_lifespan", forbidden)
+    problem = bump_problem(0.5, 1.0, 2.0)
+    _, verdict = simulate_fv(problem, 64, 2.0, 0.4)
+    assert verdict == Global()
+    assert eval_characteristic(problem, 1.0, 0.5) != 0.0
+    with pytest.raises(LifespanError):
+        eval_characteristic(problem, 100.0, 0.5)
+
+
 def test_dichotomy_grid():
     # Global exactly when lam < 1 or (lam = 1 and mu > 1), at eps = 1e-3, m = 1
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):

@@ -186,6 +186,30 @@ def test_criterion_at_a_huge_horizon(tmp_path):
     assert fields["satisfied"] == "false"
 
 
+@pytest.mark.parametrize("name", ["bump", "outgoing-shell"])
+def test_criterion_overflowing_profile_is_config_error(tmp_path, capsys, name):
+    # eps^2 r^3 rho0 u0 overflows: a config error, not a quadrature of nan to its cap
+    out = tmp_path / "out"
+    rc = main(["criterion", "--profile.name", name, "--profile.epsilon", "1e300", "--output.dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'profile.name':")
+    assert list(out.iterdir()) == []
+
+
+def test_criterion_at_the_end_of_the_float_range(tmp_path, capsys):
+    # alpha(tau) overflows to inf near T* = 1e308, its limit: the integrand
+    # tends to 0 there, so the run warns of nothing and the tail adds nothing
+    fields = {}
+    for t_end in ("1e308", "1e30"):
+        out = str(tmp_path / t_end)
+        assert main(["criterion", "--run.t_end", t_end, "--output.dir", out]) == 0
+        fields[t_end] = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
+    assert capsys.readouterr().err == ""
+    assert fields["1e308"]["T_star"] == "1e+308" and fields["1e308"]["satisfied"] == "false"
+    assert float(fields["1e308"]["integral_value"]) == pytest.approx(
+        float(fields["1e30"]["integral_value"]), rel=1e-13)
+
+
 def test_sweep_mode_matches_dichotomy(tmp_path):
     out = str(tmp_path / "sw")
     cfg = parse_config(
@@ -458,4 +482,4 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     lifespan, radial = capsys.readouterr().out.splitlines()
     assert lifespan == "FiniteLifespan(lifespan=35.0)"
-    assert radial.startswith("Global(")
+    assert radial.startswith("Global() ")

@@ -289,8 +289,12 @@ def test_criterion_validation():
         blowup_criterion(1.0, -0.5, 1.0, LAW, GAS, 10.0)
     with pytest.raises(ValueError):
         blowup_criterion(1.0, 0.0, 1.0, LAW, GAS, 0.0)
-    with pytest.raises(ValueError):
-        CriterionReport(h0=2.0, l0=0.0, t_star=1.0, integral_value=1.0, satisfied=False)
+
+
+def test_criterion_report_satisfied_is_strict():
+    # satisfied is H0 * integral_value > 1, read off the four fields
+    assert not CriterionReport(2.0, 0.0, 1.0, 0.5).satisfied
+    assert CriterionReport(2.0, 0.0, 1.0, 0.5000000000000001).satisfied
 
 
 # ---------------------------------------------------------------- energy

@@ -53,7 +53,7 @@ def test_leading_zero_samples_initial_state():
 def test_steps_land_exactly_on_sample_times():
     times = sample_times(1.0, 0.1)
     verdict, samples = decay_march(1.0, times)
-    assert verdict == Global(horizon=1.0)
+    assert verdict == Global()
     assert [t for t, _ in samples] == times
     for t, y in samples:
         assert y == pytest.approx(math.exp(-RATE * t), rel=1e-12)
@@ -70,7 +70,7 @@ def test_short_sample_list_still_marches_to_t_end():
         return y
 
     verdict, samples = decay_march(1.0, [0.0, 0.25], advance=advance)
-    assert verdict == Global(horizon=1.0)
+    assert verdict == Global()
     assert [t for t, _ in samples] == [0.0, 0.25]
     assert reached[-1] == 1.0 and max(reached) == 1.0
 
@@ -114,4 +114,4 @@ def test_gradient_trigger_time():
 
 def test_zero_initial_gradient_disables_trigger():
     verdict, _ = decay_march(1.0, [0.0], gradient=lambda y: 0.0 if y == 1.0 else 1e9)
-    assert verdict == Global(horizon=1.0)
+    assert verdict == Global()
