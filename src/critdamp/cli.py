@@ -173,9 +173,13 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
 
     def quad(integrand):  # eps near the float range: a profile error, not a quadrature of nan
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(integrand(np.linspace(0.0, m, 1025))).all():
+            probe = integrand(np.linspace(0.0, m, 1025))
+            if not np.isfinite(probe).all():
                 raise _profile_error(cfg, "an initial functional's integrand is not finite")
-        return monitors.FOUR_PI * adaptive_quad(integrand, 0.0, m)
+        # 1e-12 absolute up to integrals of order one, relative to m max|f| beyond:
+        # an absolute 1e-12 is below the round-off of an integral of order eps^2
+        abs_tol = 1e-12 * max(1.0, m * float(np.abs(probe).max()))
+        return monitors.FOUR_PI * adaptive_quad(integrand, 0.0, m, abs_tol=abs_tol)
 
     h0 = quad(mom_integrand)
     l0 = quad(lambda r: r**2 * eps * np.asarray(profile.rho0(r)))

@@ -11,6 +11,8 @@ whose values differ in their bits from the background row is written from
 those fixed strings.  The test is on bits, so a ``-0.0`` momentum (written
 ``-0.0``) or a ``nan`` keeps its row live, while a density perturbation too
 small to move ``rho`` off ``rho_bar`` writes the same bytes as the background.
+The writer holds the text of one block at a time, not of the whole file, so a
+raise mid-write (bad input or an I/O error) leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     return header.split(","), data
 
 
-def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    names, data = read_csv(path)
-    return data[:, 0], {name: data[:, j] for j, name in enumerate(names) if j}
-
-
 def write_radial_snapshots(path: str, snapshots: Sequence[RadialState]) -> None:
     _write_blocks(path, "t,r,rho,mom",
                   ((s.t, s.grid, s.grid.centers, (s.rho, s.mom), (s.rho_bar, 0.0)) for s in snapshots))
@@ -107,28 +104,31 @@ def _write_blocks(path: str, header: str, blocks) -> None:
     ``coords``; ``values`` are float arrays on it, and ``background`` holds
     their values in a background row (see the module notes).  The strings of
     ``coords`` and of the background rows are made once per ``key`` and
-    ``background``."""
+    ``background``.
+
+    Each block is written as soon as its rows are formatted, so one block's
+    text is held at a time.  A raise mid-write leaves the file truncated
+    after the last block written."""
     grids: dict = {}
-    parts = [header, "\n"]
-    for t, key, coords, values, background in blocks:
-        bg = tuple(map(fmt, background))
-        if (key, bg) not in grids:
-            r = _reprs(coords)
-            grids[key, bg] = r, [",".join((x, *bg)) for x in r]
-        r, tail = grids[key, bg]
-        columns = [np.asarray(v, dtype=float) for v in values]
-        live = np.zeros(len(r), dtype=bool)
-        for col, value in zip(columns, background):
-            live |= col.view(np.int64) != np.float64(value).view(np.int64)
-        end = len(r) - int(np.argmax(live[::-1])) if live.any() else 0
-        rows = list(map(",".join, zip(r[:end], *(_reprs(col[:end]) for col in columns))))
-        rows += tail[end:]
-        t = fmt(t)
-        parts.append(f"# t={t}\n")
-        if rows:
-            parts += (t, ",", f"\n{t},".join(rows), "\n")
     with _create(path) as fh:
-        fh.writelines(parts)
+        fh.write(header + "\n")
+        for t, key, coords, values, background in blocks:
+            bg = tuple(map(fmt, background))
+            if (key, bg) not in grids:
+                r = _reprs(coords)
+                grids[key, bg] = r, [",".join((x, *bg)) for x in r]
+            r, tail = grids[key, bg]
+            columns = [np.asarray(v, dtype=float) for v in values]
+            live = np.zeros(len(r), dtype=bool)
+            for col, value in zip(columns, background):
+                live |= col.view(np.int64) != np.float64(value).view(np.int64)
+            end = len(r) - int(np.argmax(live[::-1])) if live.any() else 0
+            rows = list(map(",".join, zip(r[:end], *(_reprs(col[:end]) for col in columns))))
+            rows += tail[end:]
+            t = fmt(t)
+            fh.write(f"# t={t}\n")
+            if rows:
+                fh.writelines((t, ",", f"\n{t},".join(rows), "\n"))
 
 
 def write_sweep(path: str, rows: Iterable[tuple[float, float, float, Verdict]]) -> None:

@@ -17,6 +17,7 @@ GAMMA_MAX_TERMS = 10_000
 MAX_ROUNDS = 60  # adaptive_quad: halvings of the range
 MAX_INTERVALS = 1 << 21  # adaptive_quad: pending intervals
 TIME_REL_TOL = 1e-14  # time_integral
+_SCAN_CHUNK = 4096  # scan_maximum: grid points per evaluation of f
 _EPS = float(np.finfo(float).eps)
 _TINY = 1e-300
 
@@ -169,10 +170,21 @@ def scan_maximum(
     Returns ``(x_best, f_best)``.  The scan localizes the global maximum to one
     grid interval; golden-section refinement then polishes it.  Plateaus are
     handled naturally (any plateau point is a valid maximizer).
+
+    ``f`` is evaluated on consecutive ``_SCAN_CHUNK``-point slices of the scan
+    grid, so memory does not grow with ``n_scan``; it must therefore act
+    pointwise.  The grid point taken is the one ``np.argmax`` would pick over
+    the whole scan: the first nan, else the first of the largest values.
     """
     xs = np.linspace(lo, hi, n_scan)
-    vals = np.asarray(f(xs), dtype=float)
-    i = int(np.argmax(vals))
+    i, best = 0, -math.inf
+    for start in range(0, n_scan, _SCAN_CHUNK):
+        vals = np.asarray(f(xs[start:start + _SCAN_CHUNK]), dtype=float)
+        j = int(np.argmax(vals))
+        if vals[j] > best or math.isnan(vals[j]):
+            i, best = start + j, float(vals[j])
+            if math.isnan(best):
+                break
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, n_scan - 1)]
 
@@ -192,7 +204,7 @@ def scan_maximum(
             f1 = float(f(np.array([x1]))[0])
     x_best = 0.5 * (a + b)
     f_best = float(f(np.array([x_best]))[0])
-    candidates = [(f_best, x_best), (f1, x1), (f2, x2), (float(vals[i]), float(xs[i]))]
+    candidates = [(f_best, x_best), (f1, x1), (f2, x2), (best, float(xs[i]))]
     f_best, x_best = max(candidates)
     return x_best, f_best
 

@@ -6,11 +6,11 @@ gamma function, so every dual-route check compares two independent code
 paths.  The exceptions are the full-grid radial step, which the windowed
 ``euler.step`` must reproduce bit for bit, the naive snapshot writer, whose
 bytes ``csvio`` must reproduce, and the helpers at the end, which only the
-tests call.  Among those are the weighted density moments of the paper's
-blowup argument for lambda > 1 (P(t, l), its smooth-data values q0 and q1,
-the pressure-excess moment G and the twice-integrated band functional F),
-which the radial solver is checked against; the smooth-data moments use the
-package's ``adaptive_quad``.
+tests call.  Among those are the series-file reader and the weighted density
+moments of the paper's blowup argument for lambda > 1 (P(t, l), its
+smooth-data values q0 and q1, the pressure-excess moment G and the
+twice-integrated band functional F), which the radial solver is checked
+against; the smooth-data moments use the package's ``adaptive_quad``.
 """
 
 import math
@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from critdamp.csvio import read_csv
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
 from critdamp.monitors import FOUR_PI
 from critdamp.numerics import adaptive_quad, gamma_fraction, gamma_series
@@ -58,6 +59,35 @@ def bisect_root(f, lo, hi, n_iter=200):
             lo = mid
             f_lo = f(lo)
     return 0.5 * (lo + hi)
+
+
+def one_shot_scan_maximum(f, lo, hi, n_scan):
+    """``numerics.scan_maximum`` with its dense scan done in one piece: ``f``
+    on the whole grid at once and a single ``np.argmax`` over it, then the
+    same golden-section refinement and candidate list."""
+    xs = np.linspace(lo, hi, n_scan)
+    vals = np.asarray(f(xs), dtype=float)
+    i = int(np.argmax(vals))
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, n_scan - 1)]
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1 = float(f(np.array([x1]))[0])
+    f2 = float(f(np.array([x2]))[0])
+    for _ in range(80):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = float(f(np.array([x2]))[0])
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = float(f(np.array([x1]))[0])
+    x_best = 0.5 * (a + b)
+    f_best = float(f(np.array([x_best]))[0])
+    return max([(f_best, x_best), (f1, x1), (f2, x2), (float(vals[i]), float(xs[i]))])[::-1]
 
 
 def mp_reciprocal_integral(mu, lam, t=None):
@@ -394,3 +424,9 @@ def momentum_ode_residual(res, gas, law) -> float:
         total += abs(H[k + 1] - H[k] + 0.5 * dtk * (damp[k] + damp[k + 1])
                      - 0.5 * dtk * (rhs[k] + rhs[k + 1]))
     return total
+
+
+def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The ``t`` column and the named columns of a series file."""
+    names, data = read_csv(path)
+    return data[:, 0], {name: data[:, j] for j, name in enumerate(names) if j}

@@ -22,9 +22,9 @@ from critdamp import (
 )
 from critdamp.cli import main, run_experiment
 from critdamp.config import ConfigError, parse_config
-from critdamp.csvio import read_radial_snapshots, read_series
+from critdamp.csvio import read_radial_snapshots
 from critdamp.profiles import line_bump, sampled_profile
-from helpers import parse_verdict_label
+from helpers import parse_verdict_label, read_series
 
 
 def read(path):
@@ -194,6 +194,24 @@ def test_criterion_overflowing_profile_is_config_error(tmp_path, capsys, name):
     assert rc == 2
     assert capsys.readouterr().err.startswith("config-error: key 'profile.name':")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["bump", "outgoing-shell"])
+def test_criterion_at_a_huge_epsilon(tmp_path, capsys, name):
+    # H0 (order eps^2) and L0 (order eps) are finite, so the quadrature must
+    # resolve them: an absolute 1e-12 tolerance lies below their round-off,
+    # and the quadrature used to run to its cap and end in a runtime-error
+    fields = {}
+    for eps in ("1e35", "1e150", "1e154"):
+        out = str(tmp_path / eps)
+        assert main(["criterion", "--profile.name", name, "--profile.epsilon", eps, "--output.dir", out]) == 0
+        fields[float(eps)] = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
+    assert capsys.readouterr().err == ""
+    h0 = {eps: float(f["H0"]) / eps**2 for eps, f in fields.items()}
+    l0 = {eps: float(f["L0"]) / eps for eps, f in fields.items()}
+    assert h0[1e150] == pytest.approx(h0[1e35], rel=1e-13) and h0[1e154] == pytest.approx(h0[1e35], rel=1e-13)
+    assert l0[1e150] == pytest.approx(l0[1e35], rel=1e-13) and l0[1e154] == pytest.approx(l0[1e35], rel=1e-13)
+    assert (h0[1e35] > 0) == (name == "outgoing-shell")  # bump carries zero initial velocity
 
 
 def test_criterion_at_the_end_of_the_float_range(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,13 +15,12 @@ from critdamp.burgers import Snapshot1D
 from critdamp.csvio import (
     read_csv,
     read_radial_snapshots,
-    read_series,
     write_line_snapshots,
     write_radial_snapshots,
     write_series,
 )
 from critdamp.profiles import radial_outgoing_shell
-from helpers import naive_line_snapshot_text, naive_radial_snapshot_text
+from helpers import naive_line_snapshot_text, naive_radial_snapshot_text, read_series
 
 # Finite floats, with the values a float parser most easily gets wrong drawn
 # often: signed zero, subnormals, the extremes and 17-significant-digit values.
@@ -183,6 +183,25 @@ def test_line_snapshot_bytes_match_naive_writer(tmp_path_factory, snaps):
     path = tmp_path_factory.mktemp("line") / "snapshots.csv"
     write_line_snapshots(str(path), snaps)
     assert path.read_bytes() == naive_line_snapshot_text(snaps).encode()
+
+
+def test_snapshot_writer_holds_one_block_at_a_time(tmp_path):
+    # 128 blocks of 1,024 cells, live in the first 256 and background after:
+    # the writer's traced peak is the grid's cached strings plus one block,
+    # far below the file it writes (a writer that held the text of the whole
+    # file peaked above the file's size)
+    x = np.linspace(-1.0, 1.0, 1024)
+    w = np.zeros(1024)
+    w[:256] = np.sin(np.arange(256))
+    snaps = [Snapshot1D(0.01 * k, x, (1.0 + k) * w, 1.0) for k in range(128)]
+    path = tmp_path / "snapshots.csv"
+    tracemalloc.start()
+    try:
+        write_line_snapshots(str(path), snaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * path.stat().st_size
 
 
 def test_block_markers_are_comments(tmp_path):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critdamp import numerics
 from critdamp.numerics import adaptive_quad, scan_maximum, solve_bracketed
-from helpers import mp_reciprocal_integral, regularized_gamma
+from helpers import mp_reciprocal_integral, one_shot_scan_maximum, regularized_gamma
 
 
 def test_quad_polynomial_exact():
@@ -102,6 +104,66 @@ def test_scan_maximum_plateau():
     f = lambda x: np.minimum(1.0, 2.0 - np.abs(x))
     _, val = scan_maximum(f, -2.0, 2.0, n_scan=4001)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+def table_function(table):
+    """The step function that takes ``table[k]`` nearest the k-th point of
+    ``np.linspace(0, 1, len(table))``, recording the size of each call."""
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return table[np.clip(np.rint(x * (len(table) - 1)), 0, len(table) - 1).astype(int)]
+
+    return f, sizes
+
+
+def scan_bits(result):
+    return np.array(result, dtype=float).view(np.int64).tolist()
+
+
+def chunk_edges(n_scan):
+    """The last point of the first 4,096-point scan chunk, the first of the
+    second and the last point of the scan, where the scan has them."""
+    return sorted({k % n_scan for k in (4095, 4096, -1) if k < n_scan})
+
+
+@pytest.mark.parametrize("n_scan", [1, 2, 1000, 4095, 4096, 4097, 8192, 10_000, 12_289])
+@pytest.mark.parametrize("kind", ["max", "tie", "nan"])
+def test_scan_maximum_chunks_match_one_shot_scan(n_scan, kind):
+    # the grid point kept is the one a single np.argmax over the whole scan
+    # picks: the first nan, else the first of equal maxima
+    edges = chunk_edges(n_scan)
+    for k, edge in enumerate(edges):
+        table = np.sin(np.arange(n_scan, dtype=float))
+        if kind == "max":
+            table[edge] = 2.0
+        elif kind == "tie":
+            table[edges[k:]] = 2.0
+        else:
+            table[[0, -2 % n_scan]] = 3.0  # larger values before and after the first nan
+            table[edges[k:]] = math.nan
+        f, sizes = table_function(table)
+        got = scan_maximum(f, 0.0, 1.0, n_scan=n_scan)
+        assert max(sizes) <= 4096
+        assert scan_bits(got) == scan_bits(one_shot_scan_maximum(table_function(table)[0], 0.0, 1.0, n_scan))
+
+
+LEVELS = st.sampled_from([0.0, 1.0, -1.0, 2.0, -math.inf, math.nan]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_scan=st.integers(1, 3 * 4096 + 7), data=st.data())
+def test_scan_maximum_of_step_functions_matches_one_shot_scan(n_scan, data):
+    # few levels on few steps: ties and nans fall on both sides of chunk ends
+    n_steps = data.draw(st.integers(1, 8))
+    levels = np.array(data.draw(st.lists(LEVELS, min_size=n_steps, max_size=n_steps)))
+    breaks = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_steps - 1, max_size=n_steps - 1)))
+
+    def f(x):
+        return levels[np.searchsorted(breaks, x)]
+
+    assert scan_bits(scan_maximum(f, 0.0, 1.0, n_scan=n_scan)) == scan_bits(one_shot_scan_maximum(f, 0.0, 1.0, n_scan))
 
 
 @pytest.mark.parametrize("s, x", [(0.5, 0.2), (1.0, 1.5), (3.3, 2.0), (100.0, 80.0),   # series: x < s + 1
