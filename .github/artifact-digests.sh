@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Print "sha256  case/mode/file" for every artifact that the five README
-# examples and one fixed argv per benchmark workload (the seed-1 draws of
-# benchmarks/run.py) write when run on the sources under <src-dir>.  Every
+# examples, one fixed argv per benchmark workload (the seed-1 draws of
+# benchmarks/run.py) and two euler-sim runs under a non-default gas write
+# when run on the sources under <src-dir>.  Every
 # call runs in a temporary directory with a relative --output.dir, so two
 # source trees make byte-identical artifacts exactly when their outputs match:
 #
@@ -48,5 +49,11 @@ run line sweep --sweep.lambda 0,0.7,1,2.6622 --sweep.mu 0.3,0.8257,1.9404 --swee
     --output.dir out
 run line burgers-sim --profile.epsilon 0.0985 --damping.lambda 1.8554 --damping.mu 1.0454 \
     --grid.n_cells 4096 --run.t_end 10 --run.monitor_cadence 5 --output.dir out
+
+# The radial step under a gas other than the default (gamma 2, rho_bar 1).
+gas_case=("${shell[@]}" --profile.epsilon 0.3 --grid.n_cells 512 --run.t_end 5 --run.monitor_cadence 1
+          --output.dir out)
+run gas-gamma euler-sim "${gas_case[@]}" --gas.gamma 1.4
+run gas-rho-bar euler-sim "${gas_case[@]}" --gas.rho_bar 2
 
 sort -k2 "$work/digests"

@@ -24,24 +24,37 @@ carries exactly zero flux at either order (a zero difference has minmod slope
 update equals the full-grid one bit for bit.  The window ends on a background
 cell (speed |u| + c exactly 1) unless it is the whole grid, so stable_dt and
 max_velocity_gradient over it equal their full-grid values too.  The cells
-from w on leave a step as the +0.0 they were copied as, so the next window's
-last live cell lies in [w-3, w) (the front moves at most one cell a step) or
-else a scan of the cells before finds it: the next window is exactly the one
-a full scan gives.  Its rho is rho_bar + q_new over the updated cells, which
-is where the density floor is tested, so it needs no second rho > 0 check.
+from w on leave a step as the +0.0 they were, so the next window's last live
+cell lies in [w-3, w) (the front moves at most one cell a step) or else a
+scan of the cells before finds it: the next window is exactly the one a full
+scan gives.  Its rho is rho_bar + q_new over the updated cells, which is
+where the density floor is tested, so it needs no second rho > 0 check.
 
-In-place rule: a step is bound by numpy call overhead on small windows, so
-step, its helpers and max_velocity_gradient update the temporaries they
-allocate (wave speeds, slopes, fluxes, face differences) in place.  They never write to the
-input state's arrays or to its cached window, whose arrays the first-order
-branch slices.  Each in-place pass keeps the operation and operand order of
-the expression it replaces, up to swapping the operands of * or + (exact in
-IEEE 754), and nothing is reassociated or fused, so states, dt values and
-artifacts stay bit-identical to the out-of-place formulas.
+Workspace rule: a step is bound by numpy call overhead on small windows, so
+it copies and concatenates nothing, and allocates only what the gas kernels
+return (and, for MUSCL, the face values).  :func:`run` gives its march one
+workspace: two pairs of padded (rho_pert, mom) buffers of n_cells + 4 cells
+(two ghost cells mirrored at r = 0, two background cells past r_max), the
+current window's rho, u, wave speed and pressure, and the flux and update
+scratch.  Each step writes the next state into the other pair, zeroes the
+cells there that a shrunken window leaves stale, and computes the new
+window's kernels once its density and finiteness checks pass.  The states of
+a run are views of the pairs that carry the workspace to step, stable_dt and
+max_velocity_gradient; they hold until the next step but one, so ``sample``
+copies them.  Only run steps such a workspace (series moves each state into
+one, so that its max_du_dr and dt share a window).  A state without one
+(from init_state, a copy, a snapshot or a bare step) gets a fresh workspace
+per call, so a bare step returns arrays that no later step writes, and the
+arithmetic is the same for both.  Each in-place pass keeps the operation
+and operand order of the expression it replaces, up to swapping the operands
+of * or + (exact in IEEE 754), and nothing is reassociated or fused, so
+states, dt values and artifacts stay bit-identical to the out-of-place
+formulas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -126,8 +139,7 @@ class RadialState:
     """Cell values of (rho, rho*u) at time ``t``.
 
     The density is stored as ``rho_pert = rho - rho_bar`` (see module notes);
-    ``rho`` reconstructs the absolute density.  The arrays are read-only by
-    convention: a state made by :func:`step` caches values derived from them.
+    ``rho`` reconstructs the absolute density.
     """
 
     t: float
@@ -135,8 +147,8 @@ class RadialState:
     mom: np.ndarray
     grid: RadialGrid
     rho_bar: float
-    # Set by ``step`` on the state it returns; other states build one per call.
-    _window: _Window | None = field(default=None, init=False, repr=False)
+    # The workspace of the run that marches this state; None elsewhere.
+    _work: _Workspace | None = field(default=None, init=False, repr=False)
 
     @property
     def rho(self) -> np.ndarray:
@@ -146,54 +158,94 @@ class RadialState:
         return RadialState(self.t, self.rho_pert.copy(), self.mom.copy(), self.grid, self.rho_bar)
 
 
-class _Window:
-    """Cells [0, w) (see module notes; w >= 2) plus two ghost cells per side:
-    mirrored at r = 0, the next cells or the background beyond.  rho and u
-    are computed once, pressure and wave speed |u| + c once per gas model,
-    checking rho > 0 unless ``step`` has set ``positive``."""
+class _Workspace:
+    """The arrays a state steps in (see module notes).
 
-    def __init__(self, state: RadialState, span: int) -> None:
-        n = state.grid.n_cells
-        self.w = w = min(max(span + 1, 2), n)
-        pad = np.zeros(max(w + 2 - n, 0))
-        self.q = np.concatenate([state.rho_pert[1::-1], state.rho_pert[:w + 2], pad])
-        self.mom = np.concatenate([-state.mom[1::-1], state.mom[:w + 2], pad])
-        self.rho = state.rho_bar + self.q
-        self.positive = False
-        self._gas = None
+    Pair k holds grid cell i at ``q[k][i + 2]`` and ``mom[k][i + 2]``, with
+    mirrored ghosts before and background after; its cells from ``dirty[k]``
+    on are +0.0.  Pair ``cur`` holds the current state, whose window is cells
+    [0, w) (w >= 2); rho, u, ``speed`` and ``p`` hold its extended cells
+    [0, w + 4) once :meth:`kernels` has run.  Built from ``state``, which it
+    copies, after checking rho > 0 over the window.
+    """
 
-    @cached_property
-    def u(self) -> np.ndarray:
-        return self.mom / self.rho
+    def __init__(self, state: RadialState) -> None:
+        grid = state.grid
+        n = self.n = grid.n_cells
+        self.dr = grid.dr
+        self.q = (np.zeros(n + 4), np.zeros(n + 4))
+        self.mom = (np.zeros(n + 4), np.zeros(n + 4))
+        self.cells = [(q[2:n + 2], mom[2:n + 2]) for q, mom in zip(self.q, self.mom)]
+        self.bits = [(q.view(np.int64), mom.view(np.int64)) for q, mom in self.cells]
+        self.rho, self.u, self.speed, self.adv = (np.empty(n + 4) for _ in range(4))
+        self.half_s, self.f_rho, self.f_adv, self.jump, self.p_face = (np.empty(n + 1) for _ in range(5))
+        self.d, self.finite = np.empty(n), np.empty(n, dtype=bool)
+        self.p = None
+        self.t_beta = self.log_beta = math.nan  # log beta at the last step's t_new
+        q, mom = self.cells[0]
+        q[:] = state.rho_pert
+        mom[:] = state.mom
+        _mirror(self.q[0], self.mom[0])
+        self.w = _window_end(_span(*self.bits[0], n, n), n)
+        self.cur, self.dirty = 0, [self.w, 0]
+        m = self.w + 4
+        rho = np.add(self.q[0][:m], state.rho_bar, out=self.rho[:m])
+        if not np.logical_and.reduce(rho > 0):
+            raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
+        np.divide(self.mom[0][:m], rho, out=self.u[:m])
 
-    def kernels(self, gas: GasModel, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if gas is not self._gas:
-            if not (self.positive or (self.rho > 0).all()):
-                raise BreakdownError(t, BreakdownCause.NEGATIVE_DENSITY)
-            self._p, self._speed = _kernels(gas, self.rho, self.u)
-            self._gas = gas
-        return self._p, self._speed
+    def kernels(self, gas: GasModel, pressure: bool = True) -> None:
+        """The wave speed |u| + c (and the pressure) over the current window."""
+        m = self.w + 4
+        # x = rho/rho_bar goes where a first-order step forms mom * u later
+        x = np.divide(self.rho[:m], gas.rho_bar, out=self.adv[:m])
+        _wave_speed(gas, x, self.u[:m], out=self.speed[:m])
+        if pressure:
+            self.p = gas.pressure_of_ratio(x)
 
 
-def _span(q: np.ndarray, mom: np.ndarray, lo: int = 0) -> int:
-    """1 + the index of the last live cell (0 if none); cells from ``lo`` on are scanned first."""
-    bits = q[lo:].view(np.int64) | mom[lo:].view(np.int64)
-    # the probe after a step is at most 3 cells: a Python scan beats flatnonzero there
-    live = [i for i, b in enumerate(bits.tolist()) if b] if bits.size <= 3 else np.flatnonzero(bits)
-    if len(live):
-        return lo + int(live[-1]) + 1
-    return _span(q[:lo], mom[:lo]) if lo else 0
+def _mirror(q: np.ndarray, mom: np.ndarray) -> None:
+    """Fill the ghost cells at r = 0: rho_pert even, mom odd."""
+    q[0], q[1] = q[3], q[2]
+    mom[0], mom[1] = -mom[3], -mom[2]
 
 
-def _window(state: RadialState) -> _Window:
-    return state._window if state._window is not None else _Window(state, _span(state.rho_pert, state.mom))
+def _span(q_bits: np.ndarray, mom_bits: np.ndarray, lo: int, hi: int) -> int:
+    """1 + the index of the last live cell before ``hi`` (0 if none), from the
+    int64 views of rho_pert and mom.  Cells [lo, hi) are probed one at a time
+    (at most 3 after a step), then the cells before them are scanned."""
+    for i in range(hi - 1, lo - 1, -1):
+        if q_bits[i] or mom_bits[i]:
+            return i + 1
+    live = np.flatnonzero(q_bits[:lo] | mom_bits[:lo])
+    return int(live[-1]) + 1 if live.size else 0
+
+
+def _window_end(span: int, n: int) -> int:
+    return min(max(span + 1, 2), n)
+
+
+def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
+    """A copy of ``state`` in a new workspace, with its kernels for ``gas``:
+    the state :func:`run` marches from (see module notes)."""
+    ws = _Workspace(state)
+    ws.kernels(gas)
+    start = RadialState(state.t, *ws.cells[0], state.grid, state.rho_bar)
+    start._work = ws
+    return start
+
+
+def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|u| + c at the density ratios x = rho/rho_bar > 0."""
+    speed = np.sqrt(gas.sound_speed_sq_of_ratio(x), out=out)
+    speed += np.abs(u)
+    return speed
 
 
 def _kernels(gas: GasModel, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pressure and wave speed |u| + c, for rho > 0."""
-    speed = np.sqrt(gas.sound_speed_sq_unchecked(rho))
-    speed += np.abs(u)
-    return gas.pressure_unchecked(rho), speed
+    x = rho / gas.rho_bar
+    return gas.pressure_of_ratio(x), _wave_speed(gas, x, u)
 
 
 @dataclass(eq=False)
@@ -240,8 +292,13 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
 
 def _max_speed(gas: GasModel, state: RadialState) -> float:
     """max(|u| + c) over the grid, read off the window."""
-    win = _window(state)
-    return float(np.maximum.reduce(win.kernels(gas, state.t)[1][2:win.w + 2]))
+    ws = state._work
+    if ws is None:
+        ws = _Workspace(state)
+        # no pressure: (rho/rho_bar)**gamma overflows on data whose wave
+        # speed validate_horizon must still see, to reject them as too fast
+        ws.kernels(gas, pressure=False)
+    return float(np.maximum.reduce(ws.speed[2:ws.w + 2]))
 
 
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
@@ -272,69 +329,76 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     bypasses the CFL floor check, which only guards internally computed steps.
     Only the window's cells are updated (see module notes).
     """
-    grid = state.grid
     internal_dt = dt is None
     if internal_dt:
         dt = stable_dt(gas, state, cfl)
     if not 0 < dt < np.inf or (internal_dt and dt <= DT_FLOOR):
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
 
-    win = _window(state)
-    w = win.w
-    p_cell, speed_cell = win.kernels(gas, state.t)
+    ws = state._work
+    if ws is None:
+        ws = _Workspace(state)
+        ws.kernels(gas)
+    w, cur = ws.w, ws.cur
+    q, mom = ws.q[cur], ws.mom[cur]
     # Face j (0 <= j <= w) sits between extended cells j+1 and j+2.
     if muscl:
-        q_l, q_r = _reconstruct(win.q)
-        mom_l, mom_r = _reconstruct(win.mom)
+        q_l, q_r = _reconstruct(q[:w + 4])
+        mom_l, mom_r = _reconstruct(mom[:w + 4])
         rho_l, rho_r = gas.rho_bar + q_l, gas.rho_bar + q_r
-        if not ((rho_l > 0).all() and (rho_r > 0).all()):
+        if not (np.logical_and.reduce(rho_l > 0) and np.logical_and.reduce(rho_r > 0)):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
         u_l, u_r = mom_l / rho_l, mom_r / rho_r
         p_l, speed_l = _kernels(gas, rho_l, u_l)
         p_r, speed_r = _kernels(gas, rho_r, u_r)
         adv_l, adv_r = mom_l * u_l, mom_r * u_r
     else:
-        q_l, q_r = win.q[1:-2], win.q[2:-1]
-        mom_l, mom_r = win.mom[1:-2], win.mom[2:-1]
-        adv = win.mom * win.u
+        q_l, q_r = q[1:w + 2], q[2:w + 3]
+        mom_l, mom_r = mom[1:w + 2], mom[2:w + 3]
+        adv = np.multiply(mom[:w + 4], ws.u[:w + 4], out=ws.adv[:w + 4])
         adv_l, adv_r = adv[1:-2], adv[2:-1]
-        p_l, p_r = p_cell[1:-2], p_cell[2:-1]
-        speed_l, speed_r = speed_cell[1:-2], speed_cell[2:-1]
-    half_s = np.maximum(speed_l, speed_r)
+        p_l, p_r = ws.p[1:-2], ws.p[2:-1]
+        speed_l, speed_r = ws.speed[1:w + 2], ws.speed[2:w + 3]
+    half_s = np.maximum(speed_l, speed_r, out=ws.half_s[:w + 1])
     half_s *= 0.5
 
     # Rusanov fluxes 0.5 (l + r) - half_s (r - l), formed in place.
-    f_rho = mom_l + mom_r
+    f_rho = np.add(mom_l, mom_r, out=ws.f_rho[:w + 1])
     f_rho *= 0.5
-    jump = q_r - q_l
+    jump = np.subtract(q_r, q_l, out=ws.jump[:w + 1])
     jump *= half_s
     f_rho -= jump
-    f_adv = adv_l + adv_r
+    f_adv = np.add(adv_l, adv_r, out=ws.f_adv[:w + 1])
     f_adv *= 0.5
     np.subtract(mom_r, mom_l, out=jump)
     jump *= half_s
     f_adv -= jump
-    p_face = p_l + p_r
+    p_face = np.add(p_l, p_r, out=ws.p_face[:w + 1])
     p_face *= 0.5
 
-    area = grid._area[:w + 1]
-    inv_vol = grid._inv_vol[:w]
-    q_new = state.rho_pert.copy()
+    area = state.grid._area[:w + 1]
+    inv_vol = state.grid._inv_vol[:w]
+    nxt = 1 - cur
+    q_new, mom_new = ws.q[nxt], ws.mom[nxt]
     f_rho *= area
-    d = f_rho[1:] - f_rho[:-1]
+    d = np.subtract(f_rho[1:], f_rho[:-1], out=ws.d[:w])
     d *= dt
     d *= inv_vol
-    q_new[:w] -= d
+    q_cells = np.subtract(q[2:w + 2], d, out=q_new[2:w + 2])
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
-    # vanishes identically on any state with uniform pressure.
-    p_c = p_cell[2:w + 2]
-    dp_l = p_face[:-1] - p_c
-    dp_r = p_face[1:] - p_c
+    # vanishes identically on any state with uniform pressure.  The mass
+    # flux and its jump are spent, so their buffers take the differences.
+    p_c = ws.p[2:w + 2]
+    dp_l = np.subtract(p_face[:-1], p_c, out=f_rho[:w])
+    dp_r = np.subtract(p_face[1:], p_c, out=jump[:w])
     t_new = state.t + dt
-    factor = damping.damping_factor(state.t, t_new)
-    mom_new = state.mom.copy()
+    # log beta(t) as damping_factor forms it; the last step's t_new is this
+    # step's t unless a sample time clamped it
+    log_beta = ws.log_beta if state.t == ws.t_beta else damping._log_beta(state.t)
+    ws.t_beta, ws.log_beta = t_new, damping._log_beta(t_new)
+    factor = float(np.exp(log_beta - ws.log_beta))
     f_adv *= area
     np.subtract(f_adv[1:], f_adv[:-1], out=d)
     d *= inv_vol
@@ -344,25 +408,40 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     dp_r *= inv_vol
     d += dp_r
     d *= dt
-    mom_new[:w] -= d
-    mom_new[:w] *= factor
+    mom_cells = np.subtract(mom[2:w + 2], d, out=mom_new[2:w + 2])
+    mom_cells *= factor
 
-    new = RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
-    new._window = win = _Window(new, _span(q_new[:w], mom_new[:w], max(w - 3, 0)))
+    # Cells from w on are +0.0 in the state stepped from; zero what an
+    # earlier, wider window left there in this pair.
+    if ws.dirty[nxt] > w:
+        q_new[w + 2:ws.dirty[nxt] + 2] = 0.0
+        mom_new[w + 2:ws.dirty[nxt] + 2] = 0.0
+    ws.dirty[nxt] = w
+    _mirror(q_new, mom_new)
+
+    w_next = _window_end(_span(*ws.bits[nxt], max(w - 3, 0), w), ws.n)
+    rho = np.add(q_new[:w_next + 4], gas.rho_bar, out=ws.rho[:w_next + 4])
     # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
-    if np.fmin.reduce(win.rho) <= DENSITY_FLOOR_FACTOR * gas.rho_bar:
+    if np.fmin.reduce(rho) <= DENSITY_FLOOR_FACTOR * gas.rho_bar:
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
-    if not (np.isfinite(q_new[:w]).all() and np.isfinite(mom_new[:w]).all()):
+    finite = ws.finite[:w]
+    if not (np.logical_and.reduce(np.isfinite(q_cells, out=finite))
+            and np.logical_and.reduce(np.isfinite(mom_cells, out=finite))):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-    win.positive = True
+    ws.cur, ws.w = nxt, w_next
+    new = RadialState(t_new, *ws.cells[nxt], state.grid, gas.rho_bar)
+    if state._work is not None:  # a bare step's workspace ends with it
+        np.divide(mom_new[:w_next + 4], rho, out=ws.u[:w_next + 4])
+        ws.kernels(gas)
+        new._work = ws
     return new
 
 
 def max_velocity_gradient(state: RadialState) -> float:
-    win = _window(state)
-    u = win.u[2:win.w + 2]
-    d = u[1:] - u[:-1]
-    return float(np.maximum.reduce(np.abs(d, out=d))) / state.grid.dr
+    ws = state._work or _Workspace(state)
+    u = ws.u[2:ws.w + 2]
+    d = np.subtract(u[1:], u[:-1], out=ws.half_s[:ws.w - 1])
+    return float(np.maximum.reduce(np.abs(d, out=d))) / ws.dr
 
 
 def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) -> None:
@@ -394,12 +473,13 @@ def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
            cfl: float) -> dict[str, np.ndarray]:
     """Radial series columns, one value per state: L, H, E0, min_rho, max_u,
     max_du_dr, then the CFL-stable ``dt`` of each state."""
-    columns = {
-        name: np.asarray([float(fn(s, gas, damping)) for s in states])
-        for name, fn in _SERIES_COLUMNS.items()
-    }
-    columns["dt"] = np.asarray([stable_dt(gas, s, cfl) for s in states])
-    return columns
+    names = [*_SERIES_COLUMNS, "dt"]
+    table = np.empty((len(names), len(states)))
+    for j, state in enumerate(states):
+        state = _in_workspace(gas, state)  # one window for max_du_dr and dt
+        table[:-1, j] = [fn(state, gas, damping) for fn in _SERIES_COLUMNS.values()]
+        table[-1, j] = stable_dt(gas, state, cfl)
+    return dict(zip(names, table))
 
 
 def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cfl: float = 0.4, *,
@@ -425,7 +505,8 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
         s.t = t  # march lands exactly on t; the next step starts from there
         snapshots.append(s.copy())
 
-    verdict = march(state, t_end, sample_times(t_end, monitor_cadence), lambda s: stable_dt(gas, s, cfl),
+    verdict = march(_in_workspace(gas, state), t_end, sample_times(t_end, monitor_cadence),
+                    lambda s: stable_dt(gas, s, cfl),
                     lambda s, t, dt: step(gas, damping, s, cfl, dt=dt, muscl=muscl),
                     max_velocity_gradient, sample)
     columns = series(snapshots, gas, damping, cfl)

@@ -40,20 +40,25 @@ class GasModel:
     def pressure(self, rho):
         """Pressure A * rho**gamma; rho may be a scalar or ndarray."""
         _check_density(rho)
-        return self.pressure_unchecked(np.asarray(rho) if np.ndim(rho) else rho)
+        return self.pressure_of_ratio(self._ratio(rho))
 
     def sound_speed_sq(self, rho):
         """Squared sound speed p'(rho) = (rho/rho_bar)**(gamma-1); equals 1 at rho_bar."""
         _check_density(rho)
-        return self.sound_speed_sq_unchecked(np.asarray(rho) if np.ndim(rho) else rho)
+        return self.sound_speed_sq_of_ratio(self._ratio(rho))
 
-    def pressure_unchecked(self, rho):
-        """:meth:`pressure` for callers that have checked rho > 0 themselves."""
-        return self.A * rho**self.gamma
+    def _ratio(self, rho):
+        return (np.asarray(rho) if np.ndim(rho) else rho) / self.rho_bar
 
-    def sound_speed_sq_unchecked(self, rho):
-        """:meth:`sound_speed_sq` for callers that have checked rho > 0 themselves."""
-        return np.exp((self.gamma - 1.0) * np.log(rho / self.rho_bar))
+    def pressure_of_ratio(self, x):
+        """Pressure at the density ratio x = rho/rho_bar > 0 (unchecked), as
+        (rho_bar/gamma) * x**gamma: A * rho**gamma overflows in rho**gamma
+        once rho_bar passes about 1e154 (gamma = 2), where p stays finite."""
+        return (self.rho_bar / self.gamma) * x**self.gamma
+
+    def sound_speed_sq_of_ratio(self, x):
+        """Squared sound speed at the density ratio x = rho/rho_bar > 0 (unchecked)."""
+        return np.exp((self.gamma - 1.0) * np.log(x))
 
     def enthalpy(self, rho):
         """Specific enthalpy: primitive of c^2(rho)/rho vanishing at rho_bar.

@@ -3,14 +3,15 @@
 These deliberately avoid the package's own numeric kernels: fixed-order
 composite rules at extreme refinement, plain bisection and mpmath's incomplete
 gamma function, so every dual-route check compares two independent code
-paths.  The exceptions are the full-grid radial step, which the windowed
-``euler.step`` must reproduce bit for bit, the naive snapshot writer, whose
-bytes ``csvio`` must reproduce, and the helpers at the end, which only the
-tests call.  Among those are the series-file reader and the weighted density
-moments of the paper's blowup argument for lambda > 1 (P(t, l), its
-smooth-data values q0 and q1, the pressure-excess moment G and the
-twice-integrated band functional F), which the radial solver is checked
-against; the smooth-data moments use the package's ``adaptive_quad``.
+paths.  The exceptions are the full-grid radial step and the march over it,
+which the windowed ``euler.step`` and ``euler.run`` must reproduce bit for
+bit, the naive snapshot writer, whose bytes ``csvio`` must reproduce, and
+the helpers at the end, which only the tests call.  Among those are the
+series-file reader and the weighted density moments of the paper's blowup
+argument for lambda > 1 (P(t, l), its smooth-data values q0 and q1, the
+pressure-excess moment G and the twice-integrated band functional F), which
+the radial solver is checked against; the smooth-data moments use the
+package's ``adaptive_quad``.
 """
 
 import math
@@ -18,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from critdamp import monitors
 from critdamp.csvio import read_csv
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
 from critdamp.monitors import FOUR_PI
@@ -29,6 +31,8 @@ from critdamp.outcome import (
     FiniteLifespan,
     Global,
     NumericalBreakdown,
+    march,
+    sample_times,
 )
 
 
@@ -204,6 +208,31 @@ def full_grid_step(gas, damping, state, cfl, *, dt=None, muscl=False):
     if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(mom_new))):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
     return RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
+
+
+def full_grid_run(gas, damping, state, t_end, cfl, cadence, muscl=False):
+    """``euler.run`` on the full-grid oracles: (times, columns, snapshots,
+    verdict), the columns as ``euler.series`` names and orders them."""
+    snapshots = []
+
+    def sample(s, t):
+        s.t = t
+        snapshots.append(s.copy())
+
+    verdict = march(state, t_end, sample_times(t_end, cadence), lambda s: full_grid_stable_dt(gas, s, cfl),
+                    lambda s, t, dt: full_grid_step(gas, damping, s, cfl, dt=dt, muscl=muscl),
+                    full_grid_max_velocity_gradient, sample)
+    columns = {
+        "L": [monitors.mass_excess(s, gas) for s in snapshots],
+        "H": [monitors.weighted_momentum(s) for s in snapshots],
+        "E0": [monitors.weighted_potential_energy(s, gas, damping) for s in snapshots],
+        "min_rho": [float(np.min(s.rho)) for s in snapshots],
+        "max_u": [float(np.max(np.abs(s.mom / s.rho))) for s in snapshots],
+        "max_du_dr": [full_grid_max_velocity_gradient(s) for s in snapshots],
+        "dt": [full_grid_stable_dt(gas, s, cfl) for s in snapshots],
+    }
+    columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+    return np.asarray([s.t for s in snapshots]), columns, snapshots, verdict
 
 
 def naive_snapshot_text(header, blocks):

@@ -12,6 +12,7 @@ from critdamp import (
     BurgersProblem,
     DampingLaw,
     GasModel,
+    Global,
     InitialProfile,
     RadialGrid,
     classify_lifespan,
@@ -327,13 +328,29 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     (["--profile.epsilon", "1e300"], "profile.name"),
     (["--profile.epsilon", "1e200"], "profile.name"),
     (["--profile.name", "shell", "--profile.M0", "0.3", "--profile.epsilon", "1e300"], "profile.name"),
-], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300"])
+    # c^2 = (rho/rho_bar)^(gamma-1) is about 1e299 in the bump: the horizon
+    # check takes the wave speed alone, as (rho/rho_bar)^gamma overflows
+    (["--gas.rho_bar", "1e-300"], "grid.r_max"),
+], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300",
+        "rho_bar-1e-300"])
 def test_euler_sim_grid_and_profile_faults_are_config_errors(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     rc = main(["euler-sim", "--run.t_end", "1", "--output.dir", str(out)] + argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config-error: key {key!r}:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rho_bar", ["1e160", "1e300"])
+def test_euler_sim_at_a_huge_background_density(tmp_path, capsys, rho_bar):
+    # the pressure A * rho**gamma overflowed in rho**gamma here, a
+    # runtime-error (RuntimeWarnings are errors in this suite)
+    out = str(tmp_path / "out")
+    rc = main(["euler-sim", "--gas.rho_bar", rho_bar, "--run.t_end", "1", "--grid.n_cells", "64",
+               "--output.dir", out])
+    assert capsys.readouterr().err == ""
+    assert rc == 0
+    assert verdict_of(out) == Global()
 
 
 def test_burgers_and_euler_sim_share_sample_times(tmp_path):

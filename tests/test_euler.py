@@ -18,13 +18,22 @@ from critdamp import (
     step,
 )
 from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
-from critdamp.euler import RadialState, _span, _window, max_velocity_gradient, stable_dt, validate_horizon
+from critdamp.euler import (
+    RadialState,
+    _in_workspace,
+    _span,
+    _Workspace,
+    max_velocity_gradient,
+    stable_dt,
+    validate_horizon,
+)
 from critdamp.monitors import FOUR_PI, mass_excess
 from critdamp.outcome import BreakdownCause, BreakdownError
-from critdamp.profiles import line_bump, mollifier, radial_bump, radial_outgoing_shell
+from critdamp.profiles import _smooth_step, line_bump, mollifier, radial_bump, radial_outgoing_shell, radial_shell
 from helpers import (
     composite_simpson,
     full_grid_max_velocity_gradient,
+    full_grid_run,
     full_grid_stable_dt,
     full_grid_step,
     momentum_ode_residual,
@@ -286,24 +295,29 @@ def outcome_of(fn):
 
 
 def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
-    """Step ``s`` with ``step`` and with the full-grid oracle; every state,
-    stable_dt and max_velocity_gradient must agree bit for bit, and the window
-    ``step`` attaches must end where a full scan of the new state ends it."""
+    """Step ``s`` in a workspace, as ``run`` does, with a bare ``step`` and
+    with the full-grid oracle; every state, stable_dt and
+    max_velocity_gradient must agree bit for bit, and the window the
+    workspace opens must end where a full scan of the new state ends it."""
+    s = _in_workspace(GAS, s)
     for _ in range(n_steps):
         assert stable_dt(GAS, s, 0.4) == full_grid_stable_dt(GAS, s, 0.4)
         assert max_velocity_gradient(s) == full_grid_max_velocity_gradient(s)
         dt = None if dt_fraction is None else dt_fraction * full_grid_stable_dt(GAS, s, 0.4)
         full = outcome_of(lambda: full_grid_step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
+        bare = outcome_of(lambda: step(GAS, law, s.copy(), 0.4, dt=dt, muscl=muscl))
         windowed = outcome_of(lambda: step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
         if isinstance(full, tuple):
             assert windowed == full
+            assert bare == full
             return
         # stricter than np.array_equal: bytes also tell -0.0 from 0.0, which
         # the snapshot CSV writes apart
-        assert windowed.rho_pert.tobytes() == full.rho_pert.tobytes()
-        assert windowed.mom.tobytes() == full.mom.tobytes()
-        assert windowed.t == full.t
-        assert windowed._window.w == _window(windowed.copy()).w
+        for new in (windowed, bare):
+            assert new.rho_pert.tobytes() == full.rho_pert.tobytes()
+            assert new.mom.tobytes() == full.mom.tobytes()
+            assert new.t == full.t
+        assert windowed._work.w == _Workspace(windowed.copy()).w
         s = windowed
 
 
@@ -370,7 +384,7 @@ def test_windowed_step_matches_full_grid_with_negative_zero(field, offset, muscl
     s, last = shell_state()
     cell = s.grid.n_cells - 1 if offset == "last" else last + offset
     getattr(s, field)[cell] = -0.0
-    assert _window(s).w == min(cell + 2, s.grid.n_cells)
+    assert _Workspace(s).w == min(cell + 2, s.grid.n_cells)
     assert_windowed_matches_full_grid(LAW, s, 25, muscl)
 
 
@@ -386,10 +400,10 @@ def test_window_falls_back_to_scan_when_front_vanishes(shell, muscl):
     cell = last + 20
     s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
-    assert _window(s).w == cell + 2
-    new = step(GAS, law, s, 0.4, muscl=muscl)
+    assert _Workspace(s).w == cell + 2
+    new = step(GAS, law, _in_workspace(GAS, s), 0.4, muscl=muscl)
     assert new.mom[cell] == 0.0
-    assert new._window.w < cell - 1 if shell else new._window.w == 2
+    assert new._work.w < cell - 1 if shell else new._work.w == 2
     assert_windowed_matches_full_grid(law, s, 3, muscl)
 
 
@@ -406,22 +420,25 @@ CELL_BITS = st.one_of(st.just(0), st.sampled_from(SPECIAL_BITS), st.integers(-2*
 @example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, SPECIAL_BITS[0], 0], lo=2)
 @example(q_bits=[0, SPECIAL_BITS[1], 0], mom_bits=[0, 0, 0], lo=3)
 def test_span_matches_full_scan(q_bits, mom_bits, lo):
-    # the probe of cells [lo, n) is scanned first (in Python when it holds
-    # at most 3 cells), then the cells before it when the probe is all +0.0
+    # the probe of cells [lo, n) is tested one cell at a time first, then the
+    # cells before it are scanned when the probe is all +0.0
     n = min(len(q_bits), len(mom_bits))
     q = np.array(q_bits[:n], dtype=np.int64).view(np.float64)
     mom = np.array(mom_bits[:n], dtype=np.int64).view(np.float64)
     live = np.flatnonzero(q.view(np.int64) | mom.view(np.int64))
-    assert _span(q, mom, min(lo, n)) == (int(live[-1]) + 1 if live.size else 0)
+    span = _span(q.view(np.int64), mom.view(np.int64), min(lo, n), n)
+    assert span == (int(live[-1]) + 1 if live.size else 0)
 
 
 @settings(max_examples=20, deadline=None)
 @given(eps=st.floats(0.0, 0.6), rarefied=st.booleans(), inward=st.booleans(),
        n_cells=st.integers(32, 160), stepped=st.booleans(), dt_fraction=st.none() | st.floats(0.05, 1.0))
 def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_cells, stepped, dt_fraction):
-    # step, stable_dt and max_velocity_gradient update their own temporaries
-    # in place; none may write through to the input state or to the window
-    # that a stepped state caches (its first-order faces are slices of it)
+    # step, stable_dt and max_velocity_gradient update workspace buffers in
+    # place; none may write through to the input state.  A run's state is
+    # the current pair of its workspace, beside its window's kernels:
+    # stable_dt and max_velocity_gradient only read them, and a step writes
+    # the other pair (its first-order faces are slices of the current one)
     rho0, u0 = radial_outgoing_shell(0.3, 1.0)
     rho_sign = -1.0 if rarefied else 1.0
     u_sign = -1.0 if inward else 1.0
@@ -430,21 +447,26 @@ def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_
     s = init_state(GAS, prof, RadialGrid(12.0, n_cells))
     if stepped:
         s = step(GAS, LAW, s, 0.4)
-    win = _window(s)
-    arrays = [s.rho_pert, s.mom, win.q, win.mom, win.rho, win.u]
-    before = [a.tobytes() for a in arrays]
-    # pressure and wave speed, computed here from the arrays above
-    arrays += win.kernels(GAS, s.t)
-    assert [a.tobytes() for a in arrays[:6]] == before
-    before = [a.tobytes() for a in arrays]
+    assert s._work is None
+    before = [s.rho_pert.tobytes(), s.mom.tobytes()]
     dt = None if dt_fraction is None else dt_fraction * stable_dt(GAS, s, 0.4)
     for muscl in (False, True):
         outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
-        assert [a.tobytes() for a in arrays] == before
+        owned = _in_workspace(GAS, s)
+        ws = owned._work
+        m = ws.w + 4
+        arrays = [owned.rho_pert, owned.mom, ws.q[ws.cur][:m], ws.mom[ws.cur][:m],
+                  ws.rho[:m], ws.u[:m], ws.speed[:m], ws.p]
+        owned_before = [a.tobytes() for a in arrays]
+        stable_dt(GAS, owned, 0.4)
+        max_velocity_gradient(owned)
+        assert [a.tobytes() for a in arrays] == owned_before
+        new = outcome_of(lambda: step(GAS, LAW, owned, 0.4, dt=dt, muscl=muscl))
+        assert [a.tobytes() for a in arrays[:4]] == owned_before[:4]
+        assert isinstance(new, tuple) or new._work is ws
     stable_dt(GAS, s, 0.4)
     max_velocity_gradient(s)
-    assert [a.tobytes() for a in arrays] == before
-    assert (s._window is win) == stepped
+    assert [s.rho_pert.tobytes(), s.mom.tobytes()] == before
 
 
 @pytest.mark.parametrize("muscl", [False, True])
@@ -476,3 +498,125 @@ def test_breakdown_non_finite_matches_full_grid(band, muscl):
     cause = BreakdownCause.NON_FINITE if band == 1 else BreakdownCause.NEGATIVE_DENSITY
     assert full == (s.t + dt, cause)
     assert windowed == full
+
+
+# ---------------------------------------------------------------- run against the full-grid march
+
+def assert_run_matches_reference(gas, law, s, t_end, cfl, cadence, muscl):
+    """``run`` and the full-grid march agree byte for byte: verdict, sample
+    times, every series column and every snapshot."""
+    res = run(gas, law, s, t_end=t_end, cfl=cfl, monitor_cadence=cadence, muscl=muscl)
+    times, columns, snapshots, verdict = full_grid_run(gas, law, s, t_end, cfl, cadence, muscl)
+    assert res.verdict == verdict
+    assert res.times.tobytes() == times.tobytes()
+    assert list(res.columns) == list(columns)
+    for name, column in columns.items():
+        assert res.columns[name].tobytes() == column.tobytes(), name
+    assert len(res.snapshots) == len(snapshots)
+    for ours, theirs in zip(res.snapshots, snapshots):
+        assert ours.t == theirs.t
+        assert ours.rho_pert.tobytes() == theirs.rho_pert.tobytes()
+        assert ours.mom.tobytes() == theirs.mom.tobytes()
+    return res
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gamma=st.sampled_from([2.0, 1.4, 5.0 / 3.0]),
+    rho_bar=st.sampled_from([1.0, 2.0, 0.7]),
+    eps=st.floats(0.0, 0.9),
+    lam=st.floats(0.0, 3.0),
+    mu=st.floats(0.0, 2.0),
+    n_cells=st.integers(32, 160),
+    cfl=st.sampled_from([0.4, 0.9]),
+    muscl=st.booleans(),
+    rarefied=st.booleans(),
+    inward=st.booleans(),
+)
+# the rarefied shell empties at cfl 0.9: NegativeDensity at either order
+@example(gamma=2.0, rho_bar=1.0, eps=0.9, lam=0.5, mu=1.0, n_cells=128, cfl=0.9, muscl=False,
+         rarefied=True, inward=False)
+@example(gamma=1.4, rho_bar=2.0, eps=0.9, lam=0.5, mu=1.0, n_cells=128, cfl=0.9, muscl=True,
+         rarefied=True, inward=False)
+def test_run_matches_full_grid_march(gamma, rho_bar, eps, lam, mu, n_cells, cfl, muscl, rarefied, inward):
+    # the shell scales with rho_bar, so every draw starts from positive density
+    gas = GasModel(gamma=gamma, rho_bar=rho_bar)
+    rho0, u0 = radial_outgoing_shell(0.3, 1.0)
+    rho_sign = -rho_bar if rarefied else rho_bar
+    u_sign = -1.0 if inward else 1.0
+    prof = InitialProfile(lambda r: rho_sign * rho0(r), lambda r: u_sign * u0(r),
+                          epsilon=eps, M=1.0, M0=0.3)
+    s = init_state(gas, prof, RadialGrid(12.0, n_cells))
+    assert_run_matches_reference(gas, DampingLaw(mu, lam), s, 1.25, cfl, 0.25, muscl)
+
+
+def test_run_matches_full_grid_march_at_acceptance_07():
+    # acceptance 07's large data: MUSCL at cfl 0.85 loses positivity at once
+    law = DampingLaw(mu=1.0, lam=1.0)
+    rho0, _ = radial_shell(0.2, 1.0)
+
+    def u0(r):
+        r = np.asarray(r, dtype=float)
+        return 50.0 * _smooth_step((r - 0.2) / 0.08) * _smooth_step((1.0 - r) / 0.3)
+
+    prof = InitialProfile(rho0, u0, epsilon=1.0, M=1.0, M0=0.2)
+    t_star = 0.241
+    s = init_state(GAS, prof, RadialGrid(r_max=1.0 + t_star * 1.3 * 52.0, n_cells=4096))
+    res = assert_run_matches_reference(GAS, law, s, t_star, 0.85, t_star / 20, True)
+    assert res.verdict.cause == BreakdownCause.NEGATIVE_DENSITY
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+def test_run_clears_the_tail_a_shrinking_window_leaves(muscl):
+    # the subnormal momentum past the shell holds the first window open and
+    # is damped to +0.0 (factor < 1/2), so the window shrinks to the shell;
+    # the step after writes the pair that still holds the subnormal and
+    # must clear it
+    s, last = shell_state()
+    cell = last + 20
+    s.mom[cell] = 5e-324
+    law = DampingLaw(mu=100.0, lam=0.0)
+    first = _in_workspace(GAS, s)
+    ws = first._work
+    second = step(GAS, law, first, 0.4, muscl=muscl)
+    assert ws.w < cell - 1
+    assert first.mom[cell] == 5e-324
+    third = step(GAS, law, second, 0.4, muscl=muscl)
+    assert third.mom is first.mom
+    assert third.mom[cell:cell + 1].tobytes() == bytes(8)
+    assert_run_matches_reference(GAS, law, s, 0.5, 0.4, 0.1, muscl)
+
+
+def test_run_snapshots_and_bare_steps_keep_their_values():
+    # a run's states are views of its workspace, which later steps
+    # overwrite, so each snapshot must be a copy: the snapshot at t equals
+    # the last one of a run that ends at t.  A bare step's result belongs to
+    # no workspace, so stepping its input again, or it, leaves it as it is.
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))
+    before = (s.rho_pert.tobytes(), s.mom.tobytes())
+    res = run(GAS, LAW, s, t_end=1.5, cfl=0.4, monitor_cadence=0.5)
+    for snap in res.snapshots[1:-1]:
+        last = run(GAS, LAW, s, t_end=snap.t, cfl=0.4, monitor_cadence=0.5).snapshots[-1]
+        assert last.t == snap.t
+        assert (snap.rho_pert.tobytes(), snap.mom.tobytes()) == (last.rho_pert.tobytes(), last.mom.tobytes())
+    assert (s.rho_pert.tobytes(), s.mom.tobytes()) == before
+
+    a = step(GAS, LAW, s, 0.4)
+    kept = (a.rho_pert.tobytes(), a.mom.tobytes())
+    b = step(GAS, LAW, s, 0.4)
+    c = step(GAS, LAW, step(GAS, LAW, a, 0.4), 0.4)
+    assert (a.rho_pert.tobytes(), a.mom.tobytes()) == kept == (b.rho_pert.tobytes(), b.mom.tobytes())
+    assert not np.shares_memory(a.mom, b.mom) and not np.shares_memory(a.mom, c.mom)
+    assert (s.rho_pert.tobytes(), s.mom.tobytes()) == before
+
+
+def test_workspace_step_takes_log_beta_at_the_time_it_is_given():
+    # a run reuses log beta(t_new) of the step before as the next step's
+    # log beta(t); a sample time may move t off t_new (by rounding in a
+    # march), and then the factor must follow the moved t
+    s = step(GAS, LAW, _in_workspace(GAS, init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))), 0.4)
+    s.t *= 2.0
+    full = full_grid_step(GAS, LAW, s, 0.4)
+    new = step(GAS, LAW, s, 0.4)
+    assert new.t == full.t
+    assert new.mom.tobytes() == full.mom.tobytes()

@@ -18,6 +18,16 @@ def test_pressure_at_background_is_rho_bar_over_gamma(gamma, rho_bar):
     assert g.pressure(rho_bar) == pytest.approx(rho_bar / gamma, rel=1e-13)
 
 
+@pytest.mark.parametrize("rho_bar", [1e-300, 1e160, 1e300])
+def test_pressure_at_an_extreme_background_density(rho_bar):
+    # A * rho**gamma overflowed in rho**gamma once rho_bar passed about 1e154
+    # and underflowed to 0 near 1e-300; the ratio form stays exact at
+    # rho_bar and finite wherever p is
+    g = GasModel(gamma=2.0, rho_bar=rho_bar)
+    assert g.pressure(rho_bar) == rho_bar / 2.0
+    assert g.pressure(np.array([0.5, 2.0]) * rho_bar).tolist() == [rho_bar / 8.0, 2.0 * rho_bar]
+
+
 @pytest.mark.parametrize("gamma,rho_bar", [(1.1, 0.5), (1.4, 1.0), (2.0, 2.0), (3.0, 0.3)])
 def test_unit_background_sound_speed(gamma, rho_bar):
     g = GasModel(gamma=gamma, rho_bar=rho_bar)
