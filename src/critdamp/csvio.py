@@ -17,7 +17,6 @@ raise mid-write (bad input or an I/O error) leaves a truncated file behind.
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -45,18 +44,19 @@ def write_series(path: str, times: np.ndarray, columns: Mapping[str, np.ndarray]
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Header names and float rows of a CSV file; empty and ``#`` lines are
     skipped.  Raises ValueError naming ``path`` when the header is missing, a
-    row is ragged or holds a non-number, or there are no data rows."""
+    row is ragged or holds a non-number, or there are no data rows.  From the
+    first data row on, ``np.loadtxt`` reads the file by its path, in chunks."""
     with open(path, "r", encoding="utf-8") as fh:
-        content = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
-        header, first = next(content, ""), next(content, "")
-        try:
-            if not first:
-                raise ValueError("no data rows" if header else "no header line")
-            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments="#", ndmin=2)
-            if data.shape[1] != header.count(",") + 1:
-                raise ValueError(f"rows of {data.shape[1]} fields under the header {header!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        content = ((i, s) for i, s in enumerate(map(str.strip, fh)) if s and not s.startswith("#"))
+        (_, header), (first, row) = next(content, (0, "")), next(content, (0, ""))
+    try:
+        if not row:
+            raise ValueError("no data rows" if header else "no header line")
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, skiprows=first, encoding="utf-8")
+        if data.shape[1] != header.count(",") + 1:
+            raise ValueError(f"rows of {data.shape[1]} fields under the header {header!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return header.split(","), data
 
 

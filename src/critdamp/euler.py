@@ -21,14 +21,16 @@ Window invariant: a step updates only the cells before and one past the last
 live cell (live: rho_pert or mom not +0.0).  A face between two +0.0 cells
 carries exactly zero flux at either order (a zero difference has minmod slope
 0, and p_face - p_c is 0), so every cell beyond the window stays +0.0 and the
-update equals the full-grid one bit for bit.  The window ends on a background
-cell (speed |u| + c exactly 1) unless it is the whole grid, so stable_dt and
-max_velocity_gradient over it equal their full-grid values too.  The cells
-from w on leave a step as the +0.0 they were, so the next window's last live
-cell lies in [w-3, w) (the front moves at most one cell a step) or else a
-scan of the cells before finds it: the next window is exactly the one a full
-scan gives.  Its rho is rho_bar + q_new over the updated cells, which is
-where the density floor is tested, so it needs no second rho > 0 check.
+update equals the full-grid one bit for bit.  Past the window u is 0 and the
+wave speed |u| + c exactly 1, and the window ends on such a background cell
+unless it is the whole grid, so max |du/dr| and max(|u| + c) over the full
+grid equal their window values bit for bit (series takes them over full
+rows).  The cells from w on leave a step as the +0.0 they were, so the next
+window's last live cell lies in [w-3, w) (the front moves at most one cell a
+step) or else a scan of the cells before finds it: the next window is exactly
+the one a full scan gives.  Its rho is rho_bar + q_new over the updated
+cells, which is where the density floor is tested, so it needs no second
+rho > 0 check.
 
 Workspace rule: a step is bound by numpy call overhead on small windows, so
 it copies and concatenates nothing, and allocates only what the gas kernels
@@ -41,19 +43,19 @@ cells there that a shrunken window leaves stale, and computes the new
 window's kernels once its density and finiteness checks pass.  The states of
 a run are views of the pairs that carry the workspace to step, stable_dt and
 max_velocity_gradient; they hold until the next step but one, so ``sample``
-copies them.  Only run steps such a workspace (series moves each state into
-one, so that its max_du_dr and dt share a window).  A state without one
-(from init_state, a copy, a snapshot or a bare step) gets a fresh workspace
-per call, so a bare step returns arrays that no later step writes, and the
-arithmetic is the same for both.  Each in-place pass keeps the operation
-and operand order of the expression it replaces, up to swapping the operands
-of * or + (exact in IEEE 754), and nothing is reassociated or fused, so
-states, dt values and artifacts stay bit-identical to the out-of-place
-formulas.
+copies them.  Only run steps such a workspace; a state without one (from
+init_state, a copy, a snapshot or a bare step) gets a fresh one per call of
+step, stable_dt or max_velocity_gradient, so a bare step returns arrays that
+no later step writes, and the arithmetic is the same for both.  Each in-place
+pass keeps the operation and operand order of the expression it replaces, up
+to swapping the operands of * or + (exact in IEEE 754), and nothing is
+reassociated or fused, so states, dt values and artifacts stay bit-identical
+to the out-of-place formulas.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -458,28 +460,36 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
         )
 
 
-# The radial series columns f(state, gas, damping), in output order.
-_SERIES_COLUMNS: dict[str, Callable] = {
-    "L": lambda s, g, d: mon.mass_excess(s, g),
-    "H": lambda s, g, d: mon.weighted_momentum(s),
-    "E0": lambda s, g, d: mon.weighted_potential_energy(s, g, d),
-    "min_rho": lambda s, g, d: float(np.min(s.rho)),
-    "max_u": lambda s, g, d: float(np.max(np.abs(s.mom / s.rho))),
-    "max_du_dr": lambda s, g, d: max_velocity_gradient(s),
-}
+_STACK_CELLS = 4096  # cells in one stack of series: _STACK_CELLS // n_cells states, at least one
 
 
 def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
            cfl: float) -> dict[str, np.ndarray]:
     """Radial series columns, one value per state: L, H, E0, min_rho, max_u,
-    max_du_dr, then the CFL-stable ``dt`` of each state."""
-    names = [*_SERIES_COLUMNS, "dt"]
-    table = np.empty((len(names), len(states)))
-    for j, state in enumerate(states):
-        state = _in_workspace(gas, state)  # one window for max_du_dr and dt
-        table[:-1, j] = [fn(state, gas, damping) for fn in _SERIES_COLUMNS.values()]
-        table[-1, j] = stable_dt(gas, state, cfl)
-    return dict(zip(names, table))
+    max_du_dr, then the CFL-stable ``dt``.  Consecutive states on one grid go
+    as one C-order (k, n_cells) stack, max_du_dr and dt over full rows (see
+    module notes); a density <= 0 or nan raises :class:`BreakdownError` at its ``t``."""
+    if any(s.rho_bar != gas.rho_bar for s in states):
+        raise ValueError("the states must lie on the background density of gas")
+    table, i = np.empty((7, len(states))), 0
+    while i < len(states):
+        grid = states[i].grid
+        k = max(1, _STACK_CELLS // grid.n_cells)
+        stack = list(itertools.takewhile(lambda s: s.grid == grid, states[i:i + k]))
+        times = [s.t for s in stack]
+        rho = gas.rho_bar + np.array([s.rho_pert for s in stack])
+        bad = np.flatnonzero(~np.logical_and.reduce(rho > 0, axis=1))
+        if bad.size:
+            raise BreakdownError(times[bad[0]], BreakdownCause.NEGATIVE_DENSITY)
+        mom = np.array([s.mom for s in stack])
+        u = mom / rho
+        table[:, i:i + len(stack)] = (
+            mon.mass_excess_rows(grid, rho, gas), mon.weighted_momentum_rows(grid, mom),
+            mon.weighted_potential_energy_rows(grid, times, rho, u, gas, damping),
+            rho.min(axis=1), np.abs(u).max(axis=1), np.abs(np.diff(u, axis=1)).max(axis=1) / grid.dr,
+            cfl * grid.dr / _wave_speed(gas, rho / gas.rho_bar, u).max(axis=1))
+        i += len(stack)
+    return dict(zip(["L", "H", "E0", "min_rho", "max_u", "max_du_dr", "dt"], table))
 
 
 def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cfl: float = 0.4, *,
@@ -492,6 +502,8 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
     """
     if state.t != 0:
         raise ValueError("the initial state must be at t = 0")
+    if state.rho_bar != gas.rho_bar:
+        raise ValueError("the initial state must lie on the background density of gas")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if not 0.0 < cfl <= 0.9:

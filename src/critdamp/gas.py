@@ -103,5 +103,5 @@ class GasModel:
         if np.any(big):
             db = d[big]
             out[big] = (1.0 + db) ** self.gamma - 1.0 - self.gamma * db
-        out *= self.A * self.rho_bar**self.gamma
+        out *= self.rho_bar / self.gamma  # = A * rho_bar**gamma, which overflows
         return float(out[0]) if scalar else out

@@ -8,7 +8,9 @@ Radial reductions used throughout (state quantities depend on r = |x| only):
     weighted momentum   H(t)    = 4 pi   int_0^inf r^3 (rho u) dr
     mass excess         L(t)    = 4 pi   int_0^inf r^2 (rho - rho_bar) dr
 
-Discrete integrals use the midpoint rule on the solver grid.
+Discrete integrals use the midpoint rule on the solver grid.  H, L and E0
+are written once, over the rows of C-order (k, n_cells) stacks on one grid
+(``*_rows``, each row summed as one state's array); a state is one row.
 """
 
 from __future__ import annotations
@@ -47,16 +49,24 @@ class CriterionReport:
         )
 
 
+def weighted_momentum_rows(grid, mom: np.ndarray) -> np.ndarray:
+    """H of each row of a C-order (k, n_cells) stack of momenta on ``grid``."""
+    return FOUR_PI * (np.sum(grid.centers**3 * mom, axis=1) * grid.dr)
+
+
 def weighted_momentum(state) -> float:
     """H(t) = 4 pi int r^3 (rho u) dr (midpoint rule)."""
-    r = state.grid.centers
-    return FOUR_PI * float(np.sum(r**3 * state.mom) * state.grid.dr)
+    return float(weighted_momentum_rows(state.grid, state.mom[None])[0])
+
+
+def mass_excess_rows(grid, rho: np.ndarray, gas: GasModel) -> np.ndarray:
+    """L of each row of a C-order (k, n_cells) stack of densities on ``grid``."""
+    return FOUR_PI * (np.sum(grid.centers**2 * (rho - gas.rho_bar), axis=1) * grid.dr)
 
 
 def mass_excess(state, gas: GasModel) -> float:
     """L(t) = 4 pi int r^2 (rho - rho_bar) dr (midpoint rule); conserved along runs."""
-    r = state.grid.centers
-    return FOUR_PI * float(np.sum(r**2 * (state.rho - gas.rho_bar)) * state.grid.dr)
+    return float(mass_excess_rows(state.grid, state.rho[None], gas)[0])
 
 
 def cauchy_schwarz_weight(t: float, m: float, l0: float, gas: GasModel) -> float:
@@ -111,21 +121,23 @@ def weighted_potential_energy(state, gas: GasModel, damping: DampingLaw) -> floa
 
         E0 = 4 pi int r^2 ( (1+t)^(2 lam) ((d_t psi)^2 + (d_r psi)^2) + psi^2 ) dr.
     """
-    grid = state.grid
-    r = grid.centers
+    rho = state.rho[None]
+    return float(weighted_potential_energy_rows(state.grid, [state.t], rho, state.mom / rho, gas, damping)[0])
+
+
+def weighted_potential_energy_rows(grid, times, rho, u, gas: GasModel, damping: DampingLaw) -> np.ndarray:
+    """E0 of each row of C-order (k, n_cells) stacks of ``rho`` > 0 and ``u``,
+    row j at ``times[j]``; its powers of 1 + t are Python floats, as for one state."""
     dr = grid.dr
-    t = state.t
-    u = state.mom / state.rho
+    powers = [(1.0 + t, (1.0 + t) ** (-damping.lam), (1.0 + t) ** (2.0 * damping.lam)) for t in times]
+    one_t, scale, weight = (np.array(column)[:, None] for column in zip(*powers))
 
-    tail = np.cumsum(u[::-1])[::-1] * dr
+    tail = np.cumsum(u[:, ::-1], axis=1)[:, ::-1] * dr
     phi = -(tail - 0.5 * u * dr)
-    coeff = damping.mu * (1.0 + t) ** (-damping.lam)
-    dphi_dt = -(0.5 * u * u + gas.enthalpy(state.rho) + coeff * phi)
+    dphi_dt = -(0.5 * u * u + gas.enthalpy(rho) + damping.mu * scale * phi)
 
-    scale = (1.0 + t) ** (-damping.lam)
     psi = phi * scale
-    dpsi_dt = dphi_dt * scale - damping.lam * phi * scale / (1.0 + t)
+    dpsi_dt = dphi_dt * scale - damping.lam * phi * scale / one_t
     dpsi_dr = u * scale
-    weight = (1.0 + t) ** (2.0 * damping.lam)
     density = weight * (dpsi_dt**2 + dpsi_dr**2) + psi**2
-    return FOUR_PI * float(np.sum(r**2 * density) * dr)
+    return FOUR_PI * (np.sum(grid.centers**2 * density, axis=1) * dr)

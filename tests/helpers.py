@@ -3,10 +3,11 @@
 These deliberately avoid the package's own numeric kernels: fixed-order
 composite rules at extreme refinement, plain bisection and mpmath's incomplete
 gamma function, so every dual-route check compares two independent code
-paths.  The exceptions are the full-grid radial step and the march over it,
-which the windowed ``euler.step`` and ``euler.run`` must reproduce bit for
-bit, the naive snapshot writer, whose bytes ``csvio`` must reproduce, and
-the helpers at the end, which only the tests call.  Among those are the
+paths.  The exceptions are the full-grid radial step, the march over it and
+the one-state series row, which the windowed ``euler.step``, ``euler.run``
+and the stacked ``euler.series`` must reproduce bit for bit, the naive
+snapshot writer and the line-fed CSV reader, whose bytes and results
+``csvio`` must reproduce, and the helpers at the end, which only the tests call.  Among those are the
 series-file reader and the weighted density moments of the paper's blowup
 argument for lambda > 1 (P(t, l), its smooth-data values q0 and q1, the
 pressure-excess moment G and the twice-integrated band functional F), which
@@ -14,12 +15,12 @@ the radial solver is checked against; the smooth-data moments use the
 package's ``adaptive_quad``.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from critdamp import monitors
 from critdamp.csvio import read_csv
 from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
 from critdamp.monitors import FOUR_PI
@@ -222,17 +223,57 @@ def full_grid_run(gas, damping, state, t_end, cfl, cadence, muscl=False):
     verdict = march(state, t_end, sample_times(t_end, cadence), lambda s: full_grid_stable_dt(gas, s, cfl),
                     lambda s, t, dt: full_grid_step(gas, damping, s, cfl, dt=dt, muscl=muscl),
                     full_grid_max_velocity_gradient, sample)
-    columns = {
-        "L": [monitors.mass_excess(s, gas) for s in snapshots],
-        "H": [monitors.weighted_momentum(s) for s in snapshots],
-        "E0": [monitors.weighted_potential_energy(s, gas, damping) for s in snapshots],
-        "min_rho": [float(np.min(s.rho)) for s in snapshots],
-        "max_u": [float(np.max(np.abs(s.mom / s.rho))) for s in snapshots],
-        "max_du_dr": [full_grid_max_velocity_gradient(s) for s in snapshots],
-        "dt": [full_grid_stable_dt(gas, s, cfl) for s in snapshots],
-    }
-    columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+    table = np.array([one_state_series(s, gas, damping, cfl) for s in snapshots]).reshape(-1, 7).T
+    columns = {name: np.ascontiguousarray(column) for name, column in zip(SERIES_NAMES, table)}
     return np.asarray([s.t for s in snapshots]), columns, snapshots, verdict
+
+
+SERIES_NAMES = ["L", "H", "E0", "min_rho", "max_u", "max_du_dr", "dt"]
+
+
+def one_state_series(state, gas, damping, cfl):
+    """The ``euler.series`` row of one state (``SERIES_NAMES``), with the
+    monitors written out over the state's 1-D arrays: every power of 1 + t a
+    Python float, every sum a 1-D ``np.sum``, and max_du_dr and dt from the
+    full-grid oracles."""
+    r, dr, t, lam = state.grid.centers, state.grid.dr, state.t, damping.lam
+    rho = state.rho
+    u = state.mom / rho
+    tail = np.cumsum(u[::-1])[::-1] * dr
+    phi = -(tail - 0.5 * u * dr)
+    coeff = damping.mu * (1.0 + t) ** (-lam)
+    dphi_dt = -(0.5 * u * u + gas.enthalpy(rho) + coeff * phi)
+    scale = (1.0 + t) ** (-lam)
+    psi = phi * scale
+    dpsi_dt = dphi_dt * scale - lam * phi * scale / (1.0 + t)
+    density = (1.0 + t) ** (2.0 * lam) * (dpsi_dt**2 + (u * scale)**2) + psi**2
+    return [
+        FOUR_PI * float(np.sum(r**2 * (rho - gas.rho_bar)) * dr),
+        FOUR_PI * float(np.sum(r**3 * state.mom) * dr),
+        FOUR_PI * float(np.sum(r**2 * density) * dr),
+        float(np.min(rho)),
+        float(np.max(np.abs(u))),
+        full_grid_max_velocity_gradient(state),
+        full_grid_stable_dt(gas, state, cfl),
+    ]
+
+
+def line_fed_read_csv(path):
+    """``csvio.read_csv`` as it fed ``np.loadtxt`` one line at a time from
+    Python: the reference for the data and the error texts of the reader
+    that hands ``np.loadtxt`` the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        content = (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+        header, first = next(content, ""), next(content, "")
+        try:
+            if not first:
+                raise ValueError("no data rows" if header else "no header line")
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments="#", ndmin=2)
+            if data.shape[1] != header.count(",") + 1:
+                raise ValueError(f"rows of {data.shape[1]} fields under the header {header!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return header.split(","), data
 
 
 def naive_snapshot_text(header, blocks):

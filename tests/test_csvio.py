@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from critdamp import DampingLaw, GasModel, InitialProfile, RadialGrid, RadialState, init_state, step
 from critdamp.burgers import Snapshot1D
+from critdamp.cli import main
 from critdamp.csvio import (
     read_csv,
     read_radial_snapshots,
@@ -20,7 +21,7 @@ from critdamp.csvio import (
     write_series,
 )
 from critdamp.profiles import radial_outgoing_shell
-from helpers import naive_line_snapshot_text, naive_radial_snapshot_text, read_series
+from helpers import line_fed_read_csv, naive_line_snapshot_text, naive_radial_snapshot_text, read_series
 
 # Finite floats, with the values a float parser most easily gets wrong drawn
 # often: signed zero, subnormals, the extremes and 17-significant-digit values.
@@ -254,3 +255,106 @@ def test_read_radial_snapshots_rejects_bad_blocks(tmp_path, body):
     path.write_text("t,r,rho,mom\n" + body)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_radial_snapshots(str(path), 1.0)
+
+
+# ---------------------------------------------------------------- path-fed reader against line-fed
+
+def spaced_first_row(text):
+    """``text`` with spaces and tabs around the fields of its first data row."""
+    lines = text.splitlines(True)
+    content = [i for i, line in enumerate(lines) if line.strip() and not line.strip().startswith("#")]
+    first = content[1]
+    lines[first] = "  " + " , ".join(lines[first].strip().split(",")) + " \t\n"
+    return "".join(lines)
+
+
+def comments_between_rows(text):
+    """``text`` with a comment and a blank line after every third line."""
+    lines = text.splitlines(True)
+    return "".join(line + ("# between rows\n\n" if i % 3 == 2 else "") for i, line in enumerate(lines))
+
+
+READ_VARIANTS = {
+    "leading-blank-and-comment-lines": lambda text: "\n# written by hand\n   \n#\n" + text,
+    "comments-between-rows": comments_between_rows,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "spaced-first-row": spaced_first_row,
+    "all": lambda text: spaced_first_row(comments_between_rows("\n# by hand\n\n" + text)).replace("\n", "\r\n"),
+}
+
+
+def assert_reads_as_line_fed(path):
+    names, data = read_csv(str(path))
+    ref_names, ref_data = line_fed_read_csv(str(path))
+    assert names == ref_names
+    assert data.shape == ref_data.shape and bits(data) == bits(ref_data)
+
+
+@pytest.mark.parametrize("variant", READ_VARIANTS)
+def test_read_radial_snapshots_matches_the_line_fed_reader(tmp_path, variant):
+    states = [shell_after_steps(1.0, n) for n in (0, 3, 6)]
+    for t, s in zip((0.0, 0.5, 1.0), states):
+        s.t = t
+    plain, path = tmp_path / "plain.csv", tmp_path / "snapshots.csv"
+    write_radial_snapshots(str(plain), states)
+    path.write_bytes(READ_VARIANTS[variant](plain.read_text()).encode())
+    assert_reads_as_line_fed(path)
+    back, expected = read_radial_snapshots(str(path), 1.0), read_radial_snapshots(str(plain), 1.0)
+    assert len(back) == len(expected) == 3
+    for got, want in zip(back, expected):
+        assert got.t == want.t and got.grid == want.grid
+        assert bits(got.rho_pert) == bits(want.rho_pert) and bits(got.mom) == bits(want.mom)
+
+
+@pytest.mark.parametrize("variant", READ_VARIANTS)
+def test_profile_file_matches_the_line_fed_reader(tmp_path, variant):
+    rs = np.linspace(0.0, 1.0, 41).tolist()
+    rows = "".join(f"{r!r},{(1.0 - r * r) ** 3!r},{0.5 * r * (1.0 - r * r) ** 2!r}\n" for r in rs)
+    plain, path = tmp_path / "plain.csv", tmp_path / "profile.csv"
+    plain.write_text("r,rho0,u0\n" + rows)
+    path.write_bytes(READ_VARIANTS[variant](plain.read_text()).encode())
+    assert_reads_as_line_fed(path)
+    outputs = []
+    for name, profile in (("a", plain), ("b", path)):
+        out = tmp_path / name
+        assert main(["euler-sim", "--profile.file", str(profile), "--profile.epsilon", "0.1", "--grid.r_max", "8",
+                     "--grid.n_cells", "64", "--run.t_end", "1", "--output.dir", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("series.csv", "snapshots.csv")])
+    assert outputs[0] == outputs[1]
+
+
+READ_ERRORS = {  # (header, a row, a short row, a row with a non-number)
+    "snapshots": ("t,r,rho,mom", "0.0,0.5,1.0,0.0", "0.0,1.5,1.0", "0.0,1.5,abc,0.0"),
+    "profile": ("r,rho0,u0", "0,1,0", "1,1", "1,abc,0"),
+}
+
+
+@pytest.mark.parametrize("kind", ["no-header-line", "no-data-rows", "ragged-rows", "non-number"])
+@pytest.mark.parametrize("geometry", READ_ERRORS)
+@pytest.mark.parametrize("crlf", [False, True])
+def test_read_errors_match_the_line_fed_reader(tmp_path, capsys, kind, geometry, crlf):
+    header, row, short, bad = READ_ERRORS[geometry]
+    text = {
+        "no-header-line": "# only comments\n\n   \n",
+        "no-data-rows": f"# before\n{header}\n# none\n\n",
+        "ragged-rows": f"{header}\n{row}\n# between\n\n{short}\n",
+        "non-number": f"\n{header}\n {row} \n{row}\n{bad}\n",
+    }[kind]
+    path = tmp_path / "input.csv"
+    path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    with pytest.raises(ValueError) as ref:
+        line_fed_read_csv(str(path))
+    message = str(ref.value)
+    assert message.startswith(f"{path}: ")
+    with pytest.raises(ValueError) as raised:
+        read_csv(str(path))
+    assert str(raised.value) == message
+    if geometry == "snapshots":
+        with pytest.raises(ValueError) as raised:
+            read_radial_snapshots(str(path), 1.0)
+        assert str(raised.value) == message
+    else:
+        capsys.readouterr()
+        assert main(["euler-sim", "--profile.file", str(path), "--profile.epsilon", "0.1",
+                     "--output.dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config-error: key 'profile.file': {message}\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +20,17 @@ from critdamp import (
 )
 from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
 from critdamp.euler import (
+    _STACK_CELLS,
     RadialState,
     _in_workspace,
     _span,
     _Workspace,
     max_velocity_gradient,
+    series,
     stable_dt,
     validate_horizon,
 )
-from critdamp.monitors import FOUR_PI, mass_excess
+from critdamp.monitors import FOUR_PI, mass_excess, weighted_momentum, weighted_potential_energy
 from critdamp.outcome import BreakdownCause, BreakdownError
 from critdamp.profiles import _smooth_step, line_bump, mollifier, radial_bump, radial_outgoing_shell, radial_shell
 from helpers import (
@@ -37,6 +40,8 @@ from helpers import (
     full_grid_stable_dt,
     full_grid_step,
     momentum_ode_residual,
+    one_state_series,
+    SERIES_NAMES,
 )
 
 GAS = GasModel(gamma=2.0, rho_bar=1.0)
@@ -620,3 +625,145 @@ def test_workspace_step_takes_log_beta_at_the_time_it_is_given():
     new = step(GAS, LAW, s, 0.4)
     assert new.t == full.t
     assert new.mom.tobytes() == full.mom.tobytes()
+
+
+# ---------------------------------------------------------------- stacked series
+
+# a quarter, a third and a half of the stack budget stack 4, 3 and 2 states;
+# one cell more than the budget stands alone
+SERIES_GRIDS = [32, 100, _STACK_CELLS // 4, _STACK_CELLS // 3, _STACK_CELLS // 2, _STACK_CELLS + 1]
+
+
+def random_state(grid, rho_bar, t, seed, span, neg_zero):
+    """A state whose live cells lie in [0, span), some of them +0.0, with a
+    ``neg_zero`` share of its momenta set to a live -0.0 anywhere."""
+    n = grid.n_cells
+    rng = np.random.default_rng(seed)
+    q, mom = np.zeros(n), np.zeros(n)
+    q[:span] = rho_bar * rng.uniform(-0.9, 2.0, span)
+    mom[:span] = rng.normal(0.0, 1.0, span)
+    q[:span][rng.random(span) < 0.2] = 0.0
+    mom[rng.random(n) < neg_zero] = -0.0
+    return RadialState(t, q, mom, grid, rho_bar)
+
+
+def assert_series_matches_one_state_monitors(states, gas, law, cfl):
+    """``series`` equals, bit for bit, the one-state monitors with stable_dt
+    and max_velocity_gradient on a fresh workspace per state, and the 1-D
+    formulas of ``one_state_series``."""
+    columns = series(states, gas, law, cfl)
+    assert list(columns) == SERIES_NAMES
+    got = np.array(list(columns.values())).reshape(7, len(states))
+    for j, s in enumerate(states):
+        assert s._work is None
+        package = [mass_excess(s, gas), weighted_momentum(s), weighted_potential_energy(s, gas, law),
+                   float(np.min(s.rho)), float(np.max(np.abs(s.mom / s.rho))),
+                   max_velocity_gradient(s), stable_dt(gas, s, cfl)]
+        expected = np.array(one_state_series(s, gas, law, cfl))
+        assert np.array(package).tobytes() == expected.tobytes(), j
+        assert got[:, j].tobytes() == expected.tobytes(), j
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), gamma=st.sampled_from([2.0, 1.4, 5.0 / 3.0]), rho_bar=st.sampled_from([1.0, 2.0, 0.7]),
+       mu=st.floats(0.0, 2.0), lam=st.floats(0.0, 3.0), cfl=st.sampled_from([0.4, 0.9]),
+       sizes=st.lists(st.sampled_from(SERIES_GRIDS), min_size=1, max_size=3))
+def test_series_matches_one_state_monitors(data, gamma, rho_bar, mu, lam, cfl, sizes):
+    # consecutive runs of states on one grid, the grid changing between them
+    gas = GasModel(gamma, rho_bar)
+    states = []
+    for n in sizes:
+        grid = RadialGrid(12.0, n)
+        for _ in range(data.draw(st.integers(0, max(2, min(10, _STACK_CELLS // n + 1))))):
+            span = data.draw(st.sampled_from([0, 1, n]) | st.integers(0, n))
+            states.append(random_state(grid, rho_bar, data.draw(st.floats(0.0, 50.0)),
+                                       data.draw(st.integers(0, 2**32 - 1)), span,
+                                       data.draw(st.sampled_from([0.0, 0.01, 0.5]))))
+    assert_series_matches_one_state_monitors(states, gas, DampingLaw(mu, lam), cfl)
+
+
+@pytest.mark.parametrize("case", ["empty", "single", "background", "to-last-cell", "negative-zero",
+                                  "across-stacks-and-grids"])
+def test_series_matches_one_state_monitors_on_edge_lists(case):
+    fine, coarse = RadialGrid(12.0, 1024), RadialGrid(7.0, 4096)
+    states = {
+        "empty": [],
+        "single": [random_state(fine, 1.0, 0.5, 1, 300, 0.0)],
+        "background": [random_state(fine, 1.0, t, 2, 0, 0.0) for t in (0.0, 1.0, 2.0)],
+        "to-last-cell": [random_state(grid, 1.0, 1.5, 3, grid.n_cells, 0.0) for grid in (fine, coarse)],
+        "negative-zero": [random_state(fine, 1.0, 2.0, 4, 0, 0.01), random_state(fine, 1.0, 2.0, 5, 600, 0.01)],
+        # more states than one stack holds, then the grid changes and back
+        "across-stacks-and-grids": [random_state(grid, 1.0, 0.1 * j, j, 500, 0.001)
+                                    for j, grid in enumerate([fine] * 9 + [coarse] * 3 + [fine] * 2)],
+    }[case]
+    assert_series_matches_one_state_monitors(states, GAS, DampingLaw(1.0, 1.7957), 0.4)
+
+
+# (t, lam) where np.power over an array rounds (1 + t)**-lam differently from
+# a Python float ** on some builds: each power of 1 + t is a Python float
+@pytest.mark.parametrize("t, lam", [
+    (9.716707176635781, 1.1791353779704619), (11.886000603993935, 1.4668846634068315),
+    (4.543151870667595, 1.1891146891553994), (18.47060319566939, 2.0969724052766874),
+    (4.833514281886899, 1.9959914451596643),
+])
+def test_series_takes_powers_of_one_plus_t_as_python_floats(t, lam):
+    grid = RadialGrid(12.0, 1024)
+    states = [random_state(grid, 1.0, t, seed, 700, 0.0) for seed in range(5)]
+    assert_series_matches_one_state_monitors(states, GAS, DampingLaw(1.0, lam), 0.4)
+
+
+def test_series_sums_each_row_as_a_one_dimensional_array():
+    # a row of a Fortran-order stack would sum in another order than the 1-D
+    # array of its state; these rows show that difference
+    grid = RadialGrid(12.0, 1024)
+    states = [random_state(grid, 1.0, 0.5 * j, 10 + j, 1024, 0.0) for j in range(8)]
+    rho = np.asfortranarray([s.rho for s in states])
+    assert np.sum(rho, axis=1).tobytes() != np.array([np.sum(s.rho) for s in states]).tobytes()
+    assert_series_matches_one_state_monitors(states, GAS, LAW, 0.4)
+
+
+@pytest.mark.parametrize("value", [-1.0, -3.0, math.nan])
+@pytest.mark.parametrize("bad", [0, 5, 9])
+def test_series_raises_negative_density_at_the_state_as_a_workspace_does(value, bad):
+    # 10 states in stacks of 4, 4 and 2; rho = 1 + value at one cell of the
+    # state ``bad`` and of the one after it, which must not be reported
+    grid = RadialGrid(12.0, _STACK_CELLS // 4)
+    states = [random_state(grid, 1.0, 0.25 * j, j, 400, 0.0) for j in range(10)]
+    for j in (bad, bad + 1)[:10 - bad]:
+        states[j].rho_pert[123] = value
+    with pytest.raises(BreakdownError) as parent:
+        _Workspace(states[bad])
+    with pytest.raises(BreakdownError) as raised:
+        series(states, GAS, LAW, 0.4)
+    assert raised.value.time == parent.value.time == states[bad].t
+    assert raised.value.cause == parent.value.cause == BreakdownCause.NEGATIVE_DENSITY
+
+
+def test_series_rejects_states_off_the_gas_background():
+    s = random_state(RadialGrid(12.0, 64), 2.0, 0.0, 1, 10, 0.0)
+    with pytest.raises(ValueError, match="background"):
+        series([s], GAS, LAW, 0.4)
+
+
+def test_run_rejects_a_state_off_the_gas_background_before_stepping(monkeypatch):
+    # checked with run's other arguments, not by series after the march
+    state = init_state(GasModel(2.0, 2.0), bump_profile(0.1), RadialGrid(12.0, 64))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("run stepped")
+
+    monkeypatch.setattr("critdamp.euler.step", no_step)
+    with pytest.raises(ValueError, match="background"):
+        run(GAS, LAW, state, 1.0)
+
+
+def test_series_memory_is_bounded_by_its_stacks():
+    grid = RadialGrid(12.0, 1024)
+    states = [random_state(grid, 1.0, 0.1 * j, j, 600, 0.0) for j in range(201)]
+    tracemalloc.start()
+    try:
+        series(states, GAS, LAW, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

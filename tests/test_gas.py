@@ -121,6 +121,17 @@ def test_pressure_excess_gamma2_exact_square():
         assert g.pressure_excess(rho) == pytest.approx(g.A * (rho - 2.0) ** 2, rel=1e-13)
 
 
+@pytest.mark.parametrize("rho_bar", [1e160, 1e300])
+def test_pressure_excess_at_huge_background_density(rho_bar):
+    # the scale rho_bar / gamma is finite where A * rho_bar**gamma overflows
+    g = GasModel(gamma=2.0, rho_bar=rho_bar)
+    assert g.pressure_excess(1.5 * rho_bar) == pytest.approx(0.125 * rho_bar, rel=1e-14)  # rho_bar d^2 / 2
+    assert g.pressure_excess(1.1 * rho_bar) == pytest.approx(0.005 * rho_bar, rel=1e-12)  # the series branch
+    rhos = rho_bar * np.array([0.3, 0.9, 1.2, 4.0])
+    unit = GasModel(gamma=1.4, rho_bar=1.0).pressure_excess(rhos / rho_bar)
+    assert GasModel(gamma=1.4, rho_bar=rho_bar).pressure_excess(rhos) == pytest.approx(rho_bar * unit, rel=1e-13)
+
+
 @pytest.mark.parametrize("gamma", [1.1, 1.4, 2.0, 3.0])
 def test_pressure_excess_nonnegative_dense(gamma):
     g = GasModel(gamma=gamma, rho_bar=1.0)
