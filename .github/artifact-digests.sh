@@ -13,6 +13,8 @@ set -euo pipefail
 src=$(cd "${1:?usage: artifact-digests.sh <src-dir>}" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+# a numpy overflow in any call fails the script, as in Tier-1
+export PYTHONWARNINGS=error::RuntimeWarning
 
 found=$(cd "$work" && PYTHONPATH="$src" python3 -c "import critdamp; print(critdamp.__file__)")
 if [ "$found" != "$src/critdamp/__init__.py" ]; then

@@ -63,14 +63,14 @@ class Snapshot1D:
     dt: float
 
 
-def max_negative_slope(problem: BurgersProblem, n_scan: int = 100_000) -> float:
+def max_negative_slope(problem: BurgersProblem) -> float:
     """m = max over the support of (-w0'); 0 when w0 is nondecreasing.
 
-    Dense scan (``n_scan`` points) localizes the maximum; golden-section
+    Dense scan (100,000 points) localizes the maximum; golden-section
     refinement polishes it, so flat plateaus and interior peaks are both safe.
     """
     lo, hi = problem.support
-    _, best = scan_maximum(lambda x: -np.asarray(problem.w0_prime(x)), lo, hi, n_scan=n_scan)
+    _, best = scan_maximum(lambda x: -np.asarray(problem.w0_prime(x)), lo, hi)
     return max(0.0, float(best))
 
 

@@ -35,15 +35,15 @@ rho > 0 check.
 Workspace rule: a step is bound by numpy call overhead on small windows, so
 it copies and concatenates nothing, and allocates only what the gas kernels
 return (and, for MUSCL, the face values).  :func:`run` gives its march one
-workspace: two pairs of padded (rho_pert, mom) buffers of n_cells + 4 cells
-(two ghost cells mirrored at r = 0, two background cells past r_max), the
-current window's rho, u, wave speed and pressure, and the flux and update
-scratch.  Each step writes the next state into the other pair, zeroes the
-cells there that a shrunken window leaves stale, and computes the new
-window's kernels once its density and finiteness checks pass.  The states of
-a run are views of the pairs that carry the workspace to step, stable_dt and
-max_velocity_gradient; they hold until the next step but one, so ``sample``
-copies them.  Only run steps such a workspace; a state without one (from
+workspace: one padded (rho_pert, mom) pair of n_cells + 4 cells (two ghost
+cells mirrored at r = 0, two background cells past r_max), the current
+window's rho, u, wave speed and pressure, and the flux and update scratch.
+A step forms every flux from the current cells before it writes any cell,
+so it updates the window in place, and computes the new window's kernels
+once its density and finiteness checks pass.  The states of a run are views
+of the pair that carry the workspace to step, stable_dt and
+max_velocity_gradient; they hold until the next step, so ``sample`` copies
+them.  Only run steps such a workspace; a state without one (from
 init_state, a copy, a snapshot or a bare step) gets a fresh one per call of
 step, stable_dt or max_velocity_gradient, so a bare step returns arrays that
 no later step writes, and the arithmetic is the same for both.  Each in-place
@@ -163,47 +163,43 @@ class RadialState:
 class _Workspace:
     """The arrays a state steps in (see module notes).
 
-    Pair k holds grid cell i at ``q[k][i + 2]`` and ``mom[k][i + 2]``, with
-    mirrored ghosts before and background after; its cells from ``dirty[k]``
-    on are +0.0.  Pair ``cur`` holds the current state, whose window is cells
-    [0, w) (w >= 2); rho, u, ``speed`` and ``p`` hold its extended cells
-    [0, w + 4) once :meth:`kernels` has run.  Built from ``state``, which it
-    copies, after checking rho > 0 over the window.
+    The pair holds grid cell i of the state at ``q[i + 2]`` and
+    ``mom[i + 2]``, with mirrored ghosts before and background after.  Its
+    window is cells [0, w) (w >= 2), past which the cells are +0.0; rho, u,
+    ``speed`` and ``p`` hold its extended cells [0, w + 4) once
+    :meth:`kernels` has run.  Built from ``state``, which it copies, after
+    checking rho > 0 over the window.
     """
 
     def __init__(self, state: RadialState) -> None:
         grid = state.grid
         n = self.n = grid.n_cells
         self.dr = grid.dr
-        self.q = (np.zeros(n + 4), np.zeros(n + 4))
-        self.mom = (np.zeros(n + 4), np.zeros(n + 4))
-        self.cells = [(q[2:n + 2], mom[2:n + 2]) for q, mom in zip(self.q, self.mom)]
-        self.bits = [(q.view(np.int64), mom.view(np.int64)) for q, mom in self.cells]
+        self.q, self.mom = np.zeros(n + 4), np.zeros(n + 4)
+        self.cells = (self.q[2:n + 2], self.mom[2:n + 2])
+        self.bits = tuple(a.view(np.int64) for a in self.cells)
         self.rho, self.u, self.speed, self.adv = (np.empty(n + 4) for _ in range(4))
         self.half_s, self.f_rho, self.f_adv, self.jump, self.p_face = (np.empty(n + 1) for _ in range(5))
         self.d, self.finite = np.empty(n), np.empty(n, dtype=bool)
         self.p = None
         self.t_beta = self.log_beta = math.nan  # log beta at the last step's t_new
-        q, mom = self.cells[0]
-        q[:] = state.rho_pert
-        mom[:] = state.mom
-        _mirror(self.q[0], self.mom[0])
-        self.w = _window_end(_span(*self.bits[0], n, n), n)
-        self.cur, self.dirty = 0, [self.w, 0]
+        self.cells[0][:] = state.rho_pert
+        self.cells[1][:] = state.mom
+        _mirror(self.q, self.mom)
+        self.w = _window_end(_span(*self.bits, n, n), n)
         m = self.w + 4
-        rho = np.add(self.q[0][:m], state.rho_bar, out=self.rho[:m])
+        rho = np.add(self.q[:m], state.rho_bar, out=self.rho[:m])
         if not np.logical_and.reduce(rho > 0):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
-        np.divide(self.mom[0][:m], rho, out=self.u[:m])
+        np.divide(self.mom[:m], rho, out=self.u[:m])
 
-    def kernels(self, gas: GasModel, pressure: bool = True) -> None:
-        """The wave speed |u| + c (and the pressure) over the current window."""
+    def kernels(self, gas: GasModel) -> None:
+        """The wave speed |u| + c and the pressure over the current window."""
         m = self.w + 4
         # x = rho/rho_bar goes where a first-order step forms mom * u later
         x = np.divide(self.rho[:m], gas.rho_bar, out=self.adv[:m])
         _wave_speed(gas, x, self.u[:m], out=self.speed[:m])
-        if pressure:
-            self.p = gas.pressure_of_ratio(x)
+        self.p = gas.pressure_of_ratio(x)
 
 
 def _mirror(q: np.ndarray, mom: np.ndarray) -> None:
@@ -232,7 +228,7 @@ def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
     the state :func:`run` marches from (see module notes)."""
     ws = _Workspace(state)
     ws.kernels(gas)
-    start = RadialState(state.t, *ws.cells[0], state.grid, state.rho_bar)
+    start = RadialState(state.t, *ws.cells, state.grid, state.rho_bar)
     start._work = ws
     return start
 
@@ -292,20 +288,11 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
     return RadialState(0.0, pert, mom, grid, gas.rho_bar)
 
 
-def _max_speed(gas: GasModel, state: RadialState) -> float:
-    """max(|u| + c) over the grid, read off the window."""
-    ws = state._work
-    if ws is None:
-        ws = _Workspace(state)
-        # no pressure: (rho/rho_bar)**gamma overflows on data whose wave
-        # speed validate_horizon must still see, to reject them as too fast
-        ws.kernels(gas, pressure=False)
-    return float(np.maximum.reduce(ws.speed[2:ws.w + 2]))
-
-
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
-    """CFL step cfl * dr / max(|u| + c) for the current state."""
-    return cfl * state.grid.dr / _max_speed(gas, state)
+    """CFL step cfl * dr / max(|u| + c) for the current state, with the
+    maximum over the grid read off the window."""
+    ws = state._work or _in_workspace(gas, state)._work
+    return cfl * state.grid.dr / float(np.maximum.reduce(ws.speed[2:ws.w + 2]))
 
 
 def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,18 +318,19 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     bypasses the CFL floor check, which only guards internally computed steps.
     Only the window's cells are updated (see module notes).
     """
-    internal_dt = dt is None
-    if internal_dt:
-        dt = stable_dt(gas, state, cfl)
-    if not 0 < dt < np.inf or (internal_dt and dt <= DT_FLOOR):
+    explicit_dt = dt is not None
+    if explicit_dt and not 0 < dt < np.inf:
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
+    bare = state._work is None
+    if bare:  # a bare step steps a copy, in a workspace that ends with it
+        state = _in_workspace(gas, state)
+    if not explicit_dt:
+        dt = stable_dt(gas, state, cfl)
+        if not DT_FLOOR < dt < np.inf:
+            raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
 
     ws = state._work
-    if ws is None:
-        ws = _Workspace(state)
-        ws.kernels(gas)
-    w, cur = ws.w, ws.cur
-    q, mom = ws.q[cur], ws.mom[cur]
+    w, q, mom = ws.w, ws.q, ws.mom
     # Face j (0 <= j <= w) sits between extended cells j+1 and j+2.
     if muscl:
         q_l, q_r = _reconstruct(q[:w + 4])
@@ -380,13 +368,12 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
 
     area = state.grid._area[:w + 1]
     inv_vol = state.grid._inv_vol[:w]
-    nxt = 1 - cur
-    q_new, mom_new = ws.q[nxt], ws.mom[nxt]
+    # Every flux is formed, so the window's cells take their new values.
     f_rho *= area
     d = np.subtract(f_rho[1:], f_rho[:-1], out=ws.d[:w])
     d *= dt
     d *= inv_vol
-    q_cells = np.subtract(q[2:w + 2], d, out=q_new[2:w + 2])
+    q_cells = np.subtract(q[2:w + 2], d, out=q[2:w + 2])
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
@@ -410,19 +397,12 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     dp_r *= inv_vol
     d += dp_r
     d *= dt
-    mom_cells = np.subtract(mom[2:w + 2], d, out=mom_new[2:w + 2])
+    mom_cells = np.subtract(mom[2:w + 2], d, out=mom[2:w + 2])
     mom_cells *= factor
+    _mirror(q, mom)
 
-    # Cells from w on are +0.0 in the state stepped from; zero what an
-    # earlier, wider window left there in this pair.
-    if ws.dirty[nxt] > w:
-        q_new[w + 2:ws.dirty[nxt] + 2] = 0.0
-        mom_new[w + 2:ws.dirty[nxt] + 2] = 0.0
-    ws.dirty[nxt] = w
-    _mirror(q_new, mom_new)
-
-    w_next = _window_end(_span(*ws.bits[nxt], max(w - 3, 0), w), ws.n)
-    rho = np.add(q_new[:w_next + 4], gas.rho_bar, out=ws.rho[:w_next + 4])
+    w_next = _window_end(_span(*ws.bits, max(w - 3, 0), w), ws.n)
+    rho = np.add(q[:w_next + 4], gas.rho_bar, out=ws.rho[:w_next + 4])
     # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
     if np.fmin.reduce(rho) <= DENSITY_FLOOR_FACTOR * gas.rho_bar:
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
@@ -430,10 +410,10 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     if not (np.logical_and.reduce(np.isfinite(q_cells, out=finite))
             and np.logical_and.reduce(np.isfinite(mom_cells, out=finite))):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-    ws.cur, ws.w = nxt, w_next
-    new = RadialState(t_new, *ws.cells[nxt], state.grid, gas.rho_bar)
-    if state._work is not None:  # a bare step's workspace ends with it
-        np.divide(mom_new[:w_next + 4], rho, out=ws.u[:w_next + 4])
+    ws.w = w_next
+    new = RadialState(t_new, *ws.cells, state.grid, gas.rho_bar)
+    if not bare:
+        np.divide(mom[:w_next + 4], rho, out=ws.u[:w_next + 4])
         ws.kernels(gas)
         new._work = ws
     return new
@@ -450,9 +430,15 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
     """Reject an initial state whose waves could reach the outer boundary.
 
     Uses the finite-propagation bound: support M plus t_end times a wave-speed
-    guess (1.2x the initial max of |u| + c) must stay inside r_max.
+    guess (1.2x the initial max of |u| + c, over full rows as in series) must
+    stay inside r_max.  A density <= 0 or nan raises :class:`BreakdownError`.
     """
-    guess = 1.2 * _max_speed(gas, state)
+    rho = state.rho
+    if not np.logical_and.reduce(rho > 0):
+        raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
+    # no pressure: (rho/rho_bar)**gamma overflows on data whose wave speed
+    # this must still see, to reject them as too fast
+    guess = 1.2 * float(np.max(_wave_speed(gas, rho / gas.rho_bar, state.mom / rho)))
     if M + t_end * guess >= state.grid.r_max:
         raise ValueError(
             f"grid.r_max={state.grid.r_max!r} too small: support {M!r} plus "

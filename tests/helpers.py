@@ -131,11 +131,16 @@ def mp_reciprocal_integral(mu, lam, t=None):
         return scale * (mp.gammainc(s, c) - mp.gammainc(s, x))
 
 
-def full_grid_stable_dt(gas, state, cfl):
+def full_grid_max_speed(gas, state):
+    """max(|u| + c) over every cell of the grid."""
     rho = state.rho
     u = state.mom / rho
     c = np.sqrt(gas.sound_speed_sq(rho))
-    return cfl * state.grid.dr / float(np.max(np.abs(u) + c))
+    return float(np.max(np.abs(u) + c))
+
+
+def full_grid_stable_dt(gas, state, cfl):
+    return cfl * state.grid.dr / full_grid_max_speed(gas, state)
 
 
 def full_grid_max_velocity_gradient(state):

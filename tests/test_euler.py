@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from critdamp.outcome import BreakdownCause, BreakdownError
 from critdamp.profiles import _smooth_step, line_bump, mollifier, radial_bump, radial_outgoing_shell, radial_shell
 from helpers import (
     composite_simpson,
+    full_grid_max_speed,
     full_grid_max_velocity_gradient,
     full_grid_run,
     full_grid_stable_dt,
@@ -242,6 +244,48 @@ def test_horizon_validation():
         validate_horizon(GAS, init_state(GAS, bump_profile(0.1), grid), 1.0, t_end=10.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(log_eps=st.none() | st.floats(-4.0, 160.0), gamma=st.sampled_from([2.0, 5.0 / 3.0, 1.4]),
+       shell=st.booleans(), rarefied=st.booleans(), inward=st.booleans(), u_amp=st.floats(0.0, 2.0),
+       n_cells=st.integers(32, 256), fill=st.booleans(), reach=st.floats(0.5, 1.5),
+       bad=st.sampled_from([None, -1.0, -2.0, math.nan]), bad_cell=st.integers(0, 31))
+@example(log_eps=160.0, gamma=2.0, shell=False, rarefied=False, inward=False, u_amp=1.0, n_cells=64,
+         fill=True, reach=1.0, bad=None, bad_cell=0)
+def test_validate_horizon_takes_the_full_grid_wave_speed(log_eps, gamma, shell, rarefied, inward, u_amp,
+                                                          n_cells, fill, reach, bad, bad_cell):
+    # the horizon check raises exactly when M + t_end * 1.2 * max(|u| + c)
+    # over the grid reaches r_max.  It forms no pressure, whose
+    # (rho/rho_bar)**gamma overflows past eps = 1e154 at gamma = 2, and a
+    # density <= 0 or nan anywhere raises NegativeDensity
+    gas = GasModel(gamma, 1.0)
+    eps = 0.0 if log_eps is None else 10.0**log_eps
+    rho0, _ = radial_outgoing_shell(0.3, 1.0) if shell else radial_bump(1.0)
+    grid = RadialGrid(12.0, n_cells)
+    shape = rho0(grid.centers)
+    rho_pert = (-1.0 if rarefied else 1.0) * eps * shape
+    u = (-1.0 if inward else 1.0) * u_amp * shape
+    if fill:  # a live last cell (-0.0 at least): the window is the whole grid
+        rho_pert[-1], u[-1] = 0.5 * eps, -u_amp
+    if bad is not None:
+        rho_pert[bad_cell] = bad
+    s = RadialState(0.0, rho_pert, (gas.rho_bar + rho_pert) * u, grid, gas.rho_bar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if not np.logical_and.reduce(s.rho > 0):
+            with pytest.raises(BreakdownError) as raised:
+                validate_horizon(gas, s, 1.0, t_end=1.0)
+            assert (raised.value.time, raised.value.cause) == (0.0, BreakdownCause.NEGATIVE_DENSITY)
+            return
+        speed = full_grid_max_speed(gas, s)
+        t_end = reach * (grid.r_max - 1.0) / (1.2 * speed)
+        try:
+            validate_horizon(gas, s, 1.0, t_end)
+            rejected = False
+        except ValueError:
+            rejected = True
+    assert rejected == (1.0 + t_end * (1.2 * speed) >= grid.r_max)
+
+
 def test_run_starts_at_time_zero():
     state = init_state(GAS, bump_profile(0.1), RadialGrid(30.0, 64))
     later = step(GAS, LAW, state, 0.4)
@@ -440,10 +484,10 @@ def test_span_matches_full_scan(q_bits, mom_bits, lo):
        n_cells=st.integers(32, 160), stepped=st.booleans(), dt_fraction=st.none() | st.floats(0.05, 1.0))
 def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_cells, stepped, dt_fraction):
     # step, stable_dt and max_velocity_gradient update workspace buffers in
-    # place; none may write through to the input state.  A run's state is
-    # the current pair of its workspace, beside its window's kernels:
-    # stable_dt and max_velocity_gradient only read them, and a step writes
-    # the other pair (its first-order faces are slices of the current one)
+    # place; none may write through to a bare input state.  A run's state is
+    # the pair of its workspace, beside its window's kernels: stable_dt and
+    # max_velocity_gradient only read them (a step writes them, see
+    # test_run_steps_its_window_in_place)
     rho0, u0 = radial_outgoing_shell(0.3, 1.0)
     rho_sign = -1.0 if rarefied else 1.0
     u_sign = -1.0 if inward else 1.0
@@ -460,14 +504,12 @@ def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_
         owned = _in_workspace(GAS, s)
         ws = owned._work
         m = ws.w + 4
-        arrays = [owned.rho_pert, owned.mom, ws.q[ws.cur][:m], ws.mom[ws.cur][:m],
-                  ws.rho[:m], ws.u[:m], ws.speed[:m], ws.p]
+        arrays = [owned.rho_pert, owned.mom, ws.q[:m], ws.mom[:m], ws.rho[:m], ws.u[:m], ws.speed[:m], ws.p]
         owned_before = [a.tobytes() for a in arrays]
         stable_dt(GAS, owned, 0.4)
         max_velocity_gradient(owned)
         assert [a.tobytes() for a in arrays] == owned_before
         new = outcome_of(lambda: step(GAS, LAW, owned, 0.4, dt=dt, muscl=muscl))
-        assert [a.tobytes() for a in arrays[:4]] == owned_before[:4]
         assert isinstance(new, tuple) or new._work is ws
     stable_dt(GAS, s, 0.4)
     max_velocity_gradient(s)
@@ -575,19 +617,17 @@ def test_run_matches_full_grid_march_at_acceptance_07():
 def test_run_clears_the_tail_a_shrinking_window_leaves(muscl):
     # the subnormal momentum past the shell holds the first window open and
     # is damped to +0.0 (factor < 1/2), so the window shrinks to the shell;
-    # the step after writes the pair that still holds the subnormal and
-    # must clear it
+    # the steps after must leave that cell +0.0
     s, last = shell_state()
     cell = last + 20
     s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
     first = _in_workspace(GAS, s)
     ws = first._work
+    assert first.mom[cell] == 5e-324
     second = step(GAS, law, first, 0.4, muscl=muscl)
     assert ws.w < cell - 1
-    assert first.mom[cell] == 5e-324
     third = step(GAS, law, second, 0.4, muscl=muscl)
-    assert third.mom is first.mom
     assert third.mom[cell:cell + 1].tobytes() == bytes(8)
     assert_run_matches_reference(GAS, law, s, 0.5, 0.4, 0.1, muscl)
 
@@ -613,6 +653,63 @@ def test_run_snapshots_and_bare_steps_keep_their_values():
     assert (a.rho_pert.tobytes(), a.mom.tobytes()) == kept == (b.rho_pert.tobytes(), b.mom.tobytes())
     assert not np.shares_memory(a.mom, b.mom) and not np.shares_memory(a.mom, c.mom)
     assert (s.rho_pert.tobytes(), s.mom.tobytes()) == before
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+def test_run_steps_its_window_in_place(monkeypatch, muscl):
+    # a run's step writes the new window into the pair its input is a view
+    # of, and leaves the cells from the old window on as the +0.0 they
+    # were; run's snapshots are copies, apart from its one workspace
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))
+    owned = _in_workspace(GAS, s)
+    ws, w = owned._work, owned._work.w
+    full = full_grid_step(GAS, LAW, owned, 0.4, muscl=muscl)
+    new = step(GAS, LAW, owned, 0.4, muscl=muscl)
+    assert new._work is ws
+    assert np.shares_memory(new.rho_pert, owned.rho_pert) and np.shares_memory(new.mom, owned.mom)
+    assert (new.rho_pert.tobytes(), new.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
+    assert new.rho_pert[w:].tobytes() == new.mom[w:].tobytes() == bytes(8 * (s.grid.n_cells - w))
+
+    starts = []
+
+    def spy(gas, state):
+        starts.append(_in_workspace(gas, state))
+        return starts[-1]
+
+    monkeypatch.setattr("critdamp.euler._in_workspace", spy)
+    res = run(GAS, LAW, s, t_end=1.5, cfl=0.4, monitor_cadence=0.5, muscl=muscl)
+    assert len(starts) == 1 and len(res.snapshots) == 4
+    buffers = [a for a in vars(starts[0]._work).values() if isinstance(a, np.ndarray)]
+    for snap in res.snapshots:
+        assert not any(np.shares_memory(a, b) for a in (snap.rho_pert, snap.mom) for b in buffers)
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3])
+def test_bare_step_builds_one_workspace(monkeypatch, dt):
+    # stable_dt and the step of a bare call share the workspace it builds
+    builds = []
+
+    class Counted(_Workspace):
+        def __init__(self, state):
+            builds.append(state.t)
+            super().__init__(state)
+
+    monkeypatch.setattr("critdamp.euler._Workspace", Counted)
+    step(GAS, LAW, init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64)), 0.4, dt=dt)
+    assert builds == [0.0]
+
+
+@pytest.mark.parametrize("dt, cause", [
+    (None, BreakdownCause.NEGATIVE_DENSITY), (1e-3, BreakdownCause.NEGATIVE_DENSITY),
+    (-1.0, BreakdownCause.CFL_COLLAPSE), (math.inf, BreakdownCause.CFL_COLLAPSE),
+    (math.nan, BreakdownCause.CFL_COLLAPSE),
+])
+def test_bare_step_checks_an_explicit_dt_before_the_density(dt, cause):
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
+    s.rho_pert[5] = -2.0
+    with pytest.raises(BreakdownError) as raised:
+        step(GAS, LAW, s, 0.4, dt=dt)
+    assert (raised.value.time, raised.value.cause) == (0.0, cause)
 
 
 def test_workspace_step_takes_log_beta_at_the_time_it_is_given():
