@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Print "sha256  case/mode/file" for every artifact that the five README
 # examples, one fixed argv per benchmark workload (the seed-1 draws of
-# benchmarks/run.py), two euler-sim runs under a non-default gas with
-# functionals after each, and functionals on a CRLF copy of one of their
-# snapshots.csv write when run on the sources under <src-dir>.  Every
+# benchmarks/run.py), two euler-sim runs under a non-default gas and one that
+# breaks down, with functionals after each, and functionals on a CRLF copy of
+# one of their snapshots.csv write when run on the sources under <src-dir>.  Every
 # call runs in a temporary directory with a relative --output.dir, so two
 # source trees make byte-identical artifacts exactly when their outputs match:
 #
@@ -61,6 +61,12 @@ run gas-gamma euler-sim "${gas_case[@]}" --gas.gamma 1.4
 run gas-gamma functionals "${gas_case[@]}" --gas.gamma 1.4
 run gas-rho-bar euler-sim "${gas_case[@]}" --gas.rho_bar 2
 run gas-rho-bar functionals "${gas_case[@]}" --gas.rho_bar 2
+
+# A run that ends in a breakdown (NegativeDensity at cfl 0.9), the path of the
+# step's density check, with functionals after it.
+breakdown=("${shell[@]}" --profile.epsilon 0.9 --grid.n_cells 512 --run.t_end 5 --run.cfl 0.9 --output.dir out)
+run breakdown euler-sim "${breakdown[@]}"
+run breakdown functionals "${breakdown[@]}"
 
 # The snapshot reader on CRLF line ends after a leading comment and blank line.
 mkdir -p "$work/gas-crlf/out"

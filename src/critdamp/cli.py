@@ -23,12 +23,12 @@ from .outcome import sample_times
 
 
 @contextlib.contextmanager
-def _as_config_error(key: str):
-    """Report a bad value (ValueError) or an unreadable file (OSError) met in
-    the block as a config error on ``key``."""
+def _as_config_error(key: str, errors=(OSError, ValueError)):
+    """Report ``errors`` met in the block (by default a bad value, ValueError,
+    or an unreadable file, OSError) as a config error on ``key``."""
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except errors as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
@@ -136,9 +136,10 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
         raise _profile_error(cfg, exc) from exc
     with _as_config_error("grid.r_max"):
         euler.validate_horizon(gas, state, profile.M, cfg["run.t_end"])
-    result = euler.run(
-        gas, damping, state, cfg["run.t_end"], cfg["run.cfl"], monitor_cadence=cfg["run.monitor_cadence"]
-    )
+    with _as_config_error("damping.lambda", OverflowError):  # the E0 weight
+        result = euler.run(
+            gas, damping, state, cfg["run.t_end"], cfg["run.cfl"], monitor_cadence=cfg["run.monitor_cadence"]
+        )
     csvio.write_series(os.path.join(out, "series.csv"), result.times, result.columns)
     csvio.write_radial_snapshots(os.path.join(out, "snapshots.csv"), result.snapshots)
     csvio.write_verdict(os.path.join(out, "verdict.txt"), result.verdict, cfg.echo_params())
@@ -154,10 +155,9 @@ def _run_functionals(cfg: ExperimentConfig, out: str) -> None:
         for s in states:  # the monitors need rho > 0; the reader takes any finite rho
             if s.rho.min() <= 0:
                 raise ValueError(f"{path}: the block at t={s.t!r} holds a density that is not positive")
-    csvio.write_series(
-        os.path.join(out, "series.csv"), np.array([s.t for s in states]),
-        euler.series(states, gas, damping, cfg["run.cfl"]),
-    )
+    with _as_config_error("damping.lambda", OverflowError):  # the E0 weight
+        columns = euler.series(states, gas, damping, cfg["run.cfl"])
+    csvio.write_series(os.path.join(out, "series.csv"), np.array([s.t for s in states]), columns)
 
 
 def _run_criterion(cfg: ExperimentConfig, out: str) -> None:

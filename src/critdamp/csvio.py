@@ -42,10 +42,13 @@ def write_series(path: str, times: np.ndarray, columns: Mapping[str, np.ndarray]
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Header names and float rows of a CSV file; empty and ``#`` lines are
-    skipped.  Raises ValueError naming ``path`` when the header is missing, a
-    row is ragged or holds a non-number, or there are no data rows.  From the
-    first data row on, ``np.loadtxt`` reads the file by its path, in chunks."""
+    """Header names and float rows of a CSV file.  Empty lines and lines
+    starting with ``#`` are skipped anywhere.  Before the first data row a
+    line holding only whitespace is skipped too; from that row on,
+    ``np.loadtxt`` reads the file by its path, in chunks, and such a line is
+    a malformed row.  Raises ValueError naming ``path`` when the header is
+    missing, a row is ragged or holds a non-number, or there are no data
+    rows."""
     with open(path, "r", encoding="utf-8") as fh:
         content = ((i, s) for i, s in enumerate(map(str.strip, fh)) if s and not s.startswith("#"))
         (_, header), (first, row) = next(content, (0, "")), next(content, (0, ""))

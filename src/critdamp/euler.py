@@ -17,7 +17,7 @@ so the constant state (rho_bar, 0) is an exact fixed point of the update.
 Damping is applied after the hyperbolic update through the exact integrating
 factor beta(t_n)/beta(t_{n+1}), unconditionally stable for any (mu, lam).
 
-Window invariant: a step updates only the cells before and one past the last
+Window invariant: a step changes only the cells before and one past the last
 live cell (live: rho_pert or mom not +0.0).  A face between two +0.0 cells
 carries exactly zero flux at either order (a zero difference has minmod slope
 0, and p_face - p_c is 0), so every cell beyond the window stays +0.0 and the
@@ -32,12 +32,22 @@ the one a full scan gives.  Its rho is rho_bar + q_new over the updated
 cells, which is where the density floor is tested, so it needs no second
 rho > 0 check.
 
+Views: by the same facts a step, stable_dt and max_velocity_gradient may
+run on past w, and they do, over cells [0, end) with end = w rounded up to a
+multiple of _VIEW_BLOCK cells (at most the grid).  The cells [w, end) update
+to +0.0, with wave speed 1 and velocity difference 0, so every value is the
+window's bit for bit, and the views of [0, end) are made anew only when the
+front crosses a block.
+
 Workspace rule: a step is bound by numpy call overhead on small windows, so
-it copies and concatenates nothing, and allocates only what the gas kernels
-return (and, for MUSCL, the face values).  :func:`run` gives its march one
+it copies and concatenates nothing.  :func:`run` gives its march one
 workspace: one padded (rho_pert, mom) pair of n_cells + 4 cells (two ghost
 cells mirrored at r = 0, two background cells past r_max), the current
-window's rho, u, wave speed and pressure, and the flux and update scratch.
+window's rho, u, wave speed and pressure, the flux and update scratch, and
+the views of these that a step, stable_dt and max_velocity_gradient take
+over cells [0, end) (``_Window``).  A first-order step forms its fluxes, its
+update and the new window's kernels in those buffers, so it allocates no
+array data; a MUSCL step allocates its face values and their kernels.
 A step forms every flux from the current cells before it writes any cell,
 so it updates the window in place, and computes the new window's kernels
 once its density and finiteness checks pass.  The states of a run are views
@@ -69,6 +79,7 @@ from .gas import GasModel
 from .outcome import DT_FLOOR, BreakdownCause, BreakdownError, Verdict, march, sample_times
 
 DENSITY_FLOOR_FACTOR = 1e-6
+_VIEW_BLOCK = 8  # cells: the window's views are made anew once the front crosses a block
 
 # Gauss-Legendre nodes/weights on [-1, 1] for per-cell profile averages.
 _GAUSS_X = np.array([
@@ -165,41 +176,88 @@ class _Workspace:
 
     The pair holds grid cell i of the state at ``q[i + 2]`` and
     ``mom[i + 2]``, with mirrored ghosts before and background after.  Its
-    window is cells [0, w) (w >= 2), past which the cells are +0.0; rho, u,
-    ``speed`` and ``p`` hold its extended cells [0, w + 4) once
-    :meth:`kernels` has run.  Built from ``state``, which it copies, after
-    checking rho > 0 over the window.
+    window is cells [0, w) (w >= 2), past which the cells are +0.0; ``win``
+    holds the views of cells [0, end) for that window, and rho, u, ``speed``
+    and ``p`` hold their extended cells [0, end + 4) once :meth:`kernels`
+    has run.  Built from ``state``, which it copies, after checking rho > 0
+    over those cells.
     """
 
     def __init__(self, state: RadialState) -> None:
         grid = state.grid
         n = self.n = grid.n_cells
         self.dr = grid.dr
+        self.area, self.inv_vol = grid._area, grid._inv_vol
         self.q, self.mom = np.zeros(n + 4), np.zeros(n + 4)
         self.cells = (self.q[2:n + 2], self.mom[2:n + 2])
         self.bits = tuple(a.view(np.int64) for a in self.cells)
-        self.rho, self.u, self.speed, self.adv = (np.empty(n + 4) for _ in range(4))
+        self.rho, self.u, self.speed, self.adv, self.p = (np.empty(n + 4) for _ in range(5))
         self.half_s, self.f_rho, self.f_adv, self.jump, self.p_face = (np.empty(n + 1) for _ in range(5))
         self.d, self.finite = np.empty(n), np.empty(n, dtype=bool)
-        self.p = None
         self.t_beta = self.log_beta = math.nan  # log beta at the last step's t_new
         self.cells[0][:] = state.rho_pert
         self.cells[1][:] = state.mom
         _mirror(self.q, self.mom)
         self.w = _window_end(_span(*self.bits, n, n), n)
-        m = self.w + 4
-        rho = np.add(self.q[:m], state.rho_bar, out=self.rho[:m])
+        win = self.win = _Window(self, _view_end(self.w, n))
+        rho = np.add(win.q, state.rho_bar, out=win.rho)
         if not np.logical_and.reduce(rho > 0):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
-        np.divide(self.mom[:m], rho, out=self.u[:m])
+        np.divide(win.mom, rho, out=win.u)
 
     def kernels(self, gas: GasModel) -> None:
-        """The wave speed |u| + c and the pressure over the current window."""
-        m = self.w + 4
+        """The wave speed |u| + c and the pressure over the views' cells,
+        formed in place with the ufuncs and operand order of
+        :func:`_wave_speed` and :meth:`GasModel.pressure_of_ratio`."""
+        win = self.win
         # x = rho/rho_bar goes where a first-order step forms mom * u later
-        x = np.divide(self.rho[:m], gas.rho_bar, out=self.adv[:m])
-        _wave_speed(gas, x, self.u[:m], out=self.speed[:m])
-        self.p = gas.pressure_of_ratio(x)
+        x = np.divide(win.rho, gas.rho_bar, out=win.adv)
+        speed = np.log(x, out=win.speed)
+        speed *= gas.gamma - 1.0
+        np.exp(speed, out=speed)
+        np.sqrt(speed, out=speed)
+        speed += np.abs(win.u, out=win.p)  # p is free until x**gamma below
+        # x**gamma as numpy forms it, which is np.square at an exponent of 2
+        p = np.square(x, out=win.p) if gas.gamma == 2.0 else np.power(x, gas.gamma, out=win.p)
+        p *= gas.rho_bar / gas.gamma
+
+
+class _Window:
+    """The views of a workspace that a step, stable_dt and
+    max_velocity_gradient take over cells [0, end), ``end`` the window's
+    :func:`_view_end`: extended cells [0, end + 4) under the buffers' names,
+    the cells left (``_l``) and right (``_r``) of faces 0..end (face j sits
+    between extended cells j+1 and j+2), the face buffers and the
+    differences across their cells, and the cells themselves (``_c``)."""
+
+    __slots__ = (
+        "end", "q", "mom", "rho", "u", "adv", "speed", "p",
+        "q_l", "q_r", "mom_l", "mom_r", "adv_l", "adv_r", "p_l", "p_r", "speed_l", "speed_r",
+        "half_s", "f_rho", "f_adv", "jump", "p_face", "area",
+        "f_rho_l", "f_rho_r", "f_adv_l", "f_adv_r", "p_face_l", "p_face_r", "area_l", "area_r",
+        "q_c", "mom_c", "p_c", "speed_c", "jump_c", "d", "inv_vol", "finite", "u_l", "u_r", "du",
+    )
+
+    def __init__(self, ws: _Workspace, end: int) -> None:
+        self.end = end
+        m, f = end + 4, end + 1
+        self.q, self.mom, self.rho, self.u = ws.q[:m], ws.mom[:m], ws.rho[:m], ws.u[:m]
+        self.adv, self.speed, self.p = ws.adv[:m], ws.speed[:m], ws.p[:m]
+        self.q_l, self.q_r = ws.q[1:end + 2], ws.q[2:end + 3]
+        self.mom_l, self.mom_r = ws.mom[1:end + 2], ws.mom[2:end + 3]
+        self.adv_l, self.adv_r = ws.adv[1:end + 2], ws.adv[2:end + 3]
+        self.p_l, self.p_r = ws.p[1:end + 2], ws.p[2:end + 3]
+        self.speed_l, self.speed_r = ws.speed[1:end + 2], ws.speed[2:end + 3]
+        self.half_s, self.f_rho, self.f_adv = ws.half_s[:f], ws.f_rho[:f], ws.f_adv[:f]
+        self.jump, self.p_face, self.area = ws.jump[:f], ws.p_face[:f], ws.area[:f]
+        self.f_rho_l, self.f_rho_r = ws.f_rho[:end], ws.f_rho[1:f]
+        self.f_adv_l, self.f_adv_r = ws.f_adv[:end], ws.f_adv[1:f]
+        self.p_face_l, self.p_face_r = ws.p_face[:end], ws.p_face[1:f]
+        self.area_l, self.area_r = ws.area[:end], ws.area[1:f]
+        self.q_c, self.mom_c, self.p_c = ws.q[2:end + 2], ws.mom[2:end + 2], ws.p[2:end + 2]
+        self.speed_c, self.jump_c = ws.speed[2:end + 2], ws.jump[:end]
+        self.d, self.inv_vol, self.finite = ws.d[:end], ws.inv_vol[:end], ws.finite[:end]
+        self.u_l, self.u_r, self.du = ws.u[2:end + 1], ws.u[3:end + 2], ws.half_s[:end - 1]
 
 
 def _mirror(q: np.ndarray, mom: np.ndarray) -> None:
@@ -223,6 +281,12 @@ def _window_end(span: int, n: int) -> int:
     return min(max(span + 1, 2), n)
 
 
+def _view_end(w: int, n: int) -> int:
+    """The end of window w's views: w rounded up to a multiple of
+    _VIEW_BLOCK cells, at most n (see module notes)."""
+    return min(-(-w // _VIEW_BLOCK) * _VIEW_BLOCK, n)
+
+
 def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
     """A copy of ``state`` in a new workspace, with its kernels for ``gas``:
     the state :func:`run` marches from (see module notes)."""
@@ -233,9 +297,9 @@ def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
     return start
 
 
-def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """|u| + c at the density ratios x = rho/rho_bar > 0."""
-    speed = np.sqrt(gas.sound_speed_sq_of_ratio(x), out=out)
+    speed = np.sqrt(gas.sound_speed_sq_of_ratio(x))
     speed += np.abs(u)
     return speed
 
@@ -292,7 +356,7 @@ def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
     """CFL step cfl * dr / max(|u| + c) for the current state, with the
     maximum over the grid read off the window."""
     ws = state._work or _in_workspace(gas, state)._work
-    return cfl * state.grid.dr / float(np.maximum.reduce(ws.speed[2:ws.w + 2]))
+    return cfl * ws.dr / float(np.maximum.reduce(ws.win.speed_c))
 
 
 def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +394,10 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
             raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
 
     ws = state._work
-    w, q, mom = ws.w, ws.q, ws.mom
-    # Face j (0 <= j <= w) sits between extended cells j+1 and j+2.
+    win = ws.win
     if muscl:
-        q_l, q_r = _reconstruct(q[:w + 4])
-        mom_l, mom_r = _reconstruct(mom[:w + 4])
+        q_l, q_r = _reconstruct(win.q)
+        mom_l, mom_r = _reconstruct(win.mom)
         rho_l, rho_r = gas.rho_bar + q_l, gas.rho_bar + q_r
         if not (np.logical_and.reduce(rho_l > 0) and np.logical_and.reduce(rho_r > 0)):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
@@ -343,77 +406,74 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
         p_r, speed_r = _kernels(gas, rho_r, u_r)
         adv_l, adv_r = mom_l * u_l, mom_r * u_r
     else:
-        q_l, q_r = q[1:w + 2], q[2:w + 3]
-        mom_l, mom_r = mom[1:w + 2], mom[2:w + 3]
-        adv = np.multiply(mom[:w + 4], ws.u[:w + 4], out=ws.adv[:w + 4])
-        adv_l, adv_r = adv[1:-2], adv[2:-1]
-        p_l, p_r = ws.p[1:-2], ws.p[2:-1]
-        speed_l, speed_r = ws.speed[1:w + 2], ws.speed[2:w + 3]
-    half_s = np.maximum(speed_l, speed_r, out=ws.half_s[:w + 1])
+        q_l, q_r, mom_l, mom_r = win.q_l, win.q_r, win.mom_l, win.mom_r
+        np.multiply(win.mom, win.u, out=win.adv)
+        adv_l, adv_r, p_l, p_r = win.adv_l, win.adv_r, win.p_l, win.p_r
+        speed_l, speed_r = win.speed_l, win.speed_r
+    half_s = np.maximum(speed_l, speed_r, out=win.half_s)
     half_s *= 0.5
 
     # Rusanov fluxes 0.5 (l + r) - half_s (r - l), formed in place.
-    f_rho = np.add(mom_l, mom_r, out=ws.f_rho[:w + 1])
+    f_rho = np.add(mom_l, mom_r, out=win.f_rho)
     f_rho *= 0.5
-    jump = np.subtract(q_r, q_l, out=ws.jump[:w + 1])
+    jump = np.subtract(q_r, q_l, out=win.jump)
     jump *= half_s
     f_rho -= jump
-    f_adv = np.add(adv_l, adv_r, out=ws.f_adv[:w + 1])
+    f_adv = np.add(adv_l, adv_r, out=win.f_adv)
     f_adv *= 0.5
     np.subtract(mom_r, mom_l, out=jump)
     jump *= half_s
     f_adv -= jump
-    p_face = np.add(p_l, p_r, out=ws.p_face[:w + 1])
+    p_face = np.add(p_l, p_r, out=win.p_face)
     p_face *= 0.5
 
-    area = state.grid._area[:w + 1]
-    inv_vol = state.grid._inv_vol[:w]
     # Every flux is formed, so the window's cells take their new values.
-    f_rho *= area
-    d = np.subtract(f_rho[1:], f_rho[:-1], out=ws.d[:w])
+    f_rho *= win.area
+    d = np.subtract(win.f_rho_r, win.f_rho_l, out=win.d)
     d *= dt
-    d *= inv_vol
-    q_cells = np.subtract(q[2:w + 2], d, out=q[2:w + 2])
+    d *= win.inv_vol
+    q_cells = np.subtract(win.q_c, d, out=win.q_c)
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
     # vanishes identically on any state with uniform pressure.  The mass
     # flux and its jump are spent, so their buffers take the differences.
-    p_c = ws.p[2:w + 2]
-    dp_l = np.subtract(p_face[:-1], p_c, out=f_rho[:w])
-    dp_r = np.subtract(p_face[1:], p_c, out=jump[:w])
+    dp_l = np.subtract(win.p_face_l, win.p_c, out=win.f_rho_l)
+    dp_r = np.subtract(win.p_face_r, win.p_c, out=win.jump_c)
     t_new = state.t + dt
     # log beta(t) as damping_factor forms it; the last step's t_new is this
     # step's t unless a sample time clamped it
     log_beta = ws.log_beta if state.t == ws.t_beta else damping._log_beta(state.t)
     ws.t_beta, ws.log_beta = t_new, damping._log_beta(t_new)
     factor = float(np.exp(log_beta - ws.log_beta))
-    f_adv *= area
-    np.subtract(f_adv[1:], f_adv[:-1], out=d)
-    d *= inv_vol
-    dp_r *= area[1:]
-    dp_l *= area[:-1]
+    f_adv *= win.area
+    np.subtract(win.f_adv_r, win.f_adv_l, out=d)
+    d *= win.inv_vol
+    dp_r *= win.area_r
+    dp_l *= win.area_l
     dp_r -= dp_l
-    dp_r *= inv_vol
+    dp_r *= win.inv_vol
     d += dp_r
     d *= dt
-    mom_cells = np.subtract(mom[2:w + 2], d, out=mom[2:w + 2])
+    mom_cells = np.subtract(win.mom_c, d, out=win.mom_c)
     mom_cells *= factor
-    _mirror(q, mom)
+    _mirror(ws.q, ws.mom)
 
+    w = ws.w
     w_next = _window_end(_span(*ws.bits, max(w - 3, 0), w), ws.n)
-    rho = np.add(q[:w_next + 4], gas.rho_bar, out=ws.rho[:w_next + 4])
+    end = _view_end(w_next, ws.n)
+    nxt = win if end == win.end else _Window(ws, end)
+    rho = np.add(nxt.q, gas.rho_bar, out=nxt.rho)
     # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
     if np.fmin.reduce(rho) <= DENSITY_FLOOR_FACTOR * gas.rho_bar:
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
-    finite = ws.finite[:w]
-    if not (np.logical_and.reduce(np.isfinite(q_cells, out=finite))
-            and np.logical_and.reduce(np.isfinite(mom_cells, out=finite))):
+    if not (np.logical_and.reduce(np.isfinite(q_cells, out=win.finite))
+            and np.logical_and.reduce(np.isfinite(mom_cells, out=win.finite))):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-    ws.w = w_next
+    ws.w, ws.win = w_next, nxt
     new = RadialState(t_new, *ws.cells, state.grid, gas.rho_bar)
     if not bare:
-        np.divide(mom[:w_next + 4], rho, out=ws.u[:w_next + 4])
+        np.divide(nxt.mom, rho, out=nxt.u)
         ws.kernels(gas)
         new._work = ws
     return new
@@ -421,8 +481,8 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
 
 def max_velocity_gradient(state: RadialState) -> float:
     ws = state._work or _Workspace(state)
-    u = ws.u[2:ws.w + 2]
-    d = np.subtract(u[1:], u[:-1], out=ws.half_s[:ws.w - 1])
+    win = ws.win
+    d = np.subtract(win.u_r, win.u_l, out=win.du)
     return float(np.maximum.reduce(np.abs(d, out=d))) / ws.dr
 
 
@@ -437,8 +497,10 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
     if not np.logical_and.reduce(rho > 0):
         raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
     # no pressure: (rho/rho_bar)**gamma overflows on data whose wave speed
-    # this must still see, to reject them as too fast
-    guess = 1.2 * float(np.max(_wave_speed(gas, rho / gas.rho_bar, state.mom / rho)))
+    # this must still see, to reject them as too fast; a wave speed that
+    # overflows (a huge gamma) is inf, which rejects them too
+    with np.errstate(over="ignore"):
+        guess = 1.2 * float(np.max(_wave_speed(gas, rho / gas.rho_bar, state.mom / rho)))
     if M + t_end * guess >= state.grid.r_max:
         raise ValueError(
             f"grid.r_max={state.grid.r_max!r} too small: support {M!r} plus "

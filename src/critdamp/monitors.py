@@ -127,9 +127,11 @@ def weighted_potential_energy(state, gas: GasModel, damping: DampingLaw) -> floa
 
 def weighted_potential_energy_rows(grid, times, rho, u, gas: GasModel, damping: DampingLaw) -> np.ndarray:
     """E0 of each row of C-order (k, n_cells) stacks of ``rho`` > 0 and ``u``,
-    row j at ``times[j]``; its powers of 1 + t are Python floats, as for one state."""
+    row j at ``times[j]``; its powers of 1 + t are Python floats, as for one
+    state.  An OverflowError names the first time whose weight passes the
+    float range."""
     dr = grid.dr
-    powers = [(1.0 + t, (1.0 + t) ** (-damping.lam), (1.0 + t) ** (2.0 * damping.lam)) for t in times]
+    powers = [_powers_of_one_plus_t(t, damping.lam) for t in times]
     one_t, scale, weight = (np.array(column)[:, None] for column in zip(*powers))
 
     tail = np.cumsum(u[:, ::-1], axis=1)[:, ::-1] * dr
@@ -141,3 +143,11 @@ def weighted_potential_energy_rows(grid, times, rho, u, gas: GasModel, damping: 
     dpsi_dr = u * scale
     density = weight * (dpsi_dt**2 + dpsi_dr**2) + psi**2
     return FOUR_PI * (np.sum(grid.centers**2 * density, axis=1) * dr)
+
+
+def _powers_of_one_plus_t(t: float, lam: float) -> tuple[float, float, float]:
+    """1 + t, (1 + t)**-lam and the weight (1 + t)**(2 lam) of E0 at time t >= 0."""
+    try:
+        return 1.0 + t, (1.0 + t) ** (-lam), (1.0 + t) ** (2.0 * lam)
+    except OverflowError:  # 2 lam log(1 + t) > log(float max)
+        raise OverflowError(f"the E0 weight (1 + t)**(2 lambda) overflows at t={t!r}") from None

@@ -331,8 +331,11 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     # c^2 = (rho/rho_bar)^(gamma-1) is about 1e299 in the bump: the horizon
     # check takes the wave speed alone, as (rho/rho_bar)^gamma overflows
     (["--gas.rho_bar", "1e-300"], "grid.r_max"),
+    # c^2 = exp((gamma - 1) log(rho/rho_bar)) overflows in the bump: the
+    # horizon check takes that wave speed as inf, with no numpy warning
+    (["--gas.gamma", "1e300", "--grid.n_cells", "64"], "grid.r_max"),
 ], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300",
-        "rho_bar-1e-300"])
+        "rho_bar-1e-300", "gamma-1e300"])
 def test_euler_sim_grid_and_profile_faults_are_config_errors(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     rc = main(["euler-sim", "--run.t_end", "1", "--output.dir", str(out)] + argv)
@@ -351,6 +354,21 @@ def test_euler_sim_at_a_huge_background_density(tmp_path, capsys, rho_bar):
     assert capsys.readouterr().err == ""
     assert rc == 0
     assert verdict_of(out) == Global()
+
+
+def test_overflowing_e0_weight_is_a_lambda_config_error(tmp_path, capsys):
+    # E0's weight (1 + t)**(2 lambda) passes the float range once
+    # 2 lambda log(1 + t) > 709.78: at lambda 120 first at the sample t = 18.5
+    out = str(tmp_path / "out")
+    argv = ["--run.t_end", "20", "--grid.n_cells", "64", "--output.dir", out]
+    message = "config-error: key 'damping.lambda': the E0 weight (1 + t)**(2 lambda) overflows at t=18.5\n"
+    assert main(["euler-sim", "--damping.lambda", "120"] + argv) == 2
+    assert capsys.readouterr().err == message
+    assert os.listdir(out) == []
+    assert main(["euler-sim", "--damping.lambda", "116"] + argv) == 0  # 232 log(21) < 709.78
+    assert main(["functionals", "--damping.lambda", "116"] + argv) == 0
+    assert main(["functionals", "--damping.lambda", "120"] + argv) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_burgers_and_euler_sim_share_sample_times(tmp_path):
@@ -441,8 +459,11 @@ def snapshot_32(rho):
     ("criterion", "profile", NEGATIVE_PROFILE, "profile.file"),
     ("functionals", "snapshots.csv", snapshot_32("nan"), "output.dir"),
     ("functionals", "snapshots.csv", snapshot_32("-1.0"), "output.dir"),
+    # a line of spaces is skipped before the first data row, and malformed after it
+    ("functionals", "snapshots.csv", snapshot_32("1.0").replace("\n0.0,1.5,", "\n   \n0.0,1.5,"), "output.dir"),
 ], ids=["non-numeric-cell", "header-only", "single-row", "radial-repeated-abscissa", "three-field-row", "no-block-marker",
-        "negative-initial-density", "negative-initial-mass", "snapshot-nan-density", "snapshot-negative-density"])
+        "negative-initial-density", "negative-initial-mass", "snapshot-nan-density", "snapshot-negative-density",
+        "snapshot-whitespace-only-row"])
 def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text, key):
     out = tmp_path / "out"
     out.mkdir()

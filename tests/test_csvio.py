@@ -219,8 +219,9 @@ def test_block_markers_are_comments(tmp_path):
 
 
 def test_read_csv_skips_comments_and_empty_lines(tmp_path):
+    # before the first data row a line of spaces and tabs is skipped too
     path = tmp_path / "f.csv"
-    path.write_text("# note\n\n# another\nx,w0\n0,1.5\n\n# mid\n1,-0.0 # trailing\n2,3e-5\n")
+    path.write_text("# note\n\n \t\n# another\nx,w0\n  \n0,1.5\n\n# mid\n1,-0.0 # trailing\n2,3e-5\n")
     names, data = read_csv(str(path))
     assert names == ["x", "w0"]
     assert bits(data) == bits([[0.0, 1.5], [1.0, -0.0], [2.0, 3e-5]])

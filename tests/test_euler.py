@@ -25,6 +25,9 @@ from critdamp.euler import (
     RadialState,
     _in_workspace,
     _span,
+    _view_end,
+    _wave_speed,
+    _Window,
     _Workspace,
     max_velocity_gradient,
     series,
@@ -722,6 +725,80 @@ def test_workspace_step_takes_log_beta_at_the_time_it_is_given():
     new = step(GAS, LAW, s, 0.4)
     assert new.t == full.t
     assert new.mom.tobytes() == full.mom.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(gamma=st.sampled_from([2, 2.0, 1.4, 5.0 / 3.0, 3, 3.0]), rho_bar=st.sampled_from([1.0, 2.0, 0.7]),
+       n_cells=st.integers(32, 200), data=st.data())
+def test_workspace_kernels_match_the_gas_kernels_on_fresh_arrays(gamma, rho_bar, n_cells, data):
+    # kernels forms |u| + c and p in workspace buffers; they must equal, byte
+    # for byte, _wave_speed and pressure_of_ratio on fresh arrays, over
+    # windows from 2 cells (span 0) to the whole grid (numpy forms x**2 and
+    # x**2.0 as np.square, other exponents as np.power)
+    gas = GasModel(gamma, rho_bar)
+    span = data.draw(st.sampled_from([0, 1, n_cells - 1, n_cells]) | st.integers(0, n_cells))
+    s = random_state(RadialGrid(12.0, n_cells), rho_bar, 0.0, data.draw(st.integers(0, 2**32 - 1)), span, 0.0)
+    ws = _in_workspace(gas, s)._work
+    m = ws.win.end + 4
+    x, u = ws.rho[:m] / gas.rho_bar, ws.u[:m].copy()
+    assert ws.speed[:m].tobytes() == _wave_speed(gas, x, u).tobytes()
+    assert ws.p[:m].tobytes() == gas.pressure_of_ratio(x).tobytes()
+
+
+def window_views(win):
+    """The end of ``win`` and where each of its views starts and ends."""
+    def extent(a):
+        start = a.__array_interface__["data"][0]
+        return start, start + a.nbytes
+    return [win.end] + [extent(getattr(win, name)) for name in _Window.__slots__ if name != "end"]
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+def test_window_views_follow_the_window_as_it_shrinks_and_grows(muscl):
+    # the subnormal momentum past the shell holds the first window open and
+    # is damped to +0.0 (factor < 1/2), so the window shrinks to the shell;
+    # then it grows a cell a step with the shell's front.  After every step
+    # the workspace's views are those made fresh for the new window, made
+    # anew only when their end moves, and the state is the full-grid step's
+    s, last = shell_state()
+    s.mom[last + 20] = 5e-324
+    law = DampingLaw(mu=100.0, lam=0.0)
+    state = _in_workspace(GAS, s)
+    ws = state._work
+    windows, views = [ws.w], [ws.win]
+    for _ in range(12):
+        full = full_grid_step(GAS, law, state, 0.4, muscl=muscl)
+        state = step(GAS, law, state, 0.4, muscl=muscl)
+        assert (state.rho_pert.tobytes(), state.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
+        assert state._work is ws and ws.w == _Workspace(state.copy()).w
+        assert window_views(ws.win) == window_views(_Window(ws, _view_end(ws.w, ws.n)))
+        windows.append(ws.w)
+        views.append(ws.win)
+    assert all((a is b) == (a.end == b.end) for a, b in zip(views, views[1:]))
+    assert len({v.end for v in views}) > 2
+    low = windows.index(min(windows))
+    assert windows[:2] == [last + 22, last + 3] and low == 1
+    assert windows[low:] == sorted(windows[low:]) and windows[-1] > windows[low]
+
+
+def test_first_order_step_in_a_workspace_allocates_no_window_sized_array():
+    # a run's first-order step forms its fluxes and kernels in workspace
+    # buffers; only a new window's views and small Python objects are new
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(1.25, 4096))
+    state = _in_workspace(GAS, s)
+    for _ in range(3):
+        state = step(GAS, LAW, state, 0.4)
+    window_bytes = 8 * (state._work.w + 4)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            state = step(GAS, LAW, state, 0.4)
+            assert tracemalloc.get_traced_memory()[1] - before < window_bytes / 2
+    finally:
+        tracemalloc.stop()
+    assert state._work.w > 3000
 
 
 # ---------------------------------------------------------------- stacked series
