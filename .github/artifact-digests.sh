@@ -2,8 +2,9 @@
 # Print "sha256  case/mode/file" for every artifact that the five README
 # examples, one fixed argv per benchmark workload (the seed-1 draws of
 # benchmarks/run.py), two euler-sim runs under a non-default gas and one that
-# breaks down, with functionals after each, and functionals on a CRLF copy of
-# one of their snapshots.csv write when run on the sources under <src-dir>.  Every
+# breaks down, with functionals after each, functionals on a CRLF copy of one
+# of their snapshots.csv, and two more burgers-sim runs (many samples, and
+# mu = 0 on an explicit span) write when run on the sources under <src-dir>.  Every
 # call runs in a temporary directory with a relative --output.dir, so two
 # source trees make byte-identical artifacts exactly when their outputs match:
 #
@@ -72,5 +73,12 @@ run breakdown functionals "${breakdown[@]}"
 mkdir -p "$work/gas-crlf/out"
 { printf '# CRLF copy\r\n\r\n'; sed 's/$/\r/' "$work/gas-rho-bar/out/snapshots.csv"; } > "$work/gas-crlf/out/snapshots.csv"
 run gas-crlf functionals "${gas_case[@]}" --gas.rho_bar 2
+
+# burgers-sim with 201 samples, so that many steps clamp onto a sample time,
+# and undamped (mu = 0) on an explicit grid.x_lo/x_hi span.
+run line-samples burgers-sim --profile.epsilon 0.2 --damping.lambda 1 --damping.mu 2 --run.t_end 10 \
+    --run.monitor_cadence 0.05 --grid.n_cells 1024 --output.dir out
+run line-undamped burgers-sim --profile.epsilon 0.3 --damping.lambda 0 --damping.mu 0 --run.t_end 2 \
+    --run.monitor_cadence 0.5 --grid.n_cells 2048 --grid.x_lo -2 --grid.x_hi 2 --output.dir out
 
 sort -k2 "$work/digests"

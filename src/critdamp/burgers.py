@@ -5,6 +5,25 @@ Along characteristics the damped equation transports beta(t) * w unchanged, so
 the solution is w(t, X) = eps*w0(x0)/beta(t) on X = x0 + eps*w0(x0)*I(t) with
 I the reciprocal integral of the damping law.  Characteristics first cross
 (gradient blowup) at the root of eps * m * I(T) = 1, m = max(-w0').
+
+Workspace rule: a finite-volume step is bound by numpy call overhead, so
+:func:`simulate_fv` gives its march one workspace and a step allocates no
+array of the grid's size.  Two padded value buffers of n_cells + 2 cells,
+whose +0.0 ghosts nothing writes, take the states in turn; |e|, e*e, the
+face jumps, the face flux, its difference and the finiteness mask have one
+buffer each.  stable_dt leaves |w| in the workspace and the gradient trigger
+leaves diff(w) in the interior face jumps; the next step reuses each only if
+it was formed from that same state object (an identity check, cleared by
+every step), else forms it itself, as it must when a given
+gradient_threshold skips the initial gradient.  The boundary jumps are the
+subtractions w[0] - 0.0 and 0.0 - w[-1] that e[1:] - e[:-1] performs, so a
+-0.0 keeps its bits.  log beta at a step's t + dt is kept for the next step,
+which is the same time unless a sample time clamped it, so an unclamped step
+evaluates log beta once.  Every pass keeps the operation and operand order of
+the allocating expression it replaces, up to swapping the operands of * (exact
+in IEEE 754), and nothing is reassociated or fused, so states, dt values and
+artifacts stay bit-identical to it.  The states of a run are views of the
+workspace that the next step but one overwrites, so ``sample`` copies them.
 """
 
 from __future__ import annotations
@@ -242,32 +261,88 @@ def simulate_fv(
         raise ValueError("snapshot times must lie in [0, t_end]")
 
     snapshots: list[Snapshot1D] = []
-
-    def stable_dt(values: np.ndarray) -> float:
-        speed = float(np.max(np.abs(values)))
-        return cfl * dx / speed if speed > 0 else t_end
-
-    def advance(values: np.ndarray, t: float, dt: float) -> np.ndarray:
-        # Local Lax-Friedrichs flux on faces, zero ghost states at both ends;
-        # the support never reaches the boundary, so the total telescopes.
-        e = np.zeros(len(values) + 2)
-        e[1:-1] = values
-        wl, wr = e[:-1], e[1:]
-        a, sq = np.abs(e), e * e
-        speed_face = np.maximum(a[:-1], a[1:])
-        flux = 0.25 * (sq[:-1] + sq[1:]) - 0.5 * speed_face * (wr - wl)
-        w_hyp = values - dt / dx * (flux[1:] - flux[:-1])
-        out = w_hyp * law.damping_factor(t, t + dt)
-        if not np.all(np.isfinite(out)):
-            raise BreakdownError(t + dt, BreakdownCause.NON_FINITE)
-        return out
+    ws = _Workspace(w, law, dx, cfl, t_end)
 
     def sample(values: np.ndarray, t: float) -> None:
-        snapshots.append(Snapshot1D(t, x.copy(), values.copy(), stable_dt(values)))
+        snapshots.append(Snapshot1D(t, x.copy(), values.copy(), ws.stable_dt(values)))
 
-    verdict = march(w, t_end, wanted, stable_dt, advance,
-                    lambda values: float(np.max(np.abs(np.diff(values)))) / dx, sample, gradient_threshold)
+    verdict = march(ws.cells[0], t_end, wanted, ws.stable_dt, ws.advance, ws.gradient, sample, gradient_threshold)
     return snapshots, verdict
+
+
+class _Workspace:
+    """The arrays one :func:`simulate_fv` march steps in (see module notes).
+
+    ``pad`` holds two padded value buffers of n + 2 cells whose +0.0 ghosts
+    nothing writes; the march's state is ``cells[cur]``, the interior of
+    ``pad[cur]``, and a step writes the next state into the other one.
+    ``abs`` holds |e| and ``jump`` the face jumps e[i+1] - e[i] of the padded
+    state; ``abs_of`` and ``jump_of`` name the state that ``abs[1:-1]`` and
+    ``jump[1:-1]`` were last formed from (None once a step has used them).
+    """
+
+    def __init__(self, w: np.ndarray, law: DampingLaw, dx: float, cfl: float, t_end: float) -> None:
+        n = w.size
+        self.law, self.dx, self.cfl, self.t_end = law, dx, cfl, t_end
+        self.pad = (np.zeros(n + 2), np.zeros(n + 2))
+        self.cells = tuple(e[1:-1] for e in self.pad)
+        self.cells[0][:] = w
+        self.cur = 0
+        self.abs, self.sq = np.zeros(n + 2), np.empty(n + 2)
+        self.abs_c, self.abs_l, self.abs_r = self.abs[1:-1], self.abs[:-1], self.abs[1:]
+        self.sq_l, self.sq_r = self.sq[:-1], self.sq[1:]
+        self.jump, self.flux = np.empty(n + 1), np.empty(n + 1)
+        self.jump_c, self.flux_c = self.jump[1:-1], self.flux[1:-1]
+        self.flux_l, self.flux_r = self.flux[:-1], self.flux[1:]
+        self.dflux, self.finite = np.empty(n), np.empty(n, dtype=bool)
+        self.abs_of = self.jump_of = None
+        self.t_beta = self.log_beta = math.nan  # log beta at the last step's t + dt
+
+    def stable_dt(self, values: np.ndarray) -> float:
+        speed = float(np.maximum.reduce(np.abs(values, out=self.abs_c)))
+        self.abs_of = values
+        return self.cfl * self.dx / speed if speed > 0 else self.t_end
+
+    def gradient(self, values: np.ndarray) -> float:
+        """max |diff(w)| / dx; the differences stay in the interior face jumps."""
+        jump = np.subtract(values[1:], values[:-1], out=self.jump_c)
+        self.jump_of = values
+        return float(np.maximum.reduce(np.abs(jump, out=self.flux_c))) / self.dx
+
+    def advance(self, values: np.ndarray, t: float, dt: float) -> np.ndarray:
+        # Local Lax-Friedrichs flux on faces, zero ghost states at both ends;
+        # the support never reaches the boundary, so the total telescopes.
+        k = self.cur
+        if self.abs_of is not values:
+            np.abs(values, out=self.abs_c)
+        jump = self.jump
+        if self.jump_of is not values:
+            np.subtract(values[1:], values[:-1], out=self.jump_c)
+        # subtractions, as e[1:] - e[:-1] forms them: a -0.0 cell keeps its bits
+        jump[0] = values[0] - 0.0
+        jump[-1] = 0.0 - values[-1]
+        self.abs_of = self.jump_of = None
+        np.multiply(self.pad[k], self.pad[k], out=self.sq)
+        flux = np.add(self.sq_l, self.sq_r, out=self.flux)
+        flux *= 0.25
+        # the face speed max(|w_l|, |w_r|) takes the spent e*e buffer
+        speed = np.maximum(self.abs_l, self.abs_r, out=self.sq_l)
+        speed *= 0.5
+        speed *= jump
+        flux -= speed
+        d = np.subtract(self.flux_r, self.flux_l, out=self.dflux)
+        d *= dt / self.dx
+        out = np.subtract(values, d, out=self.cells[1 - k])
+        # log beta(t) as damping_factor forms it; the last step's t + dt is
+        # this step's t unless a sample time clamped it
+        t_new = t + dt
+        log_beta = self.log_beta if t == self.t_beta else self.law._log_beta(t)
+        self.t_beta, self.log_beta = t_new, self.law._log_beta(t_new)
+        out *= float(np.exp(log_beta - self.log_beta))
+        if not np.logical_and.reduce(np.isfinite(out, out=self.finite)):
+            raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
+        self.cur = 1 - k
+        return out
 
 
 def series(snapshots: Sequence[Snapshot1D]) -> dict[str, np.ndarray]:

@@ -8,7 +8,6 @@ offending key.
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -106,6 +105,8 @@ class ExperimentConfig:
 
 
 def _unknown_key_error(key: str) -> ConfigError:
+    import difflib  # only this hint needs it; every CLI start would pay its import
+
     close = difflib.get_close_matches(key, KEY_SPECS.keys(), n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
     return ConfigError(f"unknown key {key!r}{hint}")

@@ -94,8 +94,9 @@ class DampingLaw:
         is close to a power of 1+t, so it is smooth in log(1+t), and one call
         resolves any t up to the float range.
         """
-        self._check_time(t)
         t = float(t)
+        if not t >= 0:  # rejects nan too
+            raise ValueError("time must be nonnegative")
         if self.mu == 0.0:
             return t
         if self.lam == 1.0:

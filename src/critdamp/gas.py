@@ -7,7 +7,7 @@ normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +21,20 @@ def _check_density(rho) -> None:
 class GasModel:
     """Polytropic gas p = A * rho**gamma with c(rho_bar) = 1.
 
-    ``A`` is computed as 1/(gamma * rho_bar**(gamma-1)) and cannot be supplied:
-    user-chosen values would silently break the unit-sound-speed normalization.
+    A = 1/(gamma * rho_bar**(gamma-1)) follows from (gamma, rho_bar) and is
+    never formed: the pressure kernels scale by rho_bar/gamma = A rho_bar**gamma,
+    which stays finite where A or rho_bar**gamma leaves the float range.
     Instances are immutable.
     """
 
     gamma: float
     rho_bar: float
-    A: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 1 < self.gamma < np.inf:
             raise ValueError("gamma must be finite and exceed 1")
         if not 0 < self.rho_bar < np.inf:
             raise ValueError("rho_bar must be finite and positive")
-        object.__setattr__(self, "A", 1.0 / (self.gamma * self.rho_bar ** (self.gamma - 1.0)))
 
     def pressure(self, rho):
         """Pressure A * rho**gamma; rho may be a scalar or ndarray."""

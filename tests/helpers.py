@@ -5,7 +5,8 @@ composite rules at extreme refinement, plain bisection and mpmath's incomplete
 gamma function, so every dual-route check compares two independent code
 paths.  The exceptions are the full-grid radial step, the march over it and
 the one-state series row, which the windowed ``euler.step``, ``euler.run``
-and the stacked ``euler.series`` must reproduce bit for bit, the naive
+and the stacked ``euler.series`` must reproduce bit for bit, the allocating
+Burgers march, which ``burgers.simulate_fv`` must reproduce bit for bit, the naive
 snapshot writer and the line-fed CSV reader, whose bytes and results
 ``csvio`` must reproduce, and the helpers at the end, which only the tests call.  Among those are the
 series-file reader and the weighted density moments of the paper's blowup
@@ -231,6 +232,48 @@ def full_grid_run(gas, damping, state, t_end, cfl, cadence, muscl=False):
     table = np.array([one_state_series(s, gas, damping, cfl) for s in snapshots]).reshape(-1, 7).T
     columns = {name: np.ascontiguousarray(column) for name, column in zip(SERIES_NAMES, table)}
     return np.asarray([s.t for s in snapshots]), columns, snapshots, verdict
+
+
+def reference_damping_factor(law, t0, t1):
+    """beta(t0) / beta(t1) as ``DampingLaw.damping_factor`` forms it."""
+    return float(np.exp(law._log_beta(t0) - law._log_beta(t1)))
+
+
+def reference_simulate_fv(problem, n_cells, t_end, cfl, x_span, snapshot_times, gradient_threshold=None):
+    """``burgers.simulate_fv`` on an explicit ``x_span`` with the allocating
+    local Lax-Friedrichs step, which its workspace march must reproduce bit
+    for bit: (snapshots as (t, w, dt) tuples, verdict)."""
+    law = problem.damping
+    x_lo, x_hi = x_span
+    dx = (x_hi - x_lo) / n_cells
+    x = x_lo + (np.arange(n_cells) + 0.5) * dx
+    w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
+    wanted = sorted(set(float(s) for s in snapshot_times))
+    snapshots = []
+
+    def stable_dt(values):
+        speed = float(np.max(np.abs(values)))
+        return cfl * dx / speed if speed > 0 else t_end
+
+    def advance(values, t, dt):
+        e = np.zeros(len(values) + 2)
+        e[1:-1] = values
+        wl, wr = e[:-1], e[1:]
+        a, sq = np.abs(e), e * e
+        speed_face = np.maximum(a[:-1], a[1:])
+        flux = 0.25 * (sq[:-1] + sq[1:]) - 0.5 * speed_face * (wr - wl)
+        w_hyp = values - dt / dx * (flux[1:] - flux[:-1])
+        out = w_hyp * reference_damping_factor(law, t, t + dt)
+        if not np.all(np.isfinite(out)):
+            raise BreakdownError(t + dt, BreakdownCause.NON_FINITE)
+        return out
+
+    def sample(values, t):
+        snapshots.append((t, values.copy(), stable_dt(values)))
+
+    verdict = march(w, t_end, wanted, stable_dt, advance,
+                    lambda values: float(np.max(np.abs(np.diff(values)))) / dx, sample, gradient_threshold)
+    return snapshots, verdict
 
 
 SERIES_NAMES = ["L", "H", "E0", "min_rho", "max_u", "max_du_dr", "dt"]
@@ -499,6 +542,11 @@ def momentum_ode_residual(res, gas, law) -> float:
         total += abs(H[k + 1] - H[k] + 0.5 * dtk * (damp[k] + damp[k + 1])
                      - 0.5 * dtk * (rhs[k] + rhs[k + 1]))
     return total
+
+
+def pressure_constant(gas):
+    """A = 1/(gamma rho_bar^(gamma-1)) of p = A rho^gamma."""
+    return 1.0 / (gas.gamma * gas.rho_bar ** (gas.gamma - 1.0))
 
 
 def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:

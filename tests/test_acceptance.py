@@ -30,6 +30,7 @@ from helpers import (
     initial_momentum_moment,
     moment_band,
     momentum_ode_residual,
+    pressure_constant,
     pressure_excess_moment,
 )
 
@@ -324,7 +325,7 @@ def test_criterion_10_functional_identities():
         g_val = pressure_excess_moment(s, GAS, l)
         mids, widths = _split_cells(s, l)
         i0 = s.grid.n_cells - mids.size
-        ref = 8 * np.pi * GAS.A * float(np.sum(mids * s.rho_pert[i0:] ** 2 * widths))
+        ref = 8 * np.pi * pressure_constant(GAS) * float(np.sum(mids * s.rho_pert[i0:] ** 2 * widths))
         g_ok = g_ok and g_val >= 0.0 and abs(g_val - ref) <= 1e-12 * max(ref, 1e-300)
     elapsed = time.monotonic() - t0
     report(10, p_halves and dp_halves and f_ok and g_ok, elapsed, 120.0,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critdamp import (
@@ -15,8 +15,9 @@ from critdamp import (
     max_negative_slope,
     simulate_fv,
 )
+from critdamp.outcome import sample_times, verdict_label
 from critdamp.profiles import line_bump, line_ramp, mollifier, mollifier_prime
-from helpers import bisect_root, composite_simpson, mp_reciprocal_integral
+from helpers import bisect_root, composite_simpson, mp_reciprocal_integral, reference_simulate_fv
 
 
 def bump_problem(epsilon, mu, lam):
@@ -305,6 +306,36 @@ def test_fv_weighted_total_is_conserved_for_random_smooth_data(amplitude, centre
     for s in snaps:
         q = float(np.sum(s.w)) * dx
         assert abs(q * p.damping.integrating_factor(s.t) - q0) <= 32 * np.finfo(float).eps * scale
+
+
+@settings(max_examples=30, deadline=None)
+# Negative amplitudes leave -0.0 cells outside the support.  Sample times
+# clamp steps; irregular ones also make clamped steps whose t + dt is not the
+# sample time, which the log beta cache must not reuse.  A small threshold
+# breaks down.
+@given(amplitude=st.floats(0.01, 1.0) | st.floats(-1.0, -0.01), centre=st.floats(-1.0, 1.0),
+       width=st.floats(0.2, 1.5), eps=st.floats(0.05, 1.0), mu=st.floats(0.0, 2.0), lam=st.floats(0.0, 3.0),
+       t_end=st.floats(0.5, 4.0), cadence=st.floats(0.05, 2.0), extra=st.lists(st.floats(0.0, 1.0), max_size=4),
+       cfl=st.floats(0.1, 0.9), n_cells=st.integers(16, 96), threshold=st.none() | st.floats(0.0, 2.0))
+# the step from the sample 2.91 * 0.124 clamps onto 2.91 * 0.342, and t + dt misses it by an ulp
+@example(amplitude=0.377, centre=0.165, width=0.207, eps=0.494, mu=1.79, lam=2.86, t_end=2.91, cadence=1.39,
+         extra=[0.124, 0.342], cfl=0.728, n_cells=47, threshold=None)
+def test_fv_march_matches_allocating_step_bit_for_bit(amplitude, centre, width, eps, mu, lam, t_end, cadence,
+                                                      extra, cfl, n_cells, threshold):
+    p = BurgersProblem(lambda x: amplitude * mollifier((x - centre) / width),
+                       lambda x: amplitude * mollifier_prime((x - centre) / width) / width,
+                       (centre - width, centre + width), eps, DampingLaw(mu, lam))
+    span = (centre - width - eps * t_end - 0.5, centre + width + eps * t_end + 0.5)
+    times = sample_times(t_end, cadence) + [t_end * f for f in extra]
+    snaps, verdict = simulate_fv(p, n_cells, t_end, cfl, snapshot_times=times, gradient_threshold=threshold,
+                                 x_span=span)
+    ref_snaps, ref_verdict = reference_simulate_fv(p, n_cells, t_end, cfl, span, times, threshold)
+    assert verdict_label(verdict) == verdict_label(ref_verdict)
+    assert len(snaps) == len(ref_snaps)
+    for s, (t, w, dt) in zip(snaps, ref_snaps):
+        assert s.t == t
+        assert np.array([s.dt]).view(np.int64)[0] == np.array([dt]).view(np.int64)[0]
+        assert np.array_equal(s.w.view(np.int64), w.view(np.int64))
 
 
 def test_fv_matches_characteristics_first_order():

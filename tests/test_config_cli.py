@@ -334,8 +334,12 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     # c^2 = exp((gamma - 1) log(rho/rho_bar)) overflows in the bump: the
     # horizon check takes that wave speed as inf, with no numpy warning
     (["--gas.gamma", "1e300", "--grid.n_cells", "64"], "grid.r_max"),
+    # the same away from rho_bar = 1, where A = 1/(gamma rho_bar**(gamma - 1))
+    # overflows (rho_bar 2) or divides by zero (rho_bar 0.5) in Python floats
+    (["--gas.gamma", "1e300", "--gas.rho_bar", "2", "--grid.n_cells", "64"], "grid.r_max"),
+    (["--gas.gamma", "1e300", "--gas.rho_bar", "0.5", "--grid.n_cells", "64"], "grid.r_max"),
 ], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300",
-        "rho_bar-1e-300", "gamma-1e300"])
+        "rho_bar-1e-300", "gamma-1e300", "gamma-1e300-rho_bar-2", "gamma-1e300-rho_bar-0.5"])
 def test_euler_sim_grid_and_profile_faults_are_config_errors(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     rc = main(["euler-sim", "--run.t_end", "1", "--output.dir", str(out)] + argv)
@@ -492,9 +496,11 @@ def test_functionals_reproduces_series_on_any_grid(tmp_path):
 
 
 def test_cli_import_loads_no_scipy_or_mpmath():
-    # every CLI run pays its imports; mpmath is a test-only oracle, and the
-    # CLI starts no thread, so it needs no concurrent.futures
-    code = "import sys, critdamp.cli; print(sorted({'scipy', 'mpmath', 'concurrent.futures'} & set(sys.modules)))"
+    # every CLI run pays its imports; mpmath is a test-only oracle, the CLI
+    # starts no thread, so it needs no concurrent.futures, and only an
+    # unknown key's hint needs difflib
+    modules = "{'scipy', 'mpmath', 'concurrent.futures', 'difflib'}"
+    code = f"import sys, critdamp.cli; print(sorted({modules} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)

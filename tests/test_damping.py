@@ -211,6 +211,18 @@ def test_nan_time_is_rejected(lam):
         DampingLaw(1.0, lam).reciprocal_integral(math.nan)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_reciprocal_integral_takes_scalar_times(lam):
+    law = DampingLaw(1.0, lam)
+    for bad in (-1.0, -math.inf):  # nan: test_nan_time_is_rejected
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            law.reciprocal_integral(bad)
+    assert law.reciprocal_integral(-0.0) == 0.0
+    expected = law.reciprocal_integral(0.5)
+    assert law.reciprocal_integral(np.float64(0.5)) == expected
+    assert law.reciprocal_integral(np.array(0.5)) == expected
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         DampingLaw(-0.1, 1.0)

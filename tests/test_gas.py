@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from critdamp import GasModel
-from helpers import VacuumError, composite_simpson, density_from_enthalpy
+from helpers import VacuumError, composite_simpson, density_from_enthalpy, pressure_constant
 
 
 def test_pressure_closed_form():
     g = GasModel(gamma=2.0, rho_bar=2.0)
-    assert g.A == pytest.approx(0.25, abs=0)
+    assert pressure_constant(g) == pytest.approx(0.25, abs=0)
     assert g.pressure(2.0) == pytest.approx(1.0, rel=1e-14)
     assert g.pressure(4.0) == pytest.approx(4.0, rel=1e-14)
 
@@ -118,7 +118,7 @@ def test_pressure_excess_values():
 def test_pressure_excess_gamma2_exact_square():
     g = GasModel(gamma=2.0, rho_bar=2.0)
     for rho in np.geomspace(0.02, 50.0, 60):
-        assert g.pressure_excess(rho) == pytest.approx(g.A * (rho - 2.0) ** 2, rel=1e-13)
+        assert g.pressure_excess(rho) == pytest.approx(pressure_constant(g) * (rho - 2.0) ** 2, rel=1e-13)
 
 
 @pytest.mark.parametrize("rho_bar", [1e160, 1e300])
@@ -143,7 +143,7 @@ def test_pressure_excess_stable_near_background():
     # tiny perturbations: the naive three-term difference would cancel badly
     g = GasModel(gamma=1.4, rho_bar=1.0)
     for d in (1e-3, 1e-6, 1e-9):
-        expected = g.gamma * (g.gamma - 1.0) / 2.0 * d * d * g.A  # leading term, rho_bar=1
+        expected = g.gamma * (g.gamma - 1.0) / 2.0 * d * d * pressure_constant(g)  # leading term, rho_bar=1
         assert g.pressure_excess(1.0 + d) == pytest.approx(expected, rel=1e-3)
 
 

@@ -28,6 +28,7 @@ from helpers import (
     initial_moment_margins,
     initial_momentum_moment,
     moment_band,
+    pressure_constant,
     pressure_excess_moment,
 )
 
@@ -149,7 +150,7 @@ def test_pressure_moment_nonnegative_and_gamma2_exact():
         assert g_val >= 0.0
         mids, widths = _split_cells(s, l)
         i0 = grid.n_cells - mids.size
-        ref = 8 * np.pi * GAS.A * float(np.sum(mids * s.rho_pert[i0:] ** 2 * widths))
+        ref = 8 * np.pi * pressure_constant(GAS) * float(np.sum(mids * s.rho_pert[i0:] ** 2 * widths))
         assert g_val == pytest.approx(ref, rel=1e-12)
 
 
