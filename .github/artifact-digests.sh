@@ -3,10 +3,13 @@
 # examples, one fixed argv per benchmark workload (the seed-1 draws of
 # benchmarks/run.py), two euler-sim runs under a non-default gas and one that
 # breaks down, with functionals after each, functionals on a CRLF copy of one
-# of their snapshots.csv, and two more burgers-sim runs (many samples, and
-# mu = 0 on an explicit span) write when run on the sources under <src-dir>.  Every
-# call runs in a temporary directory with a relative --output.dir, so two
-# source trees make byte-identical artifacts exactly when their outputs match:
+# of their snapshots.csv, two more burgers-sim runs (many samples, and mu = 0
+# on an explicit span), and a small literal profile.file table for each
+# geometry (a 1-D triangle through burgers-lifespan, sweep and burgers-sim; a
+# radial table through euler-sim and functionals) write when run on the
+# sources under <src-dir>.  Every call runs in a temporary directory with a
+# relative --output.dir (and --profile.file), so two source trees make
+# byte-identical artifacts exactly when their outputs match:
 #
 #     .github/artifact-digests.sh base/src > base.txt
 #     .github/artifact-digests.sh src | diff base.txt -
@@ -80,5 +83,20 @@ run line-samples burgers-sim --profile.epsilon 0.2 --damping.lambda 1 --damping.
     --run.monitor_cadence 0.05 --grid.n_cells 1024 --output.dir out
 run line-undamped burgers-sim --profile.epsilon 0.3 --damping.lambda 0 --damping.mu 0 --run.t_end 2 \
     --run.monitor_cadence 0.5 --grid.n_cells 2048 --grid.x_lo -2 --grid.x_hi 2 --output.dir out
+
+# Profiles read from a file, which lies beside the case directories, so that
+# only the artifacts are hashed.  The triangle's max(-w0') is exactly 1,
+# however its slope is found.
+printf 'x,w0\n-1,0\n-0.5,0.5\n0,1\n0.5,0.5\n1,0\n' > "$work/triangle.csv"
+triangle=(--profile.file ../triangle.csv --damping.lambda 1 --damping.mu 0.5)
+run file-line burgers-lifespan "${triangle[@]}" --profile.epsilon 0.1
+run file-line sweep "${triangle[@]}" --sweep.lambda 0,0.5,1,2 --sweep.mu 0.5,1,2 --sweep.epsilon 0.1,0.6
+run file-line burgers-sim "${triangle[@]}" --profile.epsilon 0.3 --run.t_end 2 --run.monitor_cadence 0.5 \
+    --grid.n_cells 256
+printf 'r,rho0,u0\n0,1,0\n0.25,0.75,0.25\n0.5,0.5,0.5\n0.75,0.25,0.25\n1,0,0\n' > "$work/radial.csv"
+radial_file=(--profile.file ../radial.csv --profile.epsilon 0.2 --grid.n_cells 256 --run.t_end 2
+             --run.monitor_cadence 0.5 --output.dir out)
+run file-radial euler-sim "${radial_file[@]}"
+run file-radial functionals "${radial_file[@]}"
 
 sort -k2 "$work/digests"

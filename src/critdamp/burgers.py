@@ -7,23 +7,19 @@ I the reciprocal integral of the damping law.  Characteristics first cross
 (gradient blowup) at the root of eps * m * I(T) = 1, m = max(-w0').
 
 Workspace rule: a finite-volume step is bound by numpy call overhead, so
-:func:`simulate_fv` gives its march one workspace and a step allocates no
-array of the grid's size.  Two padded value buffers of n_cells + 2 cells,
-whose +0.0 ghosts nothing writes, take the states in turn; |e|, e*e, the
-face jumps, the face flux, its difference and the finiteness mask have one
-buffer each.  stable_dt leaves |w| in the workspace and the gradient trigger
-leaves diff(w) in the interior face jumps; the next step reuses each only if
-it was formed from that same state object (an identity check, cleared by
-every step), else forms it itself, as it must when a given
-gradient_threshold skips the initial gradient.  The boundary jumps are the
-subtractions w[0] - 0.0 and 0.0 - w[-1] that e[1:] - e[:-1] performs, so a
--0.0 keeps its bits.  log beta at a step's t + dt is kept for the next step,
-which is the same time unless a sample time clamped it, so an unclamped step
-evaluates log beta once.  Every pass keeps the operation and operand order of
-the allocating expression it replaces, up to swapping the operands of * (exact
-in IEEE 754), and nothing is reassociated or fused, so states, dt values and
-artifacts stay bit-identical to it.  The states of a run are views of the
-workspace that the next step but one overwrites, so ``sample`` copies them.
+:func:`simulate_fv` gives its march one workspace, on the contract of
+:mod:`critdamp.euler`'s notes: the state lives in one padded buffer of
+n_cells + 2 cells, whose +0.0 ghosts nothing writes, and a step forms every
+face flux before it updates the cells in place, allocating no array of the
+grid's size.  |w| and the face jumps are formed once per state, when it is
+made: the interior jumps as diff(w), the boundary ones as the subtractions
+w[0] - 0.0 and 0.0 - w[-1] that e[1:] - e[:-1] performs, so a -0.0 keeps its
+bits.  stable_dt, the gradient trigger and the next step only read them.
+Every pass keeps the operation and operand order of the allocating
+expression it replaces, up to swapping the operands of * (exact in IEEE 754),
+and nothing is reassociated or fused, so states, dt values and artifacts
+stay bit-identical to it.  The state holds until the next step, so
+``sample`` copies it.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .damping import DampingLaw
+from .damping import DampingLaw, StepFactor
 from .numerics import scan_maximum, solve_bracketed
 from .outcome import (
     BreakdownCause,
@@ -231,7 +227,8 @@ def simulate_fv(
     its initial value), when values go non-finite, or when dt collapses; the
     stepping and sampling rule is :func:`critdamp.outcome.march`.  The
     automatic ``x_span`` pads the support by eps * max|w0| * I(t_end), with
-    I capped at the crossing value 1/(eps*m) when m > 0.
+    I capped at the crossing value 1/(eps*m) when m > 0; an explicit one must
+    contain the support, on which the exact solution stays before the lifespan.
     """
     if n_cells < 16:
         raise ValueError("n_cells must be at least 16")
@@ -252,6 +249,8 @@ def simulate_fv(
         x_span = (lo_s - pad, hi_s + pad)
 
     x_lo, x_hi = x_span
+    if not x_lo <= problem.support[0] < problem.support[1] <= x_hi:
+        raise ValueError(f"x_span {x_span!r} must contain the support {problem.support!r}")
     dx = (x_hi - x_lo) / n_cells
     x = x_lo + (np.arange(n_cells) + 0.5) * dx
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
@@ -266,28 +265,24 @@ def simulate_fv(
     def sample(values: np.ndarray, t: float) -> None:
         snapshots.append(Snapshot1D(t, x.copy(), values.copy(), ws.stable_dt(values)))
 
-    verdict = march(ws.cells[0], t_end, wanted, ws.stable_dt, ws.advance, ws.gradient, sample, gradient_threshold)
+    verdict = march(ws.cells, t_end, wanted, ws.stable_dt, ws.advance, ws.gradient, sample, gradient_threshold)
     return snapshots, verdict
 
 
 class _Workspace:
     """The arrays one :func:`simulate_fv` march steps in (see module notes).
 
-    ``pad`` holds two padded value buffers of n + 2 cells whose +0.0 ghosts
-    nothing writes; the march's state is ``cells[cur]``, the interior of
-    ``pad[cur]``, and a step writes the next state into the other one.
-    ``abs`` holds |e| and ``jump`` the face jumps e[i+1] - e[i] of the padded
-    state; ``abs_of`` and ``jump_of`` name the state that ``abs[1:-1]`` and
-    ``jump[1:-1]`` were last formed from (None once a step has used them).
+    ``pad`` holds the state in its interior ``cells``; ``abs`` holds |e| and
+    ``jump`` the face jumps e[i+1] - e[i] of the padded state e = ``pad``.
     """
 
     def __init__(self, w: np.ndarray, law: DampingLaw, dx: float, cfl: float, t_end: float) -> None:
         n = w.size
         self.law, self.dx, self.cfl, self.t_end = law, dx, cfl, t_end
-        self.pad = (np.zeros(n + 2), np.zeros(n + 2))
-        self.cells = tuple(e[1:-1] for e in self.pad)
-        self.cells[0][:] = w
-        self.cur = 0
+        self.factor = StepFactor()
+        self.pad = np.zeros(n + 2)
+        self.cells = self.pad[1:-1]
+        self.cells[:] = w
         self.abs, self.sq = np.zeros(n + 2), np.empty(n + 2)
         self.abs_c, self.abs_l, self.abs_r = self.abs[1:-1], self.abs[:-1], self.abs[1:]
         self.sq_l, self.sq_r = self.sq[:-1], self.sq[1:]
@@ -295,53 +290,43 @@ class _Workspace:
         self.jump_c, self.flux_c = self.jump[1:-1], self.flux[1:-1]
         self.flux_l, self.flux_r = self.flux[:-1], self.flux[1:]
         self.dflux, self.finite = np.empty(n), np.empty(n, dtype=bool)
-        self.abs_of = self.jump_of = None
-        self.t_beta = self.log_beta = math.nan  # log beta at the last step's t + dt
+        self._form_abs_and_jumps()
+
+    def _form_abs_and_jumps(self) -> None:
+        w = self.cells
+        np.abs(w, out=self.abs_c)
+        np.subtract(w[1:], w[:-1], out=self.jump_c)
+        self.jump[0] = w[0] - 0.0
+        self.jump[-1] = 0.0 - w[-1]
 
     def stable_dt(self, values: np.ndarray) -> float:
-        speed = float(np.maximum.reduce(np.abs(values, out=self.abs_c)))
-        self.abs_of = values
+        speed = float(np.maximum.reduce(self.abs_c))
         return self.cfl * self.dx / speed if speed > 0 else self.t_end
 
     def gradient(self, values: np.ndarray) -> float:
-        """max |diff(w)| / dx; the differences stay in the interior face jumps."""
-        jump = np.subtract(values[1:], values[:-1], out=self.jump_c)
-        self.jump_of = values
-        return float(np.maximum.reduce(np.abs(jump, out=self.flux_c))) / self.dx
+        """max |diff(w)| / dx."""
+        return float(np.maximum.reduce(np.abs(self.jump_c, out=self.flux_c))) / self.dx
 
     def advance(self, values: np.ndarray, t: float, dt: float) -> np.ndarray:
         # Local Lax-Friedrichs flux on faces, zero ghost states at both ends;
         # the support never reaches the boundary, so the total telescopes.
-        k = self.cur
-        if self.abs_of is not values:
-            np.abs(values, out=self.abs_c)
-        jump = self.jump
-        if self.jump_of is not values:
-            np.subtract(values[1:], values[:-1], out=self.jump_c)
-        # subtractions, as e[1:] - e[:-1] forms them: a -0.0 cell keeps its bits
-        jump[0] = values[0] - 0.0
-        jump[-1] = 0.0 - values[-1]
-        self.abs_of = self.jump_of = None
-        np.multiply(self.pad[k], self.pad[k], out=self.sq)
+        np.multiply(self.pad, self.pad, out=self.sq)
         flux = np.add(self.sq_l, self.sq_r, out=self.flux)
         flux *= 0.25
         # the face speed max(|w_l|, |w_r|) takes the spent e*e buffer
         speed = np.maximum(self.abs_l, self.abs_r, out=self.sq_l)
         speed *= 0.5
-        speed *= jump
+        speed *= self.jump
         flux -= speed
         d = np.subtract(self.flux_r, self.flux_l, out=self.dflux)
         d *= dt / self.dx
-        out = np.subtract(values, d, out=self.cells[1 - k])
-        # log beta(t) as damping_factor forms it; the last step's t + dt is
-        # this step's t unless a sample time clamped it
+        # every face flux is formed, so the cells take their new values
+        out = np.subtract(self.cells, d, out=self.cells)
         t_new = t + dt
-        log_beta = self.log_beta if t == self.t_beta else self.law._log_beta(t)
-        self.t_beta, self.log_beta = t_new, self.law._log_beta(t_new)
-        out *= float(np.exp(log_beta - self.log_beta))
+        out *= self.factor(self.law, t, t_new)
         if not np.logical_and.reduce(np.isfinite(out, out=self.finite)):
             raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-        self.cur = 1 - k
+        self._form_abs_and_jumps()
         return out
 
 

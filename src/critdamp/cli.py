@@ -42,30 +42,36 @@ def _profile_error(cfg: ExperimentConfig, problem) -> ConfigError:
 
 
 def _sampled_profiles(path: str, header: str):
-    """The abscissae of a ``profile.file`` and a (value, derivative) pair of
-    callables for each further column; errors name the file."""
+    """The abscissae of a ``profile.file``, its further columns and a (value,
+    derivative) pair of callables for each; errors name the file."""
     names, data = csvio.read_csv(path)
     if ",".join(names) != header:
         raise ValueError(f"{path}: expected header {header!r}")
     xs, *columns = data.T
     try:
-        return xs, [profiles.sampled_profile(xs, ys) for ys in columns]
+        return xs, columns, [profiles.sampled_profile(xs, ys) for ys in columns]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _line_profile(cfg: ExperimentConfig):
-    if cfg["profile.file"] is not None:
-        with _as_config_error("profile.file"):
-            xs, [(value, deriv)] = _sampled_profiles(cfg["profile.file"], "x,w0")
-        return value, deriv, (float(xs[0]), float(xs[-1]))
-    return profiles.LINE_PROFILES[cfg["profile.name"]](cfg["profile.M"])
+    """w0, w0', the support and m = max(-w0'): None for a builtin, which
+    classify_lifespan scans for, and exact for a file, over its segments."""
+    path = cfg["profile.file"]
+    if path is None:
+        return (*profiles.LINE_PROFILES[cfg["profile.name"]](cfg["profile.M"]), None)
+    with _as_config_error("profile.file"):
+        xs, [ys], [(value, deriv)] = _sampled_profiles(path, "x,w0")
+        if ys[0] != 0.0 or ys[-1] != 0.0:
+            raise ValueError(f"{path}: w0 must be 0 at the first and last x, where the profile ends")
+    slope_max = max(0.0, float(np.max(-np.diff(ys) / np.diff(xs))))
+    return value, deriv, (float(xs[0]), float(xs[-1])), slope_max
 
 
 def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
     if cfg["profile.file"] is not None:
         with _as_config_error("profile.file"):
-            _, [(rho0, _), (u0, _)] = _sampled_profiles(cfg["profile.file"], "r,rho0,u0")
+            _, _, [(rho0, _), (u0, _)] = _sampled_profiles(cfg["profile.file"], "r,rho0,u0")
     else:
         rho0, u0 = profiles.RADIAL_PROFILES[cfg["profile.name"]](cfg["profile.M0"], cfg["profile.M"])
     return euler.InitialProfile(
@@ -73,43 +79,47 @@ def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
     )
 
 
-def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
-    value, deriv, support = _line_profile(cfg)
-    return burgers.BurgersProblem(
+def _burgers_problem(cfg: ExperimentConfig) -> tuple[burgers.BurgersProblem, float | None]:
+    """The 1-D problem and the m of its profile (see :func:`_line_profile`)."""
+    value, deriv, support, slope_max = _line_profile(cfg)
+    problem = burgers.BurgersProblem(
         w0=value,
         w0_prime=deriv,
         support=support,
         epsilon=cfg["profile.epsilon"],
         damping=cfg.damping(),
     )
+    return problem, slope_max
 
 
 def _run_burgers_lifespan(cfg: ExperimentConfig, out: str) -> None:
-    verdict = burgers.classify_lifespan(_burgers_problem(cfg))
+    problem, slope_max = _burgers_problem(cfg)
+    verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
 
 def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
-    value, deriv, support = _line_profile(cfg)
-    slope_max = burgers.max_negative_slope(
-        burgers.BurgersProblem(value, deriv, support, 1.0, DampingLaw(mu=0.0, lam=0.0))
-    )
+    value, deriv, support, slope_max = _line_profile(cfg)
     rows = []
     for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
         problem = burgers.BurgersProblem(value, deriv, support, eps, DampingLaw(mu=mu, lam=lam))
+        if slope_max is None:  # m depends on the profile only: scan it once
+            slope_max = burgers.max_negative_slope(problem)
         verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
         rows.append((lam, mu, eps, verdict))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
 
 def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
-    problem = _burgers_problem(cfg)
+    problem, _ = _burgers_problem(cfg)
     t_end = cfg["run.t_end"]
     span = (cfg["grid.x_lo"], cfg["grid.x_hi"]) if cfg["grid.x_lo"] is not None else None
-    snapshots, verdict = burgers.simulate_fv(
-        problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"],
-        snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]), x_span=span,
-    )
+    # simulate_fv's only ValueError on a validated config: a span that cuts the support
+    with _as_config_error("grid.x_lo", ValueError):
+        snapshots, verdict = burgers.simulate_fv(
+            problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"],
+            snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]), x_span=span,
+        )
     csvio.write_series(
         os.path.join(out, "series.csv"), np.array([s.t for s in snapshots]), burgers.series(snapshots)
     )

@@ -39,28 +39,18 @@ class DampingLaw:
             if not (value >= 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and nonnegative")
 
-    def _check_time(self, t) -> None:
+    def log_integrating_factor(self, t):
+        """log(beta(t)), with beta(t) = exp((mu/(1-lam)) ((1+t)**(1-lam) - 1)),
+        or (1+t)**mu at lam = 1; overflow-free, so ratios of beta are formed
+        from it."""
         if not np.all(np.asarray(t) >= 0):  # rejects nan too
             raise ValueError("time must be nonnegative")
-
-    def log_integrating_factor(self, t):
-        """log(beta(t)); overflow-free form used wherever ratios of beta appear."""
-        self._check_time(t)
         return self._log_beta(np.asarray(t, dtype=float) if np.ndim(t) else float(t))
 
     def _log_beta(self, t):
         if self.lam == 1.0:
             return self.mu * np.log1p(t)
         return self.mu / (1.0 - self.lam) * np.expm1((1.0 - self.lam) * np.log1p(t))
-
-    def damping_factor(self, t0: float, t1: float) -> float:
-        """beta(t0) / beta(t1) for scalar times 0 <= t0 <= t1: the exact factor
-        by which damping alone scales the momentum from t0 to t1."""
-        return float(np.exp(self._log_beta(t0) - self._log_beta(t1)))
-
-    def integrating_factor(self, t):
-        """beta(t) = exp((mu/(1-lam)) ((1+t)**(1-lam) - 1)), or (1+t)**mu at lam = 1."""
-        return np.exp(self.log_integrating_factor(t))
 
     @property
     def gamma_form(self) -> bool:
@@ -239,3 +229,21 @@ class DampingLaw:
                 break
             u_big *= 2.0
         return adaptive_quad(integrand, 1.0, u_big, abs_tol=QUAD_TOL) / (1.0 - self.lam) + bound
+
+
+class StepFactor:
+    """The factor beta(t0)/beta(t1) by which damping alone scales the momentum
+    over one step from t0 to t1, as exp(log beta(t0) - log beta(t1)).
+
+    A march owns one: it keeps log beta at the last step's t1, which is the
+    next step's t0 unless a sample time clamped that step, so an unclamped
+    step of one law evaluates log beta once.
+    """
+
+    def __init__(self) -> None:
+        self.law, self.t, self.log_beta = None, math.nan, math.nan
+
+    def __call__(self, law: DampingLaw, t0: float, t1: float) -> float:
+        log_beta = self.log_beta if t0 == self.t and law is self.law else law._log_beta(t0)
+        self.law, self.t, self.log_beta = law, t1, law._log_beta(t1)
+        return float(np.exp(log_beta - self.log_beta))

@@ -66,7 +66,6 @@ to the out-of-place formulas.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -74,7 +73,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import monitors as mon
-from .damping import DampingLaw
+from .damping import DampingLaw, StepFactor
 from .gas import GasModel
 from .outcome import DT_FLOOR, BreakdownCause, BreakdownError, Verdict, march, sample_times
 
@@ -194,7 +193,7 @@ class _Workspace:
         self.rho, self.u, self.speed, self.adv, self.p = (np.empty(n + 4) for _ in range(5))
         self.half_s, self.f_rho, self.f_adv, self.jump, self.p_face = (np.empty(n + 1) for _ in range(5))
         self.d, self.finite = np.empty(n), np.empty(n, dtype=bool)
-        self.t_beta = self.log_beta = math.nan  # log beta at the last step's t_new
+        self.factor = StepFactor()
         self.cells[0][:] = state.rho_pert
         self.cells[1][:] = state.mom
         _mirror(self.q, self.mom)
@@ -441,11 +440,7 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     dp_l = np.subtract(win.p_face_l, win.p_c, out=win.f_rho_l)
     dp_r = np.subtract(win.p_face_r, win.p_c, out=win.jump_c)
     t_new = state.t + dt
-    # log beta(t) as damping_factor forms it; the last step's t_new is this
-    # step's t unless a sample time clamped it
-    log_beta = ws.log_beta if state.t == ws.t_beta else damping._log_beta(state.t)
-    ws.t_beta, ws.log_beta = t_new, damping._log_beta(t_new)
-    factor = float(np.exp(log_beta - ws.log_beta))
+    factor = ws.factor(damping, state.t, t_new)
     f_adv *= win.area
     np.subtract(win.f_adv_r, win.f_adv_l, out=d)
     d *= win.inv_vol

@@ -235,7 +235,7 @@ def full_grid_run(gas, damping, state, t_end, cfl, cadence, muscl=False):
 
 
 def reference_damping_factor(law, t0, t1):
-    """beta(t0) / beta(t1) as ``DampingLaw.damping_factor`` forms it."""
+    """beta(t0) / beta(t1) as ``damping.StepFactor`` forms it."""
     return float(np.exp(law._log_beta(t0) - law._log_beta(t1)))
 
 
@@ -547,6 +547,11 @@ def momentum_ode_residual(res, gas, law) -> float:
 def pressure_constant(gas):
     """A = 1/(gamma rho_bar^(gamma-1)) of p = A rho^gamma."""
     return 1.0 / (gas.gamma * gas.rho_bar ** (gas.gamma - 1.0))
+
+
+def integrating_factor(law, t):
+    """beta(t) = exp((mu/(1-lam)) ((1+t)**(1-lam) - 1)), or (1+t)**mu at lam = 1."""
+    return np.exp(law.log_integrating_factor(t))
 
 
 def read_series(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:

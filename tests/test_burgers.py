@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,14 +12,21 @@ from critdamp import (
     Global,
     LifespanError,
     NumericalBreakdown,
+    burgers,
     classify_lifespan,
     eval_characteristic,
     max_negative_slope,
     simulate_fv,
 )
-from critdamp.outcome import sample_times, verdict_label
+from critdamp.outcome import march, sample_times, verdict_label
 from critdamp.profiles import line_bump, line_ramp, mollifier, mollifier_prime
-from helpers import bisect_root, composite_simpson, mp_reciprocal_integral, reference_simulate_fv
+from helpers import (
+    bisect_root,
+    composite_simpson,
+    integrating_factor,
+    mp_reciprocal_integral,
+    reference_simulate_fv,
+)
 
 
 def bump_problem(epsilon, mu, lam):
@@ -225,7 +234,7 @@ def test_characteristic_decay_identity():
     x0 = np.linspace(-0.95, 0.95, 41)
     x_img = x0 + 0.1 * p.w0(x0) * law.reciprocal_integral(t)
     vals = eval_characteristic(p, t, x_img)
-    assert np.max(np.abs(vals * law.integrating_factor(t) - 0.1 * p.w0(x0))) < 1e-12
+    assert np.max(np.abs(vals * integrating_factor(law, t) - 0.1 * p.w0(x0))) < 1e-12
 
 
 def test_characteristic_spatial_integral():
@@ -234,7 +243,7 @@ def test_characteristic_spatial_integral():
     t = 10.0
     lhs = composite_simpson(lambda x: eval_characteristic(p, t, x), -1.0, 1.0, 20_000)
     rhs = 0.1 * composite_simpson(lambda x: np.asarray(p.w0(x)), -1.0, 1.0, 20_000)
-    rhs /= p.damping.integrating_factor(t)
+    rhs /= integrating_factor(p.damping, t)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -283,7 +292,7 @@ def test_fv_weighted_total_is_conserved(mu, lam):
     q0 = np.sum(snaps[0].w) * dx
     for s in snaps:
         q = np.sum(s.w) * dx
-        assert q * p.damping.integrating_factor(s.t) / q0 == pytest.approx(1.0, abs=1e-10)
+        assert q * integrating_factor(p.damping, s.t) / q0 == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,7 +314,7 @@ def test_fv_weighted_total_is_conserved_for_random_smooth_data(amplitude, centre
     scale = float(np.sum(np.abs(snaps[0].w))) * dx
     for s in snaps:
         q = float(np.sum(s.w)) * dx
-        assert abs(q * p.damping.integrating_factor(s.t) - q0) <= 32 * np.finfo(float).eps * scale
+        assert abs(q * integrating_factor(p.damping, s.t) - q0) <= 32 * np.finfo(float).eps * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -336,6 +345,34 @@ def test_fv_march_matches_allocating_step_bit_for_bit(amplitude, centre, width, 
         assert s.t == t
         assert np.array([s.dt]).view(np.int64)[0] == np.array([dt]).view(np.int64)[0]
         assert np.array_equal(s.w.view(np.int64), w.view(np.int64))
+
+
+def test_fv_step_in_its_workspace_allocates_no_grid_sized_array(monkeypatch):
+    # once simulate_fv's workspace exists, each step and the stable_dt and
+    # gradient calls of the march form their arrays in workspace buffers
+    n, peaks = 4096, []
+
+    def measured(f):
+        def call(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = f(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        return call
+
+    def measured_march(state, t_end, wanted, stable_dt, advance, gradient, sample, grad_limit):
+        return march(state, t_end, wanted, measured(stable_dt), measured(advance), measured(gradient), sample,
+                     grad_limit)
+
+    monkeypatch.setattr(burgers, "march", measured_march)
+    tracemalloc.start()
+    try:
+        _, verdict = simulate_fv(bump_problem(0.1, 0.5, 1.0), n, 0.5, 0.5, snapshot_times=[0.5])
+    finally:
+        tracemalloc.stop()
+    assert isinstance(verdict, Global)
+    assert len(peaks) > 30 and max(peaks) < 8 * n / 2
 
 
 def test_fv_matches_characteristics_first_order():
@@ -377,6 +414,12 @@ def test_fv_validates_config():
         simulate_fv(p, 64, 1.0, 1.5)
     with pytest.raises(ValueError):
         simulate_fv(p, 64, -1.0, 0.5)
+    # an explicit span must contain the support (-1, 1)
+    for span in [(-0.5, 0.5), (-1.0, 0.999), (-0.999, 2.0), (2.0, 3.0)]:
+        with pytest.raises(ValueError, match="must contain the support"):
+            simulate_fv(p, 64, 1.0, 0.5, x_span=span)
+    _, verdict = simulate_fv(p, 64, 1.0, 0.5, x_span=(-1.0, 1.0))
+    assert isinstance(verdict, Global)
 
 
 def test_problem_validation():

@@ -11,6 +11,7 @@ import pytest
 from critdamp import (
     BurgersProblem,
     DampingLaw,
+    FiniteLifespan,
     GasModel,
     Global,
     InitialProfile,
@@ -422,6 +423,32 @@ def test_line_profile_file_matches_library(tmp_path):
     assert verdict_of(out) == expected
 
 
+def test_line_profile_file_lifespan_takes_its_exact_slope(tmp_path):
+    # a segment of slope -1e7, narrower than any scan spacing of the support
+    (tmp_path / "line.csv").write_text("x,w0\n0,0\n1,1\n1.0000001,0\n2,0\n")
+    args = ["--profile.file", str(tmp_path / "line.csv"), "--damping.mu", "0.5", "--damping.lambda", "1"]
+    out = tmp_path / "out"
+    assert main(["burgers-lifespan", "--profile.epsilon", "0.1", "--output.dir", str(out)] + args) == 0
+    verdict = verdict_of(out)
+    assert isinstance(verdict, FiniteLifespan)
+    assert verdict.lifespan == pytest.approx(1e-6, rel=1e-6)
+    assert main(["sweep", "--sweep.lambda", "1", "--sweep.mu", "0.5", "--sweep.epsilon", "0.1",
+                 "--output.dir", str(out)] + args) == 0
+    row = read(out / "sweep.csv").splitlines()[1].split(",")
+    assert row[3:] == ["FiniteLifespan", repr(verdict.lifespan)]
+
+
+def test_burgers_sim_span_that_cuts_the_support_is_config_error(tmp_path, capsys):
+    # the bump's support is (-1, 1); a run on (-0.5, 0.5) would lose Q
+    out = tmp_path / "out"
+    rc = main(["burgers-sim", "--profile.epsilon", "0.1", "--damping.mu", "0", "--damping.lambda", "0",
+               "--run.t_end", "10", "--run.monitor_cadence", "5", "--grid.n_cells", "512",
+               "--grid.x_lo", "-0.5", "--grid.x_hi", "0.5", "--output.dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'grid.x_lo':")
+    assert list(out.iterdir()) == []
+
+
 def test_radial_profile_file_matches_library(tmp_path):
     rs = np.linspace(0.0, 1.0, 41)
     rho0s, u0s = (1.0 - rs**2) ** 3, 0.5 * rs * (1.0 - rs**2) ** 2
@@ -456,6 +483,9 @@ def snapshot_32(rho):
     ("burgers-lifespan", "profile", "x,w0\n0,abc\n", "profile.file"),
     ("burgers-lifespan", "profile", "x,w0\n", "profile.file"),
     ("burgers-lifespan", "profile", "x,w0\n0,1\n", "profile.file"),
+    # w0 would jump to 0 past the samples
+    ("burgers-lifespan", "profile", "x,w0\n0,0\n1,1\n", "profile.file"),
+    ("sweep", "profile", "x,w0\n0,1\n1,0\n", "profile.file"),
     ("euler-sim", "profile", "r,rho0,u0\n0,1,0\n1,1,0\n1,1,0\n", "profile.file"),
     ("functionals", "snapshots.csv", SNAPSHOT_HEAD + "0.0,0.5,1.0,0.0\n0.0,1.5,1.0\n", "output.dir"),
     ("functionals", "snapshots.csv", "t,r,rho,mom\n0.0,0.5,1.0,0.0\n0.0,1.5,1.0,0.0\n", "output.dir"),
@@ -465,7 +495,8 @@ def snapshot_32(rho):
     ("functionals", "snapshots.csv", snapshot_32("-1.0"), "output.dir"),
     # a line of spaces is skipped before the first data row, and malformed after it
     ("functionals", "snapshots.csv", snapshot_32("1.0").replace("\n0.0,1.5,", "\n   \n0.0,1.5,"), "output.dir"),
-], ids=["non-numeric-cell", "header-only", "single-row", "radial-repeated-abscissa", "three-field-row", "no-block-marker",
+], ids=["non-numeric-cell", "header-only", "single-row", "last-w0-not-zero", "first-w0-not-zero",
+        "radial-repeated-abscissa", "three-field-row", "no-block-marker",
         "negative-initial-density", "negative-initial-mass", "snapshot-nan-density", "snapshot-negative-density",
         "snapshot-whitespace-only-row"])
 def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text, key):
@@ -476,6 +507,8 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text
     argv = [mode, "--output.dir", str(out)]
     if key == "profile.file":
         argv += ["--profile.file", str(path), "--profile.epsilon", "0.1"]
+    if mode == "sweep":
+        argv += ["--sweep.lambda", "1", "--sweep.mu", "1", "--sweep.epsilon", "0.1"]
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critdamp import DampingLaw, numerics
-from helpers import composite_simpson, mp_reciprocal_integral
+from critdamp.damping import StepFactor
+from helpers import composite_simpson, integrating_factor, mp_reciprocal_integral
 
 
 def log_time_quad(law, t):
@@ -16,12 +17,12 @@ def log_time_quad(law, t):
 
 def test_factor_initial_condition():
     for mu, lam in [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (3.0, 2.5)]:
-        assert DampingLaw(mu, lam).integrating_factor(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert integrating_factor(DampingLaw(mu, lam), 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_factor_closed_forms():
-    assert DampingLaw(2.0, 1.0).integrating_factor(3.0) == pytest.approx(16.0, rel=1e-13)
-    assert DampingLaw(1.0, 0.0).integrating_factor(1.0) == pytest.approx(np.e, rel=1e-14)
+    assert integrating_factor(DampingLaw(2.0, 1.0), 3.0) == pytest.approx(16.0, rel=1e-13)
+    assert integrating_factor(DampingLaw(1.0, 0.0), 1.0) == pytest.approx(np.e, rel=1e-14)
 
 
 @pytest.mark.parametrize("mu", [0.25, 1.0, 2.0])
@@ -31,15 +32,15 @@ def test_factor_satisfies_defining_ode(mu, lam):
     law = DampingLaw(mu, lam)
     h = 1e-5
     for t in (0.5, 2.0, 7.0):
-        lhs = (law.integrating_factor(t + h) - law.integrating_factor(t - h)) / (2 * h)
-        rhs = mu * (1.0 + t) ** (-lam) * law.integrating_factor(t)
+        lhs = (integrating_factor(law, t + h) - integrating_factor(law, t - h)) / (2 * h)
+        rhs = mu * (1.0 + t) ** (-lam) * integrating_factor(law, t)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
 def test_factor_nondecreasing():
     law = DampingLaw(1.5, 0.7)
     ts = np.linspace(0.0, 50.0, 300)
-    vals = law.integrating_factor(ts)
+    vals = integrating_factor(law, ts)
     assert np.all(np.diff(vals) >= 0)
 
 
@@ -49,7 +50,7 @@ def test_factor_bounded_above_critical(mu, lam):
     law = DampingLaw(mu, lam)
     bound = np.exp(mu / (lam - 1.0))
     ts = np.geomspace(0.01, 1e6, 200)
-    assert np.all(law.integrating_factor(ts) <= bound * (1 + 1e-12))
+    assert np.all(integrating_factor(law, ts) <= bound * (1 + 1e-12))
 
 
 def test_integral_closed_form_cases():
@@ -229,18 +230,24 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         DampingLaw(1.0, -0.5)
     with pytest.raises(ValueError):
-        DampingLaw(1.0, 1.0).integrating_factor(-1.0)
+        DampingLaw(1.0, 1.0).log_integrating_factor(-1.0)
     with pytest.raises(ValueError):
         DampingLaw(1.0, 1.0).reciprocal_integral(-2.0)
 
 
 @pytest.mark.parametrize("mu, lam", [(0.0, 0.0), (1.3, 0.0), (1.0, 0.5), (0.5, 1.0), (2.0, 1.0), (0.7, 2.5)])
 def test_damping_factor_is_the_beta_ratio(mu, lam):
-    law = DampingLaw(mu, lam)
-    for t0, t1 in [(0.0, 0.1), (0.3, 0.30000000000000004), (2.0, 7.5), (1e6, 1e6 + 3.0)]:
-        # the solvers' momentum factor: exactly the log-difference form
-        expected = float(np.exp(law.log_integrating_factor(t0) - law.log_integrating_factor(t1)))
-        assert law.damping_factor(t0, t1) == expected
+    # the solvers' momentum factor is exactly the log-difference form,
+    # whether a call starts where the last one ended (and reuses its log
+    # beta), off it (a clamped step), or under another law
+    law, other = DampingLaw(mu, lam), DampingLaw(mu + 0.25, lam)
+    factor = StepFactor()
+    calls = [(law, 0.0, 0.1), (law, 0.1, 0.3), (law, 0.3, 0.30000000000000004),
+             (law, 0.30000000000000004, 2.0), (law, 2.0 + 2**-51, 7.5), (other, 7.5, 8.0),
+             (law, 8.0, 9.0), (law, 9.0, 9.5), (law, 1e6, 1e6 + 3.0), (law, 1e6 + 3.0, 1e6 + 3.5)]
+    for step_law, t0, t1 in calls:
+        expected = float(np.exp(step_law.log_integrating_factor(t0) - step_law.log_integrating_factor(t1)))
+        assert factor(step_law, t0, t1) == expected
         if t1 < 10:
-            ratio = law.integrating_factor(t0) / law.integrating_factor(t1)
-            assert law.damping_factor(t0, t1) == pytest.approx(ratio, rel=1e-12)
+            ratio = integrating_factor(step_law, t0) / integrating_factor(step_law, t1)
+            assert expected == pytest.approx(ratio, rel=1e-12)
