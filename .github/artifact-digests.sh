@@ -6,9 +6,9 @@
 # of their snapshots.csv, two more burgers-sim runs (many samples, and mu = 0
 # on an explicit span), and a small literal profile.file table for each
 # geometry (a 1-D triangle through burgers-lifespan, sweep and burgers-sim; a
-# radial table through euler-sim and functionals) write when run on the
-# sources under <src-dir>.  Every call runs in a temporary directory with a
-# relative --output.dir (and --profile.file), so two source trees make
+# radial table through euler-sim, functionals and criterion) write when run
+# on the sources under <src-dir>.  Every call runs in a temporary directory
+# with a relative --output.dir (and --profile.file), so two source trees make
 # byte-identical artifacts exactly when their outputs match:
 #
 #     .github/artifact-digests.sh base/src > base.txt
@@ -98,5 +98,8 @@ radial_file=(--profile.file ../radial.csv --profile.epsilon 0.2 --grid.n_cells 2
              --run.monitor_cadence 0.5 --output.dir out)
 run file-radial euler-sim "${radial_file[@]}"
 run file-radial functionals "${radial_file[@]}"
+# The table ends at r = 1, the default profile.M, so its criterion integrals
+# end there however M is taken.
+run file-criterion criterion --profile.file ../radial.csv --profile.epsilon 0.2 --run.t_end 2
 
 sort -k2 "$work/digests"

@@ -51,7 +51,8 @@ class BurgersProblem:
     """Initial profile eps*w0 with compact support and a damping law.
 
     ``w0`` and ``w0_prime`` must be vectorized callables vanishing outside
-    ``support``.  Immutable; safe to share between simulations.
+    ``support``; ``m`` = max(-w0') is scanned by :func:`max_negative_slope`
+    when left None.  Immutable; safe to share between simulations.
     """
 
     w0: Callable
@@ -59,6 +60,7 @@ class BurgersProblem:
     support: tuple[float, float]
     epsilon: float
     damping: DampingLaw
+    m: float | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.support
@@ -66,6 +68,10 @@ class BurgersProblem:
             raise ValueError("support must be a finite nonempty interval (lo, hi)")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
+        if self.m is None:
+            object.__setattr__(self, "m", max_negative_slope(self))
+        if not 0.0 <= self.m < math.inf:
+            raise ValueError("m must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,16 +115,16 @@ def _least_doubling(integral_at: Callable[[float], float], target: float) -> flo
     return math.ldexp(1.0, k)
 
 
-def classify_lifespan(problem: BurgersProblem, slope_max: float | None = None) -> Verdict:
-    """Global when eps*m*I(inf) <= 1 (or m = 0); otherwise FiniteLifespan(T)
-    with T the unique root of eps * m * I(T) = 1.
+def classify_lifespan(problem: BurgersProblem) -> Verdict:
+    """Global when eps*m*I(inf) <= 1 (or m = 0), m = ``problem.m``; otherwise
+    FiniteLifespan(T) with T the unique root of eps * m * I(T) = 1.
 
     Closed forms give T directly at mu = 0 and lam in {0, 1}.  Every other
     law root-finds I(T) = target on ``law.reciprocal_integral`` (incomplete
     gamma, Poisson series, or log-time quadrature in the lam -> 1 corners),
     bracketed by the least power of two past the root and closed to 1e-15
     relative."""
-    m = max_negative_slope(problem) if slope_max is None else slope_max
+    m = problem.m
     if m <= 0.0:
         return Global()
     eps_m = problem.epsilon * m
@@ -190,7 +196,7 @@ def eval_characteristic(problem: BurgersProblem, t: float, x):
     if t < 0:
         raise ValueError("time must be nonnegative")
     i_t = problem.damping.reciprocal_integral(t)
-    if problem.epsilon * max_negative_slope(problem) * i_t >= 1.0:
+    if problem.epsilon * problem.m * i_t >= 1.0:
         raise LifespanError(f"t={t!r} is at or beyond the lifespan: eps * m * I(t) >= 1")
 
     scalar = np.ndim(x) == 0
@@ -241,10 +247,9 @@ def simulate_fv(
     if x_span is None:
         lo_s, hi_s = problem.support
         _, w_abs = scan_maximum(lambda x: np.abs(np.asarray(problem.w0(x))), lo_s, hi_s, n_scan=20_000)
-        m = max_negative_slope(problem)
         i_cap = law.reciprocal_integral(t_end)
-        if m > 0.0:
-            i_cap = min(i_cap, 1.0 / (problem.epsilon * m))
+        if problem.m > 0.0:
+            i_cap = min(i_cap, 1.0 / (problem.epsilon * problem.m))
         pad = problem.epsilon * w_abs * i_cap + 0.05 * (hi_s - lo_s)
         x_span = (lo_s - pad, hi_s + pad)
 

@@ -8,6 +8,7 @@ formatting; a sweep classifies its combos one after another, in input order.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import os
 import sys
@@ -54,64 +55,53 @@ def _sampled_profiles(path: str, header: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _line_profile(cfg: ExperimentConfig):
-    """w0, w0', the support and m = max(-w0'): None for a builtin, which
-    classify_lifespan scans for, and exact for a file, over its segments."""
+def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
+    """The builtin's profile on profile.M0 < r < profile.M, or a file's, which
+    ends at its last r: that is its M, with M0 = 0."""
     path = cfg["profile.file"]
     if path is None:
-        return (*profiles.LINE_PROFILES[cfg["profile.name"]](cfg["profile.M"]), None)
-    with _as_config_error("profile.file"):
-        xs, [ys], [(value, deriv)] = _sampled_profiles(path, "x,w0")
-        if ys[0] != 0.0 or ys[-1] != 0.0:
-            raise ValueError(f"{path}: w0 must be 0 at the first and last x, where the profile ends")
-    slope_max = max(0.0, float(np.max(-np.diff(ys) / np.diff(xs))))
-    return value, deriv, (float(xs[0]), float(xs[-1])), slope_max
-
-
-def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
-    if cfg["profile.file"] is not None:
-        with _as_config_error("profile.file"):
-            _, _, [(rho0, _), (u0, _)] = _sampled_profiles(cfg["profile.file"], "r,rho0,u0")
-    else:
         rho0, u0 = profiles.RADIAL_PROFILES[cfg["profile.name"]](cfg["profile.M0"], cfg["profile.M"])
-    return euler.InitialProfile(
-        rho0=rho0, u0=u0, epsilon=cfg["profile.epsilon"], M=cfg["profile.M"], M0=cfg["profile.M0"]
-    )
+        return euler.InitialProfile(rho0, u0, cfg["profile.epsilon"], cfg["profile.M"], cfg["profile.M0"])
+    with _as_config_error("profile.file"):
+        rs, _, [(rho0, _), (u0, _)] = _sampled_profiles(path, "r,rho0,u0")
+        if not rs[-1] > 0.0:
+            raise ValueError(f"{path}: the last r, where the profile ends, must be positive")
+    return euler.InitialProfile(rho0, u0, cfg["profile.epsilon"], M=float(rs[-1]))
 
 
-def _burgers_problem(cfg: ExperimentConfig) -> tuple[burgers.BurgersProblem, float | None]:
-    """The 1-D problem and the m of its profile (see :func:`_line_profile`)."""
-    value, deriv, support, slope_max = _line_profile(cfg)
-    problem = burgers.BurgersProblem(
-        w0=value,
-        w0_prime=deriv,
-        support=support,
-        epsilon=cfg["profile.epsilon"],
-        damping=cfg.damping(),
-    )
-    return problem, slope_max
+def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
+    """The 1-D problem.  A file's m = max(-w0') is exact, over its segments;
+    a builtin's is left to BurgersProblem to scan."""
+    path = cfg["profile.file"]
+    if path is None:
+        value, deriv, support = profiles.LINE_PROFILES[cfg["profile.name"]](cfg["profile.M"])
+        m = None
+    else:
+        with _as_config_error("profile.file"):
+            xs, [ys], [(value, deriv)] = _sampled_profiles(path, "x,w0")
+            if ys[0] != 0.0 or ys[-1] != 0.0:
+                raise ValueError(f"{path}: w0 must be 0 at the first and last x, where the profile ends")
+        support = (float(xs[0]), float(xs[-1]))
+        m = max(0.0, float(np.max(-np.diff(ys) / np.diff(xs))))
+    return burgers.BurgersProblem(value, deriv, support, cfg["profile.epsilon"], cfg.damping(), m)
 
 
 def _run_burgers_lifespan(cfg: ExperimentConfig, out: str) -> None:
-    problem, slope_max = _burgers_problem(cfg)
-    verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
+    verdict = burgers.classify_lifespan(_burgers_problem(cfg))
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
 
 def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
-    value, deriv, support, slope_max = _line_profile(cfg)
+    problem = _burgers_problem(cfg)  # m depends on the profile only
     rows = []
     for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
-        problem = burgers.BurgersProblem(value, deriv, support, eps, DampingLaw(mu=mu, lam=lam))
-        if slope_max is None:  # m depends on the profile only: scan it once
-            slope_max = burgers.max_negative_slope(problem)
-        verdict = burgers.classify_lifespan(problem, slope_max=slope_max)
-        rows.append((lam, mu, eps, verdict))
+        combo = dataclasses.replace(problem, epsilon=eps, damping=DampingLaw(mu=mu, lam=lam))
+        rows.append((lam, mu, eps, burgers.classify_lifespan(combo)))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
 
 def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
-    problem, _ = _burgers_problem(cfg)
+    problem = _burgers_problem(cfg)
     t_end = cfg["run.t_end"]
     span = (cfg["grid.x_lo"], cfg["grid.x_hi"]) if cfg["grid.x_lo"] is not None else None
     # simulate_fv's only ValueError on a validated config: a span that cuts the support
@@ -127,10 +117,10 @@ def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
 
-def _euler_grid(cfg: ExperimentConfig) -> euler.RadialGrid:
+def _euler_grid(cfg: ExperimentConfig, profile: euler.InitialProfile) -> euler.RadialGrid:
     r_max = cfg["grid.r_max"]
     if r_max is None:
-        r_max = cfg["profile.M"] + 2.0 * (cfg["run.t_end"] + 1.0)
+        r_max = profile.M + 2.0 * (cfg["run.t_end"] + 1.0)
     return euler.RadialGrid(r_max=r_max, n_cells=cfg["grid.n_cells"])
 
 
@@ -139,7 +129,7 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
     damping = cfg.damping()
     profile = _radial_profile(cfg)
     with _as_config_error("grid.r_max"):
-        grid = _euler_grid(cfg)
+        grid = _euler_grid(cfg, profile)
     try:
         state = euler.init_state(gas, profile, grid)
     except ValueError as exc:

@@ -141,9 +141,13 @@ def sampled_profile(xs: np.ndarray, ys: np.ndarray) -> tuple[Callable, Callable]
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
+    if xs.ndim != 1 or xs.size < 2 or np.any(xs[1:] <= xs[:-1]):
         raise ValueError("profile samples need at least 2 strictly increasing abscissae")
-    slopes = np.diff(ys) / np.diff(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sample gives a non-finite step or slope
+        steps = np.diff(xs)
+        slopes = np.diff(ys) / steps
+    if not (np.isfinite(steps).all() and np.isfinite(slopes).all()):
+        raise ValueError("profile samples and the slopes between them must be finite")
 
     def value(x):
         return np.interp(np.asarray(x, dtype=float), xs, ys, left=0.0, right=0.0)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def test_lifespan_supercritical_root_oracle():
 def test_lifespan_interior_lambda_matches_mpmath(mu, lam, eps):
     # root of eps * m * I(T) = 1 with m = 1, polished by mpmath at 50 digits
     mp = pytest.importorskip("mpmath")
-    v = classify_lifespan(ramp_problem(eps, mu, lam), slope_max=1.0)
+    v = classify_lifespan(replace(ramp_problem(eps, mu, lam), m=1.0))
     assert isinstance(v, FiniteLifespan)
     with mp.workdps(50):
         exact = mp.findroot(lambda t: mp_reciprocal_integral(mu, lam, t) - 1 / mp.mpf(eps), v.lifespan)
@@ -110,7 +111,7 @@ def test_lifespan_interior_lambda_matches_mpmath(mu, lam, eps):
 def test_lifespan_supercritical_matches_mpmath(mu, lam, eps):
     # root of eps * m * I(T) = 1 with m = 1 on the mpmath quadrature oracle
     mp = pytest.importorskip("mpmath")
-    v = classify_lifespan(ramp_problem(eps, mu, lam), slope_max=1.0)
+    v = classify_lifespan(replace(ramp_problem(eps, mu, lam), m=1.0))
     assert isinstance(v, FiniteLifespan)
     with mp.workdps(50):
         exact = mp.findroot(lambda t: mp_reciprocal_integral(mu, lam, t) - 1 / mp.mpf(eps), v.lifespan)
@@ -127,7 +128,7 @@ def test_lifespan_corner_lambda_matches_mpmath(mu, lam, eps):
     mp = pytest.importorskip("mpmath")
     law = DampingLaw(mu, lam)
     assert not (law.gamma_form or law.series_form)
-    v = classify_lifespan(ramp_problem(eps, mu, lam), slope_max=1.0)
+    v = classify_lifespan(replace(ramp_problem(eps, mu, lam), m=1.0))
     assert isinstance(v, FiniteLifespan)
     with mp.workdps(50):
         log_root = mp.findroot(lambda L: mp_reciprocal_integral(mu, lam, mp.expm1(L)) - 1 / mp.mpf(eps),
@@ -138,11 +139,11 @@ def test_lifespan_corner_lambda_matches_mpmath(mu, lam, eps):
 
 def test_lifespan_beyond_the_doubling_bracket():
     # C = mu/(lam-1) = 200: T is about e^200, far beyond 2^200 but finite
-    v = classify_lifespan(ramp_problem(1.0, 200.0, 2.0), slope_max=1.0)
+    v = classify_lifespan(replace(ramp_problem(1.0, 200.0, 2.0), m=1.0))
     assert isinstance(v, FiniteLifespan) and 1e80 < v.lifespan < np.inf
     assert DampingLaw(200.0, 2.0).reciprocal_integral(v.lifespan) == pytest.approx(1.0, rel=1e-14)
     # C = 1000: I(t) stays below 1 over the whole float range
-    v = classify_lifespan(ramp_problem(1.0, 1000.0, 2.0), slope_max=1.0)
+    v = classify_lifespan(replace(ramp_problem(1.0, 1000.0, 2.0), m=1.0))
     assert isinstance(v, FiniteLifespan) and np.isinf(v.lifespan)
 
 
@@ -174,11 +175,32 @@ def test_simulation_and_characteristics_need_no_lifespan(monkeypatch):
 
     monkeypatch.setattr("critdamp.burgers.classify_lifespan", forbidden)
     problem = bump_problem(0.5, 1.0, 2.0)
+
+    def rescan(*args, **kwargs):  # the problem carries its m: no reader scans again
+        raise AssertionError("max_negative_slope called")
+
+    monkeypatch.setattr("critdamp.burgers.max_negative_slope", rescan)
     _, verdict = simulate_fv(problem, 64, 2.0, 0.4)
     assert verdict == Global()
     assert eval_characteristic(problem, 1.0, 0.5) != 0.0
     with pytest.raises(LifespanError):
         eval_characteristic(problem, 100.0, 0.5)
+
+
+def test_problem_carries_its_slope(monkeypatch):
+    p = ramp_problem(0.1, 0.5, 1.0)
+    assert p.m == max_negative_slope(p)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^m must be finite"):
+            replace(p, m=bad)
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("max_negative_slope called")
+
+    monkeypatch.setattr("critdamp.burgers.max_negative_slope", rescan)
+    q = replace(p, epsilon=0.2, damping=DampingLaw(1.0, 2.0))
+    assert (q.m, q.epsilon) == (p.m, 0.2)
+    assert classify_lifespan(replace(q, m=0.0)) == Global()
 
 
 def test_dichotomy_grid():
@@ -195,9 +217,9 @@ def test_lifespan_monotone_in_amplitude_and_slope():
     t_small = classify_lifespan(ramp_problem(0.25, *law_args)).lifespan
     t_big = classify_lifespan(ramp_problem(0.5, *law_args)).lifespan
     assert t_big < t_small
-    # doubling m via the slope_max override halves eps*m the same way
-    t_m1 = classify_lifespan(ramp_problem(0.25, *law_args), slope_max=1.0).lifespan
-    t_m2 = classify_lifespan(ramp_problem(0.25, *law_args), slope_max=2.0).lifespan
+    # doubling m shortens it the same way
+    t_m1 = classify_lifespan(replace(ramp_problem(0.25, *law_args), m=1.0)).lifespan
+    t_m2 = classify_lifespan(replace(ramp_problem(0.25, *law_args), m=2.0)).lifespan
     assert t_m2 < t_m1
 
 
@@ -208,12 +230,12 @@ def test_zero_profile_is_global():
 def test_border_case_is_global():
     # eps * m * I(inf) == 1 exactly: no finite crossing time
     p = ramp_problem(1.0, 2.0, 1.0)  # I(inf) = 1, eps*m = 1
-    assert isinstance(classify_lifespan(p, slope_max=1.0), Global)
+    assert isinstance(classify_lifespan(replace(p, m=1.0)), Global)
 
 
 def test_overflowing_lifespan_is_inf():
     # lam=1, mu=1: T = exp(1/(eps*m)) - 1 overflows float64 at small eps
-    v = classify_lifespan(ramp_problem(1e-3, 1.0, 1.0), slope_max=1.0)
+    v = classify_lifespan(replace(ramp_problem(1e-3, 1.0, 1.0), m=1.0))
     assert isinstance(v, FiniteLifespan) and np.isinf(v.lifespan)
 
 

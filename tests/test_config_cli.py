@@ -16,6 +16,7 @@ from critdamp import (
     Global,
     InitialProfile,
     RadialGrid,
+    burgers,
     classify_lifespan,
     euler,
     init_state,
@@ -449,6 +450,39 @@ def test_burgers_sim_span_that_cuts_the_support_is_config_error(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+def test_sweep_scans_a_builtin_slope_once_and_a_file_slope_never(tmp_path, monkeypatch):
+    calls = []
+    scan = burgers.max_negative_slope
+
+    def counted(problem):
+        calls.append(problem)
+        return scan(problem)
+
+    monkeypatch.setattr("critdamp.burgers.max_negative_slope", counted)
+    args = ["--sweep.lambda", "1,2", "--sweep.mu", "0.5,2", "--sweep.epsilon", "0.1,0.5",
+            "--output.dir", str(tmp_path)]
+    assert main(["sweep"] + args) == 0
+    assert len(calls) == 1
+    (tmp_path / "triangle.csv").write_text("x,w0\n-1,0\n0,1\n1,0\n")
+    assert main(["sweep", "--profile.file", str(tmp_path / "triangle.csv")] + args) == 0
+    assert len(calls) == 1
+
+
+def test_radial_profile_file_ends_at_its_last_r(tmp_path, capsys):
+    # rho0 = cos(pi r / 6)^2 on 0 <= r <= 2.95, far past the default profile.M = 1
+    rs = np.arange(60) * 0.05
+    write_profile(tmp_path / "radial.csv", "r,rho0,u0", (rs, np.cos(np.pi * rs / 6) ** 2, 0.0 * rs))
+    args = ["--profile.file", str(tmp_path / "radial.csv"), "--profile.epsilon", "0.3", "--run.t_end", "5",
+            "--output.dir", str(tmp_path / "out")]
+    # from r = 2.95 the wave reaches r_max = 8.2 before t = 5 (from r = 1 it did not)
+    assert main(["euler-sim", "--grid.r_max", "8.2", "--grid.n_cells", "256"] + args) == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'grid.r_max':")
+    # L0 over the whole table, not over r < 1 (1.0629)
+    assert main(["criterion"] + args) == 0
+    fields = dict(line.split(" = ") for line in read(tmp_path / "out" / "criterion.txt").splitlines())
+    assert float(fields["L0"]) == pytest.approx(6.65315, rel=1e-6)
+
+
 def test_radial_profile_file_matches_library(tmp_path):
     rs = np.linspace(0.0, 1.0, 41)
     rho0s, u0s = (1.0 - rs**2) ** 3, 0.5 * rs * (1.0 - rs**2) ** 2
@@ -495,10 +529,20 @@ def snapshot_32(rho):
     ("functionals", "snapshots.csv", snapshot_32("-1.0"), "output.dir"),
     # a line of spaces is skipped before the first data row, and malformed after it
     ("functionals", "snapshots.csv", snapshot_32("1.0").replace("\n0.0,1.5,", "\n   \n0.0,1.5,"), "output.dir"),
+    # non-finite samples, and a slope past the float range, in every 1-D mode
+    ("burgers-lifespan", "profile", "x,w0\n0,0\n0.5,nan\n1,0\n", "profile.file"),
+    ("sweep", "profile", "x,w0\n0,0\n0.5,nan\n1,0\n", "profile.file"),
+    ("burgers-sim", "profile", "x,w0\n0,0\n0.5,nan\n1,0\n", "profile.file"),
+    ("burgers-lifespan", "profile", "x,w0\n0,0\n0.5,inf\n1,0\n", "profile.file"),
+    ("burgers-lifespan", "profile", "x,w0\n0,0\n1e-300,1e300\n1,0\n", "profile.file"),
+    ("euler-sim", "profile", "r,rho0,u0\n0,1,0\n0.5,nan,0\n1,0,0\n", "profile.file"),
+    # a radial table ends at its last r, which must be positive
+    ("criterion", "profile", "r,rho0,u0\n-1,0,0\n0,0,0\n", "profile.file"),
 ], ids=["non-numeric-cell", "header-only", "single-row", "last-w0-not-zero", "first-w0-not-zero",
         "radial-repeated-abscissa", "three-field-row", "no-block-marker",
         "negative-initial-density", "negative-initial-mass", "snapshot-nan-density", "snapshot-negative-density",
-        "snapshot-whitespace-only-row"])
+        "snapshot-whitespace-only-row", "nan-w0-lifespan", "nan-w0-sweep", "nan-w0-sim", "inf-w0-lifespan",
+        "overflowing-slope", "nan-rho0", "nonpositive-last-r"])
 def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text, key):
     out = tmp_path / "out"
     out.mkdir()
