@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Print "sha256  case/mode/file" for every artifact that the five README
 # examples, one fixed argv per benchmark workload (the seed-1 draws of
-# benchmarks/run.py), two euler-sim runs under a non-default gas and one that
-# breaks down, with functionals after each, functionals on a CRLF copy of one
-# of their snapshots.csv, two more burgers-sim runs (many samples, and mu = 0
-# on an explicit span), and a small literal profile.file table for each
+# benchmarks/run.py), three euler-sim runs under a non-default gas (one with
+# rho_bar = 1e160) and one that breaks down, with functionals after each,
+# functionals on a CRLF copy of one of their snapshots.csv, three more
+# burgers-sim runs (many samples, mu = 0 on an explicit span, and eps = 1e-300),
+# and a small literal profile.file table for each
 # geometry (a 1-D triangle through burgers-lifespan, sweep and burgers-sim; a
 # radial table through euler-sim, functionals and criterion) write when run
 # on the sources under <src-dir>.  Every call runs in a temporary directory
@@ -65,6 +66,13 @@ run gas-gamma euler-sim "${gas_case[@]}" --gas.gamma 1.4
 run gas-gamma functionals "${gas_case[@]}" --gas.gamma 1.4
 run gas-rho-bar euler-sim "${gas_case[@]}" --gas.rho_bar 2
 run gas-rho-bar functionals "${gas_case[@]}" --gas.rho_bar 2
+
+# Values that the CSV float formatter lays out rarely: rho near 1e160 (three
+# exponent digits, and background rows "1e+160" of one digit), and w near 1e-301.
+run gas-huge-rho euler-sim "${gas_case[@]}" --gas.rho_bar 1e160
+run gas-huge-rho functionals "${gas_case[@]}" --gas.rho_bar 1e160
+run line-tiny burgers-sim --profile.epsilon 1e-300 --run.t_end 2 --run.monitor_cadence 0.5 --grid.n_cells 256 \
+    --output.dir out
 
 # A run that ends in a breakdown (NegativeDensity at cfl 0.9), the path of the
 # step's density check, with functionals after it.

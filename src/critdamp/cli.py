@@ -19,7 +19,7 @@ import numpy as np
 from . import burgers, csvio, euler, monitors, profiles
 from .config import MODES, ConfigError, ExperimentConfig, parse_config
 from .damping import DampingLaw
-from .numerics import adaptive_quad
+from .numerics import ConvergenceError, adaptive_quad
 from .outcome import sample_times
 
 
@@ -110,9 +110,12 @@ def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
             problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"],
             snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]), x_span=span,
         )
-    csvio.write_series(
-        os.path.join(out, "series.csv"), np.array([s.t for s in snapshots]), burgers.series(snapshots)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = burgers.series(snapshots)
+    if not all(np.isfinite(column).all() for column in columns.values()):
+        raise ConfigError(f"key 'profile.epsilon': {cfg['profile.epsilon']!r} overflows the run's series "
+                          "(Q sums w over the cells)")
+    csvio.write_series(os.path.join(out, "series.csv"), np.array([s.t for s in snapshots]), columns)
     csvio.write_line_snapshots(os.path.join(out, "snapshots.csv"), snapshots)
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
@@ -185,7 +188,10 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
     l0 = quad(lambda r: r**2 * eps * np.asarray(profile.rho0(r)))
     if l0 < 0:
         raise _profile_error(cfg, "initial mass excess L0 is negative")
-    report = monitors.blowup_criterion(h0, l0, m, cfg.damping(), gas, cfg["run.t_end"])
+    # alpha(t) grows like (t + M)^5 near t = 0: a tiny M underflows alpha(0), or
+    # puts a spike of width M there that the quadrature cannot resolve
+    with _as_config_error("profile.file" if cfg["profile.file"] else "profile.M", (ValueError, ConvergenceError)):
+        report = monitors.blowup_criterion(h0, l0, m, cfg.damping(), gas, cfg["run.t_end"])
     csvio.write_text(os.path.join(out, "criterion.txt"), report.text_block())
 
 

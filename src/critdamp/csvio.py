@@ -11,14 +11,31 @@ whose values differ in their bits from the background row is written from
 those fixed strings.  The test is on bits, so a ``-0.0`` momentum (written
 ``-0.0``) or a ``nan`` keeps its row live, while a density perturbation too
 small to move ``rho`` off ``rho_bar`` writes the same bytes as the background.
-The writer holds the text of one block at a time, not of the whole file, so a
-raise mid-write (bad input or an I/O error) leaves a truncated file behind.
+The writer formats the live values of consecutive blocks together, in batches
+of at most ``_CHUNK`` values, and writes a batch's rows before it forms the
+next.  Beside the grid's fixed strings it holds one batch's values and text
+and one block's background rows, not the whole file, so a raise mid-write
+(bad input or an I/O error) leaves a truncated file behind.
+
+Every float column (series and snapshot files) goes through :func:`_reprs`.
+Its contract: for every float64 value, the bytes of :func:`fmt`,
+``repr(float(value))``, which stays the reference for single values.  Those
+are the shortest digits that round-trip, nearest the value (ties to even
+digits), in repr's layout: fixed notation for ``1e-4 <= |x| < 1e16``, else
+``d.ddde-XX`` with two or three exponent digits; ``-0.0``, ``inf``, ``-inf``
+and ``nan`` as repr writes them.  It computes them with numpy integer
+arithmetic on the bit patterns, at most ``_CHUNK`` = 1,024 values per pass
+instead of one ``repr`` call per value.  A pass's arrays and strings take
+about 200 bytes a value, so a writer's peak memory is bounded by the chunk
+and the grid's strings, not by the size of a block or a file.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,15 +47,12 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """:func:`fmt` of each element of a float array."""
-    return list(map(repr, np.asarray(values).tolist()))
-
-
 def write_series(path: str, times: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
-    lines = ["t," + ",".join(columns.keys())]
-    lines.extend(map(",".join, zip(*map(_reprs, (times, *columns.values())))))
-    _write(path, lines)
+    cols = [np.asarray(c, dtype=float) for c in (times, *columns.values())]
+    text = iter(_reprs(np.concatenate(cols)))
+    cells = [list(itertools.islice(text, len(c))) for c in cols]
+    rows = b"".join(b",".join(row) + b"\n" for row in zip(*cells))
+    write_text(path, "t," + ",".join(columns) + "\n" + rows.decode())
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -109,29 +123,66 @@ def _write_blocks(path: str, header: str, blocks) -> None:
     ``coords`` and of the background rows are made once per ``key`` and
     ``background``.
 
-    Each block is written as soon as its rows are formatted, so one block's
-    text is held at a time.  A raise mid-write leaves the file truncated
-    after the last block written."""
+    The live rows of consecutive blocks are cut into pieces of at most
+    ``_CHUNK`` values and batched, and each batch's values are formatted in
+    one pass and written before the next batch is formed.  A raise
+    mid-write leaves the file truncated after the last batch written."""
     grids: dict = {}
+    batch: list = []
+    size = 0
     with _create(path) as fh:
-        fh.write(header + "\n")
+        fh.write(header.encode() + b"\n")
         for t, key, coords, values, background in blocks:
-            bg = tuple(map(fmt, background))
+            bg = tuple(fmt(v).encode() for v in background)
             if (key, bg) not in grids:
-                r = _reprs(coords)
-                grids[key, bg] = r, [",".join((x, *bg)) for x in r]
-            r, tail = grids[key, bg]
+                grids[key, bg] = _grid_text(coords, bg)
+            r = grids[key, bg][0]
             columns = [np.asarray(v, dtype=float) for v in values]
             live = np.zeros(len(r), dtype=bool)
             for col, value in zip(columns, background):
                 live |= col.view(np.int64) != np.float64(value).view(np.int64)
             end = len(r) - int(np.argmax(live[::-1])) if live.any() else 0
-            rows = list(map(",".join, zip(r[:end], *(_reprs(col[:end]) for col in columns))))
-            rows += tail[end:]
-            t = fmt(t)
-            fh.write(f"# t={t}\n")
-            if rows:
-                fh.writelines((t, ",", f"\n{t},".join(rows), "\n"))
+            t = fmt(t).encode()
+            marker, lo = b"# t=" + t + b"\n", 0
+            while True:  # pieces that fill the batch up to _CHUNK values
+                hi = min(end, lo + (_CHUNK - size) // len(columns))
+                batch.append((marker, t, grids[key, bg], lo, hi, hi == end, [col[lo:hi] for col in columns]))
+                size += (hi - lo) * len(columns)
+                if size + len(columns) > _CHUNK:
+                    _write_rows(fh, batch)
+                    batch, size = [], 0
+                if hi == end:
+                    break
+                marker, lo = b"", hi
+        _write_rows(fh, batch)
+
+
+def _grid_text(coords: np.ndarray, background: tuple[bytes, ...]) -> tuple[list[bytes], bytes, np.ndarray]:
+    """The strings of ``coords``, and the background rows as one string, each
+    row ``\\0,coord,background...\\n`` with a NUL that stands for t, row i
+    from ``starts[i]``.  The rows are joined _CHUNK at a time, so that the
+    buffer table of bytes.join (80 bytes an item) stays small."""
+    r = _reprs(coords)
+    suffix = b"".join(b"," + v for v in background) + b"\n"
+    rows = b"".join(b"\0," + (suffix + b"\0,").join(r[i:i + _CHUNK]) + suffix for i in range(0, len(r), _CHUNK))
+    sizes = np.fromiter(map(len, r), dtype=np.intp, count=len(r)) + len(suffix) + 2
+    return r, rows, np.append(0, np.cumsum(sizes))
+
+
+def _write_rows(fh: BinaryIO, batch: list) -> None:
+    """Write pieces ``(marker, t, grid, lo, hi, last, columns)``, ``grid`` as
+    :func:`_grid_text` returns it: the marker, then a row ``t,coord,values...``
+    for coordinates ``lo:hi``, then, in the last piece of a block, the
+    background rows from ``hi`` on.  The values of all pieces are formatted
+    in one pass."""
+    text = iter(_reprs(np.concatenate([c for piece in batch for c in piece[-1]] or [[]])))
+    for marker, t, (coords, tail, starts), lo, hi, last, columns in batch:
+        cells = [list(itertools.islice(text, hi - lo)) for _ in columns]
+        fh.write(marker)
+        if hi > lo:
+            fh.writelines((t, b",", (b"\n" + t + b",").join(map(b",".join, zip(coords[lo:hi], *cells))), b"\n"))
+        if last:
+            fh.write(tail[starts[hi]:].replace(b"\0", t))
 
 
 def write_sweep(path: str, rows: Iterable[tuple[float, float, float, Verdict]]) -> None:
@@ -153,14 +204,296 @@ def write_verdict(path: str, verdict: Verdict, params: Mapping[str, object]) -> 
 
 def write_text(path: str, text: str) -> None:
     with _create(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
 
 
-def _create(path: str) -> TextIO:
-    """``path`` opened for writing UTF-8 text with \\n line ends, its directory made if missing."""
+def _create(path: str) -> BinaryIO:
+    """``path`` opened for writing bytes, its directory made if missing."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    return open(path, "wb")
 
 
 def _write(path: str, lines: list[str]) -> None:
     write_text(path, "\n".join(lines) + "\n")
+
+
+# Shortest round-trip float text, a chunk of values at a time.
+#
+# Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+# 2020; the reference is OpenJDK's DoubleToDecimal) finds the shortest decimal
+# D 10^k in a value's rounding interval, the nearest one if several are that
+# short (ties to even D).  It scales the value and the interval ends by 10^-k,
+# taken from a 126-bit table g(k), with products rounded to odd; those products
+# are formed here from 32-bit limbs in uint64 exactly as the reference forms
+# them from 64-bit words.  D, padded to 17 digits, becomes ASCII in three
+# little-endian uint64 words, and a layout code (sign, and the decimal point's
+# place, or the exponent form) shifts and masks those words into repr's text.
+
+_CHUNK = 1024  # values per pass: numpy call overhead falls with it, memory and cache misses grow
+_U = np.uint64
+_M32 = _U(0xFFFFFFFF)
+_INF_BITS = _U(0x7FF0000000000000)
+_SHAPES = 21  # the fixed layouts, decimal exponent -3..16, then the exponent form
+_SPECIAL = (b"0.0", b"-0.0", b"inf", b"-inf", b"nan")  # layout codes 0..4
+_POW10 = 10 ** np.arange(18, dtype=_U)
+
+
+def _reprs(values: np.ndarray) -> list[bytes]:
+    """The bytes of :func:`fmt` of each element of a float array, in order."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out: list[bytes] = []
+    for i in range(0, x.size, _CHUNK):
+        out += _repr_chunk(x[i:i + _CHUNK])
+    return out
+
+
+def _flog2pow10(e):
+    return (e * 913124641741) >> 38  # floor(log2(10^e)) for |e| <= 1233
+
+
+def _words(rows: Iterable[bytes]) -> np.ndarray:
+    """Byte strings of at most 24 bytes as (3, len) little-endian uint64 words."""
+    buf = b"".join(r.ljust(24, b"\0") for r in rows)
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, 3).T.copy()
+
+
+@functools.cache
+def _repr_tables() -> tuple:
+    """The tables :func:`_repr_chunk` reads, built on the first call."""
+    # g(k) = floor(10^-k 2^-r) + 1 with r = flog2pow10(-k) - 125, for k = -324..292,
+    # as g mod 2^63 and g >> 63, then as their 32-bit limbs
+    halves, p = [], 10**324  # p = 10^|k|
+    for k in range(-324, 293):
+        r = _flog2pow10(-k) - 125
+        g = (p >> r if r >= 0 else p << -r) + 1 if k <= 0 else (1 << -r) // p + 1
+        halves.append((g & (2**63 - 1)).to_bytes(8, "little") + (g >> 63).to_bytes(8, "little"))
+        p = p // 10 if k < 0 else p * 10
+    g = np.frombuffer(b"".join(halves), dtype="<u8").reshape(-1, 2).T
+    g = np.stack([g[0] & _M32, g[0] >> _U(32), g[1] & _M32, g[1] >> _U(32)])
+    # by row = 2 * biased exponent + (fraction == 0): k + 324, the shift h, and
+    # the lower half-gap, halved below a power of two (an irregular interval)
+    be = np.arange(2048)
+    q = np.maximum(be, 1) - 1075
+    k = np.stack([q * 661971961083 >> 41, q * 661971961083 - 274743187321 >> 41], axis=1)
+    irregular = be > 1
+    k[:, 1] = np.where(irregular, k[:, 1], k[:, 0])
+    k = k.ravel()
+    h = q.repeat(2) + _flog2pow10(-k) + 2
+    lower = np.stack([np.full(2048, 2), 2 - irregular], axis=1).ravel()
+    rows = ((k + 324).astype(np.int16), h.astype(np.uint8), lower.astype(np.uint8))
+    # by decimal exponent + 350: the layout, and the exponent text (0 in fixed layouts)
+    decpt = np.arange(-350, 350)
+    shape = np.where((decpt > -4) & (decpt < 17), decpt + 3, _SHAPES - 1)
+    tails = [b"e%+03d" % (d - 1) if s == _SHAPES - 1 else b"" for s, d in zip(shape.tolist(), decpt.tolist())]
+    tail = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in tails), dtype="<u8")
+    return (g, *rows, shape.astype(np.int8), tail) + _repr_layouts()
+
+
+def _repr_layouts() -> tuple:
+    """By layout code: the byte shifts of two copies of the digits, their
+    masks and the constant bytes; the text length by (code, digit count);
+    and by length L, the mask of the first L bytes and the bit shifts that
+    put an exponent word at byte L, as one (9, 25) table."""
+    shifts, mask_a, mask_b, const, length = [], [], [], [], []
+    for code in range(5 + 2 * _SHAPES):
+        sign, shape = divmod(code - 5, _SHAPES)
+        if code < 5:  # zero, inf, nan: constant text
+            a = b = 0
+            text, keep = _SPECIAL[code], (0, 0, 0, 0)
+            lens = [len(text)] * 18
+        elif shape > 3:  # dd.ddd, or d.ddd before e+XX
+            p = 1 if shape == _SHAPES - 1 else shape - 3  # digits before the point
+            a, b = sign, sign + 1  # the digits after the point move one byte further
+            text, keep = b"-"[:sign] + bytes(p) + b".", (sign, sign + p, sign + p + 1, 24)
+            lens = [sign + (n + (n > 1) if shape == _SHAPES - 1 else max(n, p + 1) + 1) for n in range(18)]
+        else:  # 0.000ddd
+            a = b = sign + 5 - shape
+            text, keep = b"-"[:sign] + b"0." + b"0" * (3 - shape), (a, 24, 0, 0)
+            lens = [a + n for n in range(18)]
+        shifts.append([8 * a, 64 - 8 * a, 8 * b, 64 - 8 * b])
+        mask_a.append(bytes(keep[0]) + b"\xff" * (keep[1] - keep[0]))
+        mask_b.append(bytes(keep[2]) + b"\xff" * (keep[3] - keep[2]))
+        const.append(text)
+        length.append(lens)
+    sh = 8 * np.arange(25) - 64 * np.arange(3)[:, None]  # bit offset of byte L in word j
+    by_length = np.concatenate([_words(b"\xff" * n for n in range(25)),
+                                np.where(sh >= 0, sh, 64).astype(_U), np.where(sh < 0, -sh, 64).astype(_U)])
+    return (np.array(shifts, dtype=_U).T.copy(), _words(mask_a), _words(mask_b), _words(const),
+            np.array(length, dtype=np.int8).ravel(), by_length)
+
+
+def _repr_chunk(x: np.ndarray) -> list[bytes]:
+    """:func:`_reprs` of one chunk, a contiguous float64 array.  The work
+    arrays are deleted as soon as they are spent, to keep the peak low."""
+    (g, kidx, hshift, lower, shapes, tails,
+     shifts, mask_a, mask_b, const, length, by_length) = _repr_tables()
+    bits = x.view(_U)
+    mag = bits & _U(2**63 - 1)
+    regular = (mag - _U(1)) < _INF_BITS - _U(1)  # finite and nonzero
+    special = not regular.all()
+    if special:  # format 1.0 in their place; their layout codes below ignore the digits
+        mag = np.where(regular, mag, _U(0x3FF0000000000000))
+    row = (mag >> _U(52)).astype(np.intp)
+    row <<= 1
+    row |= (mag << _U(12)) == 0
+    # cp: the significand c times 4, minus its lower and plus its upper
+    # half-gap, shifted by h; then its 32-bit limbs
+    c = mag & _U(2**52 - 1)
+    c |= (mag >= _U(2**52)).astype(_U) << _U(52)
+    cp = np.empty((3, len(x)), _U)
+    np.left_shift(c, _U(2), out=cp[1])
+    np.subtract(cp[1], lower[row], out=cp[0])
+    np.add(cp[1], _U(2), out=cp[2])
+    cp <<= hshift[row]
+    c1 = cp >> _U(32)
+    c0 = cp
+    c0 &= _M32
+    del cp, c
+    ki = kidx[row]
+    # T = floor(cp g1 / 2) + floor(cp g0 / 2^64) from the limb products, as
+    # the reference forms it; v = floor(T / 2^63), rounded to odd
+    col = c0 * g[0].take(ki)
+    col >>= _U(32)
+    t = c0 * g[1].take(ki)
+    col += t & _M32
+    t >>= _U(32)
+    u = c1 * g[0].take(ki)
+    col += u & _M32
+    u >>= _U(32)
+    t += u
+    np.multiply(c1, g[1].take(ki), out=u)
+    t += u
+    col >>= _U(32)
+    t += col  # floor(cp g0 / 2^64)
+    z = c0 * g[2].take(ki)
+    np.right_shift(z, _U(32), out=col)
+    z <<= _U(32)
+    z >>= _U(33)
+    z += t
+    np.multiply(c0, g[3].take(ki), out=u)
+    del c0
+    col += u & _M32
+    u >>= _U(32)
+    np.multiply(c1, g[2].take(ki), out=t)
+    col += t & _M32
+    t >>= _U(32)
+    u += t
+    np.multiply(c1, g[3].take(ki), out=t)
+    del c1, ki
+    t += u  # floor(cp g1 / 2^64) - floor(col / 2^32)
+    np.left_shift(col, _U(32), out=u)
+    u >>= _U(1)
+    z += u  # (cp g1 mod 2^64) / 2 + floor(cp g0 / 2^64)
+    col >>= _U(32)
+    t += col
+    del col, u
+    v = t
+    v += z >> _U(63)
+    z <<= _U(1)
+    v |= z != 0
+    del z
+    vbl, vb, vbr = v
+    # the candidates s, s + 1 (units of 10^k) and the multiples of ten around s
+    odd = mag & _U(1)  # the interval ends belong to it when c is even
+    vbl += odd
+    vbr -= odd
+    s = vb >> _U(2)
+    s10 = s // _U(10)
+    s10 *= _U(10)
+    s40 = s10 << _U(2)
+    u10_in = vbl <= s40
+    s40 += _U(40)
+    w10_in = s40 <= vbr
+    rem = vb & _U(3)
+    vb -= rem
+    u_in = vbl <= vb
+    vb += _U(4)
+    w_in = vb <= vbr
+    del v, vbl, vb, vbr, t, s40, odd
+    rem += s & _U(1)
+    up = rem > _U(2)  # s + 1 is nearer, or as near and s is odd
+    up |= ~u_in
+    up &= w_in
+    s += up
+    np.copyto(s, s10, where=u10_in)
+    s10 += _U(10)
+    np.copyto(s, s10, where=w10_in)
+    del s10, rem, up, u_in, w_in, u10_in, w10_in
+    # D = s to 17 digits; a normal value's has 16 or 17
+    if special or s.min() < _U(10**15):
+        n_digits = np.searchsorted(_POW10, s, side="right")
+        s *= _POW10[17 - n_digits]
+    else:
+        n_digits = (s >= _U(10**16)).astype(np.intp)
+        n_digits += 16
+        s *= _POW10.take(17 - n_digits)
+    decpt = kidx[row].astype(np.intp)
+    decpt += n_digits - 324  # the value is 0.ddd 10^decpt
+    del row, n_digits
+    # D = first digit, then two 8-digit halves, each spread into its 8 bytes
+    # (first digit lowest) by halving it into 4-, 2- and 1-digit lanes
+    first = s // _U(10**16)
+    s -= first * _U(10**16)
+    lanes = np.empty((2, len(x)), _U)
+    np.floor_divide(s, _U(10**8), out=lanes[0])
+    np.subtract(s, lanes[0] * _U(10**8), out=lanes[1])
+    del s
+    high = lanes // _U(10**4)
+    lanes -= high * _U(10**4)
+    lanes <<= _U(32)
+    lanes |= high
+    np.multiply(lanes, _U(5243), out=high)  # x // 100 = x * 5243 >> 19 for x < 10^4
+    high >>= _U(19)
+    high &= _U(0x0000007F0000007F)
+    lanes -= high * _U(100)
+    lanes <<= _U(16)
+    lanes |= high
+    np.multiply(lanes, _U(103), out=high)  # x // 10 = x * 103 >> 10 for x < 100
+    high >>= _U(10)
+    high &= _U(0x000F000F000F000F)
+    lanes -= high * _U(10)
+    lanes <<= _U(8)
+    lanes |= high
+    del high
+    # significant digits: 1 + the place of the last nonzero byte
+    used = np.frexp(lanes.astype(np.float64))[1]
+    used += 7
+    used >>= 3  # nonzero bytes up to the last one, per half
+    n = np.where(used[1] > 0, used[1] + 9, used[0] + 1)
+    del used
+    lanes += _U(0x3030303030303030)
+    digits = np.empty((3, len(x)), _U)
+    np.add(first, _U(48), out=digits[0])
+    digits[0] |= lanes[0] << _U(8)
+    np.right_shift(lanes[0], _U(56), out=digits[1])
+    digits[1] |= lanes[1] << _U(8)
+    np.right_shift(lanes[1], _U(56), out=digits[2])
+    del lanes, first
+    # layout: two copies of the digits, shifted and masked, and the constant bytes
+    negative = (bits >> _U(63)).astype(np.intp)
+    code = shapes[decpt + 350].astype(np.intp)
+    code += negative * _SHAPES + 5
+    if special:
+        mag = bits & _U(2**63 - 1)
+        code = np.where(regular, code, np.where(mag == 0, negative, np.where(mag == _INF_BITS, 2 + negative, 4)))
+    sh = shifts.take(code, axis=1)
+    out = digits << sh[0]
+    out[1:] |= digits[:2] >> sh[1]
+    out &= mask_a.take(code, axis=1)
+    carry = digits[:2] >> sh[3]
+    digits <<= sh[2]
+    digits[1:] |= carry
+    digits &= mask_b.take(code, axis=1)
+    out |= digits
+    out |= const.take(code, axis=1)
+    del digits, carry, sh
+    # cut at the text's length, then put the exponent text there
+    tail = tails[decpt + 350]
+    cut = length.take(code * 18 + n)
+    del decpt, code, n, negative, regular, mag
+    cut = by_length.take(cut, axis=1)
+    out &= cut[:3]
+    out |= tail << cut[3:6]
+    out |= tail >> cut[6:]
+    del tail, cut
+    return np.ascontiguousarray(out.T).view("S24").ravel().tolist()

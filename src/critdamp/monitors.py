@@ -15,6 +15,7 @@ are written once, over the rows of C-order (k, n_cells) stacks on one grid
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,13 +95,17 @@ def blowup_criterion(
     resolves every decade of a large T* alike.
 
     When satisfied, no smooth solution with these initial functionals can
-    reach t = T*.  Requires L0 >= 0; the integrand is positive, so a satisfied
-    report stays satisfied for every larger T*.
+    reach t = T*.  Requires L0 >= 0, and alpha(0) with a finite reciprocal (a
+    ValueError otherwise); the integrand is positive, so a satisfied report
+    stays satisfied for every larger T*.
     """
     if l0 < 0:
         raise ValueError("the criterion requires L0 >= 0")
     if not t_star > 0:
         raise ValueError("T_star must be positive")
+    weight = cauchy_schwarz_weight(0.0, m, l0, gas)
+    if not weight > 1.0 / sys.float_info.max:
+        raise ValueError(f"the criterion weight alpha(0) = {weight!r} has no finite reciprocal")
 
     def integrand(tau):
         tau = np.asarray(tau, dtype=float)

@@ -7,8 +7,9 @@ paths.  The exceptions are the full-grid radial step, the march over it and
 the one-state series row, which the windowed ``euler.step``, ``euler.run``
 and the stacked ``euler.series`` must reproduce bit for bit, the allocating
 Burgers march, which ``burgers.simulate_fv`` must reproduce bit for bit, the naive
-snapshot writer and the line-fed CSV reader, whose bytes and results
-``csvio`` must reproduce, and the helpers at the end, which only the tests call.  Among those are the
+snapshot writer, the snapshot and series writers that call ``repr`` once per
+value, and the line-fed CSV reader, whose bytes and results ``csvio`` must
+reproduce, and the helpers at the end, which only the tests call.  Among those are the
 series-file reader and the weighted density moments of the paper's blowup
 argument for lambda > 1 (P(t, l), its smooth-data values q0 and q1, the
 pressure-excess moment G and the twice-integrated band functional F), which
@@ -18,6 +19,7 @@ package's ``adaptive_quad``.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -322,6 +324,84 @@ def line_fed_read_csv(path):
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return header.split(","), data
+
+
+# The series and snapshot writers as csvio had them with one repr call per
+# value, verbatim: write_series, _write_blocks and what they call.  csvio's
+# vectorized formatter must write the same bytes.
+
+def fmt(value) -> str:
+    return repr(float(value))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """:func:`fmt` of each element of a float array."""
+    return list(map(repr, np.asarray(values).tolist()))
+
+
+def write_series(path: str, times: np.ndarray, columns) -> None:
+    lines = ["t," + ",".join(columns.keys())]
+    lines.extend(map(",".join, zip(*map(_reprs, (times, *columns.values())))))
+    _write(path, lines)
+
+
+def _write_blocks(path: str, header: str, blocks) -> None:
+    """One block of rows per ``(t, key, coords, values, background)``, led by
+    a ``# t=<t>`` comment.  ``key`` names the grid whose coordinate column is
+    ``coords``; ``values`` are float arrays on it, and ``background`` holds
+    their values in a background row (see the module notes).  The strings of
+    ``coords`` and of the background rows are made once per ``key`` and
+    ``background``.
+
+    Each block is written as soon as its rows are formatted, so one block's
+    text is held at a time.  A raise mid-write leaves the file truncated
+    after the last block written."""
+    grids: dict = {}
+    with _create(path) as fh:
+        fh.write(header + "\n")
+        for t, key, coords, values, background in blocks:
+            bg = tuple(map(fmt, background))
+            if (key, bg) not in grids:
+                r = _reprs(coords)
+                grids[key, bg] = r, [",".join((x, *bg)) for x in r]
+            r, tail = grids[key, bg]
+            columns = [np.asarray(v, dtype=float) for v in values]
+            live = np.zeros(len(r), dtype=bool)
+            for col, value in zip(columns, background):
+                live |= col.view(np.int64) != np.float64(value).view(np.int64)
+            end = len(r) - int(np.argmax(live[::-1])) if live.any() else 0
+            rows = list(map(",".join, zip(r[:end], *(_reprs(col[:end]) for col in columns))))
+            rows += tail[end:]
+            t = fmt(t)
+            fh.write(f"# t={t}\n")
+            if rows:
+                fh.writelines((t, ",", f"\n{t},".join(rows), "\n"))
+
+
+def write_text(path: str, text: str) -> None:
+    with _create(path) as fh:
+        fh.write(text)
+
+
+def _create(path: str):
+    """``path`` opened for writing UTF-8 text with \\n line ends, its directory made if missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write(path: str, lines: list[str]) -> None:
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def repr_radial_snapshots(path: str, snapshots) -> None:
+    """csvio.write_radial_snapshots on the one-repr-per-value writer."""
+    _write_blocks(path, "t,r,rho,mom",
+                  ((s.t, s.grid, s.grid.centers, (s.rho, s.mom), (s.rho_bar, 0.0)) for s in snapshots))
+
+
+def repr_line_snapshots(path: str, snapshots) -> None:
+    """csvio.write_line_snapshots on the one-repr-per-value writer."""
+    _write_blocks(path, "t,x,w", ((s.t, s.x.tobytes(), s.x, (s.w,), (0.0,)) for s in snapshots))
 
 
 def naive_snapshot_text(header, blocks):

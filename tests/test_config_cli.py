@@ -199,6 +199,31 @@ def test_criterion_overflowing_profile_is_config_error(tmp_path, capsys, name):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("m", ["1e-20", "1e-100"])
+def test_criterion_tiny_support_is_config_error(tmp_path, capsys, m):
+    # alpha(t) grows like (t + M)^5: at M = 1e-20 the criterion integrand's spike
+    # of width M at t = 0 lies below the quadrature's finest interval, and at
+    # 1e-100 alpha(0) underflows to 0; a config error, not a runtime-error
+    out = tmp_path / "out"
+    assert main(["criterion", "--profile.M", m, "--output.dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'profile.M':")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("eps, rc", [("1e308", 2), ("1.7e308", 2), ("1e200", 0)])
+def test_burgers_sim_overflowing_series_is_an_epsilon_config_error(tmp_path, capsys, eps, rc):
+    # the series' Q sums w = eps w0 over the cells before it multiplies by dx:
+    # past the float range it is a config error; 1e200 stops at a CFL collapse
+    out = tmp_path / "out"
+    assert main(["burgers-sim", "--profile.epsilon", eps, "--run.t_end", "1", "--grid.n_cells", "64",
+                 "--output.dir", str(out)]) == rc
+    if rc:
+        assert capsys.readouterr().err.startswith("config-error: key 'profile.epsilon':")
+        assert list(out.iterdir()) == []
+    else:
+        assert "CflCollapse" in (out / "verdict.txt").read_text()
+
+
 @pytest.mark.parametrize("name", ["bump", "outgoing-shell"])
 def test_criterion_at_a_huge_epsilon(tmp_path, capsys, name):
     # H0 (order eps^2) and L0 (order eps) are finite, so the quadrature must

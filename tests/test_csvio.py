@@ -14,6 +14,8 @@ from critdamp import DampingLaw, GasModel, InitialProfile, RadialGrid, RadialSta
 from critdamp.burgers import Snapshot1D
 from critdamp.cli import main
 from critdamp.csvio import (
+    _reprs,
+    fmt,
     read_csv,
     read_radial_snapshots,
     write_line_snapshots,
@@ -21,7 +23,15 @@ from critdamp.csvio import (
     write_series,
 )
 from critdamp.profiles import radial_outgoing_shell
-from helpers import line_fed_read_csv, naive_line_snapshot_text, naive_radial_snapshot_text, read_series
+from helpers import (
+    line_fed_read_csv,
+    naive_line_snapshot_text,
+    naive_radial_snapshot_text,
+    read_series,
+    repr_line_snapshots,
+    repr_radial_snapshots,
+)
+from helpers import write_series as repr_write_series
 
 # Finite floats, with the values a float parser most easily gets wrong drawn
 # often: signed zero, subnormals, the extremes and 17-significant-digit values.
@@ -203,6 +213,105 @@ def test_snapshot_writer_holds_one_block_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * path.stat().st_size
+
+
+def assert_reprs_match_fmt(values):
+    values = np.asarray(values, dtype=float)
+    assert _reprs(values) == [fmt(v).encode() for v in values.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_reprs_match_fmt_on_bit_patterns(patterns):
+    assert_reprs_match_fmt(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_reprs_match_fmt_on_random_bit_patterns():
+    # many chunks of mixed signs, exponents and specials
+    assert_reprs_match_fmt(np.random.default_rng(7).integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64))
+
+
+def nudged(values):
+    """``values`` with both their float neighbours, where those are finite."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        near = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    return near[np.isfinite(near)]
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0],
+    np.arange(1, 65537, dtype=np.uint64).view(np.float64),  # the smallest subnormals
+    nudged(np.ldexp(1.0, np.arange(-1074, 1024))),  # powers of two
+    nudged([float(f"1e{e}") for e in range(-323, 309)]),  # powers of ten
+    # where repr turns from fixed to exponent notation, with longer digits
+    nudged([1e-4, 1e-5, 1e16, 1.2345e-4, 9.87654321e-5, 9999999999999998.0, 123456789012345.67,
+            -1e-4, -1e16, 0.00012345678901234567, 1e15, 1e17]),
+    np.concatenate([nudged([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]), [math.nan, 0.5]]),
+], ids=["specials", "subnormals", "powers-of-two", "powers-of-ten", "layout-boundaries", "extremes"])
+def test_reprs_match_fmt_on_edge_values(edges):
+    edges = np.asarray(edges, dtype=float)
+    assert_reprs_match_fmt(edges if len(edges) > 10_000 else np.concatenate([edges, -edges]))
+
+
+def random_radial_snapshots(rng):
+    """States on two grids of a few hundred to a thousand cells, some live up
+    to a random cell, some to the last cell, some all background, with -0.0
+    momenta and nan in the live part."""
+    rho_bar = float(rng.choice([0.7, 1.0, 1e160]))
+    grids = [RadialGrid(float(rng.uniform(0.5, 50.0)), int(rng.integers(300, 1100))) for _ in range(2)]
+    states = []
+    for t in np.sort(rng.uniform(0.0, 10.0, 6)):
+        grid = grids[int(rng.integers(2))]
+        n = grid.n_cells
+        end = int(rng.choice([0, n, rng.integers(0, n)]))
+        pert, mom = np.zeros(n), np.zeros(n)
+        pert[:end] = rng.standard_normal(end) * 10.0 ** rng.integers(-18, 1, end) * rho_bar
+        mom[:end] = rng.standard_normal(end) * 10.0 ** rng.integers(-300, 300, end)
+        mom[rng.integers(0, n, 5)] = -0.0
+        if end:
+            pert[rng.integers(0, end)] = math.nan
+            mom[rng.integers(0, end)] = math.nan
+        states.append(RadialState(float(t), pert, mom, grid, rho_bar))
+    return states
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_writers_match_the_repr_writers(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    snaps = random_radial_snapshots(rng)
+    write_radial_snapshots(str(tmp_path / "a.csv"), snaps)
+    repr_radial_snapshots(str(tmp_path / "b.csv"), snaps)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    lines = [Snapshot1D(s.t, s.grid.centers - 1.0, s.mom, 1.0) for s in snaps]
+    write_line_snapshots(str(tmp_path / "a.csv"), lines)
+    repr_line_snapshots(str(tmp_path / "b.csv"), lines)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    n = int(rng.integers(1, 3000))
+    times = np.cumsum(rng.uniform(0.0, 1.0, n))
+    columns = {"L": rng.standard_normal(n) * 1e-9, "H": -rng.standard_normal(n) * 1e200, "dt": rng.uniform(0, 1, n)}
+    write_series(str(tmp_path / "a.csv"), times, columns)
+    repr_write_series(str(tmp_path / "b.csv"), times, columns)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_snapshot_writer_peak_is_bounded_at_4096_cells(tmp_path):
+    # two 4,096-cell blocks, live to the last cell: the writer holds the grid's
+    # strings and one chunk of values, under half the traced peak of the
+    # writer that held a block's values as lists of strings
+    grid = RadialGrid(9.0, 4096)
+    rng = np.random.default_rng(3)
+    snaps = [RadialState(0.5 * k, rng.standard_normal(4096) * 1e-3, rng.standard_normal(4096) * 1e-5, grid, 1.0)
+             for k in range(2)]
+    peaks = []
+    for writer in (write_radial_snapshots, repr_radial_snapshots):
+        tracemalloc.start()
+        try:
+            writer(str(tmp_path / "snapshots.csv"), snaps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.5 * peaks[1]
 
 
 def test_block_markers_are_comments(tmp_path):
