@@ -348,8 +348,9 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     c1 = cp >> _U(32)
     c0 = cp
     c0 &= _M32
-    del cp, c
     ki = kidx[row]
+    odd = (mag & _U(1)).astype(bool)  # the interval ends belong to it when c is even
+    del cp, c, row, mag
     # T = floor(cp g1 / 2) + floor(cp g0 / 2^64) from the limb products, as
     # the reference forms it; v = floor(T / 2^63), rounded to odd
     col = c0 * g[0].take(ki)
@@ -379,7 +380,7 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     t >>= _U(32)
     u += t
     np.multiply(c1, g[3].take(ki), out=t)
-    del c1, ki
+    del c1
     t += u  # floor(cp g1 / 2^64) - floor(col / 2^32)
     np.left_shift(col, _U(32), out=u)
     u >>= _U(1)
@@ -394,7 +395,6 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     del z
     vbl, vb, vbr = v
     # the candidates s, s + 1 (units of 10^k) and the multiples of ten around s
-    odd = mag & _U(1)  # the interval ends belong to it when c is even
     vbl += odd
     vbr -= odd
     s = vb >> _U(2)
@@ -427,9 +427,9 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
         n_digits = (s >= _U(10**16)).astype(np.intp)
         n_digits += 16
         s *= _POW10.take(17 - n_digits)
-    decpt = kidx[row].astype(np.intp)
+    decpt = ki.astype(np.intp)
     decpt += n_digits - 324  # the value is 0.ddd 10^decpt
-    del row, n_digits
+    del ki, n_digits
     # D = first digit, then two 8-digit halves, each spread into its 8 bytes
     # (first digit lowest) by halving it into 4-, 2- and 1-digit lanes
     first = s // _U(10**16)
@@ -490,7 +490,7 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     # cut at the text's length, then put the exponent text there
     tail = tails[decpt + 350]
     cut = length.take(code * 18 + n)
-    del decpt, code, n, negative, regular, mag
+    del decpt, code, n, negative, regular
     cut = by_length.take(cut, axis=1)
     out &= cut[:3]
     out |= tail << cut[3:6]
