@@ -14,6 +14,9 @@
 #
 #     .github/artifact-digests.sh base/src > base.txt
 #     .github/artifact-digests.sh src | diff base.txt -
+#
+# It exits 1, with a message on stderr after the digests, when the series.csv
+# that functionals rebuilds differs from the one euler-sim wrote.
 set -euo pipefail
 src=$(cd "${1:?usage: artifact-digests.sh <src-dir>}" && pwd)
 work=$(mktemp -d)
@@ -110,4 +113,19 @@ run file-radial functionals "${radial_file[@]}"
 # end there however M is taken.
 run file-criterion criterion --profile.file ../radial.csv --profile.epsilon 0.2 --run.t_end 2
 
+# functionals rebuilds the series of euler-sim from its snapshots.csv alone, so
+# each radial case's two series.csv must be byte-identical (gas-crlf reads a
+# copy of gas-rho-bar's snapshots).
+status=0
+for pair in readme-euler radial-io gas-gamma gas-rho-bar gas-huge-rho breakdown gas-crlf:gas-rho-bar file-radial; do
+    rebuilt="${pair%%:*}/functionals/out/series.csv" written="${pair##*:}/euler-sim/out/series.csv"
+    a=$(awk -v f="$rebuilt" '$2 == f { print $1 }' "$work/digests")
+    b=$(awk -v f="$written" '$2 == f { print $1 }' "$work/digests")
+    if [ -z "$a" ] || [ "$a" != "$b" ]; then
+        echo "artifact-digests.sh: $rebuilt differs from $written" >&2
+        status=1
+    fi
+done
+
 sort -k2 "$work/digests"
+exit $status

@@ -188,8 +188,8 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
     l0 = quad(lambda r: r**2 * eps * np.asarray(profile.rho0(r)))
     if l0 < 0:
         raise _profile_error(cfg, "initial mass excess L0 is negative")
-    # alpha(t) grows like (t + M)^5 near t = 0: a tiny M underflows alpha(0), or
-    # puts a spike of width M there that the quadrature cannot resolve
+    # alpha(t) grows like (t + M)^5 near t = 0: a tiny M underflows alpha(0), and
+    # a quadrature left unresolved in log time and in tau / M is no answer
     with _as_config_error("profile.file" if cfg["profile.file"] else "profile.M", (ValueError, ConvergenceError)):
         report = monitors.blowup_criterion(h0, l0, m, cfg.damping(), gas, cfg["run.t_end"])
     csvio.write_text(os.path.join(out, "criterion.txt"), report.text_block())

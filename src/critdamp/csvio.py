@@ -24,10 +24,11 @@ are the shortest digits that round-trip, nearest the value (ties to even
 digits), in repr's layout: fixed notation for ``1e-4 <= |x| < 1e16``, else
 ``d.ddde-XX`` with two or three exponent digits; ``-0.0``, ``inf``, ``-inf``
 and ``nan`` as repr writes them.  It computes them with numpy integer
-arithmetic on the bit patterns, at most ``_CHUNK`` = 1,024 values per pass
-instead of one ``repr`` call per value.  A pass's arrays and strings take
-about 200 bytes a value, so a writer's peak memory is bounded by the chunk
-and the grid's strings, not by the size of a block or a file.
+arithmetic on the bit patterns, at most ``_CHUNK`` = 1,536 values per pass
+instead of one ``repr`` call per value.  A pass's arrays, numpy's buffers and
+the strings it returns peak at about 115 bytes a value (at most 130), so a
+writer's peak memory is bounded by the chunk and the grid's strings, not by
+the size of a block or a file.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ def write_radial_snapshots(path: str, snapshots: Sequence[RadialState]) -> None:
 def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
     """States from a snapshot file, one per run of rows with equal ``t`` and
     increasing ``r`` (``t`` never decreases).  Each grid has dr = 2 r[0] (the
-    first centre is dr / 2 exactly) and r_max = dr * n_cells; a block whose
-    ``r`` column that grid does not reproduce bit for bit is rejected, and so
-    is a non-finite value."""
+    first centre is dr / 2 exactly) and r_max = dr * n_cells, and consecutive
+    blocks with the same r[0] and length share one grid; a block whose ``r``
+    column that grid does not reproduce bit for bit is rejected, and so is a
+    non-finite value."""
     names, data = read_csv(path)
     if names != ["t", "r", "rho", "mom"]:
         raise ValueError(f"{path}: expected a radial snapshot file with header t,r,rho,mom")
@@ -98,13 +100,15 @@ def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
     steps = np.diff(data[:, 0])
     if not np.all(steps >= 0):
         raise ValueError(f"{path}: snapshot times must not decrease")
-    states = []
+    states, key = [], None
     for block in np.split(data, np.flatnonzero((steps != 0) | (np.diff(data[:, 1]) <= 0)) + 1):
         t, r = float(block[0, 0]), block[:, 1]
-        try:
-            grid = RadialGrid(r_max=float(2.0 * r[0] * len(r)), n_cells=len(r))
-        except ValueError as exc:
-            raise ValueError(f"{path}: the block at t={t!r}: {exc}") from exc
+        if (r[0], len(r)) != key:
+            key = (r[0], len(r))
+            try:
+                grid = RadialGrid(r_max=float(2.0 * r[0] * len(r)), n_cells=len(r))
+            except ValueError as exc:
+                raise ValueError(f"{path}: the block at t={t!r}: {exc}") from exc
         if not np.array_equal(grid.centers, r):
             raise ValueError(f"{path}: the r column at t={t!r} is not a uniform cell-centred grid")
         states.append(RadialState(t, block[:, 2] - rho_bar, block[:, 3], grid, rho_bar))
@@ -172,15 +176,16 @@ def _grid_text(coords: np.ndarray, background: tuple[bytes, ...]) -> tuple[list[
 def _write_rows(fh: BinaryIO, batch: list) -> None:
     """Write pieces ``(marker, t, grid, lo, hi, last, columns)``, ``grid`` as
     :func:`_grid_text` returns it: the marker, then a row ``t,coord,values...``
-    for coordinates ``lo:hi``, then, in the last piece of a block, the
-    background rows from ``hi`` on.  The values of all pieces are formatted
-    in one pass."""
+    for coordinates ``lo:hi``, joined ``_ROWS`` at a time, then, in the last
+    piece of a block, the background rows from ``hi`` on.  The values of all
+    pieces are formatted in one pass."""
     text = iter(_reprs(np.concatenate([c for piece in batch for c in piece[-1]] or [[]])))
     for marker, t, (coords, tail, starts), lo, hi, last, columns in batch:
         cells = [list(itertools.islice(text, hi - lo)) for _ in columns]
         fh.write(marker)
-        if hi > lo:
-            fh.writelines((t, b",", (b"\n" + t + b",").join(map(b",".join, zip(coords[lo:hi], *cells))), b"\n"))
+        rows = map(b",".join, zip(coords[lo:hi], *cells))
+        while part := list(itertools.islice(rows, _ROWS)):
+            fh.writelines((t, b",", (b"\n" + t + b",").join(part), b"\n"))
         if last:
             fh.write(tail[starts[hi]:].replace(b"\0", t))
 
@@ -229,7 +234,8 @@ def _write(path: str, lines: list[str]) -> None:
 # little-endian uint64 words, and a layout code (sign, and the decimal point's
 # place, or the exponent form) shifts and masks those words into repr's text.
 
-_CHUNK = 1024  # values per pass: numpy call overhead falls with it, memory and cache misses grow
+_CHUNK = 1536  # values per pass: numpy call overhead falls with it, memory and cache misses grow
+_ROWS = 512  # rows per join: bytes.join holds an 80-byte buffer per row beside the rows
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _INF_BITS = _U(0x7FF0000000000000)
@@ -259,9 +265,14 @@ def _words(rows: Iterable[bytes]) -> np.ndarray:
 
 @functools.cache
 def _repr_tables() -> tuple:
-    """The tables :func:`_repr_chunk` reads, built on the first call."""
-    # g(k) = floor(10^-k 2^-r) + 1 with r = flog2pow10(-k) - 125, for k = -324..292,
-    # as g mod 2^63 and g >> 63, then as their 32-bit limbs
+    """The tables :func:`_repr_chunk` reads, built on the first call, one
+    group at a time so that each group's work arrays are freed before the next."""
+    return (_pow10_limbs(), *_exponent_rows(), *_decpt_rows(), *_repr_layouts())
+
+
+def _pow10_limbs() -> np.ndarray:
+    """g(k) = floor(10^-k 2^-r) + 1 with r = flog2pow10(-k) - 125, for k =
+    -324..292, as the 32-bit limbs of g mod 2^63 and of g >> 63."""
     halves, p = [], 10**324  # p = 10^|k|
     for k in range(-324, 293):
         r = _flog2pow10(-k) - 125
@@ -269,9 +280,12 @@ def _repr_tables() -> tuple:
         halves.append((g & (2**63 - 1)).to_bytes(8, "little") + (g >> 63).to_bytes(8, "little"))
         p = p // 10 if k < 0 else p * 10
     g = np.frombuffer(b"".join(halves), dtype="<u8").reshape(-1, 2).T
-    g = np.stack([g[0] & _M32, g[0] >> _U(32), g[1] & _M32, g[1] >> _U(32)])
-    # by row = 2 * biased exponent + (fraction == 0): k + 324, the shift h, and
-    # the lower half-gap, halved below a power of two (an irregular interval)
+    return np.stack([g[0] & _M32, g[0] >> _U(32), g[1] & _M32, g[1] >> _U(32)])
+
+
+def _exponent_rows() -> tuple:
+    """By row = 2 * biased exponent + (fraction == 0): k + 324, the shift h,
+    and the lower half-gap, halved below a power of two (an irregular interval)."""
     be = np.arange(2048)
     q = np.maximum(be, 1) - 1075
     k = np.stack([q * 661971961083 >> 41, q * 661971961083 - 274743187321 >> 41], axis=1)
@@ -280,37 +294,41 @@ def _repr_tables() -> tuple:
     k = k.ravel()
     h = q.repeat(2) + _flog2pow10(-k) + 2
     lower = np.stack([np.full(2048, 2), 2 - irregular], axis=1).ravel()
-    rows = ((k + 324).astype(np.int16), h.astype(np.uint8), lower.astype(np.uint8))
-    # by decimal exponent + 350: the layout, and the exponent text (0 in fixed layouts)
+    return (k + 324).astype(np.int16), h.astype(np.uint8), lower.astype(np.uint8)
+
+
+def _decpt_rows() -> tuple:
+    """By decimal exponent + 350: the layout, and the exponent text (0 in
+    fixed layouts)."""
     decpt = np.arange(-350, 350)
     shape = np.where((decpt > -4) & (decpt < 17), decpt + 3, _SHAPES - 1)
     tails = [b"e%+03d" % (d - 1) if s == _SHAPES - 1 else b"" for s, d in zip(shape.tolist(), decpt.tolist())]
-    tail = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in tails), dtype="<u8")
-    return (g, *rows, shape.astype(np.int8), tail) + _repr_layouts()
+    return shape.astype(np.int8), np.frombuffer(b"".join(t.ljust(8, b"\0") for t in tails), dtype="<u8")
 
 
 def _repr_layouts() -> tuple:
-    """By layout code: the byte shifts of two copies of the digits, their
-    masks and the constant bytes; the text length by (code, digit count);
+    """By layout code: the byte shift of the digits (and 64 bits less it), the
+    masks of the digits before and after a decimal point, which move one byte
+    further, and the constant bytes; the text length by (code, digit count);
     and by length L, the mask of the first L bytes and the bit shifts that
     put an exponent word at byte L, as one (9, 25) table."""
     shifts, mask_a, mask_b, const, length = [], [], [], [], []
     for code in range(5 + 2 * _SHAPES):
         sign, shape = divmod(code - 5, _SHAPES)
         if code < 5:  # zero, inf, nan: constant text
-            a = b = 0
+            a = 0
             text, keep = _SPECIAL[code], (0, 0, 0, 0)
             lens = [len(text)] * 18
         elif shape > 3:  # dd.ddd, or d.ddd before e+XX
             p = 1 if shape == _SHAPES - 1 else shape - 3  # digits before the point
-            a, b = sign, sign + 1  # the digits after the point move one byte further
+            a = sign
             text, keep = b"-"[:sign] + bytes(p) + b".", (sign, sign + p, sign + p + 1, 24)
             lens = [sign + (n + (n > 1) if shape == _SHAPES - 1 else max(n, p + 1) + 1) for n in range(18)]
         else:  # 0.000ddd
-            a = b = sign + 5 - shape
+            a = sign + 5 - shape
             text, keep = b"-"[:sign] + b"0." + b"0" * (3 - shape), (a, 24, 0, 0)
             lens = [a + n for n in range(18)]
-        shifts.append([8 * a, 64 - 8 * a, 8 * b, 64 - 8 * b])
+        shifts.append([8 * a, 64 - 8 * a])
         mask_a.append(bytes(keep[0]) + b"\xff" * (keep[1] - keep[0]))
         mask_b.append(bytes(keep[2]) + b"\xff" * (keep[3] - keep[2]))
         const.append(text)
@@ -320,6 +338,15 @@ def _repr_layouts() -> tuple:
                                 np.where(sh >= 0, sh, 64).astype(_U), np.where(sh < 0, -sh, 64).astype(_U)])
     return (np.array(shifts, dtype=_U).T.copy(), _words(mask_a), _words(mask_b), _words(const),
             np.array(length, dtype=np.int8).ravel(), by_length)
+
+
+def _times(limbs: np.ndarray, table: np.ndarray, ki: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = ``limbs * table[ki]``, one row at a time: numpy copies an
+    operand broadcast over all rows to a buffer of the rows' size."""
+    t = table.take(ki)
+    for a, o in zip(limbs, out):
+        np.multiply(a, t, out=o)
+    return out
 
 
 def _repr_chunk(x: np.ndarray) -> list[bytes]:
@@ -345,56 +372,48 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     np.subtract(cp[1], lower[row], out=cp[0])
     np.add(cp[1], _U(2), out=cp[2])
     cp <<= hshift[row]
+    ki = kidx[row].astype(np.intp)
+    del c, row, mag
+    # T = floor(cp g1 / 2) + floor(cp g0 / 2^64) from the 32-bit limbs c0, c1
+    # of cp and g[0..3] of g, as the reference forms it; v = floor(T / 2^63),
+    # rounded to odd.  As cp < 2^60 and g[1], g[3] < 2^31, a column sum of
+    # whole limb products stays below 2^64, and its carry is its high half.
     c1 = cp >> _U(32)
+    cp &= _M32
     c0 = cp
-    c0 &= _M32
-    ki = kidx[row]
-    odd = (mag & _U(1)).astype(bool)  # the interval ends belong to it when c is even
-    del cp, c, row, mag
-    # T = floor(cp g1 / 2) + floor(cp g0 / 2^64) from the limb products, as
-    # the reference forms it; v = floor(T / 2^63), rounded to odd
-    col = c0 * g[0].take(ki)
-    col >>= _U(32)
-    t = c0 * g[1].take(ki)
-    col += t & _M32
-    t >>= _U(32)
-    u = c1 * g[0].take(ki)
-    col += u & _M32
-    u >>= _U(32)
-    t += u
-    np.multiply(c1, g[1].take(ki), out=u)
-    t += u
-    col >>= _U(32)
-    t += col  # floor(cp g0 / 2^64)
-    z = c0 * g[2].take(ki)
-    np.right_shift(z, _U(32), out=col)
-    z <<= _U(32)
-    z >>= _U(33)
-    z += t
-    np.multiply(c0, g[3].take(ki), out=u)
+    del cp
+    z = _times(c0, g[0], ki, np.empty_like(c0))
+    z >>= _U(32)
+    p = _times(c0, g[1], ki, np.empty_like(c0))
+    z += p
+    z += _times(c1, g[0], ki, p)
+    z >>= _U(32)
+    z += _times(c1, g[1], ki, p)  # floor(cp g0 / 2^64)
+    _times(c0, g[2], ki, p)
+    col = _times(c0, g[3], ki, c0)
     del c0
-    col += u & _M32
-    u >>= _U(32)
-    np.multiply(c1, g[2].take(ki), out=t)
-    col += t & _M32
-    t >>= _U(32)
-    u += t
-    np.multiply(c1, g[3].take(ki), out=t)
+    for j in range(3):  # row by row, as p >> 32 would be one more (3, n) array
+        col[j] += p[j] >> _U(32)
+    p &= _M32
+    p >>= _U(1)
+    z += p
+    col += _times(c1, g[2], ki, p)  # floor(cp g1 / 2^32) - c1 g[3] 2^32
+    v = _times(c1, g[3], ki, c1)
     del c1
-    t += u  # floor(cp g1 / 2^64) - floor(col / 2^32)
-    np.left_shift(col, _U(32), out=u)
-    u >>= _U(1)
-    z += u  # (cp g1 mod 2^64) / 2 + floor(cp g0 / 2^64)
+    np.left_shift(col, _U(32), out=p)
+    p >>= _U(1)
+    z += p  # T mod 2^64 = (cp g1 mod 2^64) / 2 + floor(cp g0 / 2^64)
     col >>= _U(32)
-    t += col
-    del col, u
-    v = t
-    v += z >> _U(63)
+    v += col  # floor(cp g1 / 2^64)
+    np.right_shift(z, _U(63), out=p)
+    v += p
     z <<= _U(1)
-    v |= z != 0
-    del z
+    np.minimum(z, _U(1), out=z)
+    v |= z
+    del z, p, col
     vbl, vb, vbr = v
     # the candidates s, s + 1 (units of 10^k) and the multiples of ten around s
+    odd = bits & _U(1)  # the interval ends belong to it when c is even
     vbl += odd
     vbr -= odd
     s = vb >> _U(2)
@@ -409,7 +428,7 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     u_in = vbl <= vb
     vb += _U(4)
     w_in = vb <= vbr
-    del v, vbl, vb, vbr, t, s40, odd
+    del v, vbl, vb, vbr, s40, odd
     rem += s & _U(1)
     up = rem > _U(2)  # s + 1 is nearer, or as near and s is odd
     up |= ~u_in
@@ -427,7 +446,7 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
         n_digits = (s >= _U(10**16)).astype(np.intp)
         n_digits += 16
         s *= _POW10.take(17 - n_digits)
-    decpt = ki.astype(np.intp)
+    decpt = ki
     decpt += n_digits - 324  # the value is 0.ddd 10^decpt
     del ki, n_digits
     # D = first digit, then two 8-digit halves, each spread into its 8 bytes
@@ -469,31 +488,43 @@ def _repr_chunk(x: np.ndarray) -> list[bytes]:
     digits[1] |= lanes[1] << _U(8)
     np.right_shift(lanes[1], _U(56), out=digits[2])
     del lanes, first
-    # layout: two copies of the digits, shifted and masked, and the constant bytes
+    # the layout code, the exponent text and the text length
     negative = (bits >> _U(63)).astype(np.intp)
     code = shapes[decpt + 350].astype(np.intp)
     code += negative * _SHAPES + 5
     if special:
         mag = bits & _U(2**63 - 1)
         code = np.where(regular, code, np.where(mag == 0, negative, np.where(mag == _INF_BITS, 2 + negative, 4)))
-    sh = shifts.take(code, axis=1)
-    out = digits << sh[0]
-    out[1:] |= digits[:2] >> sh[1]
-    out &= mask_a.take(code, axis=1)
-    carry = digits[:2] >> sh[3]
-    digits <<= sh[2]
-    digits[1:] |= carry
-    digits &= mask_b.take(code, axis=1)
-    out |= digits
-    out |= const.take(code, axis=1)
-    del digits, carry, sh
-    # cut at the text's length, then put the exponent text there
     tail = tails[decpt + 350]
     cut = length.take(code * 18 + n)
-    del decpt, code, n, negative, regular
-    cut = by_length.take(cut, axis=1)
-    out &= cut[:3]
-    out |= tail << cut[3:6]
-    out |= tail >> cut[6:]
-    del tail, cut
-    return np.ascontiguousarray(out.T).view("S24").ravel().tolist()
+    del decpt, n, negative, regular
+    # the digits moved by the code's byte shift, and moved one byte further
+    # for the digits after a decimal point, each masked, and the constant bytes
+    sh = shifts.take(code, axis=1)
+    out = digits << sh[0]
+    digits >>= sh[1]
+    out[1:] |= digits[:2]
+    del digits, sh
+    after = out << _U(8)
+    after[1:] |= out[:2] >> _U(56)
+    after &= mask_b.take(code, axis=1)
+    out &= mask_a.take(code, axis=1)
+    out |= after
+    del after
+    out |= const.take(code, axis=1)
+    del code
+    # cut at the text's length, then put the exponent text there ("clip": a
+    # take that may raise fills a copy of its out array first)
+    cut = cut.astype(np.intp)
+    words = by_length[:3].take(cut, axis=1)
+    out &= words
+    np.take(by_length[3:6], cut, axis=1, out=words, mode="clip")
+    np.left_shift(tail, words, out=words)
+    out |= words
+    np.take(by_length[6:], cut, axis=1, out=words, mode="clip")
+    np.right_shift(tail, words, out=words)
+    out |= words
+    del tail, cut, words
+    text = np.ascontiguousarray(out.T)
+    del out
+    return text.view("S24").ravel().tolist()

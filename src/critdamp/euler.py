@@ -108,9 +108,11 @@ class RadialGrid:
     def dr(self) -> float:
         return self.r_max / self.n_cells
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dr
+        centers = (np.arange(self.n_cells) + 0.5) * self.dr
+        centers.flags.writeable = False  # shared by every state on the grid
+        return centers
 
     @property
     def faces(self) -> np.ndarray:
@@ -503,7 +505,7 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
         )
 
 
-_STACK_CELLS = 4096  # cells in one stack of series: _STACK_CELLS // n_cells states, at least one
+_STACK_CELLS = 16384  # cells in one stack of series: _STACK_CELLS // n_cells states, at least one
 
 
 def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
@@ -525,9 +527,10 @@ def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
         if bad.size:
             raise BreakdownError(times[bad[0]], BreakdownCause.NEGATIVE_DENSITY)
         mom = np.array([s.mom for s in stack])
-        u = mom / rho
+        h = mon.weighted_momentum_rows(grid, mom)
+        u = np.divide(mom, rho, out=mom)  # mom is spent once H is taken
         table[:, i:i + len(stack)] = (
-            mon.mass_excess_rows(grid, rho, gas), mon.weighted_momentum_rows(grid, mom),
+            mon.mass_excess_rows(grid, rho, gas), h,
             mon.weighted_potential_energy_rows(grid, times, rho, u, gas, damping),
             rho.min(axis=1), np.abs(u).max(axis=1), np.abs(np.diff(u, axis=1)).max(axis=1) / grid.dr,
             cfl * grid.dr / _wave_speed(gas, rho / gas.rho_bar, u).max(axis=1))

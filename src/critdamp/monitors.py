@@ -22,7 +22,7 @@ import numpy as np
 
 from .damping import DampingLaw
 from .gas import GasModel
-from .numerics import time_integral
+from .numerics import ConvergenceError, time_integral
 
 FOUR_PI = 4.0 * np.pi
 
@@ -92,7 +92,9 @@ def blowup_criterion(
     """Evaluate H0 * int_0^T* dtau / (alpha(tau) beta(tau)) > 1.
 
     The integral is taken in log time (``numerics.time_integral``), which
-    resolves every decade of a large T* alike.
+    resolves every decade of a large T* alike.  A tiny M puts a spike of
+    width M at tau = 0 that log time cannot resolve; when that quadrature
+    gives up, the integral is taken once more in tau / M.
 
     When satisfied, no smooth solution with these initial functionals can
     reach t = T*.  Requires L0 >= 0, and alpha(0) with a finite reciprocal (a
@@ -111,7 +113,12 @@ def blowup_criterion(
         tau = np.asarray(tau, dtype=float)
         return np.exp(-damping.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, l0, gas)
 
-    integral = time_integral(integrand, t_star)
+    try:
+        integral = time_integral(integrand, t_star)
+    except ConvergenceError:
+        if not t_star / m < np.inf:
+            raise
+        integral = m * time_integral(lambda s: integrand(m * s), t_star / m)
     return CriterionReport(h0, l0, t_star, integral)
 
 
@@ -139,15 +146,29 @@ def weighted_potential_energy_rows(grid, times, rho, u, gas: GasModel, damping: 
     powers = [_powers_of_one_plus_t(t, damping.lam) for t in times]
     one_t, scale, weight = (np.array(column)[:, None] for column in zip(*powers))
 
-    tail = np.cumsum(u[:, ::-1], axis=1)[:, ::-1] * dr
-    phi = -(tail - 0.5 * u * dr)
-    dphi_dt = -(0.5 * u * u + gas.enthalpy(rho) + damping.mu * scale * phi)
-
-    psi = phi * scale
-    dpsi_dt = dphi_dt * scale - damping.lam * phi * scale / one_t
-    dpsi_dr = u * scale
-    density = weight * (dpsi_dt**2 + dpsi_dr**2) + psi**2
-    return FOUR_PI * (np.sum(grid.centers**2 * density, axis=1) * dr)
+    # the one-state formulas in the operand order written there, in place where
+    # a temporary the size of a stack (up to about 16,384 cells) would be kept
+    phi = np.cumsum(u[:, ::-1], axis=1)[:, ::-1] * dr
+    phi -= 0.5 * u * dr
+    np.negative(phi, out=phi)
+    dpsi_dt = 0.5 * u * u
+    dpsi_dt += gas.enthalpy(rho)
+    dpsi_dt += damping.mu * scale * phi
+    np.negative(dpsi_dt, out=dpsi_dt)  # d_t phi
+    dpsi_dt *= scale
+    dpsi_dt -= damping.lam * phi * scale / one_t
+    psi = phi
+    psi *= scale
+    density = u * scale  # d_r psi
+    density **= 2
+    dpsi_dt **= 2
+    density += dpsi_dt
+    del dpsi_dt
+    density *= weight
+    psi **= 2
+    density += psi
+    density *= grid.centers**2
+    return FOUR_PI * (np.sum(density, axis=1) * dr)
 
 
 def _powers_of_one_plus_t(t: float, lam: float) -> tuple[float, float, float]:

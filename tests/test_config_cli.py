@@ -199,15 +199,29 @@ def test_criterion_overflowing_profile_is_config_error(tmp_path, capsys, name):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("m", ["1e-20", "1e-100"])
+@pytest.mark.parametrize("m", ["1e-100"])
 def test_criterion_tiny_support_is_config_error(tmp_path, capsys, m):
-    # alpha(t) grows like (t + M)^5: at M = 1e-20 the criterion integrand's spike
-    # of width M at t = 0 lies below the quadrature's finest interval, and at
-    # 1e-100 alpha(0) underflows to 0; a config error, not a runtime-error
+    # alpha(t) grows like (t + M)^5: at M = 1e-100 alpha(0) underflows to 0;
+    # a config error, not a runtime-error
     out = tmp_path / "out"
     assert main(["criterion", "--profile.M", m, "--output.dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config-error: key 'profile.M':")
     assert list(out.iterdir()) == []
+
+
+def test_criterion_tiny_support_is_integrated_in_units_of_m(tmp_path, capsys):
+    # below M of about 1e-13 the integrand's spike of width M at t = 0 lies
+    # below log time's finest interval, and the integral is taken in t / M.
+    # It scales as M^-4: M^4 times it matches the direct path's at M = 1e-12,
+    # and the run warns of nothing
+    scaled = []
+    for m in ("1e-12", "1e-14", "1e-16", "1e-20", "1e-60"):
+        out = str(tmp_path / m)
+        assert main(["criterion", "--profile.M", m, "--output.dir", out]) == 0
+        fields = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
+        scaled.append(float(fields["integral_value"]) * float(m) ** 4)
+    assert capsys.readouterr().err == ""
+    assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-9)
 
 
 @pytest.mark.parametrize("eps, rc", [("1e308", 2), ("1.7e308", 2), ("1e200", 0)])

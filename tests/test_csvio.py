@@ -14,6 +14,8 @@ from critdamp import DampingLaw, GasModel, InitialProfile, RadialGrid, RadialSta
 from critdamp.burgers import Snapshot1D
 from critdamp.cli import main
 from critdamp.csvio import (
+    _CHUNK,
+    _repr_tables,
     _reprs,
     fmt,
     read_csv,
@@ -200,7 +202,9 @@ def test_snapshot_writer_holds_one_block_at_a_time(tmp_path):
     # 128 blocks of 1,024 cells, live in the first 256 and background after:
     # the writer's traced peak is the grid's cached strings plus one block,
     # far below the file it writes (a writer that held the text of the whole
-    # file peaked above the file's size)
+    # file peaked above the file's size).  The formatter's tables are built
+    # inside the traced write, as in the first write of a process.
+    _repr_tables.cache_clear()
     x = np.linspace(-1.0, 1.0, 1024)
     w = np.zeros(1024)
     w[:256] = np.sin(np.arange(256))
@@ -252,6 +256,42 @@ def nudged(values):
 def test_reprs_match_fmt_on_edge_values(edges):
     edges = np.asarray(edges, dtype=float)
     assert_reprs_match_fmt(edges if len(edges) > 10_000 else np.concatenate([edges, -edges]))
+
+
+# one value of each special layout, subnormals, and both sides of the 1e-4 and
+# 1e16 boundaries between fixed and exponent notation
+LAYOUT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.225073858507201e-308,
+                1e-4, -9.999999999999999e-05, 9999999999999998.0, -1e16, 0.5, -123.456]
+
+
+def layout_mix(n, seed):
+    """``n`` values of random sign and decade in [1e-300, 1e301), with the
+    layout edges spread among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-10.0, 10.0, n) * 10.0 ** rng.integers(-300, 301, n)
+    spots = rng.choice(n, min(n, 4 * len(LAYOUT_EDGES)), replace=False)
+    values[spots] = np.resize(LAYOUT_EDGES, len(spots))
+    return values
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+def test_reprs_match_fmt_across_pass_boundaries(n):
+    assert_reprs_match_fmt(layout_mix(n, n))
+
+
+def test_formatter_pass_memory_is_bounded():
+    # one pass over _CHUNK values of every layout, its tables built first,
+    # holds at most 130 bytes a value, the text it returns included
+    _repr_tables()
+    values = layout_mix(_CHUNK, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _reprs(values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 130 * _CHUNK
 
 
 def random_radial_snapshots(rng):

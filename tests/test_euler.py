@@ -867,10 +867,23 @@ def test_series_matches_one_state_monitors_on_edge_lists(case):
         "to-last-cell": [random_state(grid, 1.0, 1.5, 3, grid.n_cells, 0.0) for grid in (fine, coarse)],
         "negative-zero": [random_state(fine, 1.0, 2.0, 4, 0, 0.01), random_state(fine, 1.0, 2.0, 5, 600, 0.01)],
         # more states than one stack holds, then the grid changes and back
-        "across-stacks-and-grids": [random_state(grid, 1.0, 0.1 * j, j, 500, 0.001)
-                                    for j, grid in enumerate([fine] * 9 + [coarse] * 3 + [fine] * 2)],
+        "across-stacks-and-grids": [random_state(grid, 1.0, 0.1 * j, j, 500, 0.001) for j, grid in
+                                    enumerate([fine] * (_STACK_CELLS // 1024 + 2) + [coarse] * 3 + [fine] * 2)],
     }[case]
     assert_series_matches_one_state_monitors(states, GAS, DampingLaw(1.0, 1.7957), 0.4)
+
+
+def test_series_does_not_depend_on_its_stack_size(monkeypatch):
+    # one state a stack, stacks of a few states, and each grid's run in one
+    # stack: every row is summed as its own state, so the columns are equal
+    fine, coarse = RadialGrid(12.0, 1024), RadialGrid(7.0, 4096)
+    grids = [fine] * (16384 // 1024 + 3) + [coarse] * 5 + [fine] * 3
+    states = [random_state(grid, 1.0, 0.1 * j, j, 700, 0.001) for j, grid in enumerate(grids)]
+    columns = []
+    for cells in (32, 1024, 4096, 16384, 10**7):
+        monkeypatch.setattr("critdamp.euler._STACK_CELLS", cells)
+        columns.append(np.array(list(series(states, GAS, LAW, 0.4).values())).tobytes())
+    assert columns == [columns[0]] * len(columns)
 
 
 # (t, lam) where np.power over an array rounds (1 + t)**-lam differently from
