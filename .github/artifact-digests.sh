@@ -5,12 +5,13 @@
 # rho_bar = 1e160) and one that breaks down, with functionals after each,
 # functionals on a CRLF copy of one of their snapshots.csv, three more
 # burgers-sim runs (many samples, mu = 0 on an explicit span, and eps = 1e-300),
-# and a small literal profile.file table for each
-# geometry (a 1-D triangle through burgers-lifespan, sweep and burgers-sim; a
-# radial table through euler-sim, functionals and criterion) write when run
-# on the sources under <src-dir>.  Every call runs in a temporary directory
-# with a relative --output.dir (and --profile.file), so two source trees make
-# byte-identical artifacts exactly when their outputs match:
+# two criterion runs to T* = 1e300 (at M = 3 and M = 1e8), and a small
+# literal profile.file table for each geometry (a 1-D triangle through
+# burgers-lifespan, sweep and burgers-sim; a radial table through euler-sim,
+# functionals and criterion) write when run on the sources under <src-dir>.
+# Every call runs in a temporary directory with a relative --output.dir (and
+# --profile.file), so two source trees make byte-identical artifacts exactly
+# when their outputs match:
 #
 #     .github/artifact-digests.sh base/src > base.txt
 #     .github/artifact-digests.sh src | diff base.txt -
@@ -76,6 +77,11 @@ run gas-huge-rho euler-sim "${gas_case[@]}" --gas.rho_bar 1e160
 run gas-huge-rho functionals "${gas_case[@]}" --gas.rho_bar 1e160
 run line-tiny burgers-sim --profile.epsilon 1e-300 --run.t_end 2 --run.monitor_cadence 0.5 --grid.n_cells 256 \
     --output.dir out
+
+# criterion out to T* = 1e300 at supports M >= 1, where its integral is taken
+# in log(1 + tau) itself, unscaled.
+run criterion-wide criterion --profile.name outgoing-shell --profile.epsilon 1 --profile.M 3 --run.t_end 1e300
+run criterion-far criterion --profile.name outgoing-shell --profile.epsilon 2 --profile.M 1e8 --run.t_end 1e300
 
 # A run that ends in a breakdown (NegativeDensity at cfl 0.9), the path of the
 # step's density check, with functionals after it.

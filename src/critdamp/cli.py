@@ -179,9 +179,10 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
             probe = integrand(np.linspace(0.0, m, 1025))
             if not np.isfinite(probe).all():
                 raise _profile_error(cfg, "an initial functional's integrand is not finite")
-        # 1e-12 absolute up to integrals of order one, relative to m max|f| beyond:
-        # an absolute 1e-12 is below the round-off of an integral of order eps^2
-        abs_tol = 1e-12 * max(1.0, m * float(np.abs(probe).max()))
+        # relative to the integral's size, m max|f|: an absolute tolerance lies
+        # below the round-off of an integral of order eps^2 at a huge eps, and
+        # above the whole integral at a tiny eps or M
+        abs_tol = 1e-12 * m * float(np.abs(probe).max())
         return monitors.FOUR_PI * adaptive_quad(integrand, 0.0, m, abs_tol=abs_tol)
 
     h0 = quad(mom_integrand)
@@ -189,7 +190,7 @@ def _run_criterion(cfg: ExperimentConfig, out: str) -> None:
     if l0 < 0:
         raise _profile_error(cfg, "initial mass excess L0 is negative")
     # alpha(t) grows like (t + M)^5 near t = 0: a tiny M underflows alpha(0), and
-    # a quadrature left unresolved in log time and in tau / M is no answer
+    # a quadrature left unresolved at its caps is no answer
     with _as_config_error("profile.file" if cfg["profile.file"] else "profile.M", (ValueError, ConvergenceError)):
         report = monitors.blowup_criterion(h0, l0, m, cfg.damping(), gas, cfg["run.t_end"])
     csvio.write_text(os.path.join(out, "criterion.txt"), report.text_block())

@@ -207,20 +207,12 @@ class _Workspace:
         np.divide(win.mom, rho, out=win.u)
 
     def kernels(self, gas: GasModel) -> None:
-        """The wave speed |u| + c and the pressure over the views' cells,
-        formed in place with the ufuncs and operand order of
-        :func:`_wave_speed` and :meth:`GasModel.pressure_of_ratio`."""
+        """The wave speed |u| + c and the pressure over the views' cells."""
         win = self.win
-        # x = rho/rho_bar goes where a first-order step forms mom * u later
+        # x = rho/rho_bar goes where a first-order step forms mom * u later, |u| in p
         x = np.divide(win.rho, gas.rho_bar, out=win.adv)
-        speed = np.log(x, out=win.speed)
-        speed *= gas.gamma - 1.0
-        np.exp(speed, out=speed)
-        np.sqrt(speed, out=speed)
-        speed += np.abs(win.u, out=win.p)  # p is free until x**gamma below
-        # x**gamma as numpy forms it, which is np.square at an exponent of 2
-        p = np.square(x, out=win.p) if gas.gamma == 2.0 else np.power(x, gas.gamma, out=win.p)
-        p *= gas.rho_bar / gas.gamma
+        _wave_speed(gas, x, win.u, out=win.speed, scratch=win.p)
+        gas.pressure_of_ratio(x, out=win.p)
 
 
 class _Window:
@@ -298,17 +290,11 @@ def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
     return start
 
 
-def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """|u| + c at the density ratios x = rho/rho_bar > 0."""
-    speed = np.sqrt(gas.sound_speed_sq_of_ratio(x))
-    speed += np.abs(u)
+def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """|u| + c at the density ratios x = rho/rho_bar > 0 into ``out``, |u| into ``scratch``."""
+    speed = np.sqrt(gas.sound_speed_sq_of_ratio(x, out=out), out=out)
+    speed += np.abs(u, out=scratch)
     return speed
-
-
-def _kernels(gas: GasModel, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pressure and wave speed |u| + c, for rho > 0."""
-    x = rho / gas.rho_bar
-    return gas.pressure_of_ratio(x), _wave_speed(gas, x, u)
 
 
 @dataclass(eq=False)
@@ -403,8 +389,9 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
         if not (np.logical_and.reduce(rho_l > 0) and np.logical_and.reduce(rho_r > 0)):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
         u_l, u_r = mom_l / rho_l, mom_r / rho_r
-        p_l, speed_l = _kernels(gas, rho_l, u_l)
-        p_r, speed_r = _kernels(gas, rho_r, u_r)
+        x_l, x_r = rho_l / gas.rho_bar, rho_r / gas.rho_bar
+        p_l, p_r = gas.pressure_of_ratio(x_l), gas.pressure_of_ratio(x_r)
+        speed_l, speed_r = _wave_speed(gas, x_l, u_l), _wave_speed(gas, x_r, u_r)
         adv_l, adv_r = mom_l * u_l, mom_r * u_r
     else:
         q_l, q_r, mom_l, mom_r = win.q_l, win.q_r, win.mom_l, win.mom_r

@@ -49,15 +49,21 @@ class GasModel:
     def _ratio(self, rho):
         return (np.asarray(rho) if np.ndim(rho) else rho) / self.rho_bar
 
-    def pressure_of_ratio(self, x):
+    def pressure_of_ratio(self, x, out=None):
         """Pressure at the density ratio x = rho/rho_bar > 0 (unchecked), as
         (rho_bar/gamma) * x**gamma: A * rho**gamma overflows in rho**gamma
-        once rho_bar passes about 1e154 (gamma = 2), where p stays finite."""
-        return (self.rho_bar / self.gamma) * x**self.gamma
+        once rho_bar passes about 1e154 (gamma = 2), where p stays finite.
+        x**gamma is np.square at gamma = 2, as for an array; ``out`` is numpy's."""
+        p = np.square(x, out=out) if self.gamma == 2.0 else np.power(x, self.gamma, out=out)
+        p *= self.rho_bar / self.gamma
+        return p
 
-    def sound_speed_sq_of_ratio(self, x):
-        """Squared sound speed at the density ratio x = rho/rho_bar > 0 (unchecked)."""
-        return np.exp((self.gamma - 1.0) * np.log(x))
+    def sound_speed_sq_of_ratio(self, x, out=None):
+        """Squared sound speed at the density ratio x = rho/rho_bar > 0
+        (unchecked); ``out`` is numpy's."""
+        c2 = np.log(x, out=out)
+        c2 *= self.gamma - 1.0
+        return np.exp(c2, out=out)
 
     def enthalpy(self, rho):
         """Specific enthalpy: primitive of c^2(rho)/rho vanishing at rho_bar.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .damping import DampingLaw
 from .gas import GasModel
-from .numerics import ConvergenceError, time_integral
+from .numerics import time_integral
 
 FOUR_PI = 4.0 * np.pi
 
@@ -91,10 +91,12 @@ def blowup_criterion(
 ) -> CriterionReport:
     """Evaluate H0 * int_0^T* dtau / (alpha(tau) beta(tau)) > 1.
 
-    The integral is taken in log time (``numerics.time_integral``), which
-    resolves every decade of a large T* alike.  A tiny M puts a spike of
-    width M at tau = 0 that log time cannot resolve; when that quadrature
-    gives up, the integral is taken once more in tau / M.
+    The integral is taken in log(1 + tau/s) (``numerics.time_integral`` in
+    units of s), s = min(M, 1) the shorter of the integrand's length scales:
+    the support M in alpha and the damping's 1 + tau.  So every decade of
+    tau/s is resolved alike, however small M or large T*; for M >= 1 the
+    scaling is exact.  Past tau = s * float max the integrand (at most
+    1/alpha ~ tau^-5) adds nothing.
 
     When satisfied, no smooth solution with these initial functionals can
     reach t = T*.  Requires L0 >= 0, and alpha(0) with a finite reciprocal (a
@@ -113,12 +115,8 @@ def blowup_criterion(
         tau = np.asarray(tau, dtype=float)
         return np.exp(-damping.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, l0, gas)
 
-    try:
-        integral = time_integral(integrand, t_star)
-    except ConvergenceError:
-        if not t_star / m < np.inf:
-            raise
-        integral = m * time_integral(lambda s: integrand(m * s), t_star / m)
+    s = min(m, 1.0)
+    integral = s * time_integral(lambda x: integrand(s * x), min(t_star / s, sys.float_info.max))
     return CriterionReport(h0, l0, t_star, integral)
 
 

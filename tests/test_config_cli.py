@@ -210,18 +210,19 @@ def test_criterion_tiny_support_is_config_error(tmp_path, capsys, m):
 
 
 def test_criterion_tiny_support_is_integrated_in_units_of_m(tmp_path, capsys):
-    # below M of about 1e-13 the integrand's spike of width M at t = 0 lies
-    # below log time's finest interval, and the integral is taken in t / M.
-    # It scales as M^-4: M^4 times it matches the direct path's at M = 1e-12,
+    # the integrand's spike of width M at t = 0 is integrated in log(1 + t/M),
+    # up to T* = 1e300 too, where t/M passes the float range.  The integral
+    # scales as M^-4 (L0 as M^3): M^4 times it is the same at every M and T*,
     # and the run warns of nothing
     scaled = []
-    for m in ("1e-12", "1e-14", "1e-16", "1e-20", "1e-60"):
-        out = str(tmp_path / m)
-        assert main(["criterion", "--profile.M", m, "--output.dir", out]) == 0
+    for m, t_end in [("1e-12", "10"), ("1e-14", "10"), ("1e-16", "10"), ("1e-20", "10"), ("1e-60", "10"),
+                     ("1e-12", "1e300"), ("1e-20", "1e300")]:
+        out = str(tmp_path / f"{m}-{t_end}")
+        assert main(["criterion", "--profile.M", m, "--run.t_end", t_end, "--output.dir", out]) == 0
         fields = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
         scaled.append(float(fields["integral_value"]) * float(m) ** 4)
     assert capsys.readouterr().err == ""
-    assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-9)
+    assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-12)
 
 
 @pytest.mark.parametrize("eps, rc", [("1e308", 2), ("1.7e308", 2), ("1e200", 0)])
@@ -254,6 +255,24 @@ def test_criterion_at_a_huge_epsilon(tmp_path, capsys, name):
     assert h0[1e150] == pytest.approx(h0[1e35], rel=1e-13) and h0[1e154] == pytest.approx(h0[1e35], rel=1e-13)
     assert l0[1e150] == pytest.approx(l0[1e35], rel=1e-13) and l0[1e154] == pytest.approx(l0[1e35], rel=1e-13)
     assert (h0[1e35] > 0) == (name == "outgoing-shell")  # bump carries zero initial velocity
+
+
+def test_criterion_at_a_tiny_epsilon(tmp_path, capsys):
+    # H0 and L0 are resolved relative to their own size: an absolute floor of
+    # 1e-12 made L0/eps read 12% high at eps = 1e-10.  L0/eps is exact in eps,
+    # and H0/eps is, up to its order-eps^2 term
+    fields = {}
+    for eps in ("1e-4", "1e-20", "1e-60", "1e-100"):
+        out = str(tmp_path / eps)
+        assert main(["criterion", "--profile.name", "outgoing-shell", "--profile.M0", "0.3",
+                     "--profile.epsilon", eps, "--output.dir", out]) == 0
+        fields[float(eps)] = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
+    assert capsys.readouterr().err == ""
+    h0 = {eps: float(f["H0"]) / eps for eps, f in fields.items()}
+    l0 = {eps: float(f["L0"]) / eps for eps, f in fields.items()}
+    for eps in (1e-60, 1e-100):
+        assert h0[eps] == pytest.approx(h0[1e-20], rel=1e-13) and l0[eps] == pytest.approx(l0[1e-20], rel=1e-13)
+    assert l0[1e-20] == pytest.approx(l0[1e-4], rel=1e-12)
 
 
 def test_criterion_at_the_end_of_the_float_range(tmp_path, capsys):

@@ -731,10 +731,11 @@ def test_workspace_step_takes_log_beta_at_the_time_it_is_given():
 @given(gamma=st.sampled_from([2, 2.0, 1.4, 5.0 / 3.0, 3, 3.0]), rho_bar=st.sampled_from([1.0, 2.0, 0.7]),
        n_cells=st.integers(32, 200), data=st.data())
 def test_workspace_kernels_match_the_gas_kernels_on_fresh_arrays(gamma, rho_bar, n_cells, data):
-    # kernels forms |u| + c and p in workspace buffers; they must equal, byte
-    # for byte, _wave_speed and pressure_of_ratio on fresh arrays, over
-    # windows from 2 cells (span 0) to the whole grid (numpy forms x**2 and
-    # x**2.0 as np.square, other exponents as np.power)
+    # kernels forms |u| + c and p into workspace buffers (out=); they must
+    # equal, byte for byte, _wave_speed and pressure_of_ratio on fresh arrays
+    # and the gas law as written, over windows from 2 cells (span 0) to the
+    # whole grid (numpy forms x**2 and x**2.0 as np.square, other exponents
+    # as np.power)
     gas = GasModel(gamma, rho_bar)
     span = data.draw(st.sampled_from([0, 1, n_cells - 1, n_cells]) | st.integers(0, n_cells))
     s = random_state(RadialGrid(12.0, n_cells), rho_bar, 0.0, data.draw(st.integers(0, 2**32 - 1)), span, 0.0)
@@ -743,6 +744,8 @@ def test_workspace_kernels_match_the_gas_kernels_on_fresh_arrays(gamma, rho_bar,
     x, u = ws.rho[:m] / gas.rho_bar, ws.u[:m].copy()
     assert ws.speed[:m].tobytes() == _wave_speed(gas, x, u).tobytes()
     assert ws.p[:m].tobytes() == gas.pressure_of_ratio(x).tobytes()
+    assert ws.speed[:m].tobytes() == (np.sqrt(np.exp((gamma - 1.0) * np.log(x))) + np.abs(u)).tobytes()
+    assert ws.p[:m].tobytes() == ((rho_bar / gamma) * x**gamma).tobytes()
 
 
 def window_views(win):

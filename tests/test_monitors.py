@@ -16,6 +16,7 @@ from critdamp import (
     weighted_potential_energy,
 )
 from critdamp.monitors import CriterionReport
+from critdamp.numerics import time_integral
 from critdamp.profiles import radial_bump, radial_outgoing_shell
 from helpers import (
     _split_cells,
@@ -283,6 +284,51 @@ def test_criterion_closed_form_factor_paths_agree():
             0.0, 20.0, 2_000_000,
         )
         assert rep.integral_value == pytest.approx(brute, rel=1e-10)
+
+
+def _undamped_criterion_integral(m, t_star, l0, rho_bar):
+    """int_0^T* dtau / alpha(tau) at mu = 0, from the primitive in v = tau + M
+    of 1 / (v^2 (L0 + c v^3)), c = 4 pi^2 rho_bar / 3, by mpmath at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        c = 4 * mp.pi**2 * rho_bar / 3
+        a = mp.mpf(m)
+        b = a + mp.mpf(t_star)
+        if l0 == 0:
+            return float((a**-4 - b**-4) / (4 * c))
+        k, r3 = mp.cbrt(mp.mpf(l0) / c), mp.sqrt(3)
+
+        def primitive(v):  # v^3 + k^3 = (L0 + c v^3) / c
+            g = (mp.log(v * v - k * v + k * k) - 2 * mp.log(v + k)) / (6 * k) + mp.atan((2 * v - k) / (k * r3)) / (k * r3)
+            return (-1 / v - g) / l0
+
+        return float(primitive(b) - primitive(a))
+
+
+@pytest.mark.parametrize("l0", [0.0, 0.5])
+def test_criterion_matches_the_undamped_closed_form_at_every_support(l0):
+    # the integral in units of min(M, 1) resolves a spike of width M at tau = 0
+    # and every decade of a huge T*; log(1 + tau) alone was off by up to
+    # 4.7e-10 for 1e-14 <= M <= 1e-6 and gave up at M <= 1e-12 with T* = 1e300
+    law = DampingLaw(mu=0.0, lam=0.0)
+    for m in (1e-40, 1e-20, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1.0, 1e8):
+        for t_star in (0.5, 10.0, 1e6, 1e300):
+            rep = blowup_criterion(1.0, l0, m, law, GAS, t_star)
+            assert rep.integral_value == pytest.approx(
+                _undamped_criterion_integral(m, t_star, l0, GAS.rho_bar), rel=1e-12), (m, t_star)
+
+
+@pytest.mark.parametrize("law", [DampingLaw(mu=1.0, lam=2.0), DampingLaw(mu=2.0, lam=0.0)])
+def test_criterion_at_a_support_of_at_least_one_is_a_log_time_integral(law):
+    # in units of min(M, 1) = 1 the scaling is exact: the integral is, bit for
+    # bit, time_integral of the integrand in tau itself
+    for m in (1.0, 1.5, 1e8):
+        for t_star in (10.0, 1e300):
+            def integrand(tau):
+                return np.exp(-law.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, 0.5, GAS)
+
+            rep = blowup_criterion(1.0, 0.5, m, law, GAS, t_star)
+            assert rep.integral_value == time_integral(integrand, t_star), (m, t_star)
 
 
 def test_criterion_validation():
