@@ -5,7 +5,8 @@
 # rho_bar = 1e160) and one that breaks down, with functionals after each,
 # functionals on a CRLF copy of one of their snapshots.csv, three more
 # burgers-sim runs (many samples, mu = 0 on an explicit span, and eps = 1e-300),
-# two criterion runs to T* = 1e300 (at M = 3 and M = 1e8), and a small
+# three criterion runs to T* = 1e300 (at M = 3, 1e8 and 1e-20), a lifespan far
+# below 1, a sweep over the lambda -> 1 corners, and a small
 # literal profile.file table for each geometry (a 1-D triangle through
 # burgers-lifespan, sweep and burgers-sim; a radial table through euler-sim,
 # functionals and criterion) write when run on the sources under <src-dir>.
@@ -79,9 +80,15 @@ run line-tiny burgers-sim --profile.epsilon 1e-300 --run.t_end 2 --run.monitor_c
     --output.dir out
 
 # criterion out to T* = 1e300 at supports M >= 1, where its integral is taken
-# in log(1 + tau) itself, unscaled.
+# in log(1 + tau) itself, unscaled, and at M = 1e-20, in units of M.
 run criterion-wide criterion --profile.name outgoing-shell --profile.epsilon 1 --profile.M 3 --run.t_end 1e300
 run criterion-far criterion --profile.name outgoing-shell --profile.epsilon 2 --profile.M 1e8 --run.t_end 1e300
+run criterion-tiny criterion --profile.M 1e-20 --run.t_end 1e300
+
+# Lifespan roots: one near 1.25e-10, far below 1, and sweeps over the lam -> 1
+# corners, where I(t) is a quadrature.
+run lifespan-tiny burgers-lifespan --damping.lambda 2 --damping.mu 1 --profile.epsilon 1e10
+run sweep-corners sweep --sweep.lambda 0.9995,1.00001 --sweep.mu 0.3,1 --sweep.epsilon 0.4,0.5
 
 # A run that ends in a breakdown (NegativeDensity at cfl 0.9), the path of the
 # step's density check, with functionals after it.

@@ -24,6 +24,7 @@ stay bit-identical to it.  The state holds until the next step, so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,7 +53,8 @@ class BurgersProblem:
 
     ``w0`` and ``w0_prime`` must be vectorized callables vanishing outside
     ``support``; ``m`` = max(-w0') is scanned by :func:`max_negative_slope`
-    when left None.  Immutable; safe to share between simulations.
+    when left None; the CLI passes the exact one, a builtin's in closed form.
+    Immutable; safe to share between simulations.
     """
 
     w0: Callable
@@ -95,24 +97,28 @@ def max_negative_slope(problem: BurgersProblem) -> float:
     return max(0.0, float(best))
 
 
-def _least_doubling(integral_at: Callable[[float], float], target: float) -> float:
-    """The least 2^k, 0 <= k <= 1023, with integral_at(2^k) >= target, or inf.
+def _least_doubling(excess: Callable[[float], float], target: float) -> float:
+    """The least 2^k, -1074 <= k <= 1023, with excess(2^k) >= 0, or inf:
+    for an increasing ``excess``, its root lies in (2^(k-1), 2^k].
 
-    Gallops over k (0, 1, 3, 7, ...) and then bisects, so a root near the
-    end of the float range costs about 20 evaluations, not 1024.
+    Gallops over k from the exponent of ``target`` (about the root of
+    I(T) = target where I(t) is near t), by steps of 1, 2, 4, ..., away from
+    the side already found, and then bisects.  A root near ``target`` costs
+    two evaluations; one anywhere in the float range about 20.
     """
-    below, k, step = -1, 0, 1  # integral_at(2^below) < target
-    while integral_at(math.ldexp(1.0, k)) < target:
-        if k == 1023:
-            return math.inf
-        below, k, step = k, min(k + step, 1023), 2 * step
-    while k - below > 1:
-        mid = (below + k) // 2
-        if integral_at(math.ldexp(1.0, mid)) < target:
-            below = mid
+    below, above = -1075, 1024  # excess(2^below) < 0 <= excess(2^above); 2^-1075 rounds to 0
+    k, step = min(max(math.frexp(target)[1], -1074), 1023), 1
+    while above - below > 1:
+        if excess(math.ldexp(1.0, k)) < 0.0:
+            below = k
         else:
-            k = mid
-    return math.ldexp(1.0, k)
+            above = k
+        if below == -1075 or above == 1024:
+            k = max(above - step, -1074) if below == -1075 else min(below + step, 1023)
+            step *= 2
+        else:
+            k = (below + above) // 2
+    return math.inf if above == 1024 else math.ldexp(1.0, above)
 
 
 def classify_lifespan(problem: BurgersProblem) -> Verdict:
@@ -122,8 +128,9 @@ def classify_lifespan(problem: BurgersProblem) -> Verdict:
     Closed forms give T directly at mu = 0 and lam in {0, 1}.  Every other
     law root-finds I(T) = target on ``law.reciprocal_integral`` (incomplete
     gamma, Poisson series, or log-time quadrature in the lam -> 1 corners),
-    bracketed by the least power of two past the root and closed to 1e-15
-    relative."""
+    on the bracket (2^(k-1), 2^k] of :func:`_least_doubling`, closed to
+    1e-15 * 2^k: relative 1e-15 on every root, from 2^-1074 to the float
+    range.  Each I(t) is evaluated once per classification."""
     m = problem.m
     if m <= 0.0:
         return Global()
@@ -147,16 +154,12 @@ def classify_lifespan(problem: BurgersProblem) -> Verdict:
     if law.lam == 0.0:
         return FiniteLifespan(float(-np.log1p(-law.mu * target) / law.mu))
 
-    hi = _least_doubling(law.reciprocal_integral, target)
+    excess = functools.cache(lambda t: law.reciprocal_integral(t) - target)
+    hi = _least_doubling(excess, target)
     if hi == math.inf:
         # the root lies beyond the float range, as at lam = 1 above
         return FiniteLifespan(math.inf)
-    t_cross = solve_bracketed(
-        lambda t: law.reciprocal_integral(t) - target,
-        0.0,
-        hi,
-        x_tol=1e-15 * (1.0 + hi),
-    )
+    t_cross = solve_bracketed(excess, 0.5 * hi, hi, x_tol=1e-15 * hi)
     return FiniteLifespan(t_cross)
 
 

@@ -70,12 +70,15 @@ def _radial_profile(cfg: ExperimentConfig) -> euler.InitialProfile:
 
 
 def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
-    """The 1-D problem.  A file's m = max(-w0') is exact, over its segments;
-    a builtin's is left to BurgersProblem to scan."""
+    """The 1-D problem, with its exact m = max(-w0'): a builtin's in closed
+    form, a file's over its segments."""
     path = cfg["profile.file"]
     if path is None:
-        value, deriv, support = profiles.LINE_PROFILES[cfg["profile.name"]](cfg["profile.M"])
-        m = None
+        build, m1 = profiles.LINE_PROFILES[cfg["profile.name"]]
+        value, deriv, support = build(cfg["profile.M"])
+        m = m1 / cfg["profile.M"]
+        if m == np.inf:
+            raise ConfigError(f"key 'profile.M': {cfg['profile.M']!r} is too small: max(-w0') = {m1!r}/M overflows")
     else:
         with _as_config_error("profile.file"):
             xs, [ys], [(value, deriv)] = _sampled_profiles(path, "x,w0")

@@ -15,6 +15,7 @@ are written once, over the rows of C-order (k, n_cells) stacks on one grid
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -111,12 +112,16 @@ def blowup_criterion(
     if not weight > 1.0 / sys.float_info.max:
         raise ValueError(f"the criterion weight alpha(0) = {weight!r} has no finite reciprocal")
 
+    # the integrand peaks at 1/alpha(0); past 1, 2^k is factored out of it so
+    # that the quadrature's weighted sums of values stay finite
+    k = max(0, math.frexp(1.0 / weight)[1])
+
     def integrand(tau):
         tau = np.asarray(tau, dtype=float)
-        return np.exp(-damping.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, l0, gas)
+        return np.ldexp(np.exp(-damping.log_integrating_factor(tau)) / cauchy_schwarz_weight(tau, m, l0, gas), -k)
 
     s = min(m, 1.0)
-    integral = s * time_integral(lambda x: integrand(s * x), min(t_star / s, sys.float_info.max))
+    integral = math.ldexp(s * time_integral(lambda x: integrand(s * x), min(t_star / s, sys.float_info.max)), k)
     return CriterionReport(h0, l0, t_star, integral)
 
 

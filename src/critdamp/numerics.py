@@ -127,9 +127,20 @@ def solve_bracketed(
 ) -> float:
     """Root of a continuous scalar function on a sign-changing bracket [lo, hi].
 
-    Bisection guarantees convergence; a secant candidate is taken whenever it
-    lands strictly inside the current bracket, which restores superlinear
-    convergence on smooth problems without giving up the bracket.
+    Anderson-Bjorck false position (BIT 13, 1973): the new point is the
+    chord's zero, and when it lands on the same side as the last one, the
+    value at the retained end is scaled by 1 - f(new)/f(old) (by 1/2 if that
+    is not positive), so that no end stays fixed as in plain regula falsi.
+    Sides are decided by the signs of f, never by products, which underflow.
+    The step bisects where the chord's zero leaves the open bracket, and
+    wherever false position falls behind bisection: at 4 loop evaluations
+    more than 3 per halving of the bracket so far (3 before the last
+    halving that ``x_tol`` needs).  So ``f`` is called at most
+    3 ceil(log2((hi - lo) / x_tol)) + 3 times.
+
+    Returns the midpoint once ``hi - lo <= x_tol`` (or once no float lies
+    strictly between the ends), and ``x`` where ``f(x) == 0``.  Raises
+    ``ValueError`` where f(lo) and f(hi) are nonzero and of one sign.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -137,24 +148,33 @@ def solve_bracketed(
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0.0:
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("root bracket endpoints must have opposite signs")
 
-    for _ in range(200):
-        if hi - lo <= x_tol:
-            break
-        x = 0.5 * (lo + hi)
-        if f_hi != f_lo:
-            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if lo + 0.01 * (hi - lo) < secant < hi - 0.01 * (hi - lo):
-                x = secant
+    side, n, halvings, width = 0, 0, 0, hi - lo  # end moved last; loop evaluations; first width, halved
+    while hi - lo > x_tol:
+        x = hi - f_hi / (f_hi - f_lo) * (hi - lo)
+        bisect = n >= 3 * halvings + 4 - (0.5 * width <= x_tol) or not lo < x < hi
+        if bisect:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
         f_x = f(x)
         if f_x == 0.0:
             return x
-        if f_lo * f_x < 0.0:
-            hi, f_hi = x, f_x
+        if (f_x > 0.0) == (f_hi > 0.0):
+            if side > 0:
+                scale = 1.0 - f_x / f_hi
+                f_lo *= scale if scale > 0.0 else 0.5
+            hi, f_hi, side = x, f_x, 1
         else:
-            lo, f_lo = x, f_x
+            if side < 0:
+                scale = 1.0 - f_x / f_lo
+                f_hi *= scale if scale > 0.0 else 0.5
+            lo, f_lo, side = x, f_x, -1
+        n += 1
+        if bisect or hi - lo <= 0.5 * width:
+            halvings, width = halvings + 1, 0.5 * width
     return 0.5 * (lo + hi)
 
 

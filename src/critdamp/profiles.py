@@ -53,8 +53,14 @@ def _smooth_step_prime(s):
     return out
 
 
+# max(-w0') of line_bump(1), correctly rounded (mpmath: 0.79842975183359954417):
+# -w0' peaks where 3 s^4 = 1, at 2 3^(-1/4) q^-2 e^(-1/q) with q = 1 - 1/sqrt(3)
+BUMP_M1 = 0.7984297518335995
+
+
 def line_bump(m: float) -> tuple[Callable, Callable, tuple[float, float]]:
-    """1-D bump w0(x) = exp(-1/(1-(x/m)^2)) supported on (-m, m)."""
+    """1-D bump w0(x) = exp(-1/(1-(x/m)^2)) supported on (-m, m); its
+    max(-w0') is ``BUMP_M1 / m``."""
 
     def value(x):
         return mollifier(np.asarray(x, dtype=float) / m)
@@ -124,13 +130,13 @@ def radial_outgoing_shell(m0: float, m: float) -> tuple[Callable, Callable]:
 
 
 # name -> builder: radial ones take (M0, M) and return (rho0, u0); line ones
-# take M and return (w0, w0', support).
+# take M and return (w0, w0', support), and come with their max(-w0') at M = 1.
 RADIAL_PROFILES: dict[str, Callable] = {
     "bump": lambda m0, m: radial_bump(m),
     "shell": radial_shell,
     "outgoing-shell": radial_outgoing_shell,
 }
-LINE_PROFILES: dict[str, Callable] = {"bump": line_bump}
+LINE_PROFILES: dict[str, tuple[Callable, float]] = {"bump": (line_bump, BUMP_M1)}
 
 
 def sampled_profile(xs: np.ndarray, ys: np.ndarray) -> tuple[Callable, Callable]:

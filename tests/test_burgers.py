@@ -20,7 +20,7 @@ from critdamp import (
     simulate_fv,
 )
 from critdamp.outcome import march, sample_times, verdict_label
-from critdamp.profiles import line_bump, line_ramp, mollifier, mollifier_prime
+from critdamp.profiles import BUMP_M1, line_bump, line_ramp, mollifier, mollifier_prime
 from helpers import (
     bisect_root,
     composite_simpson,
@@ -52,6 +52,20 @@ def test_bump_slope_frozen_oracle():
     # at x = 0.7598356852; refined value frozen here.
     p = bump_problem(1e-3, 1.0, 1.0)
     assert max_negative_slope(p) == pytest.approx(0.7984297518335999, abs=1e-8)
+
+
+def test_bump_slope_closed_form():
+    # -w0' peaks where 3 s^4 = 1: BUMP_M1 is its value correctly rounded, and
+    # the scan of a problem built with m=None lands within 4 ulp of it
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        q = 1 - 1 / mp.sqrt(3)
+        exact = 2 * mp.mpf(3) ** (-mp.mpf(1) / 4) / q**2 * mp.exp(-1 / q)
+        assert abs(exact - BUMP_M1) <= np.spacing(BUMP_M1) / 2
+    assert BUMP_M1 == float(exact)
+    w0, w0p, sup = line_bump(1.0)
+    scanned = BurgersProblem(w0, w0p, sup, 1.0, DampingLaw(0.0, 0.0)).m
+    assert abs(scanned - BUMP_M1) <= 4 * np.spacing(BUMP_M1)
 
 
 def test_nondecreasing_profile_has_zero_slope():
@@ -145,6 +159,42 @@ def test_lifespan_beyond_the_doubling_bracket():
     # C = 1000: I(t) stays below 1 over the whole float range
     v = classify_lifespan(replace(ramp_problem(1.0, 1000.0, 2.0), m=1.0))
     assert isinstance(v, FiniteLifespan) and np.isinf(v.lifespan)
+
+
+@pytest.mark.parametrize("lam, mu, eps", [(0.7, 0.3, 0.5), (2.0, 1.0, 0.2), (1.5, 0.5, 0.3)])
+def test_lifespan_takes_few_integral_evaluations(monkeypatch, lam, mu, eps):
+    # the bracket from the doubling and Anderson-Bjorck false position on it:
+    # the old secant step, regula falsi on the concave I(t), took 36 to 58
+    calls = []
+    integral = DampingLaw.reciprocal_integral
+
+    def counted(law, t):
+        calls.append(t)
+        return integral(law, t)
+
+    monkeypatch.setattr(DampingLaw, "reciprocal_integral", counted)
+    v = classify_lifespan(replace(bump_problem(eps, mu, lam), m=BUMP_M1))
+    assert isinstance(v, FiniteLifespan)
+    assert len(calls) <= 15
+
+
+@pytest.mark.parametrize("eps", [1e6, 1e10, 1e14, 1e200])
+def test_lifespan_far_below_one_matches_mpmath(eps):
+    # T is about 1/(eps m), relative 1e-15 below 1 too: the bracket used to
+    # start at [0, 1] and close to an absolute 1e-15 (8.9e-16 at eps = 1e200)
+    mp = pytest.importorskip("mpmath")
+    v = classify_lifespan(replace(bump_problem(eps, 1.0, 2.0), m=BUMP_M1))
+    assert isinstance(v, FiniteLifespan)
+    # 1/beta(tau) = exp(-tau/(1+tau)), integrated over tau/t in [0, 1] and
+    # solved for T/target near 1: mpmath's quad and findroot are not scale-free
+    def relative_integral(u):
+        t = u * target
+        return u * mp.quad(lambda s: mp.exp(-t * s / (1 + t * s)), [0, 1])
+
+    with mp.workdps(50):
+        target = 1 / (mp.mpf(eps) * mp.mpf(BUMP_M1))
+        exact = mp.findroot(lambda u: relative_integral(u) - 1, 1) * target
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_interior_lambda_classification_needs_no_quadrature(monkeypatch):

@@ -20,13 +20,12 @@ from critdamp import (
     classify_lifespan,
     euler,
     init_state,
-    max_negative_slope,
     run,
 )
 from critdamp.cli import main, run_experiment
 from critdamp.config import ConfigError, parse_config
 from critdamp.csvio import read_radial_snapshots
-from critdamp.profiles import line_bump, sampled_profile
+from critdamp.profiles import BUMP_M1, sampled_profile
 from helpers import parse_verdict_label, read_series
 
 
@@ -225,6 +224,27 @@ def test_criterion_tiny_support_is_integrated_in_units_of_m(tmp_path, capsys):
     assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-12)
 
 
+def test_criterion_near_the_smallest_support_answers_or_is_config_error(tmp_path, capsys):
+    # alpha(0) ~ M^5 nears 1/float max here: from M = 1.5e-62 to 3e-62 the
+    # quadrature's sums of integrand values near 1/alpha(0) overflowed
+    # (runtime-error, exit 1).  Each M answers finitely, on the M^-4 scaling
+    # of the test above, or is a profile.M config error
+    scaled = []
+    for m in np.geomspace(1e-62, 1e-61, 12):
+        for t_end in ("10", "1e300"):
+            out = str(tmp_path / f"{m!r}-{t_end}")
+            rc = main(["criterion", "--profile.M", repr(float(m)), "--run.t_end", t_end, "--output.dir", out])
+            err = capsys.readouterr().err
+            assert rc in (0, 2), err
+            if rc == 2:
+                assert err.startswith("config-error: key 'profile.M':")
+                continue
+            fields = dict(line.split(" = ") for line in read(os.path.join(out, "criterion.txt")).splitlines())
+            scaled.append(float(fields["integral_value"]) * float(m) ** 4)
+    assert len(scaled) >= 16
+    assert scaled == pytest.approx([scaled[-1]] * len(scaled), rel=1e-12)
+
+
 @pytest.mark.parametrize("eps, rc", [("1e308", 2), ("1.7e308", 2), ("1e200", 0)])
 def test_burgers_sim_overflowing_series_is_an_epsilon_config_error(tmp_path, capsys, eps, rc):
     # the series' Q sums w = eps w0 over the cells before it multiplies by dx:
@@ -313,12 +333,10 @@ def test_sweep_without_damping_is_exact(tmp_path):
     out = str(tmp_path / "sw")
     run_experiment(parse_config(
         f"sweep.lambda = 0,1,1.5,3\nsweep.mu = 0\nsweep.epsilon = 0.5\noutput.dir = {out}", "sweep"))
-    w0, w0p, support = line_bump(1.0)
-    m = max_negative_slope(BurgersProblem(w0, w0p, support, 1.0, DampingLaw(0.0, 0.0)))
     rows = [row.split(",") for row in read(os.path.join(out, "sweep.csv")).splitlines()[1:]]
     assert [row[0] for row in rows] == ["0.0", "1.0", "1.5", "3.0"]
     assert {row[3] for row in rows} == {"FiniteLifespan"}
-    assert {float(row[4]) for row in rows} == {1.0 / (0.5 * m)}
+    assert {float(row[4]) for row in rows} == {1.0 / (0.5 * BUMP_M1)}
 
 
 def test_deterministic_outputs(tmp_path):
@@ -508,22 +526,33 @@ def test_burgers_sim_span_that_cuts_the_support_is_config_error(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
-def test_sweep_scans_a_builtin_slope_once_and_a_file_slope_never(tmp_path, monkeypatch):
-    calls = []
-    scan = burgers.max_negative_slope
+def test_line_modes_never_scan_a_slope(tmp_path, monkeypatch):
+    # the bump's m is BUMP_M1 / M in closed form, a file's comes from its segments
+    def forbidden(problem):
+        raise AssertionError("max_negative_slope called")
 
-    def counted(problem):
-        calls.append(problem)
-        return scan(problem)
-
-    monkeypatch.setattr("critdamp.burgers.max_negative_slope", counted)
-    args = ["--sweep.lambda", "1,2", "--sweep.mu", "0.5,2", "--sweep.epsilon", "0.1,0.5",
-            "--output.dir", str(tmp_path)]
-    assert main(["sweep"] + args) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr("critdamp.burgers.max_negative_slope", forbidden)
     (tmp_path / "triangle.csv").write_text("x,w0\n-1,0\n0,1\n1,0\n")
-    assert main(["sweep", "--profile.file", str(tmp_path / "triangle.csv")] + args) == 0
-    assert len(calls) == 1
+    sweep = ["--sweep.lambda", "1,2", "--sweep.mu", "0.5,2", "--sweep.epsilon", "0.1,0.5"]
+    sim = ["--run.t_end", "1", "--run.monitor_cadence", "0.5", "--grid.n_cells", "64"]
+    for profile in ([], ["--profile.file", str(tmp_path / "triangle.csv")]):
+        out = ["--output.dir", str(tmp_path / "out")]
+        assert main(["sweep"] + sweep + profile + out) == 0
+        assert main(["burgers-lifespan"] + profile + out) == 0
+        assert main(["burgers-sim"] + sim + profile + out) == 0
+
+
+def test_bump_slope_that_overflows_is_config_error(tmp_path, capsys):
+    # BUMP_M1 / M passes the float range below M of about 4.4e-309
+    out = tmp_path / "out"
+    for mode in ("sweep", "burgers-lifespan", "burgers-sim"):
+        for m in ("1e-310", "5e-324"):
+            args = ["--sweep.lambda", "2", "--sweep.mu", "1", "--sweep.epsilon", "0.5"] if mode == "sweep" else []
+            assert main([mode, "--profile.M", m, "--output.dir", str(out)] + args) == 2
+            assert capsys.readouterr().err.startswith("config-error: key 'profile.M':")
+    assert list(out.iterdir()) == []
+    assert main(["sweep", "--profile.M", "4.5e-309", "--sweep.lambda", "2", "--sweep.mu", "1",
+                 "--sweep.epsilon", "0.5", "--output.dir", str(out)]) == 0
 
 
 def test_radial_profile_file_ends_at_its_last_r(tmp_path, capsys):

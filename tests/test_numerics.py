@@ -94,6 +94,52 @@ def test_root_endpoint_hits():
         solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def test_root_of_tiny_values_is_decided_by_sign():
+    # f_lo * f_x underflowed to 0: the root came out at the upper end, and
+    # same-sign ends passed as a bracket
+    assert solve_bracketed(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(ValueError):
+        solve_bracketed(lambda x: 1e-200 * (x + 0.3), 0.0, 1.0)
+
+
+_ROOT_SHAPES = {
+    "tanh": lambda c, steep: lambda x: math.tanh(10.0**steep * (x - c)),
+    "power": lambda c, steep: lambda x: x**21 - c,
+    "step": lambda c, steep: lambda x: -1.0 if x < c else 1.0,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_ROOT_SHAPES)),
+    c=st.floats(-0.9, 0.9),
+    steep=st.floats(0.0, 8.0),
+    scale=st.sampled_from([1.0, -1.0, 1e-200, -1e-200]),
+    lo=st.floats(-2.0, -1.0),
+    hi=st.floats(1.0, 2.0),
+    log_tol=st.floats(-14.0, -1.0),
+)
+def test_root_bracket_and_evaluation_bound(shape, c, steep, scale, lo, hi, log_tol):
+    # increasing shapes, steep, flat near their root (x^21) or flat on both
+    # sides, scaled down to where products of values underflow
+    g = _ROOT_SHAPES[shape](c, steep)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return scale * g(x)
+
+    x_tol = 10.0**log_tol * (hi - lo)
+    x = solve_bracketed(f, lo, hi, x_tol=x_tol)
+    assert len(calls) <= 3 * math.ceil(math.log2((hi - lo) / x_tol)) + 3
+    # a root of f as evaluated (1e-200 x^21 underflows to 0 near 0), or a
+    # sign change of f within x_tol
+    f_left, f_right = f(max(x - x_tol, lo)), f(min(x + x_tol, hi))
+    assert f(x) == 0.0 or f_left == 0.0 or f_right == 0.0 or (f_left > 0.0) != (f_right > 0.0)
+    with pytest.raises(ValueError):
+        solve_bracketed(f, hi + 1.0, hi + 2.0)
+
+
 def test_scan_maximum_quadratic():
     x, val = scan_maximum(lambda x: -((x - 0.3) ** 2) + 2.0, -1.0, 1.0, n_scan=1001)
     assert x == pytest.approx(0.3, abs=1e-8)
