@@ -5,8 +5,9 @@
 # rho_bar = 1e160) and one that breaks down, with functionals after each,
 # functionals on a CRLF copy of one of their snapshots.csv, three more
 # burgers-sim runs (many samples, mu = 0 on an explicit span, and eps = 1e-300),
-# three criterion runs to T* = 1e300 (at M = 3, 1e8 and 1e-20), a lifespan far
-# below 1, a sweep over the lambda -> 1 corners, and a small
+# three criterion runs to T* = 1e300 (at M = 3, 1e8 and 1e-20), one at
+# M = 1.7e-62, near the smallest support, a lifespan far below 1, a sweep over
+# the lambda -> 1 corners, and a small
 # literal profile.file table for each geometry (a 1-D triangle through
 # burgers-lifespan, sweep and burgers-sim; a radial table through euler-sim,
 # functionals and criterion) write when run on the sources under <src-dir>.
@@ -50,7 +51,10 @@ run readme-euler euler-sim --run.t_end 20 --grid.n_cells 1024 --output.dir out
 run readme-euler functionals --output.dir out
 run readme-criterion criterion --profile.name outgoing-shell --profile.epsilon 1.0 --run.t_end 10
 
-# Benchmark workloads, seed 1.
+# Benchmark workloads, seed 1.  A radial run takes max |du/dr| only after a
+# step where 2 (1 + 1e-15) max(|u| + c) / dr does not already bound it below
+# the gradient trigger: radial-step takes it after every step, radial-io and
+# readme-euler on none.
 shell=(--profile.name outgoing-shell --profile.M0 0.3)
 run radial-step euler-sim "${shell[@]}" --profile.epsilon 0.2901 --damping.lambda 2.8651 --damping.mu 1.0526 \
     --grid.n_cells 4096 --run.t_end 3 --run.monitor_cadence 1 --output.dir out
@@ -84,6 +88,8 @@ run line-tiny burgers-sim --profile.epsilon 1e-300 --run.t_end 2 --run.monitor_c
 run criterion-wide criterion --profile.name outgoing-shell --profile.epsilon 1 --profile.M 3 --run.t_end 1e300
 run criterion-far criterion --profile.name outgoing-shell --profile.epsilon 2 --profile.M 1e8 --run.t_end 1e300
 run criterion-tiny criterion --profile.M 1e-20 --run.t_end 1e300
+# 1/alpha(0) near 1e245, whose integral is taken in units of 2^k
+run criterion-smallest criterion --profile.M 1.7e-62
 
 # Lifespan roots: one near 1.25e-10, far below 1, and sweeps over the lam -> 1
 # corners, where I(t) is a quadrature.

@@ -11,14 +11,19 @@ Workspace rule: a finite-volume step is bound by numpy call overhead, so
 :mod:`critdamp.euler`'s notes: the state lives in one padded buffer of
 n_cells + 2 cells, whose +0.0 ghosts nothing writes, and a step forms every
 face flux before it updates the cells in place, allocating no array of the
-grid's size.  |w| and the face jumps are formed once per state, when it is
-made: the interior jumps as diff(w), the boundary ones as the subtractions
-w[0] - 0.0 and 0.0 - w[-1] that e[1:] - e[:-1] performs, so a -0.0 keeps its
-bits.  stable_dt, the gradient trigger and the next step only read them.
-Every pass keeps the operation and operand order of the allocating
-expression it replaces, up to swapping the operands of * (exact in IEEE 754),
-and nothing is reassociated or fused, so states, dt values and artifacts
-stay bit-identical to it.  The state holds until the next step, so
+grid's size.  |w|, its maximum and the face jumps are formed once per
+state, when it is made: the interior jumps as diff(w), the boundary ones as
+the subtractions w[0] - 0.0 and 0.0 - w[-1] that e[1:] - e[:-1] performs, so
+a -0.0 keeps its bits.  stable_dt, the gradient trigger and the next step
+only read them.  One maximum per state, as in the radial solver: stable_dt
+is cfl * dx / max|w|; a step raises NonFinite where max|w| is not finite,
+which is exactly where some w is not, before it forms the jumps; and the
+march takes max |diff(w)| / dx only where 2 (1 + 1e-15) max|w| / dx does
+not already lie below the trigger's limit
+(:func:`critdamp.outcome.screened_gradient`).  Every pass keeps the
+operation and operand order of the allocating expression it replaces, up to
+swapping the operands of * (exact in IEEE 754), and nothing is reassociated
+or fused, so states, dt values and artifacts stay bit-identical to it.  The state holds until the next step, so
 ``sample`` copies it.
 """
 
@@ -39,7 +44,9 @@ from .outcome import (
     FiniteLifespan,
     Global,
     Verdict,
+    gradient_limit,
     march,
+    screened_gradient,
 )
 
 
@@ -130,13 +137,16 @@ def classify_lifespan(problem: BurgersProblem) -> Verdict:
     gamma, Poisson series, or log-time quadrature in the lam -> 1 corners),
     on the bracket (2^(k-1), 2^k] of :func:`_least_doubling`, closed to
     1e-15 * 2^k: relative 1e-15 on every root, from 2^-1074 to the float
-    range.  Each I(t) is evaluated once per classification."""
+    range.  Each I(t) is evaluated once per classification.  Where eps * m
+    overflows, see :func:`_lifespan_past_overflow`."""
     m = problem.m
     if m <= 0.0:
         return Global()
     eps_m = problem.epsilon * m
-    target = 1.0 / eps_m
     law = problem.damping
+    if eps_m == math.inf:
+        return FiniteLifespan(_lifespan_past_overflow(problem.epsilon, m, law.mu))
+    target = 1.0 / eps_m
     if eps_m * law.reciprocal_integral_limit() <= 1.0:
         # Border case eps*m*I(inf) == 1 stays global: the crossing equation
         # has no finite root, the gradient only diverges as t -> infinity.
@@ -161,6 +171,24 @@ def classify_lifespan(problem: BurgersProblem) -> Verdict:
         return FiniteLifespan(math.inf)
     t_cross = solve_bracketed(excess, 0.5 * hi, hi, x_tol=1e-15 * hi)
     return FiniteLifespan(t_cross)
+
+
+def _lifespan_past_overflow(eps: float, m: float, mu: float) -> float:
+    """The lifespan where eps * m overflows: 1/(eps m), formed as (1/eps)/m.
+
+    It lies below 2^-1022, and 1/beta(tau) lies in [e^(-mu tau), 1], so
+    I(t) = t (1 - theta mu t / 2) with theta in [0, 1]: where mu/(eps m) <
+    2^-53 the root of eps * m * I(T) = 1 is 1/(eps m) to within its
+    rounding, and eps * m * I(inf) > 1.  Raises OverflowError where
+    1/(eps m) is below 2^-1074, or where mu is too large for that.
+    """
+    target = 1.0 / eps / m
+    if target == 0.0:
+        raise OverflowError(f"epsilon * m = {eps!r} * {m!r} puts the lifespan 1/(epsilon m) below the smallest float")
+    if mu * target >= 2.0**-53:
+        raise OverflowError(f"epsilon * m = {eps!r} * {m!r} overflows, and beside it mu = {mu!r} is too large "
+                            "for the lifespan to be 1/(epsilon m)")
+    return target
 
 
 def _invert_characteristics(problem: BurgersProblem, i_t: float, x: np.ndarray) -> np.ndarray:
@@ -273,15 +301,18 @@ def simulate_fv(
     def sample(values: np.ndarray, t: float) -> None:
         snapshots.append(Snapshot1D(t, x.copy(), values.copy(), ws.stable_dt(values)))
 
-    verdict = march(ws.cells, t_end, wanted, ws.stable_dt, ws.advance, ws.gradient, sample, gradient_threshold)
+    limit = gradient_limit(ws.gradient(ws.cells)) if gradient_threshold is None else gradient_threshold
+    gradient = screened_gradient(ws.gradient, lambda values: ws.max_abs, dx, limit)
+    verdict = march(ws.cells, t_end, wanted, ws.stable_dt, ws.advance, gradient, sample, limit)
     return snapshots, verdict
 
 
 class _Workspace:
     """The arrays one :func:`simulate_fv` march steps in (see module notes).
 
-    ``pad`` holds the state in its interior ``cells``; ``abs`` holds |e| and
-    ``jump`` the face jumps e[i+1] - e[i] of the padded state e = ``pad``.
+    ``pad`` holds the state in its interior ``cells``; ``abs`` holds |e|,
+    ``max_abs`` its maximum, and ``jump`` the face jumps e[i+1] - e[i] of the
+    padded state e = ``pad``.
     """
 
     def __init__(self, w: np.ndarray, law: DampingLaw, dx: float, cfl: float, t_end: float) -> None:
@@ -297,18 +328,21 @@ class _Workspace:
         self.jump, self.flux = np.empty(n + 1), np.empty(n + 1)
         self.jump_c, self.flux_c = self.jump[1:-1], self.flux[1:-1]
         self.flux_l, self.flux_r = self.flux[:-1], self.flux[1:]
-        self.dflux, self.finite = np.empty(n), np.empty(n, dtype=bool)
-        self._form_abs_and_jumps()
+        self.dflux = np.empty(n)
+        self._form_abs()
+        self._form_jumps()
 
-    def _form_abs_and_jumps(self) -> None:
+    def _form_abs(self) -> None:
+        self.max_abs = float(np.maximum.reduce(np.abs(self.cells, out=self.abs_c)))
+
+    def _form_jumps(self) -> None:
         w = self.cells
-        np.abs(w, out=self.abs_c)
         np.subtract(w[1:], w[:-1], out=self.jump_c)
         self.jump[0] = w[0] - 0.0
         self.jump[-1] = 0.0 - w[-1]
 
     def stable_dt(self, values: np.ndarray) -> float:
-        speed = float(np.maximum.reduce(self.abs_c))
+        speed = self.max_abs
         return self.cfl * self.dx / speed if speed > 0 else self.t_end
 
     def gradient(self, values: np.ndarray) -> float:
@@ -332,9 +366,11 @@ class _Workspace:
         out = np.subtract(self.cells, d, out=self.cells)
         t_new = t + dt
         out *= self.factor(self.law, t, t_new)
-        if not np.logical_and.reduce(np.isfinite(out, out=self.finite)):
+        # max |w| is not finite exactly where some w is not
+        self._form_abs()
+        if not math.isfinite(self.max_abs):
             raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-        self._form_abs_and_jumps()
+        self._form_jumps()
         return out
 
 

@@ -90,7 +90,9 @@ def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
 
 
 def _run_burgers_lifespan(cfg: ExperimentConfig, out: str) -> None:
-    verdict = burgers.classify_lifespan(_burgers_problem(cfg))
+    problem = _burgers_problem(cfg)
+    with _as_config_error("profile.epsilon", OverflowError):  # a lifespan below the float range
+        verdict = burgers.classify_lifespan(problem)
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
 
@@ -99,7 +101,8 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
     rows = []
     for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
         combo = dataclasses.replace(problem, epsilon=eps, damping=DampingLaw(mu=mu, lam=lam))
-        rows.append((lam, mu, eps, burgers.classify_lifespan(combo)))
+        with _as_config_error("sweep.epsilon", OverflowError):  # a lifespan below the float range
+            rows.append((lam, mu, eps, burgers.classify_lifespan(combo)))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
 

@@ -32,6 +32,22 @@ the one a full scan gives.  Its rho is rho_bar + q_new over the updated
 cells, which is where the density floor is tested, so it needs no second
 rho > 0 check.
 
+One maximum per state: the kernels of a state take M = max(|u| + c) over
+its window once, and it decides three things.  stable_dt is cfl * dr / M.
+A step tests the new state's finiteness by max rho, before it forms
+u = mom / rho, and by M after: rho = rho_bar + rho_pert is nan or +-inf
+wherever rho_pert is (a -inf fails the density floor first), and with every
+rho finite and above the floor, u and so |u| + c are nan or inf wherever mom
+is.  Only where one of the two maxima is not finite (a nan or an inf, or a
+finite state whose rho or wave speed overflows) are the cells tested one by
+one, so every verdict and cause is the cell-by-cell test's; a state whose
+mom is not finite has had its kernels formed by then, which only a step
+that overflowed, and so already warned, makes.  A bare step tests its cells
+one by one.  And :func:`run`'s march takes max |du/dr| only where the bound
+2 (1 + 1e-15) M / dr does not already lie below the gradient trigger's
+limit (:func:`critdamp.outcome.screened_gradient`): rounding is monotone and
+c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u exceeds 2 M.
+
 Views: by the same facts a step, stable_dt and max_velocity_gradient may
 run on past w, and they do, over cells [0, end) with end = w rounded up to a
 multiple of _VIEW_BLOCK cells (at most the grid).  The cells [w, end) update
@@ -40,7 +56,9 @@ window's bit for bit, and the views of [0, end) are made anew only when the
 front crosses a block.
 
 Workspace rule: a step is bound by numpy call overhead on small windows, so
-it copies and concatenates nothing.  :func:`run` gives its march one
+it copies and concatenates nothing, and its scalars (the 0.5 factors, dt,
+the damping factor and rho_bar) are 0-d arrays, which numpy takes without
+converting a Python float on every pass.  :func:`run` gives its march one
 workspace: one padded (rho_pert, mom) pair of n_cells + 4 cells (two ghost
 cells mirrored at r = 0, two background cells past r_max), the current
 window's rho, u, wave speed and pressure, the flux and update scratch, and
@@ -50,22 +68,25 @@ update and the new window's kernels in those buffers, so it allocates no
 array data; a MUSCL step allocates its face values and their kernels.
 A step forms every flux from the current cells before it writes any cell,
 so it updates the window in place, and computes the new window's kernels
-once its density and finiteness checks pass.  The states of a run are views
-of the pair that carry the workspace to step, stable_dt and
-max_velocity_gradient; they hold until the next step, so ``sample`` copies
-them.  Only run steps such a workspace; a state without one (from
-init_state, a copy, a snapshot or a bare step) gets a fresh one per call of
-step, stable_dt or max_velocity_gradient, so a bare step returns arrays that
-no later step writes, and the arithmetic is the same for both.  Each in-place
-pass keeps the operation and operand order of the expression it replaces, up
-to swapping the operands of * or + (exact in IEEE 754), and nothing is
-reassociated or fused, so states, dt values and artifacts stay bit-identical
-to the out-of-place formulas.
+once its density check passes.  A run marches one state, whose arrays are
+views of the pair and which carries the workspace to step, stable_dt and
+max_velocity_gradient; step advances that state in place, new cells and
+new t, so ``sample`` copies it.  Only run steps such a workspace; a state
+without one (from init_state, a copy, a snapshot or a bare step) gets a
+fresh one per call of step, stable_dt or max_velocity_gradient, so a bare
+step returns a new state, whose arrays no later step writes, and the
+arithmetic is the same for both.  Each in-place pass keeps the operation and
+operand order of the expression it replaces, up to swapping the operands of
+* or + (exact in IEEE 754); nothing is reassociated or fused, and the only
+passes left out are identities (x = rho/rho_bar at rho_bar = 1, and
+c^2 *= gamma - 1 at gamma = 2), so states, dt values and artifacts stay
+bit-identical to the out-of-place formulas.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -75,10 +96,22 @@ import numpy as np
 from . import monitors as mon
 from .damping import DampingLaw, StepFactor
 from .gas import GasModel
-from .outcome import DT_FLOOR, BreakdownCause, BreakdownError, Verdict, march, sample_times
+from .outcome import (
+    DT_FLOOR,
+    BreakdownCause,
+    BreakdownError,
+    Verdict,
+    gradient_limit,
+    march,
+    sample_times,
+    screened_gradient,
+)
 
 DENSITY_FLOOR_FACTOR = 1e-6
 _VIEW_BLOCK = 8  # cells: the window's views are made anew once the front crosses a block
+# a 0-d operand spares numpy the conversion of a Python float on every pass
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 # Gauss-Legendre nodes/weights on [-1, 1] for per-cell profile averages.
 _GAUSS_X = np.array([
@@ -196,6 +229,10 @@ class _Workspace:
         self.half_s, self.f_rho, self.f_adv, self.jump, self.p_face = (np.empty(n + 1) for _ in range(5))
         self.d, self.finite = np.empty(n), np.empty(n, dtype=bool)
         self.factor = StepFactor()
+        # a step's scalars as 0-d operands (see _HALF), and its density floor
+        self.rho_bar, self.dt, self.decay = np.array(state.rho_bar), np.empty(()), np.empty(())
+        self.floor = DENSITY_FLOOR_FACTOR * state.rho_bar
+        self.max_speed = math.nan  # max(|u| + c) over the window, once kernels has run
         self.cells[0][:] = state.rho_pert
         self.cells[1][:] = state.mom
         _mirror(self.q, self.mom)
@@ -207,12 +244,15 @@ class _Workspace:
         np.divide(win.mom, rho, out=win.u)
 
     def kernels(self, gas: GasModel) -> None:
-        """The wave speed |u| + c and the pressure over the views' cells."""
+        """The wave speed |u| + c and the pressure over the views' cells,
+        and the wave speed's maximum over the window."""
         win = self.win
-        # x = rho/rho_bar goes where a first-order step forms mom * u later, |u| in p
-        x = np.divide(win.rho, gas.rho_bar, out=win.adv)
+        # x = rho/rho_bar is rho itself at rho_bar = 1; else it goes where a
+        # first-order step forms mom * u later.  |u| goes in p.
+        x = win.rho if gas.rho_bar == 1.0 else np.divide(win.rho, gas.rho_bar, out=win.adv)
         _wave_speed(gas, x, win.u, out=win.speed, scratch=win.p)
         gas.pressure_of_ratio(x, out=win.p)
+        self.max_speed = float(np.maximum.reduce(win.speed_c))
 
 
 class _Window:
@@ -280,6 +320,13 @@ def _view_end(w: int, n: int) -> int:
     return min(-(-w // _VIEW_BLOCK) * _VIEW_BLOCK, n)
 
 
+def _all_finite(win: _Window) -> bool:
+    """Whether every rho_pert and mom cell of the window is finite, tested
+    cell by cell."""
+    return bool(np.logical_and.reduce(np.isfinite(win.q_c, out=win.finite))
+                and np.logical_and.reduce(np.isfinite(win.mom_c, out=win.finite)))
+
+
 def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
     """A copy of ``state`` in a new workspace, with its kernels for ``gas``:
     the state :func:`run` marches from (see module notes)."""
@@ -341,9 +388,9 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
 
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
     """CFL step cfl * dr / max(|u| + c) for the current state, with the
-    maximum over the grid read off the window."""
+    maximum over the grid the one its workspace holds."""
     ws = state._work or _in_workspace(gas, state)._work
-    return cfl * ws.dr / float(np.maximum.reduce(ws.win.speed_c))
+    return cfl * ws.dr / ws.max_speed
 
 
 def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,13 +414,17 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     constant state (rho_bar, 0) outside, where waves must never arrive.  An
     explicit ``dt`` (used for sample-time clamping and step-halving tests)
     bypasses the CFL floor check, which only guards internally computed steps.
-    Only the window's cells are updated (see module notes).
+    Only the window's cells are updated (see module notes); a state in a
+    run's workspace is advanced in place and returned, any other gives a new
+    one.  A bare ``state`` must lie on the background density of ``gas``.
     """
     explicit_dt = dt is not None
     if explicit_dt and not 0 < dt < np.inf:
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
     bare = state._work is None
     if bare:  # a bare step steps a copy, in a workspace that ends with it
+        if state.rho_bar != gas.rho_bar:
+            raise ValueError("the state must lie on the background density of gas")
         state = _in_workspace(gas, state)
     if not explicit_dt:
         dt = stable_dt(gas, state, cfl)
@@ -382,6 +433,7 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
 
     ws = state._work
     win = ws.win
+    ws.dt[()] = dt
     if muscl:
         q_l, q_r = _reconstruct(win.q)
         mom_l, mom_r = _reconstruct(win.mom)
@@ -399,28 +451,28 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
         adv_l, adv_r, p_l, p_r = win.adv_l, win.adv_r, win.p_l, win.p_r
         speed_l, speed_r = win.speed_l, win.speed_r
     half_s = np.maximum(speed_l, speed_r, out=win.half_s)
-    half_s *= 0.5
+    half_s *= _HALF
 
     # Rusanov fluxes 0.5 (l + r) - half_s (r - l), formed in place.
     f_rho = np.add(mom_l, mom_r, out=win.f_rho)
-    f_rho *= 0.5
+    f_rho *= _HALF
     jump = np.subtract(q_r, q_l, out=win.jump)
     jump *= half_s
     f_rho -= jump
     f_adv = np.add(adv_l, adv_r, out=win.f_adv)
-    f_adv *= 0.5
+    f_adv *= _HALF
     np.subtract(mom_r, mom_l, out=jump)
     jump *= half_s
     f_adv -= jump
     p_face = np.add(p_l, p_r, out=win.p_face)
-    p_face *= 0.5
+    p_face *= _HALF
 
     # Every flux is formed, so the window's cells take their new values.
     f_rho *= win.area
     d = np.subtract(win.f_rho_r, win.f_rho_l, out=win.d)
-    d *= dt
+    d *= ws.dt
     d *= win.inv_vol
-    q_cells = np.subtract(win.q_c, d, out=win.q_c)
+    np.subtract(win.q_c, d, out=win.q_c)
 
     # Pressure flux relative to the cell's own pressure: this grouping is the
     # area-weighted pressure gradient plus the geometric 2p/r source, and it
@@ -429,7 +481,7 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     dp_l = np.subtract(win.p_face_l, win.p_c, out=win.f_rho_l)
     dp_r = np.subtract(win.p_face_r, win.p_c, out=win.jump_c)
     t_new = state.t + dt
-    factor = ws.factor(damping, state.t, t_new)
+    ws.decay[()] = ws.factor(damping, state.t, t_new)
     f_adv *= win.area
     np.subtract(win.f_adv_r, win.f_adv_l, out=d)
     d *= win.inv_vol
@@ -438,29 +490,32 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     dp_r -= dp_l
     dp_r *= win.inv_vol
     d += dp_r
-    d *= dt
+    d *= ws.dt
     mom_cells = np.subtract(win.mom_c, d, out=win.mom_c)
-    mom_cells *= factor
+    mom_cells *= ws.decay
     _mirror(ws.q, ws.mom)
 
     w = ws.w
     w_next = _window_end(_span(*ws.bits, max(w - 3, 0), w), ws.n)
     end = _view_end(w_next, ws.n)
     nxt = win if end == win.end else _Window(ws, end)
-    rho = np.add(nxt.q, gas.rho_bar, out=nxt.rho)
+    rho = np.add(nxt.q, ws.rho_bar, out=nxt.rho)
     # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
-    if np.fmin.reduce(rho) <= DENSITY_FLOOR_FACTOR * gas.rho_bar:
+    if np.fmin.reduce(rho) <= ws.floor:
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
-    if not (np.logical_and.reduce(np.isfinite(q_cells, out=win.finite))
-            and np.logical_and.reduce(np.isfinite(mom_cells, out=win.finite))):
+    # a finite max rho proves every rho_pert finite, and a finite max wave
+    # speed every mom; only where one is not are the cells tested one by one
+    if (bare or not math.isfinite(np.maximum.reduce(rho))) and not _all_finite(nxt):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
     ws.w, ws.win = w_next, nxt
-    new = RadialState(t_new, *ws.cells, state.grid, gas.rho_bar)
-    if not bare:
-        np.divide(nxt.mom, rho, out=nxt.u)
-        ws.kernels(gas)
-        new._work = ws
-    return new
+    if bare:
+        return RadialState(t_new, *ws.cells, state.grid, gas.rho_bar)
+    np.divide(nxt.mom, rho, out=nxt.u)
+    ws.kernels(gas)
+    if not math.isfinite(ws.max_speed) and not _all_finite(nxt):
+        raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
+    state.t = t_new
+    return state
 
 
 def max_velocity_gradient(state: RadialState) -> float:
@@ -531,7 +586,9 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
     guarded by :func:`validate_horizon`) to ``t_end`` or breakdown, sampling
     snapshots and the :func:`series` columns on a fixed cadence.  The verdict follows
     :func:`critdamp.outcome.march` with max |du/dr| as the gradient (its
-    trigger is off for velocity-free data, which starts trivially smooth).
+    trigger is off for velocity-free data, which starts trivially smooth),
+    taken only where the wave speed does not already bound it below the
+    trigger (see module notes).
     """
     if state.t != 0:
         raise ValueError("the initial state must be at t = 0")
@@ -550,9 +607,11 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
         s.t = t  # march lands exactly on t; the next step starts from there
         snapshots.append(s.copy())
 
-    verdict = march(_in_workspace(gas, state), t_end, sample_times(t_end, monitor_cadence),
-                    lambda s: stable_dt(gas, s, cfl),
-                    lambda s, t, dt: step(gas, damping, s, cfl, dt=dt, muscl=muscl),
-                    max_velocity_gradient, sample)
+    start = _in_workspace(gas, state)
+    limit = gradient_limit(max_velocity_gradient(start))
+    # |u| <= |u| + c, so max(|u| + c) bounds the velocity the gradient is taken of
+    gradient = screened_gradient(max_velocity_gradient, lambda s: s._work.max_speed, state.grid.dr, limit)
+    verdict = march(start, t_end, sample_times(t_end, monitor_cadence), lambda s: stable_dt(gas, s, cfl),
+                    lambda s, t, dt: step(gas, damping, s, cfl, dt=dt, muscl=muscl), gradient, sample, limit)
     columns = series(snapshots, gas, damping, cfl)
     return RunResult(np.asarray([s.t for s in snapshots]), columns, snapshots, verdict)

@@ -60,9 +60,11 @@ class GasModel:
 
     def sound_speed_sq_of_ratio(self, x, out=None):
         """Squared sound speed at the density ratio x = rho/rho_bar > 0
-        (unchecked); ``out`` is numpy's."""
+        (unchecked), as exp((gamma-1) log x), without the product by 1 at
+        gamma = 2; ``out`` is numpy's."""
         c2 = np.log(x, out=out)
-        c2 *= self.gamma - 1.0
+        if self.gamma != 2.0:
+            c2 *= self.gamma - 1.0
         return np.exp(c2, out=out)
 
     def enthalpy(self, rho):

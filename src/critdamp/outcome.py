@@ -10,6 +10,9 @@ from typing import Callable, Sequence, Union
 
 DT_FLOOR = 1e-10
 GRADIENT_BLOWUP_FACTOR = 1e3
+# a difference of two values is at most twice their largest size: see
+# :func:`screened_gradient`
+GRADIENT_BOUND_FACTOR = 2.0 * (1.0 + 1e-15)
 
 
 class BreakdownCause(str, Enum):
@@ -84,6 +87,31 @@ def sample_times(t_end: float, cadence: float) -> list[float]:
     return times
 
 
+def gradient_limit(grad0: float) -> float:
+    """The gradient trigger's default limit: 1000x the initial gradient
+    ``grad0``, or inf when that is 0 (nothing to steepen from)."""
+    return GRADIENT_BLOWUP_FACTOR * grad0 if grad0 > 0 else math.inf
+
+
+def screened_gradient(gradient: Callable, max_abs: Callable, h: float, limit: float) -> Callable:
+    """``gradient`` for :func:`march`, the discrete max |diff(v)| / h of a
+    state, taken only where the bound 2 (1 + 1e-15) max_abs(state) / h does
+    not already lie below ``limit``; there it returns that bound.
+
+    ``max_abs(state)`` must be at least max |v|.  The bound holds in
+    floating point: rounding is monotone and 2 max|v| is a float, so
+    |fl(v[i+1] - v[i])| <= 2 max|v| <= fl(2 (1 + 1e-15) max_abs(state)), and
+    so on through the division by h (the 1e-15 is margin only).  So the
+    march fires exactly where it would on ``gradient`` alone.  A bound that
+    overflows, or a nan, takes ``gradient``.
+    """
+    def screened(state) -> float:
+        bound = GRADIENT_BOUND_FACTOR * max_abs(state) / h
+        return bound if bound < limit else gradient(state)
+
+    return screened
+
+
 def march(
     state, t_end: float, sample_times: Sequence[float], stable_dt: Callable, advance: Callable,
     gradient: Callable, sample: Callable, grad_limit: float | None = None,
@@ -98,8 +126,7 @@ def march(
     initial gradient, never when that is 0).  Otherwise Global().
     """
     if grad_limit is None:
-        grad0 = gradient(state)
-        grad_limit = GRADIENT_BLOWUP_FACTOR * grad0 if grad0 > 0 else math.inf
+        grad_limit = gradient_limit(gradient(state))
     t, i = 0.0, 0
     if sample_times and sample_times[0] == 0.0:
         sample(state, t)

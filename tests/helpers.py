@@ -110,9 +110,12 @@ def mp_reciprocal_integral(mu, lam, t=None):
 
     For lam > 1 (finite t only): mpmath's quadrature of 1/beta in log time,
     int_0^log1p(t) exp(L - C (1 - e^(-bL))) dL with b = lam - 1 and C = mu/b,
-    split every 32 units of L.  It shares no approximation with the
-    package's series or its adaptive Simpson rule, and takes well under a
-    second up to t = 1e100.
+    split every 32 units of L.  Each piece [a, b] is integrated as (b - a)
+    times an integral over (L - a)/(b - a) in [0, 1], so that the result is
+    relative to the piece's own size (mp.quad's tolerance is absolute): the
+    one piece of t = 1.25e-200 is scale-free.  It shares no approximation
+    with the package's series or its adaptive Simpson rule, and takes well
+    under a second up to t = 1e100.
     """
     mp = pytest.importorskip("mpmath")
     if lam > 1:
@@ -120,7 +123,13 @@ def mp_reciprocal_integral(mu, lam, t=None):
             b = mp.mpf(lam) - 1
             c = mp.mpf(mu) / b
             end = mp.log1p(mp.mpf(t))
-            return mp.quad(lambda L: mp.exp(L - c * (1 - mp.exp(-b * L))), mp.linspace(0, end, 2 + int(end / 32)))
+            ends = mp.linspace(0, end, 2 + int(end / 32))
+
+            def inv_beta(L):  # times dtau/dL = e^L
+                return mp.exp(L - c * (1 - mp.exp(-b * L)))
+
+            return mp.fsum((hi - lo) * mp.quad(lambda v: inv_beta(lo + (hi - lo) * v), [0, 1])
+                           for lo, hi in zip(ends, ends[1:]))
     with mp.workdps(50):
         a = 1 - mp.mpf(lam)
         s = 1 / a

@@ -89,7 +89,7 @@ def test_lifespan_examples():
     assert classify_lifespan(ramp_problem(0.1, 0.5, 1.0)) == FiniteLifespan(35.0)
     # undamped critical case: T = 1/(eps*m)
     v = classify_lifespan(ramp_problem(0.1, 0.0, 1.0))
-    assert isinstance(v, FiniteLifespan) and v.lifespan == pytest.approx(10.0, rel=1e-12)
+    assert isinstance(v, FiniteLifespan) and v.lifespan == pytest.approx(10.0, rel=1e-12, abs=0.0)
     # subcritical small data is global
     assert isinstance(classify_lifespan(bump_problem(1e-3, 1.0, 0.5)), Global)
 
@@ -104,7 +104,7 @@ def test_lifespan_supercritical_root_oracle():
     t_oracle = bisect_root(lambda t: integral(t) - 2.0, 0.1, 16.0, n_iter=60)
     v = classify_lifespan(p)
     assert isinstance(v, FiniteLifespan)
-    assert v.lifespan == pytest.approx(t_oracle, rel=1e-9)
+    assert v.lifespan == pytest.approx(t_oracle, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("mu, lam, eps", [
@@ -118,7 +118,7 @@ def test_lifespan_interior_lambda_matches_mpmath(mu, lam, eps):
     assert isinstance(v, FiniteLifespan)
     with mp.workdps(50):
         exact = mp.findroot(lambda t: mp_reciprocal_integral(mu, lam, t) - 1 / mp.mpf(eps), v.lifespan)
-    assert v.lifespan == pytest.approx(float(exact), rel=1e-11)
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("mu, lam, eps", [(1.0, 2.0, 0.5), (0.3, 1.0 + 1.0 / 3.0, 0.2), (3.0, 1.001, 4.0)])
@@ -129,7 +129,7 @@ def test_lifespan_supercritical_matches_mpmath(mu, lam, eps):
     assert isinstance(v, FiniteLifespan)
     with mp.workdps(50):
         exact = mp.findroot(lambda t: mp_reciprocal_integral(mu, lam, t) - 1 / mp.mpf(eps), v.lifespan)
-    assert v.lifespan == pytest.approx(float(exact), rel=1e-13)
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mu, lam, eps", [
@@ -148,7 +148,7 @@ def test_lifespan_corner_lambda_matches_mpmath(mu, lam, eps):
         log_root = mp.findroot(lambda L: mp_reciprocal_integral(mu, lam, mp.expm1(L)) - 1 / mp.mpf(eps),
                                mp.log1p(v.lifespan))
         exact = mp.expm1(log_root)
-    assert v.lifespan == pytest.approx(float(exact), rel=1e-11)
+    assert v.lifespan == pytest.approx(float(exact), rel=1e-11, abs=0.0)
 
 
 def test_lifespan_beyond_the_doubling_bracket():
@@ -185,15 +185,10 @@ def test_lifespan_far_below_one_matches_mpmath(eps):
     mp = pytest.importorskip("mpmath")
     v = classify_lifespan(replace(bump_problem(eps, 1.0, 2.0), m=BUMP_M1))
     assert isinstance(v, FiniteLifespan)
-    # 1/beta(tau) = exp(-tau/(1+tau)), integrated over tau/t in [0, 1] and
-    # solved for T/target near 1: mpmath's quad and findroot are not scale-free
-    def relative_integral(u):
-        t = u * target
-        return u * mp.quad(lambda s: mp.exp(-t * s / (1 + t * s)), [0, 1])
-
+    # solved for T/target near 1: mpmath's findroot is not scale-free
     with mp.workdps(50):
         target = 1 / (mp.mpf(eps) * mp.mpf(BUMP_M1))
-        exact = mp.findroot(lambda u: relative_integral(u) - 1, 1) * target
+        exact = mp.findroot(lambda u: mp_reciprocal_integral(1.0, 2.0, u * target) / target - 1, 1) * target
     assert v.lifespan == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
@@ -476,6 +471,31 @@ def test_fv_snapshots_stay_finite_and_breakdown_reports():
     for s in snaps:
         assert np.all(np.isfinite(s.w))
         assert s.t <= verdict.time
+
+
+@pytest.mark.parametrize("threshold, fires", [(0.38, True), (20.0, False)])
+def test_fv_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeypatch, threshold, fires):
+    # |diff(w)| <= 2 max|w|, so below a threshold of 2 (1 + 1e-15) max|w| / dx
+    # (9.5 at first here) the trigger cannot fire, and simulate_fv takes no
+    # gradient; the low threshold takes it after every step and fires
+    # GradientThreshold at the allocating reference's time
+    calls = {"gradient": 0, "advance": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _f=getattr(burgers._Workspace, name)):
+            calls[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(burgers._Workspace, name, counted)
+    p = ramp_problem(0.1, 0.5, 1.0)
+    span, times = (-4.2, 4.2), [0.0, 10.0, 20.0, 30.0]
+    snaps, verdict = simulate_fv(p, 400, 36.0, 0.5, snapshot_times=times, gradient_threshold=threshold, x_span=span)
+    ref_snaps, ref_verdict = reference_simulate_fv(p, 400, 36.0, 0.5, span, times, threshold)
+    assert verdict_label(verdict) == verdict_label(ref_verdict)
+    assert [s.w.tobytes() for s in snaps] == [w.tobytes() for _, w, _ in ref_snaps]
+    if fires:
+        assert verdict.cause.value == "GradientThreshold" and 0.0 < verdict.time < 35.0
+        assert calls["gradient"] == calls["advance"] > 30
+    else:
+        assert isinstance(verdict, Global) and calls["gradient"] == 0 and calls["advance"] > 30
 
 
 def test_fv_validates_config():

@@ -555,6 +555,46 @@ def test_bump_slope_that_overflows_is_config_error(tmp_path, capsys):
                  "--sweep.epsilon", "0.5", "--output.dir", str(out)]) == 0
 
 
+@pytest.mark.parametrize("mode, eps, M", [
+    ("sweep", "1e10", "1e-300"), ("sweep", "1e300", "1e-10"), ("burgers-lifespan", "1e300", "1e-10"),
+])
+def test_lifespan_where_eps_m_overflows_is_one_over_eps_m(tmp_path, mode, eps, M):
+    # eps * m = 8e309 overflows; T = 1/(eps m) = 1.25e-310 is a subnormal,
+    # and there I(t) = t to the last bit, at every lambda
+    mp = pytest.importorskip("mpmath")
+    out = tmp_path / "out"
+    if mode == "sweep":
+        args = ["--sweep.epsilon", eps, "--sweep.lambda", "0,2", "--sweep.mu", "1"]
+    else:
+        args = ["--profile.epsilon", eps]
+    assert main([mode, "--profile.M", M, "--output.dir", str(out)] + args) == 0
+    if mode == "sweep":
+        rows = [row.split(",") for row in read(out / "sweep.csv").splitlines()[1:]]
+        assert [row[3] for row in rows] == ["FiniteLifespan"] * 2
+        lifespans = [float(row[4]) for row in rows]
+    else:
+        lifespans = [verdict_of(out).lifespan]
+    exact = 1 / (mp.mpf(eps) * (mp.mpf(BUMP_M1) / mp.mpf(M)))
+    for t in lifespans:
+        assert 0.0 < t < 2.0**-1022 and abs(t - float(exact)) <= 2.0**-1074
+
+
+def test_lifespan_below_the_float_range_is_an_epsilon_config_error(tmp_path, capsys):
+    # 1/(eps m) = 1.25e-600 is no float; beside mu = 1e300 the lifespan is
+    # not 1/(eps m) = 1.25e-310, and no closed form gives it
+    out = tmp_path / "out"
+    assert main(["burgers-lifespan", "--profile.M", "1e-300", "--profile.epsilon", "1e300",
+                 "--output.dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'profile.epsilon':")
+    assert main(["sweep", "--profile.M", "1e-300", "--sweep.epsilon", "1,1e300", "--sweep.lambda", "0,2",
+                 "--sweep.mu", "1", "--output.dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'sweep.epsilon':")
+    assert main(["burgers-lifespan", "--profile.M", "1e-10", "--profile.epsilon", "1e300", "--damping.mu", "1e300",
+                 "--output.dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config-error: key 'profile.epsilon':")
+    assert list(out.iterdir()) == []
+
+
 def test_radial_profile_file_ends_at_its_last_r(tmp_path, capsys):
     # rho0 = cos(pi r / 6)^2 on 0 <= r <= 2.95, far past the default profile.M = 1
     rs = np.arange(60) * 0.05

@@ -15,6 +15,7 @@ from critdamp import (
     InitialProfile,
     NumericalBreakdown,
     RadialGrid,
+    euler,
     init_state,
     run,
     step,
@@ -537,7 +538,8 @@ def test_breakdown_non_finite_matches_full_grid(band, muscl):
     # huge momenta overflow the fluxes.  One cell of them overflows only
     # mom * u, and the step is too small to move any density; three in a row
     # overflow the mass flux too, which leaves -inf, nan and +inf densities,
-    # and the floor test must see the -inf past the nan
+    # and the floor test must see the -inf past the nan, in a run's
+    # workspace (which tests max rho and max(|u| + c)) and bare
     s, last = shell_state()
     k = last // 2
     s.mom[k:k + band] = 1e200 if band == 1 else 1e308
@@ -545,9 +547,95 @@ def test_breakdown_non_finite_matches_full_grid(band, muscl):
     with np.errstate(over="ignore", invalid="ignore"):
         full = outcome_of(lambda: full_grid_step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
         windowed = outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
+        in_run = outcome_of(lambda: step(GAS, LAW, _in_workspace(GAS, s), 0.4, dt=dt, muscl=muscl))
     cause = BreakdownCause.NON_FINITE if band == 1 else BreakdownCause.NEGATIVE_DENSITY
     assert full == (s.t + dt, cause)
+    assert windowed == in_run == full
+
+
+def nan_rho_pert_state(s, last):
+    # u = 2e308 overflows at cell 0, whose wave speed is then inf: the mass
+    # flux at r = 0 is inf * 0 (its jump), and at the next face +inf, which
+    # leaves a nan and a +inf density and no -inf
+    s.rho_pert[0], s.mom[0], s.rho_pert[1], s.mom[1] = -0.5, 1e308, -0.6, 0.0
+    return 1e-3
+
+
+def inward_momentum_state(s, last):
+    # mom * u overflows at one cell, as in the test above, but mom < 0 puts
+    # the inf - inf on its right face and -inf into the cell on its left
+    s.mom[last // 2] = -1e200
+    return 1e-205
+
+
+def non_finite_kinds(a):
+    """The kinds of non-finite value ``a`` holds."""
+    return {name for name, test in (("nan", np.isnan), ("+inf", np.isposinf), ("-inf", np.isneginf))
+            if test(a).any()}
+
+
+def warnings_of(fn):
+    """``outcome_of(fn)`` and the set of RuntimeWarning messages it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = outcome_of(fn)
+    return outcome, {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
+@pytest.mark.parametrize("muscl", [False, True])
+@pytest.mark.parametrize("build, rho_kinds, mom_kinds", [
+    (nan_rho_pert_state, {"nan", "+inf"}, {"nan", "+inf"}),
+    (inward_momentum_state, set(), {"nan", "-inf"}),
+], ids=["nan-and-inf-rho_pert", "nan-and-minus-inf-mom"])
+def test_step_to_non_finite_values_matches_full_grid(build, rho_kinds, mom_kinds, muscl):
+    # a step in a workspace tests the new rho_pert by max rho and the new mom
+    # by the max wave speed; where either is not finite it tests the cells,
+    # and it must end as the full-grid step does, in a run's workspace or
+    # bare, and warn of nothing that the full-grid step does not
+    s, last = shell_state()
+    dt = build(s, last)
+    full, full_warnings = warnings_of(lambda: full_grid_step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
+    assert full == (s.t + dt, BreakdownCause.NON_FINITE)
+    owned = []
+
+    def in_workspace():
+        owned.append(_in_workspace(GAS, s))
+        return step(GAS, LAW, owned[0], 0.4, dt=dt, muscl=muscl)
+
+    windowed, windowed_warnings = warnings_of(in_workspace)
     assert windowed == full
+    assert windowed_warnings <= full_warnings
+    assert (non_finite_kinds(owned[0].rho_pert), non_finite_kinds(owned[0].mom)) == (rho_kinds, mom_kinds)
+    assert warnings_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))[0] == full
+
+
+def test_step_to_a_finite_state_whose_wave_speed_overflows_is_not_non_finite():
+    # at gamma = 1e6, c^2 = x^999999 overflows past x = 1.00071; twice the
+    # CFL step carries cell 1, between two cells of x = 1.000693, past it.
+    # The new state is finite, so the step returns it, as the full-grid step
+    # does, and its stable dt is 0: a march stops it as a CFL collapse
+    gas = GasModel(1e6, 1.0)
+    grid = RadialGrid(1.0, 64)
+    q = np.zeros(grid.n_cells)
+    q[:4:2] = 0.99 * 7e-4
+    s = RadialState(0.0, q, np.zeros(grid.n_cells), grid, gas.rho_bar)
+    dt = 2.0 * grid.dr / full_grid_max_speed(gas, s)
+    full = full_grid_step(gas, LAW, s, 0.4, dt=dt)
+    with np.errstate(over="ignore"):  # the new state's c^2
+        assert full_grid_max_speed(gas, full) == math.inf
+        new = step(gas, LAW, _in_workspace(gas, s), 0.4, dt=dt)
+        bare = step(gas, LAW, s, 0.4, dt=dt)
+        assert stable_dt(gas, new, 0.4) == 0.0
+    assert new._work.max_speed == math.inf
+    for ours in (new, bare):
+        assert ours.t == full.t
+        assert (ours.rho_pert.tobytes(), ours.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
+
+
+def test_bare_step_rejects_a_state_off_the_gas_background():
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
+    with pytest.raises(ValueError, match="background density"):
+        step(GasModel(2.0, 2.0), LAW, s, 0.4)
 
 
 # ---------------------------------------------------------------- run against the full-grid march
@@ -614,6 +702,25 @@ def test_run_matches_full_grid_march_at_acceptance_07():
     s = init_state(GAS, prof, RadialGrid(r_max=1.0 + t_star * 1.3 * 52.0, n_cells=4096))
     res = assert_run_matches_reference(GAS, law, s, t_star, 0.85, t_star / 20, True)
     assert res.verdict.cause == BreakdownCause.NEGATIVE_DENSITY
+
+
+@pytest.mark.parametrize("eps, n_cells, holds", [(0.3, 64, True), (1e-3, 256, False)])
+def test_run_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeypatch, eps, n_cells, holds):
+    # |u| <= |u| + c, so max |du/dr| <= 2 max(|u| + c) / dr: on the coarse
+    # grid that bound lies below the trigger's limit, 1000x the initial
+    # gradient, and run takes the exact gradient once, for the limit; the
+    # tiny shell's limit lies below 2 / dr, and run takes it after every
+    # step.  Either way the run is the full-grid march's, byte for byte
+    calls = {"step": 0, "max_velocity_gradient": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(euler, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(euler, name, counted)
+    s = init_state(GAS, shell_profile(eps), RadialGrid(12.0, n_cells))
+    assert_run_matches_reference(GAS, LAW, s, 1.25, 0.4, 0.25, False)
+    assert calls["step"] > 10
+    assert calls["max_velocity_gradient"] == (1 if holds else calls["step"] + 1)
 
 
 @pytest.mark.parametrize("muscl", [False, True])

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from critdamp.outcome import (
     DT_FLOOR,
@@ -10,6 +13,7 @@ from critdamp.outcome import (
     NumericalBreakdown,
     march,
     sample_times,
+    screened_gradient,
 )
 
 RATE = 0.5
@@ -115,3 +119,26 @@ def test_gradient_trigger_time():
 def test_zero_initial_gradient_disables_trigger():
     verdict, _ = decay_march(1.0, [0.0], gradient=lambda y: 0.0 if y == 1.0 else 1e9)
     assert verdict == Global()
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1.7976931348623157e308, 5e-324, -0.0])
+
+
+@given(v=st.lists(FLOATS, min_size=2, max_size=6), h=st.floats(1e-300, 1e300),
+       limit=st.floats(0.0, math.inf), slack=st.sampled_from([1.0, 1.5]))
+# two values of opposite sign at the float limit: their difference overflows
+@example(v=[1.7976931348623157e308, -1.7976931348623157e308], h=1.0, limit=1e308, slack=1.0)
+@example(v=[5e-324, -5e-324], h=1e-300, limit=1e-23, slack=1.0)
+def test_screened_gradient_fires_exactly_where_the_gradient_does(v, h, limit, slack):
+    # max |diff(v)| / h against the bound 2 (1 + 1e-15) max_abs / h, for
+    # max_abs = max|v| and a looser one: the trigger's verdict never changes
+    v = np.array(v)
+
+    def gradient(values):
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(np.diff(values)))) / h
+
+    screened = screened_gradient(gradient, lambda values: slack * float(np.max(np.abs(values))), h, limit)
+    assert (screened(v) >= limit) == (gradient(v) >= limit)
+    if screened(v) != gradient(v):
+        assert gradient(v) < screened(v) < limit
