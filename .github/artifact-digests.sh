@@ -11,9 +11,12 @@
 # literal profile.file table for each geometry (a 1-D triangle through
 # burgers-lifespan, sweep and burgers-sim; a radial table through euler-sim,
 # functionals and criterion) write when run on the sources under <src-dir>.
-# Every call runs in a temporary directory with a relative --output.dir (and
-# --profile.file), so two source trees make byte-identical artifacts exactly
-# when their outputs match:
+# Two calls that must fail with a config error (a support M whose slope
+# overflows, and a snapshots.csv with a negative density) print instead
+# "sha256  case/mode/exit", the digest of their exit code and stderr; the
+# script stops if either exits 0.  Every call runs in a temporary directory
+# with a relative --output.dir (and --profile.file), so two source trees make
+# byte-identical artifacts exactly when their outputs match:
 #
 #     .github/artifact-digests.sh base/src > base.txt
 #     .github/artifact-digests.sh src | diff base.txt -
@@ -42,6 +45,20 @@ run() {
     mkdir -p "$work/$case"
     (cd "$work/$case" && PYTHONPATH="$src" python3 -m critdamp.cli "$mode" "$@" > /dev/null)
     (cd "$work/$case" && find . -type f -exec sha256sum {} +) | sed "s#  \./#  $case/$mode/#" >> "$work/digests"
+}
+
+# fails <case> <mode> [--key value ...]: one CLI call in $work/<case> that
+# must exit nonzero; the digest of its exit code and stderr, as <case>/<mode>/exit.
+fails() {
+    local case=$1 mode=$2 rc=0
+    shift 2
+    mkdir -p "$work/$case"
+    (cd "$work/$case" && PYTHONPATH="$src" python3 -m critdamp.cli "$mode" "$@" > /dev/null 2> "$work/stderr") || rc=$?
+    if [ "$rc" -eq 0 ]; then
+        echo "artifact-digests.sh: $case/$mode exited 0, where it must fail" >&2
+        exit 1
+    fi
+    { echo "$rc"; cat "$work/stderr"; } | sha256sum | sed "s#  -\$#  $case/$mode/exit#" >> "$work/digests"
 }
 
 # README examples, verbatim.
@@ -131,6 +148,15 @@ run file-radial functionals "${radial_file[@]}"
 # The table ends at r = 1, the default profile.M, so its criterion integrals
 # end there however M is taken.
 run file-criterion criterion --profile.file ../radial.csv --profile.epsilon 0.2 --run.t_end 2
+
+# Config errors: max(-w0') = m1/M overflows at M = 1e-310 (key profile.M), and
+# a 32-cell snapshot block holds rho = -0.5 (key output.dir, at t=0.0).
+fails cfg-tiny-m sweep --profile.M 1e-310 --sweep.lambda 0,2 --sweep.mu 1 --sweep.epsilon 0.1 --output.dir out
+mkdir -p "$work/cfg-negative-rho/out"
+awk 'BEGIN { print "t,r,rho,mom"; print "# t=0.0"
+             for (i = 0; i < 32; i++) printf "0.0,%s,%s,0.0\n", i + 0.5, (i == 15 ? "-0.5" : "1.0") }' \
+    > "$work/cfg-negative-rho/out/snapshots.csv"
+fails cfg-negative-rho functionals --output.dir out
 
 # functionals rebuilds the series of euler-sim from its snapshots.csv alone, so
 # each radial case's two series.csv must be byte-identical (gas-crlf reads a

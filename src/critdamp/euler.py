@@ -33,20 +33,21 @@ cells, which is where the density floor is tested, so it needs no second
 rho > 0 check.
 
 One maximum per state: the kernels of a state take M = max(|u| + c) over
-its window once, and it decides three things.  stable_dt is cfl * dr / M.
-A step tests the new state's finiteness by max rho, before it forms
-u = mom / rho, and by M after: rho = rho_bar + rho_pert is nan or +-inf
-wherever rho_pert is (a -inf fails the density floor first), and with every
-rho finite and above the floor, u and so |u| + c are nan or inf wherever mom
-is.  Only where one of the two maxima is not finite (a nan or an inf, or a
-finite state whose rho or wave speed overflows) are the cells tested one by
-one, so every verdict and cause is the cell-by-cell test's; a state whose
-mom is not finite has had its kernels formed by then, which only a step
-that overflowed, and so already warned, makes.  A bare step tests its cells
-one by one.  And :func:`run`'s march takes max |du/dr| only where the bound
-2 (1 + 1e-15) M / dr does not already lie below the gradient trigger's
-limit (:func:`critdamp.outcome.screened_gradient`): rounding is monotone and
-c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u exceeds 2 M.
+its window once, and it decides three things.  stable_dt is cfl * dr / M
+(validate_horizon's guess is 1.2 M, the same maximum).  A step tests the
+new state's finiteness by max rho, before it forms u = mom / rho, and by M
+after: rho = rho_bar + rho_pert is nan or +-inf wherever rho_pert is (a -inf
+fails the density floor first), and with every rho finite and above the
+floor, u and so |u| + c are nan or inf wherever mom is.  Only where one of
+the two maxima is not finite (a nan or an inf, or a finite state whose rho
+or wave speed overflows) are the cells tested one by one, so every verdict
+and cause is the cell-by-cell test's; a state whose mom is not finite has
+had its kernels formed by then, which only a step that overflowed, and so
+already warned, makes.  And :func:`run`'s march takes max |du/dr| only where
+the bound 2 (1 + 1e-15) M / dr does not already lie below the gradient
+trigger's limit (:func:`critdamp.outcome.screened_gradient`): rounding is
+monotone and c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u
+exceeds 2 M.
 
 Views: by the same facts a step, stable_dt and max_velocity_gradient may
 run on past w, and they do, over cells [0, end) with end = w rounded up to a
@@ -67,20 +68,20 @@ over cells [0, end) (``_Window``).  A first-order step forms its fluxes, its
 update and the new window's kernels in those buffers, so it allocates no
 array data; a MUSCL step allocates its face values and their kernels.
 A step forms every flux from the current cells before it writes any cell,
-so it updates the window in place, and computes the new window's kernels
-once its density check passes.  A run marches one state, whose arrays are
-views of the pair and which carries the workspace to step, stable_dt and
-max_velocity_gradient; step advances that state in place, new cells and
-new t, so ``sample`` copies it.  Only run steps such a workspace; a state
-without one (from init_state, a copy, a snapshot or a bare step) gets a
-fresh one per call of step, stable_dt or max_velocity_gradient, so a bare
-step returns a new state, whose arrays no later step writes, and the
-arithmetic is the same for both.  Each in-place pass keeps the operation and
-operand order of the expression it replaces, up to swapping the operands of
-* or + (exact in IEEE 754); nothing is reassociated or fused, and the only
-passes left out are identities (x = rho/rho_bar at rho_bar = 1, and
-c^2 *= gamma - 1 at gamma = 2), so states, dt values and artifacts stay
-bit-identical to the out-of-place formulas.
+so it updates the window in place, and then the new window's kernels.  Only
+run's march carries a workspace on its state, whose arrays are views of the
+pair, and step advances that state in place, new cells and new t, so
+``sample`` copies it.  Any other state (from init_state, a copy, a snapshot
+or a bare step) is copied into a fresh workspace by each call of step,
+stable_dt, validate_horizon or max_velocity_gradient, and a step runs in it
+as in a run and returns the result without it: a new state, whose arrays no
+later step writes.  _in_workspace makes that copy for a gas, and it alone
+checks the state against the gas's rho_bar.  Each in-place pass keeps the
+operation and operand order of the expression it replaces, up to swapping
+the operands of * or + (exact in IEEE 754); nothing is reassociated or
+fused, and the only passes left out are identities (x = rho/rho_bar at
+rho_bar = 1, and c^2 *= gamma - 1 at gamma = 2), so states, dt values and
+artifacts stay bit-identical to the out-of-place formulas.
 """
 
 from __future__ import annotations
@@ -328,8 +329,10 @@ def _all_finite(win: _Window) -> bool:
 
 
 def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
-    """A copy of ``state`` in a new workspace, with its kernels for ``gas``:
-    the state :func:`run` marches from (see module notes)."""
+    """A copy of ``state``, which must lie on the background density of
+    ``gas``, in a new workspace with its kernels for ``gas`` (see module notes)."""
+    if state.rho_bar != gas.rho_bar:
+        raise ValueError("the state must lie on the background density of gas")
     ws = _Workspace(state)
     ws.kernels(gas)
     start = RadialState(state.t, *ws.cells, state.grid, state.rho_bar)
@@ -416,15 +419,13 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     bypasses the CFL floor check, which only guards internally computed steps.
     Only the window's cells are updated (see module notes); a state in a
     run's workspace is advanced in place and returned, any other gives a new
-    one.  A bare ``state`` must lie on the background density of ``gas``.
+    one.  ``state`` must lie on the background density of ``gas``.
     """
     explicit_dt = dt is not None
     if explicit_dt and not 0 < dt < np.inf:
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
     bare = state._work is None
     if bare:  # a bare step steps a copy, in a workspace that ends with it
-        if state.rho_bar != gas.rho_bar:
-            raise ValueError("the state must lie on the background density of gas")
         state = _in_workspace(gas, state)
     if not explicit_dt:
         dt = stable_dt(gas, state, cfl)
@@ -505,16 +506,16 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
         raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
     # a finite max rho proves every rho_pert finite, and a finite max wave
     # speed every mom; only where one is not are the cells tested one by one
-    if (bare or not math.isfinite(np.maximum.reduce(rho))) and not _all_finite(nxt):
+    if not math.isfinite(np.maximum.reduce(rho)) and not _all_finite(nxt):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
     ws.w, ws.win = w_next, nxt
-    if bare:
-        return RadialState(t_new, *ws.cells, state.grid, gas.rho_bar)
     np.divide(nxt.mom, rho, out=nxt.u)
     ws.kernels(gas)
     if not math.isfinite(ws.max_speed) and not _all_finite(nxt):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
     state.t = t_new
+    if bare:
+        state._work = None
     return state
 
 
@@ -529,17 +530,14 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
     """Reject an initial state whose waves could reach the outer boundary.
 
     Uses the finite-propagation bound: support M plus t_end times a wave-speed
-    guess (1.2x the initial max of |u| + c, over full rows as in series) must
-    stay inside r_max.  A density <= 0 or nan raises :class:`BreakdownError`.
+    guess (1.2x the initial max of |u| + c, its workspace's; see module notes)
+    must stay inside r_max.  A density <= 0 or nan raises :class:`BreakdownError`.
     """
-    rho = state.rho
-    if not np.logical_and.reduce(rho > 0):
-        raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
-    # no pressure: (rho/rho_bar)**gamma overflows on data whose wave speed
+    # the pressure (rho/rho_bar)**gamma overflows on data whose wave speed
     # this must still see, to reject them as too fast; a wave speed that
     # overflows (a huge gamma) is inf, which rejects them too
     with np.errstate(over="ignore"):
-        guess = 1.2 * float(np.max(_wave_speed(gas, rho / gas.rho_bar, state.mom / rho)))
+        guess = 1.2 * _in_workspace(gas, state)._work.max_speed
     if M + t_end * guess >= state.grid.r_max:
         raise ValueError(
             f"grid.r_max={state.grid.r_max!r} too small: support {M!r} plus "
@@ -592,8 +590,6 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
     """
     if state.t != 0:
         raise ValueError("the initial state must be at t = 0")
-    if state.rho_bar != gas.rho_bar:
-        raise ValueError("the initial state must lie on the background density of gas")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if not 0.0 < cfl <= 0.9:

@@ -442,6 +442,18 @@ def test_fv_step_in_its_workspace_allocates_no_grid_sized_array(monkeypatch):
     assert len(peaks) > 30 and max(peaks) < 8 * n / 2
 
 
+def test_fv_step_that_leaves_the_float_range_is_non_finite():
+    # 17 cells across (-1e300, 1e300) at eps = 1e200: w^2 overflows in the
+    # flux, and the step's values go non-finite long before any gradient
+    # trigger, as in the allocating reference
+    p, span = bump_problem(1e200, 1.0, 1.0), (-1e300, 1e300)
+    with np.errstate(all="ignore"):
+        snaps, verdict = simulate_fv(p, 17, 1e100, 0.4, x_span=span)
+        _, ref_verdict = reference_simulate_fv(p, 17, 1e100, 0.4, span, [1e100])
+    assert snaps == [] and verdict_label(verdict) == verdict_label(ref_verdict)
+    assert verdict.cause.value == "NonFinite" and verdict.time == pytest.approx(1.28e99, rel=1e-3)
+
+
 def test_fv_matches_characteristics_first_order():
     p = ramp_problem(0.1, 0.5, 1.0)
     span = (-4.2, 4.2)

@@ -687,6 +687,32 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text
     assert str(path) in err
 
 
+@pytest.mark.parametrize("argv, files, key", [
+    (["burgers-sim", "--grid.x_lo", "-1"], {}, "grid.x_lo"),
+    (["euler-sim", "--grid.n_cells", "1.5"], {}, "grid.n_cells"),
+    (["euler-sim", "--config", "{dir}/exp.cfg"], {"in/exp.cfg": "gas.gamma =\n"}, "gas.gamma"),
+    (["sweep", "--sweep.lambda", ","], {}, "sweep.lambda"),
+    (["euler-sim", "stray"], {}, "stray"),
+    (["euler-sim", "--run.t_end"], {}, "run.t_end"),
+    (["burgers-lifespan", "--profile.file", "{dir}/profile.csv"], {"in/profile.csv": "x,w\n0,0\n0.5,1\n1,0\n"},
+     "profile.file"),
+    (["functionals"], {"out/snapshots.csv": snapshot_32("1.0").replace("t,r,rho,mom", "t,r,rho,u")},
+     "output.dir"),
+], ids=["x_lo-without-x_hi", "fractional-n_cells", "empty-config-value", "empty-lambda-list",
+        "stray-argument", "flag-without-value", "profile-header", "snapshot-header"])
+def test_documented_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, argv, files, key):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    rc = main([argv[0], "--output.dir", str(out)] + [a.format(dir=tmp_path / "in") for a in argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config-error:") and key in err
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == sorted(Path(name).name for name in files if name.startswith("out/"))
+
+
 def test_functionals_reproduces_series_on_any_grid(tmp_path):
     # r_max = 10, 33 cells: r[-1] + (r[1] - r[0]) / 2 misses 10 by an ulp, so
     # a grid inferred that way changes dr and the last digits of every column

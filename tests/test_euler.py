@@ -258,7 +258,7 @@ def test_horizon_validation():
 def test_validate_horizon_takes_the_full_grid_wave_speed(log_eps, gamma, shell, rarefied, inward, u_amp,
                                                           n_cells, fill, reach, bad, bad_cell):
     # the horizon check raises exactly when M + t_end * 1.2 * max(|u| + c)
-    # over the grid reaches r_max.  It forms no pressure, whose
+    # over the grid reaches r_max.  It forms the pressure under errstate, as
     # (rho/rho_bar)**gamma overflows past eps = 1e154 at gamma = 2, and a
     # density <= 0 or nan anywhere raises NegativeDensity
     gas = GasModel(gamma, 1.0)
@@ -632,10 +632,29 @@ def test_step_to_a_finite_state_whose_wave_speed_overflows_is_not_non_finite():
         assert (ours.rho_pert.tobytes(), ours.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
 
 
-def test_bare_step_rejects_a_state_off_the_gas_background():
+@pytest.mark.parametrize("call", [
+    lambda gas, s: step(gas, LAW, s, 0.4),
+    lambda gas, s: stable_dt(gas, s, 0.4),
+    lambda gas, s: validate_horizon(gas, s, 1.0, 1.0),
+    lambda gas, s: run(gas, LAW, s, 1.0),
+], ids=["step", "stable_dt", "validate_horizon", "run"])
+def test_a_state_off_the_gas_background_is_rejected(call):
+    # every call that moves a state into a workspace for a gas checks it
+    # against that gas's rho_bar, rather than step on the wrong background
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
     with pytest.raises(ValueError, match="background density"):
-        step(GasModel(2.0, 2.0), LAW, s, 0.4)
+        call(GasModel(2.0, 2.0), s)
+
+
+def test_bare_step_collapses_on_its_own_cfl_step():
+    # one cell's wave speed near 1e12 makes the CFL step of a bare call
+    # fall below the floor, as it does on the full grid
+    s = init_state(GAS, bump_profile(0.1), RadialGrid(5.0, 64))
+    s.mom[3] = 1e12
+    for stepper in (step, full_grid_step):
+        with pytest.raises(BreakdownError) as raised:
+            stepper(GAS, LAW, s, 0.4)
+        assert (raised.value.time, raised.value.cause) == (0.0, BreakdownCause.CFL_COLLAPSE)
 
 
 # ---------------------------------------------------------------- run against the full-grid march

@@ -90,8 +90,16 @@ def test_root_flat_plateau():
 
 def test_root_endpoint_hits():
     assert solve_bracketed(lambda x: x, 0.0, 1.0) == 0.0
+    assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
     with pytest.raises(ValueError):
         solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_root_between_adjacent_floats_is_their_midpoint():
+    # at x_tol = 0 the loop ends only once no float lies between the ends
+    hi = math.nextafter(1.0, 2.0)
+    x = solve_bracketed(lambda x: -1.0 if x <= 1.0 else 1.0, 1.0, hi, x_tol=0.0)
+    assert x == 0.5 * (1.0 + hi)
 
 
 def test_root_of_tiny_values_is_decided_by_sign():
