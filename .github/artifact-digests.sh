@@ -2,7 +2,8 @@
 # Print "sha256  case/mode/file" for every artifact that the five README
 # examples, one fixed argv per benchmark workload (the seed-1 draws of
 # benchmarks/run.py), three euler-sim runs under a non-default gas (one with
-# rho_bar = 1e160) and one that breaks down, with functionals after each,
+# rho_bar = 1e160), one that breaks down and one whose window reaches the
+# grid's last cell, with functionals after each,
 # functionals on a CRLF copy of one of their snapshots.csv, three more
 # burgers-sim runs (many samples, mu = 0 on an explicit span, and eps = 1e-300),
 # three criterion runs to T* = 1e300 (at M = 3, 1e8 and 1e-20), one at
@@ -119,6 +120,12 @@ breakdown=("${shell[@]}" --profile.epsilon 0.9 --grid.n_cells 512 --run.t_end 5 
 run breakdown euler-sim "${breakdown[@]}"
 run breakdown functionals "${breakdown[@]}"
 
+# A run whose window grows to the whole grid (at step 53 of 70) and whose
+# front reaches the grid's last cell (at step 61), with functionals after it.
+edge=(--grid.n_cells 64 --run.t_end 10 --run.monitor_cadence 1 --output.dir out)
+run grid-edge euler-sim "${edge[@]}"
+run grid-edge functionals "${edge[@]}"
+
 # The snapshot reader on CRLF line ends after a leading comment and blank line.
 mkdir -p "$work/gas-crlf/out"
 { printf '# CRLF copy\r\n\r\n'; sed 's/$/\r/' "$work/gas-rho-bar/out/snapshots.csv"; } > "$work/gas-crlf/out/snapshots.csv"
@@ -162,7 +169,8 @@ fails cfg-negative-rho functionals --output.dir out
 # each radial case's two series.csv must be byte-identical (gas-crlf reads a
 # copy of gas-rho-bar's snapshots).
 status=0
-for pair in readme-euler radial-io gas-gamma gas-rho-bar gas-huge-rho breakdown gas-crlf:gas-rho-bar file-radial; do
+for pair in readme-euler radial-io gas-gamma gas-rho-bar gas-huge-rho breakdown grid-edge gas-crlf:gas-rho-bar \
+        file-radial; do
     rebuilt="${pair%%:*}/functionals/out/series.csv" written="${pair##*:}/euler-sim/out/series.csv"
     a=$(awk -v f="$rebuilt" '$2 == f { print $1 }' "$work/digests")
     b=$(awk -v f="$written" '$2 == f { print $1 }' "$work/digests")

@@ -161,9 +161,6 @@ def _run_functionals(cfg: ExperimentConfig, out: str) -> None:
     path = os.path.join(out, "snapshots.csv")
     with _as_config_error("output.dir"):
         states = csvio.read_radial_snapshots(path, gas.rho_bar)
-        for s in states:  # the monitors need rho > 0; the reader takes any finite rho
-            if s.rho.min() <= 0:
-                raise ValueError(f"{path}: the block at t={s.t!r} holds a density that is not positive")
     with _as_config_error("damping.lambda", OverflowError):  # the E0 weight
         columns = euler.series(states, gas, damping, cfg["run.cfl"])
     csvio.write_series(os.path.join(out, "series.csv"), np.array([s.t for s in states]), columns)

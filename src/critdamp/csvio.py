@@ -88,8 +88,9 @@ def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
     increasing ``r`` (``t`` never decreases).  Each grid has dr = 2 r[0] (the
     first centre is dr / 2 exactly) and r_max = dr * n_cells, and consecutive
     blocks with the same r[0] and length share one grid; a block whose ``r``
-    column that grid does not reproduce bit for bit is rejected, and so is a
-    non-finite value."""
+    column that grid does not reproduce bit for bit is rejected, and so are a
+    non-finite value and a density rho_bar + (rho - rho_bar) <= 0, the one a
+    state carries."""
     names, data = read_csv(path)
     if names != ["t", "r", "rho", "mom"]:
         raise ValueError(f"{path}: expected a radial snapshot file with header t,r,rho,mom")
@@ -112,6 +113,9 @@ def read_radial_snapshots(path: str, rho_bar: float) -> list[RadialState]:
         if not np.array_equal(grid.centers, r):
             raise ValueError(f"{path}: the r column at t={t!r} is not a uniform cell-centred grid")
         states.append(RadialState(t, block[:, 2] - rho_bar, block[:, 3], grid, rho_bar))
+    for s in states:  # after every grid check, as the monitors need rho > 0
+        if s.rho.min() <= 0:
+            raise ValueError(f"{path}: the block at t={s.t!r} holds a density that is not positive")
     return states
 
 

@@ -17,20 +17,20 @@ so the constant state (rho_bar, 0) is an exact fixed point of the update.
 Damping is applied after the hyperbolic update through the exact integrating
 factor beta(t_n)/beta(t_{n+1}), unconditionally stable for any (mu, lam).
 
-Window invariant: a step changes only the cells before and one past the last
-live cell (live: rho_pert or mom not +0.0).  A face between two +0.0 cells
-carries exactly zero flux at either order (a zero difference has minmod slope
-0, and p_face - p_c is 0), so every cell beyond the window stays +0.0 and the
-update equals the full-grid one bit for bit.  Past the window u is 0 and the
-wave speed |u| + c exactly 1, and the window ends on such a background cell
-unless it is the whole grid, so max |du/dr| and max(|u| + c) over the full
-grid equal their window values bit for bit (series takes them over full
-rows).  The cells from w on leave a step as the +0.0 they were, so the next
-window's last live cell lies in [w-3, w) (the front moves at most one cell a
-step) or else a scan of the cells before finds it: the next window is exactly
-the one a full scan gives.  Its rho is rho_bar + q_new over the updated
-cells, which is where the density floor is tested, so it needs no second
-rho > 0 check.
+Window: a step, stable_dt and max_velocity_gradient run over cells [0, end),
+past which every cell is +0.0 (live: rho_pert or mom not +0.0 by its bits),
+as is cell end - 1 unless the window is the grid.  A face between two +0.0
+cells carries exactly zero flux at either order (a zero difference has
+minmod slope 0, and p_face - p_c is 0), so every cell from end on stays
++0.0 and the update equals the full-grid one bit for bit.  There u is 0 and
+the wave speed |u| + c exactly 1, so max |du/dr| and max(|u| + c) over the
+full grid equal their window values bit for bit (series takes them over
+full rows).  The front moves at most one cell a step, so a step probes only
+cell end - 1: where it turned live, end grows by _VIEW_BLOCK cells (at most
+to the grid) and the window's views are made anew; end never falls.  The
+first end is the last live cell + 2 rounded up to a multiple of _VIEW_BLOCK.
+The new rho is rho_bar + q_new over the window, which is where the density
+floor is tested, so it needs no second rho > 0 check.
 
 One maximum per state: the kernels of a state take M = max(|u| + c) over
 its window once, and it decides three things.  stable_dt is cfl * dr / M
@@ -48,13 +48,6 @@ the bound 2 (1 + 1e-15) M / dr does not already lie below the gradient
 trigger's limit (:func:`critdamp.outcome.screened_gradient`): rounding is
 monotone and c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u
 exceeds 2 M.
-
-Views: by the same facts a step, stable_dt and max_velocity_gradient may
-run on past w, and they do, over cells [0, end) with end = w rounded up to a
-multiple of _VIEW_BLOCK cells (at most the grid).  The cells [w, end) update
-to +0.0, with wave speed 1 and velocity difference 0, so every value is the
-window's bit for bit, and the views of [0, end) are made anew only when the
-front crosses a block.
 
 Workspace rule: a step is bound by numpy call overhead on small windows, so
 it copies and concatenates nothing, and its scalars (the 0.5 factors, dt,
@@ -109,7 +102,7 @@ from .outcome import (
 )
 
 DENSITY_FLOOR_FACTOR = 1e-6
-_VIEW_BLOCK = 8  # cells: the window's views are made anew once the front crosses a block
+_VIEW_BLOCK = 8  # cells: the window grows by a block once the front reaches its last cell
 # a 0-d operand spares numpy the conversion of a Python float on every pass
 _HALF = np.array(0.5)
 _HALF.flags.writeable = False
@@ -210,12 +203,11 @@ class _Workspace:
     """The arrays a state steps in (see module notes).
 
     The pair holds grid cell i of the state at ``q[i + 2]`` and
-    ``mom[i + 2]``, with mirrored ghosts before and background after.  Its
-    window is cells [0, w) (w >= 2), past which the cells are +0.0; ``win``
-    holds the views of cells [0, end) for that window, and rho, u, ``speed``
-    and ``p`` hold their extended cells [0, end + 4) once :meth:`kernels`
-    has run.  Built from ``state``, which it copies, after checking rho > 0
-    over those cells.
+    ``mom[i + 2]``, with mirrored ghosts before and background after.  ``win``
+    holds the views of its window, cells [0, end), and rho, u, ``speed`` and
+    ``p`` hold their extended cells [0, end + 4) once :meth:`kernels` has
+    run.  Built from ``state``, which it copies, after checking rho > 0 over
+    the window.
     """
 
     def __init__(self, state: RadialState) -> None:
@@ -228,7 +220,7 @@ class _Workspace:
         self.bits = tuple(a.view(np.int64) for a in self.cells)
         self.rho, self.u, self.speed, self.adv, self.p = (np.empty(n + 4) for _ in range(5))
         self.half_s, self.f_rho, self.f_adv, self.jump, self.p_face = (np.empty(n + 1) for _ in range(5))
-        self.d, self.finite = np.empty(n), np.empty(n, dtype=bool)
+        self.d = np.empty(n)
         self.factor = StepFactor()
         # a step's scalars as 0-d operands (see _HALF), and its density floor
         self.rho_bar, self.dt, self.decay = np.array(state.rho_bar), np.empty(()), np.empty(())
@@ -237,8 +229,9 @@ class _Workspace:
         self.cells[0][:] = state.rho_pert
         self.cells[1][:] = state.mom
         _mirror(self.q, self.mom)
-        self.w = _window_end(_span(*self.bits, n, n), n)
-        win = self.win = _Window(self, _view_end(self.w, n))
+        live = np.flatnonzero(self.bits[0] | self.bits[1])
+        reach = int(live[-1]) + 2 if live.size else 1
+        win = self.win = _Window(self, min(-(-reach // _VIEW_BLOCK) * _VIEW_BLOCK, n))
         rho = np.add(win.q, state.rho_bar, out=win.rho)
         if not np.logical_and.reduce(rho > 0):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
@@ -258,18 +251,18 @@ class _Workspace:
 
 class _Window:
     """The views of a workspace that a step, stable_dt and
-    max_velocity_gradient take over cells [0, end), ``end`` the window's
-    :func:`_view_end`: extended cells [0, end + 4) under the buffers' names,
-    the cells left (``_l``) and right (``_r``) of faces 0..end (face j sits
-    between extended cells j+1 and j+2), the face buffers and the
-    differences across their cells, and the cells themselves (``_c``)."""
+    max_velocity_gradient take over the window, cells [0, end): extended
+    cells [0, end + 4) under the buffers' names, the cells left (``_l``) and
+    right (``_r``) of faces 0..end (face j sits between extended cells j+1
+    and j+2), the face buffers and the differences across their cells, and
+    the cells themselves (``_c``)."""
 
     __slots__ = (
         "end", "q", "mom", "rho", "u", "adv", "speed", "p",
         "q_l", "q_r", "mom_l", "mom_r", "adv_l", "adv_r", "p_l", "p_r", "speed_l", "speed_r",
         "half_s", "f_rho", "f_adv", "jump", "p_face", "area",
         "f_rho_l", "f_rho_r", "f_adv_l", "f_adv_r", "p_face_l", "p_face_r", "area_l", "area_r",
-        "q_c", "mom_c", "p_c", "speed_c", "jump_c", "d", "inv_vol", "finite", "u_l", "u_r", "du",
+        "q_c", "mom_c", "p_c", "speed_c", "jump_c", "d", "inv_vol", "u_l", "u_r", "du",
     )
 
     def __init__(self, ws: _Workspace, end: int) -> None:
@@ -290,7 +283,7 @@ class _Window:
         self.area_l, self.area_r = ws.area[:end], ws.area[1:f]
         self.q_c, self.mom_c, self.p_c = ws.q[2:end + 2], ws.mom[2:end + 2], ws.p[2:end + 2]
         self.speed_c, self.jump_c = ws.speed[2:end + 2], ws.jump[:end]
-        self.d, self.inv_vol, self.finite = ws.d[:end], ws.inv_vol[:end], ws.finite[:end]
+        self.d, self.inv_vol = ws.d[:end], ws.inv_vol[:end]
         self.u_l, self.u_r, self.du = ws.u[2:end + 1], ws.u[3:end + 2], ws.half_s[:end - 1]
 
 
@@ -300,32 +293,10 @@ def _mirror(q: np.ndarray, mom: np.ndarray) -> None:
     mom[0], mom[1] = -mom[3], -mom[2]
 
 
-def _span(q_bits: np.ndarray, mom_bits: np.ndarray, lo: int, hi: int) -> int:
-    """1 + the index of the last live cell before ``hi`` (0 if none), from the
-    int64 views of rho_pert and mom.  Cells [lo, hi) are probed one at a time
-    (at most 3 after a step), then the cells before them are scanned."""
-    for i in range(hi - 1, lo - 1, -1):
-        if q_bits[i] or mom_bits[i]:
-            return i + 1
-    live = np.flatnonzero(q_bits[:lo] | mom_bits[:lo])
-    return int(live[-1]) + 1 if live.size else 0
-
-
-def _window_end(span: int, n: int) -> int:
-    return min(max(span + 1, 2), n)
-
-
-def _view_end(w: int, n: int) -> int:
-    """The end of window w's views: w rounded up to a multiple of
-    _VIEW_BLOCK cells, at most n (see module notes)."""
-    return min(-(-w // _VIEW_BLOCK) * _VIEW_BLOCK, n)
-
-
 def _all_finite(win: _Window) -> bool:
     """Whether every rho_pert and mom cell of the window is finite, tested
     cell by cell."""
-    return bool(np.logical_and.reduce(np.isfinite(win.q_c, out=win.finite))
-                and np.logical_and.reduce(np.isfinite(win.mom_c, out=win.finite)))
+    return bool(np.isfinite(win.q_c).all() and np.isfinite(win.mom_c).all())
 
 
 def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
@@ -397,7 +368,7 @@ def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
 
 
 def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MUSCL values left and right of faces 0..w from extended cell values,
+    """MUSCL values left and right of faces 0..end from extended cell values,
     with minmod-limited slopes."""
     d = np.diff(a)
     lo, hi = d[:-1], d[1:]
@@ -496,10 +467,9 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     mom_cells *= ws.decay
     _mirror(ws.q, ws.mom)
 
-    w = ws.w
-    w_next = _window_end(_span(*ws.bits, max(w - 3, 0), w), ws.n)
-    end = _view_end(w_next, ws.n)
-    nxt = win if end == win.end else _Window(ws, end)
+    end = win.end  # only cell end - 1 can have turned live (see module notes)
+    grow = end < ws.n and (ws.bits[0][end - 1] or ws.bits[1][end - 1])
+    nxt = _Window(ws, min(end + _VIEW_BLOCK, ws.n)) if grow else win
     rho = np.add(nxt.q, ws.rho_bar, out=nxt.rho)
     # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
     if np.fmin.reduce(rho) <= ws.floor:
@@ -508,7 +478,7 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     # speed every mom; only where one is not are the cells tested one by one
     if not math.isfinite(np.maximum.reduce(rho)) and not _all_finite(nxt):
         raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-    ws.w, ws.win = w_next, nxt
+    ws.win = nxt
     np.divide(nxt.mom, rho, out=nxt.u)
     ws.kernels(gas)
     if not math.isfinite(ws.max_speed) and not _all_finite(nxt):

@@ -46,24 +46,28 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64).tolist()
 
 
-def column(draw, n):
-    return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+def column(draw, n, values=VALUES):
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)))
 
 
 @st.composite
 def snapshot_files(draw):
-    """(states, rho_bar) on one grid, at nondecreasing times."""
+    """(states, rho_bar) on one grid, at nondecreasing times, with every
+    density that the reader rebuilds, rho_bar + (rho - rho_bar), positive."""
     grid = RadialGrid(draw(st.floats(1e-3, 1e4)), draw(st.integers(32, 48)))
     rho_bar = draw(st.sampled_from([0.0, 1.0, 2.5]))
     times = sorted(draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e6), min_size=1, max_size=3)))
     n = grid.n_cells
-    return [RadialState(t, column(draw, n), column(draw, n), grid, rho_bar) for t in times], rho_bar
+    def dense(x):
+        return rho_bar + ((rho_bar + x) - rho_bar) > 0
+    pert = VALUES.map(lambda x: x if dense(x) else -x).filter(dense)
+    return [RadialState(t, column(draw, n, pert), column(draw, n), grid, rho_bar) for t in times], rho_bar
 
 
 @settings(max_examples=60, deadline=None)
 @given(snapshot_files())
 # r[-1] + (r[1] - r[0]) / 2 misses r_max = 10 by an ulp on 33 cells
-@example(([RadialState(0.5, np.full(33, -0.0), np.full(33, 5e-324), RadialGrid(10.0, 33), 0.0)], 0.0))
+@example(([RadialState(0.5, np.full(33, -0.0), np.full(33, 5e-324), RadialGrid(10.0, 33), 1.0)], 1.0))
 def test_radial_snapshots_round_trip_is_exact(case):
     snaps, rho_bar = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -404,6 +408,25 @@ def test_read_radial_snapshots_rejects_bad_blocks(tmp_path, body):
     path = tmp_path / "snapshots.csv"
     path.write_text("t,r,rho,mom\n" + body)
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_radial_snapshots(str(path), 1.0)
+
+
+def snapshot_block(t, rho, r_last=31.5):
+    """A 32-cell snapshot block at ``t`` whose cell 15 holds ``rho``."""
+    rows = "".join(f"{t},{i + 0.5!r},{rho if i == 15 else 1},0\n" for i in range(31))
+    return f"# t={t}\n{rows}{t},{r_last},1,0\n"
+
+
+@pytest.mark.parametrize("rho", ["-0.5", "0", "1e-20"])
+def test_read_radial_snapshots_rejects_a_density_that_is_not_positive(tmp_path, rho):
+    # the density a state carries, rho_bar + (rho - rho_bar), is tested, and
+    # 1e-20 rebuilds to 0.0 at rho_bar = 1; every grid check comes first
+    path = tmp_path / "snapshots.csv"
+    path.write_text("t,r,rho,mom\n" + snapshot_block(0.0, 1) + snapshot_block(0.5, rho))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the block at t=0.5 holds a density that is not positive")):
+        read_radial_snapshots(str(path), 1.0)
+    path.write_text("t,r,rho,mom\n" + snapshot_block(0.0, rho) + snapshot_block(0.5, 1, r_last=40.0))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the r column at t=0.5 is not a uniform")):
         read_radial_snapshots(str(path), 1.0)
 
 

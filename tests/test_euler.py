@@ -25,8 +25,6 @@ from critdamp.euler import (
     _STACK_CELLS,
     RadialState,
     _in_workspace,
-    _span,
-    _view_end,
     _wave_speed,
     _Window,
     _Workspace,
@@ -350,8 +348,8 @@ def outcome_of(fn):
 def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
     """Step ``s`` in a workspace, as ``run`` does, with a bare ``step`` and
     with the full-grid oracle; every state, stable_dt and
-    max_velocity_gradient must agree bit for bit, and the window the
-    workspace opens must end where a full scan of the new state ends it."""
+    max_velocity_gradient must agree bit for bit, and the workspace's window
+    must hold the new state's live cells (see assert_window_holds)."""
     s = _in_workspace(GAS, s)
     for _ in range(n_steps):
         assert stable_dt(GAS, s, 0.4) == full_grid_stable_dt(GAS, s, 0.4)
@@ -359,6 +357,7 @@ def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
         dt = None if dt_fraction is None else dt_fraction * full_grid_stable_dt(GAS, s, 0.4)
         full = outcome_of(lambda: full_grid_step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
         bare = outcome_of(lambda: step(GAS, law, s.copy(), 0.4, dt=dt, muscl=muscl))
+        end = s._work.win.end
         windowed = outcome_of(lambda: step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
         if isinstance(full, tuple):
             assert windowed == full
@@ -370,8 +369,26 @@ def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
             assert new.rho_pert.tobytes() == full.rho_pert.tobytes()
             assert new.mom.tobytes() == full.mom.tobytes()
             assert new.t == full.t
-        assert windowed._work.w == _Workspace(windowed.copy()).w
+        assert_window_holds(windowed, end)
         s = windowed
+
+
+def assert_window_holds(state, before):
+    """The window of a run's ``state`` never shrinks: it ends where the one
+    before the step did, at ``before``, or where a full scan opens it, if
+    that lies further.  Every cell from its end on is +0.0, and so is cell
+    end - 1 unless the window is the grid; its views are those made fresh."""
+    ws = state._work
+    end, n = ws.win.end, ws.n
+    assert end == max(before, _Workspace(state.copy()).win.end)
+    assert state.rho_pert[end:].tobytes() == state.mom[end:].tobytes() == bytes(8 * (n - end))
+    assert end == n or state.rho_pert[end - 1:end].tobytes() == state.mom[end - 1:end].tobytes() == bytes(8)
+    assert window_views(ws.win) == window_views(_Window(ws, end))
+
+
+def block_end(reach, n):
+    """``reach`` rounded up to a whole number of 8-cell blocks, at most ``n``."""
+    return min(8 * math.ceil(reach / 8), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,32 +448,33 @@ def shell_state(n_cells=128):
 @pytest.mark.parametrize("field", ["rho_pert", "mom"])
 @pytest.mark.parametrize("offset", [1, 2, 3, 40, "last"])
 def test_windowed_step_matches_full_grid_with_negative_zero(field, offset, muscl):
-    # a -0.0 is live: it keeps the window open out to its cell, in the
-    # [w-3, w) probe of the next window (offsets 1 to 3 past the support),
-    # well past the front (40), or at the last cell, where the window is the grid
+    # a -0.0 is live: the first window ends a cell past it, in blocks, one
+    # to three cells past the support, well past the front (40), or at the
+    # last cell, where the window is the grid
     s, last = shell_state()
     cell = s.grid.n_cells - 1 if offset == "last" else last + offset
     getattr(s, field)[cell] = -0.0
-    assert _Workspace(s).w == min(cell + 2, s.grid.n_cells)
+    assert _Workspace(s).win.end == block_end(cell + 2, s.grid.n_cells)
     assert_windowed_matches_full_grid(LAW, s, 25, muscl)
 
 
 @pytest.mark.parametrize("muscl", [False, True])
 @pytest.mark.parametrize("shell", [True, False])
-def test_window_falls_back_to_scan_when_front_vanishes(shell, muscl):
-    # a subnormal momentum past the support sees zero flux and is damped to
-    # +0.0 (factor < 1/2), so the [w-3, w) probe of the next window finds no
-    # live cell; the scan then finds the shell's front, or nothing (w = 2)
+def test_window_keeps_its_end_when_the_front_vanishes(shell, muscl):
+    # a subnormal momentum past the support opens the first window, sees zero
+    # flux and is damped to +0.0 (factor < 1/2); the window keeps its end,
+    # past the shell's front or with no live cell left at all
     s, last = shell_state()
     if not shell:
         s = RadialState(0.0, np.zeros_like(s.rho_pert), np.zeros_like(s.mom), s.grid, GAS.rho_bar)
     cell = last + 20
     s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
-    assert _Workspace(s).w == cell + 2
-    new = step(GAS, law, _in_workspace(GAS, s), 0.4, muscl=muscl)
-    assert new.mom[cell] == 0.0
-    assert new._work.w < cell - 1 if shell else new._work.w == 2
+    state = _in_workspace(GAS, s)
+    end = state._work.win.end
+    assert end == block_end(cell + 2, s.grid.n_cells)
+    new = step(GAS, law, state, 0.4, muscl=muscl)
+    assert new.mom[cell] == 0.0 and new._work.win.end == end
     assert_windowed_matches_full_grid(law, s, 3, muscl)
 
 
@@ -467,20 +485,31 @@ CELL_BITS = st.one_of(st.just(0), st.sampled_from(SPECIAL_BITS), st.integers(-2*
 
 @settings(max_examples=100, deadline=None)
 @given(q_bits=st.lists(CELL_BITS, max_size=9), mom_bits=st.lists(CELL_BITS, max_size=9),
-       lo=st.integers(0, 9))
-@example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, 0, 0], lo=2)
-@example(q_bits=[1, 0, 0, 0, 0], mom_bits=[0, 0, 0, 0, 0], lo=2)
-@example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, SPECIAL_BITS[0], 0], lo=2)
-@example(q_bits=[0, SPECIAL_BITS[1], 0], mom_bits=[0, 0, 0], lo=3)
-def test_span_matches_full_scan(q_bits, mom_bits, lo):
-    # the probe of cells [lo, n) is tested one cell at a time first, then the
-    # cells before it are scanned when the probe is all +0.0
+       n_cells=st.integers(32, 41), at=st.integers(0, 41))
+@example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, 0, 0], n_cells=32, at=2)
+@example(q_bits=[1, 0, 0, 0, 0], mom_bits=[0, 0, 0, 0, 0], n_cells=32, at=2)
+@example(q_bits=[0, 0, 0, 0, 0], mom_bits=[0, 0, 0, SPECIAL_BITS[0], 0], n_cells=32, at=2)
+@example(q_bits=[0, 0, 0], mom_bits=[0, SPECIAL_BITS[1], 0], n_cells=32, at=5)
+@example(q_bits=[0, 0, 0], mom_bits=[0, 0, SPECIAL_BITS[2]], n_cells=33, at=30)
+def test_span_matches_full_scan(q_bits, mom_bits, n_cells, at):
+    # the first window of a workspace ends a cell past the last live cell (by
+    # its bits, so -0.0, nan and subnormals are live) that a full scan finds,
+    # in blocks; the workspace checks rho > 0 over that window
     n = min(len(q_bits), len(mom_bits))
-    q = np.array(q_bits[:n], dtype=np.int64).view(np.float64)
-    mom = np.array(mom_bits[:n], dtype=np.int64).view(np.float64)
+    at = min(at, n_cells - n)
+    q, mom = np.zeros(n_cells), np.zeros(n_cells)
+    q[at:at + n] = np.array(q_bits[:n], dtype=np.int64).view(np.float64)
+    mom[at:at + n] = np.array(mom_bits[:n], dtype=np.int64).view(np.float64)
     live = np.flatnonzero(q.view(np.int64) | mom.view(np.int64))
-    span = _span(q.view(np.int64), mom.view(np.int64), min(lo, n), n)
-    assert span == (int(live[-1]) + 1 if live.size else 0)
+    end = block_end(int(live[-1]) + 2 if live.size else 1, n_cells)
+    s = RadialState(0.0, q, mom, RadialGrid(1.0, n_cells), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # u = mom / rho of any finite bits
+        if np.all(1.0 + q[:end] > 0):
+            assert _Workspace(s).win.end == end
+        else:
+            with pytest.raises(BreakdownError):
+                _Workspace(s)
 
 
 @settings(max_examples=20, deadline=None)
@@ -507,7 +536,7 @@ def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_
         outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
         owned = _in_workspace(GAS, s)
         ws = owned._work
-        m = ws.w + 4
+        m = ws.win.end + 4
         arrays = [owned.rho_pert, owned.mom, ws.q[:m], ws.mom[:m], ws.rho[:m], ws.u[:m], ws.speed[:m], ws.p]
         owned_before = [a.tobytes() for a in arrays]
         stable_dt(GAS, owned, 0.4)
@@ -742,25 +771,6 @@ def test_run_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeyp
     assert calls["max_velocity_gradient"] == (1 if holds else calls["step"] + 1)
 
 
-@pytest.mark.parametrize("muscl", [False, True])
-def test_run_clears_the_tail_a_shrinking_window_leaves(muscl):
-    # the subnormal momentum past the shell holds the first window open and
-    # is damped to +0.0 (factor < 1/2), so the window shrinks to the shell;
-    # the steps after must leave that cell +0.0
-    s, last = shell_state()
-    cell = last + 20
-    s.mom[cell] = 5e-324
-    law = DampingLaw(mu=100.0, lam=0.0)
-    first = _in_workspace(GAS, s)
-    ws = first._work
-    assert first.mom[cell] == 5e-324
-    second = step(GAS, law, first, 0.4, muscl=muscl)
-    assert ws.w < cell - 1
-    third = step(GAS, law, second, 0.4, muscl=muscl)
-    assert third.mom[cell:cell + 1].tobytes() == bytes(8)
-    assert_run_matches_reference(GAS, law, s, 0.5, 0.4, 0.1, muscl)
-
-
 def test_run_snapshots_and_bare_steps_keep_their_values():
     # a run's states are views of its workspace, which later steps
     # overwrite, so each snapshot must be a copy: the snapshot at t equals
@@ -791,13 +801,13 @@ def test_run_steps_its_window_in_place(monkeypatch, muscl):
     # were; run's snapshots are copies, apart from its one workspace
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))
     owned = _in_workspace(GAS, s)
-    ws, w = owned._work, owned._work.w
+    ws, end = owned._work, owned._work.win.end
     full = full_grid_step(GAS, LAW, owned, 0.4, muscl=muscl)
     new = step(GAS, LAW, owned, 0.4, muscl=muscl)
     assert new._work is ws
     assert np.shares_memory(new.rho_pert, owned.rho_pert) and np.shares_memory(new.mom, owned.mom)
     assert (new.rho_pert.tobytes(), new.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
-    assert new.rho_pert[w:].tobytes() == new.mom[w:].tobytes() == bytes(8 * (s.grid.n_cells - w))
+    assert new.rho_pert[end:].tobytes() == new.mom[end:].tobytes() == bytes(8 * (s.grid.n_cells - end))
 
     starts = []
 
@@ -883,31 +893,33 @@ def window_views(win):
 
 
 @pytest.mark.parametrize("muscl", [False, True])
-def test_window_views_follow_the_window_as_it_shrinks_and_grows(muscl):
-    # the subnormal momentum past the shell holds the first window open and
-    # is damped to +0.0 (factor < 1/2), so the window shrinks to the shell;
-    # then it grows a cell a step with the shell's front.  After every step
-    # the workspace's views are those made fresh for the new window, made
-    # anew only when their end moves, and the state is the full-grid step's
+def test_window_grows_with_the_front_and_never_shrinks(muscl):
+    # the subnormal momentum past the shell opens the first window and is
+    # damped to +0.0 (factor < 1/2); the window keeps its end until the
+    # shell's front reaches its last cell, then grows a block.  After every
+    # step the state is the full-grid step's, the vanished cell stays +0.0
+    # until the front reaches it, and the window's views are made anew only
+    # when its end grows; the run is the full-grid march's
     s, last = shell_state()
-    s.mom[last + 20] = 5e-324
+    cell = last + 20
+    s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
     state = _in_workspace(GAS, s)
     ws = state._work
-    windows, views = [ws.w], [ws.win]
-    for _ in range(12):
+    views = [ws.win]
+    for i in range(40):
         full = full_grid_step(GAS, law, state, 0.4, muscl=muscl)
         state = step(GAS, law, state, 0.4, muscl=muscl)
         assert (state.rho_pert.tobytes(), state.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
-        assert state._work is ws and ws.w == _Workspace(state.copy()).w
-        assert window_views(ws.win) == window_views(_Window(ws, _view_end(ws.w, ws.n)))
-        windows.append(ws.w)
+        assert state._work is ws
+        if last + i + 1 < cell:  # the front, a cell a step, has not reached it
+            assert state.mom[cell:cell + 1].tobytes() == bytes(8)
+        assert_window_holds(state, views[-1].end)
         views.append(ws.win)
+    ends = [v.end for v in views]
     assert all((a is b) == (a.end == b.end) for a, b in zip(views, views[1:]))
-    assert len({v.end for v in views}) > 2
-    low = windows.index(min(windows))
-    assert windows[:2] == [last + 22, last + 3] and low == 1
-    assert windows[low:] == sorted(windows[low:]) and windows[-1] > windows[low]
+    assert ends[0] == block_end(cell + 2, ws.n) and len(set(ends)) > 2
+    assert_run_matches_reference(GAS, law, s, 0.5, 0.4, 0.1, muscl)
 
 
 def test_first_order_step_in_a_workspace_allocates_no_window_sized_array():
@@ -917,7 +929,7 @@ def test_first_order_step_in_a_workspace_allocates_no_window_sized_array():
     state = _in_workspace(GAS, s)
     for _ in range(3):
         state = step(GAS, LAW, state, 0.4)
-    window_bytes = 8 * (state._work.w + 4)
+    window_bytes = 8 * (state._work.win.end + 4)
     tracemalloc.start()
     try:
         for _ in range(5):
@@ -927,7 +939,7 @@ def test_first_order_step_in_a_workspace_allocates_no_window_sized_array():
             assert tracemalloc.get_traced_memory()[1] - before < window_bytes / 2
     finally:
         tracemalloc.stop()
-    assert state._work.w > 3000
+    assert state._work.win.end > 3000
 
 
 # ---------------------------------------------------------------- stacked series
