@@ -292,7 +292,7 @@ def simulate_fv(
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
 
     wanted = sorted(set(float(s) for s in (snapshot_times if snapshot_times is not None else (t_end,))))
-    if any(s < 0 or s > t_end for s in wanted):
+    if not all(0 <= s <= t_end for s in wanted):
         raise ValueError("snapshot times must lie in [0, t_end]")
 
     snapshots: list[Snapshot1D] = []

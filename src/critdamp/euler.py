@@ -41,47 +41,47 @@ fails the density floor first), and with every rho finite and above the
 floor, u and so |u| + c are nan or inf wherever mom is.  Only where one of
 the two maxima is not finite (a nan or an inf, or a finite state whose rho
 or wave speed overflows) are the cells tested one by one, so every verdict
-and cause is the cell-by-cell test's; a state whose mom is not finite has
-had its kernels formed by then, which only a step that overflowed, and so
-already warned, makes.  And :func:`run`'s march takes max |du/dr| only where
-the bound 2 (1 + 1e-15) M / dr does not already lie below the gradient
-trigger's limit (:func:`critdamp.outcome.screened_gradient`): rounding is
-monotone and c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u
-exceeds 2 M.
+and cause is the cell-by-cell test's; a workspace takes in only finite
+cells, so only a step that overflowed, and so already warned, forms the
+kernels of a mom that is not finite.  And :func:`run`'s march takes max
+|du/dr| only where the bound 2 (1 + 1e-15) M / dr does not already lie
+below the gradient trigger's limit
+(:func:`critdamp.outcome.screened_gradient`): rounding is monotone and
+c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u exceeds 2 M.
 
-Workspace rule: a step is bound by numpy call overhead on small windows, so
-it copies and concatenates nothing, and its scalars (the 0.5 factors, dt,
-the damping factor and rho_bar) are 0-d arrays, which numpy takes without
-converting a Python float on every pass.  :func:`run` gives its march one
-workspace: one padded (rho_pert, mom) pair of n_cells + 4 cells (two ghost
-cells mirrored at r = 0, two background cells past r_max), the current
-window's rho, u, wave speed and pressure, the flux and update scratch, and
-the views of these that a step, stable_dt and max_velocity_gradient take
-over cells [0, end) (``_Window``).  A first-order step forms its fluxes, its
+Workspace rule: a state is stepped only in a ``_Workspace``, which copies
+it in; a RadialState is plain data that no call writes.  The workspace's
+constructor is the one place a state is checked: against the gas's
+rho_bar, and for rho > 0 and finite cells over its window.  :func:`run`
+hands its one workspace to the march, which steps it in place from the
+march's t and samples copies of it at the march's t; step, stable_dt,
+validate_horizon and max_velocity_gradient each build one workspace from
+the state they are given (step returns a copy of its new state).  A
+workspace holds one padded (rho_pert, mom) pair of n_cells + 4 cells (two
+ghost cells mirrored at r = 0, two background cells past r_max), the
+current window's rho, u, wave speed and pressure, the flux and update
+scratch, and the views of these over cells [0, end) (``_Window``).  A step
+is bound by numpy call overhead on small windows, so it copies and
+concatenates nothing, and its scalars (the 0.5 factors, dt, the damping
+factor and rho_bar) are 0-d arrays, which numpy takes without converting a
+Python float on every pass.  A first-order step forms its fluxes, its
 update and the new window's kernels in those buffers, so it allocates no
-array data; a MUSCL step allocates its face values and their kernels.
-A step forms every flux from the current cells before it writes any cell,
-so it updates the window in place, and then the new window's kernels.  Only
-run's march carries a workspace on its state, whose arrays are views of the
-pair, and step advances that state in place, new cells and new t, so
-``sample`` copies it.  Any other state (from init_state, a copy, a snapshot
-or a bare step) is copied into a fresh workspace by each call of step,
-stable_dt, validate_horizon or max_velocity_gradient, and a step runs in it
-as in a run and returns the result without it: a new state, whose arrays no
-later step writes.  _in_workspace makes that copy for a gas, and it alone
-checks the state against the gas's rho_bar.  Each in-place pass keeps the
-operation and operand order of the expression it replaces, up to swapping
-the operands of * or + (exact in IEEE 754); nothing is reassociated or
-fused, and the only passes left out are identities (x = rho/rho_bar at
-rho_bar = 1, and c^2 *= gamma - 1 at gamma = 2), so states, dt values and
-artifacts stay bit-identical to the out-of-place formulas.
+array data; a MUSCL step allocates its face values and their kernels.  A
+step forms every flux from the current cells before it writes any cell, so
+it updates the window in place, and then the new window's kernels.  Each
+in-place pass keeps the operation and operand order of the expression it
+replaces, up to swapping the operands of * or + (exact in IEEE 754);
+nothing is reassociated or fused, and the only passes left out are
+identities (x = rho/rho_bar at rho_bar = 1, and c^2 *= gamma - 1 at
+gamma = 2), so states, dt values and artifacts stay bit-identical to the
+out-of-place formulas.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -188,8 +188,6 @@ class RadialState:
     mom: np.ndarray
     grid: RadialGrid
     rho_bar: float
-    # The workspace of the run that marches this state; None elsewhere.
-    _work: _Workspace | None = field(default=None, init=False, repr=False)
 
     @property
     def rho(self) -> np.ndarray:
@@ -200,20 +198,21 @@ class RadialState:
 
 
 class _Workspace:
-    """The arrays a state steps in (see module notes).
-
-    The pair holds grid cell i of the state at ``q[i + 2]`` and
-    ``mom[i + 2]``, with mirrored ghosts before and background after.  ``win``
-    holds the views of its window, cells [0, end), and rho, u, ``speed`` and
-    ``p`` hold their extended cells [0, end + 4) once :meth:`kernels` has
-    run.  Built from ``state``, which it copies, after checking rho > 0 over
-    the window.
+    """The arrays one state steps in (see module notes), the state of
+    :func:`run`'s march and of each bare call.  The pair holds grid cell i
+    at ``q[i + 2]`` and ``mom[i + 2]``, with mirrored ghosts before and
+    background after.  ``win`` holds the views of its window, cells
+    [0, end); rho, u, ``speed`` and ``p`` hold their extended cells
+    [0, end + 4), the last two once :meth:`kernels` has run.  Without a gas
+    it forms no kernels, and only :meth:`max_velocity_gradient` may be taken.
     """
 
-    def __init__(self, state: RadialState) -> None:
-        grid = state.grid
+    def __init__(self, state: RadialState, gas: GasModel | None = None) -> None:
+        if gas is not None and state.rho_bar != gas.rho_bar:
+            raise ValueError("the state must lie on the background density of gas")
+        grid = self.grid = state.grid
         n = self.n = grid.n_cells
-        self.dr = grid.dr
+        self.gas, self.rho_bar, self.dr = gas, state.rho_bar, grid.dr
         self.area, self.inv_vol = grid._area, grid._inv_vol
         self.q, self.mom = np.zeros(n + 4), np.zeros(n + 4)
         self.cells = (self.q[2:n + 2], self.mom[2:n + 2])
@@ -223,11 +222,10 @@ class _Workspace:
         self.d = np.empty(n)
         self.factor = StepFactor()
         # a step's scalars as 0-d operands (see _HALF), and its density floor
-        self.rho_bar, self.dt, self.decay = np.array(state.rho_bar), np.empty(()), np.empty(())
+        self.background, self.dt, self.decay = np.array(state.rho_bar), np.empty(()), np.empty(())
         self.floor = DENSITY_FLOOR_FACTOR * state.rho_bar
         self.max_speed = math.nan  # max(|u| + c) over the window, once kernels has run
-        self.cells[0][:] = state.rho_pert
-        self.cells[1][:] = state.mom
+        self.cells[0][:], self.cells[1][:] = state.rho_pert, state.mom
         _mirror(self.q, self.mom)
         live = np.flatnonzero(self.bits[0] | self.bits[1])
         reach = int(live[-1]) + 2 if live.size else 1
@@ -235,18 +233,123 @@ class _Workspace:
         rho = np.add(win.q, state.rho_bar, out=win.rho)
         if not np.logical_and.reduce(rho > 0):
             raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
+        # the cells, not their kernels: a finite state whose wave speed
+        # overflows is validate_horizon's to reject
+        if not _all_finite(win):
+            raise BreakdownError(state.t, BreakdownCause.NON_FINITE)
         np.divide(win.mom, rho, out=win.u)
+        if gas is not None:
+            self.kernels()
 
-    def kernels(self, gas: GasModel) -> None:
+    def kernels(self) -> None:
         """The wave speed |u| + c and the pressure over the views' cells,
         and the wave speed's maximum over the window."""
-        win = self.win
+        gas, win = self.gas, self.win
         # x = rho/rho_bar is rho itself at rho_bar = 1; else it goes where a
         # first-order step forms mom * u later.  |u| goes in p.
         x = win.rho if gas.rho_bar == 1.0 else np.divide(win.rho, gas.rho_bar, out=win.adv)
         _wave_speed(gas, x, win.u, out=win.speed, scratch=win.p)
         gas.pressure_of_ratio(x, out=win.p)
         self.max_speed = float(np.maximum.reduce(win.speed_c))
+
+    def state_at(self, t: float) -> RadialState:
+        """A copy of the workspace's state, at time ``t``."""
+        return RadialState(t, self.cells[0].copy(), self.cells[1].copy(), self.grid, self.rho_bar)
+
+    def stable_dt(self, cfl: float) -> float:
+        """CFL step cfl * dr / max(|u| + c)."""
+        return cfl * self.dr / self.max_speed
+
+    def max_velocity_gradient(self) -> float:
+        win = self.win
+        d = np.subtract(win.u_r, win.u_l, out=win.du)
+        return float(np.maximum.reduce(np.abs(d, out=d))) / self.dr
+
+    def step(self, damping: DampingLaw, t: float, dt: float, muscl: bool = False) -> _Workspace:
+        """Advance the state from ``t`` to ``t + dt`` in place (see
+        :func:`step`) and return the workspace; raises
+        :class:`BreakdownError` on loss of positivity or non-finite values."""
+        gas, win = self.gas, self.win
+        self.dt[()] = dt
+        if muscl:
+            q_l, q_r = _reconstruct(win.q)
+            mom_l, mom_r = _reconstruct(win.mom)
+            rho_l, rho_r = gas.rho_bar + q_l, gas.rho_bar + q_r
+            if not (np.logical_and.reduce(rho_l > 0) and np.logical_and.reduce(rho_r > 0)):
+                raise BreakdownError(t, BreakdownCause.NEGATIVE_DENSITY)
+            u_l, u_r = mom_l / rho_l, mom_r / rho_r
+            x_l, x_r = rho_l / gas.rho_bar, rho_r / gas.rho_bar
+            p_l, p_r = gas.pressure_of_ratio(x_l), gas.pressure_of_ratio(x_r)
+            speed_l, speed_r = _wave_speed(gas, x_l, u_l), _wave_speed(gas, x_r, u_r)
+            adv_l, adv_r = mom_l * u_l, mom_r * u_r
+        else:
+            q_l, q_r, mom_l, mom_r = win.q_l, win.q_r, win.mom_l, win.mom_r
+            np.multiply(win.mom, win.u, out=win.adv)
+            adv_l, adv_r, p_l, p_r = win.adv_l, win.adv_r, win.p_l, win.p_r
+            speed_l, speed_r = win.speed_l, win.speed_r
+        half_s = np.maximum(speed_l, speed_r, out=win.half_s)
+        half_s *= _HALF
+
+        # Rusanov fluxes 0.5 (l + r) - half_s (r - l), formed in place.
+        f_rho = np.add(mom_l, mom_r, out=win.f_rho)
+        f_rho *= _HALF
+        jump = np.subtract(q_r, q_l, out=win.jump)
+        jump *= half_s
+        f_rho -= jump
+        f_adv = np.add(adv_l, adv_r, out=win.f_adv)
+        f_adv *= _HALF
+        np.subtract(mom_r, mom_l, out=jump)
+        jump *= half_s
+        f_adv -= jump
+        p_face = np.add(p_l, p_r, out=win.p_face)
+        p_face *= _HALF
+
+        # Every flux is formed, so the window's cells take their new values.
+        f_rho *= win.area
+        d = np.subtract(win.f_rho_r, win.f_rho_l, out=win.d)
+        d *= self.dt
+        d *= win.inv_vol
+        np.subtract(win.q_c, d, out=win.q_c)
+
+        # Pressure flux relative to the cell's own pressure: this grouping is
+        # the area-weighted pressure gradient plus the geometric 2p/r source,
+        # and it vanishes identically on any state with uniform pressure.  The
+        # mass flux and its jump are spent, so their buffers take the
+        # differences.
+        dp_l = np.subtract(win.p_face_l, win.p_c, out=win.f_rho_l)
+        dp_r = np.subtract(win.p_face_r, win.p_c, out=win.jump_c)
+        t_new = t + dt
+        self.decay[()] = self.factor(damping, t, t_new)
+        f_adv *= win.area
+        np.subtract(win.f_adv_r, win.f_adv_l, out=d)
+        d *= win.inv_vol
+        dp_r *= win.area_r
+        dp_l *= win.area_l
+        dp_r -= dp_l
+        dp_r *= win.inv_vol
+        d += dp_r
+        d *= self.dt
+        mom_cells = np.subtract(win.mom_c, d, out=win.mom_c)
+        mom_cells *= self.decay
+        _mirror(self.q, self.mom)
+
+        end = win.end  # only cell end - 1 can have turned live (see module notes)
+        grow = end < self.n and (self.bits[0][end - 1] or self.bits[1][end - 1])
+        nxt = _Window(self, min(end + _VIEW_BLOCK, self.n)) if grow else win
+        rho = np.add(nxt.q, self.background, out=nxt.rho)
+        # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
+        if np.fmin.reduce(rho) <= self.floor:
+            raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
+        # a finite max rho proves every rho_pert finite, and a finite max wave
+        # speed every mom; only where one is not are the cells tested one by one
+        if not math.isfinite(np.maximum.reduce(rho)) and not _all_finite(nxt):
+            raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
+        self.win = nxt
+        np.divide(nxt.mom, rho, out=nxt.u)
+        self.kernels()
+        if not math.isfinite(self.max_speed) and not _all_finite(nxt):
+            raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
+        return self
 
 
 class _Window:
@@ -297,18 +400,6 @@ def _all_finite(win: _Window) -> bool:
     """Whether every rho_pert and mom cell of the window is finite, tested
     cell by cell."""
     return bool(np.isfinite(win.q_c).all() and np.isfinite(win.mom_c).all())
-
-
-def _in_workspace(gas: GasModel, state: RadialState) -> RadialState:
-    """A copy of ``state``, which must lie on the background density of
-    ``gas``, in a new workspace with its kernels for ``gas`` (see module notes)."""
-    if state.rho_bar != gas.rho_bar:
-        raise ValueError("the state must lie on the background density of gas")
-    ws = _Workspace(state)
-    ws.kernels(gas)
-    start = RadialState(state.t, *ws.cells, state.grid, state.rho_bar)
-    start._work = ws
-    return start
 
 
 def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -362,9 +453,8 @@ def init_state(gas: GasModel, profile: InitialProfile, grid: RadialGrid) -> Radi
 
 def stable_dt(gas: GasModel, state: RadialState, cfl: float) -> float:
     """CFL step cfl * dr / max(|u| + c) for the current state, with the
-    maximum over the grid the one its workspace holds."""
-    ws = state._work or _in_workspace(gas, state)._work
-    return cfl * ws.dr / ws.max_speed
+    maximum over the grid its workspace's."""
+    return _Workspace(state, gas).stable_dt(cfl)
 
 
 def _reconstruct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,112 +478,22 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     constant state (rho_bar, 0) outside, where waves must never arrive.  An
     explicit ``dt`` (used for sample-time clamping and step-halving tests)
     bypasses the CFL floor check, which only guards internally computed steps.
-    Only the window's cells are updated (see module notes); a state in a
-    run's workspace is advanced in place and returned, any other gives a new
-    one.  ``state`` must lie on the background density of ``gas``.
+    Only the window's cells are updated (see module notes), in a workspace
+    built from ``state``, which must lie on the background density of
+    ``gas``; the new state is a copy of it.
     """
-    explicit_dt = dt is not None
-    if explicit_dt and not 0 < dt < np.inf:
+    if dt is not None and not 0 < dt < np.inf:
         raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
-    bare = state._work is None
-    if bare:  # a bare step steps a copy, in a workspace that ends with it
-        state = _in_workspace(gas, state)
-    if not explicit_dt:
-        dt = stable_dt(gas, state, cfl)
+    ws = _Workspace(state, gas)
+    if dt is None:
+        dt = ws.stable_dt(cfl)
         if not DT_FLOOR < dt < np.inf:
             raise BreakdownError(state.t, BreakdownCause.CFL_COLLAPSE)
-
-    ws = state._work
-    win = ws.win
-    ws.dt[()] = dt
-    if muscl:
-        q_l, q_r = _reconstruct(win.q)
-        mom_l, mom_r = _reconstruct(win.mom)
-        rho_l, rho_r = gas.rho_bar + q_l, gas.rho_bar + q_r
-        if not (np.logical_and.reduce(rho_l > 0) and np.logical_and.reduce(rho_r > 0)):
-            raise BreakdownError(state.t, BreakdownCause.NEGATIVE_DENSITY)
-        u_l, u_r = mom_l / rho_l, mom_r / rho_r
-        x_l, x_r = rho_l / gas.rho_bar, rho_r / gas.rho_bar
-        p_l, p_r = gas.pressure_of_ratio(x_l), gas.pressure_of_ratio(x_r)
-        speed_l, speed_r = _wave_speed(gas, x_l, u_l), _wave_speed(gas, x_r, u_r)
-        adv_l, adv_r = mom_l * u_l, mom_r * u_r
-    else:
-        q_l, q_r, mom_l, mom_r = win.q_l, win.q_r, win.mom_l, win.mom_r
-        np.multiply(win.mom, win.u, out=win.adv)
-        adv_l, adv_r, p_l, p_r = win.adv_l, win.adv_r, win.p_l, win.p_r
-        speed_l, speed_r = win.speed_l, win.speed_r
-    half_s = np.maximum(speed_l, speed_r, out=win.half_s)
-    half_s *= _HALF
-
-    # Rusanov fluxes 0.5 (l + r) - half_s (r - l), formed in place.
-    f_rho = np.add(mom_l, mom_r, out=win.f_rho)
-    f_rho *= _HALF
-    jump = np.subtract(q_r, q_l, out=win.jump)
-    jump *= half_s
-    f_rho -= jump
-    f_adv = np.add(adv_l, adv_r, out=win.f_adv)
-    f_adv *= _HALF
-    np.subtract(mom_r, mom_l, out=jump)
-    jump *= half_s
-    f_adv -= jump
-    p_face = np.add(p_l, p_r, out=win.p_face)
-    p_face *= _HALF
-
-    # Every flux is formed, so the window's cells take their new values.
-    f_rho *= win.area
-    d = np.subtract(win.f_rho_r, win.f_rho_l, out=win.d)
-    d *= ws.dt
-    d *= win.inv_vol
-    np.subtract(win.q_c, d, out=win.q_c)
-
-    # Pressure flux relative to the cell's own pressure: this grouping is the
-    # area-weighted pressure gradient plus the geometric 2p/r source, and it
-    # vanishes identically on any state with uniform pressure.  The mass
-    # flux and its jump are spent, so their buffers take the differences.
-    dp_l = np.subtract(win.p_face_l, win.p_c, out=win.f_rho_l)
-    dp_r = np.subtract(win.p_face_r, win.p_c, out=win.jump_c)
-    t_new = state.t + dt
-    ws.decay[()] = ws.factor(damping, state.t, t_new)
-    f_adv *= win.area
-    np.subtract(win.f_adv_r, win.f_adv_l, out=d)
-    d *= win.inv_vol
-    dp_r *= win.area_r
-    dp_l *= win.area_l
-    dp_r -= dp_l
-    dp_r *= win.inv_vol
-    d += dp_r
-    d *= ws.dt
-    mom_cells = np.subtract(win.mom_c, d, out=win.mom_c)
-    mom_cells *= ws.decay
-    _mirror(ws.q, ws.mom)
-
-    end = win.end  # only cell end - 1 can have turned live (see module notes)
-    grow = end < ws.n and (ws.bits[0][end - 1] or ws.bits[1][end - 1])
-    nxt = _Window(ws, min(end + _VIEW_BLOCK, ws.n)) if grow else win
-    rho = np.add(nxt.q, ws.rho_bar, out=nxt.rho)
-    # fmin skips a nan, as a cell-by-cell rho <= floor does; min would return it
-    if np.fmin.reduce(rho) <= ws.floor:
-        raise BreakdownError(t_new, BreakdownCause.NEGATIVE_DENSITY)
-    # a finite max rho proves every rho_pert finite, and a finite max wave
-    # speed every mom; only where one is not are the cells tested one by one
-    if not math.isfinite(np.maximum.reduce(rho)) and not _all_finite(nxt):
-        raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-    ws.win = nxt
-    np.divide(nxt.mom, rho, out=nxt.u)
-    ws.kernels(gas)
-    if not math.isfinite(ws.max_speed) and not _all_finite(nxt):
-        raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
-    state.t = t_new
-    if bare:
-        state._work = None
-    return state
+    return ws.step(damping, state.t, dt, muscl).state_at(state.t + dt)
 
 
 def max_velocity_gradient(state: RadialState) -> float:
-    ws = state._work or _Workspace(state)
-    win = ws.win
-    d = np.subtract(win.u_r, win.u_l, out=win.du)
-    return float(np.maximum.reduce(np.abs(d, out=d))) / ws.dr
+    return _Workspace(state).max_velocity_gradient()
 
 
 def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) -> None:
@@ -501,13 +501,14 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
 
     Uses the finite-propagation bound: support M plus t_end times a wave-speed
     guess (1.2x the initial max of |u| + c, its workspace's; see module notes)
-    must stay inside r_max.  A density <= 0 or nan raises :class:`BreakdownError`.
+    must stay inside r_max.  A density <= 0 or nan, or a cell that is not
+    finite, raises :class:`BreakdownError`.
     """
     # the pressure (rho/rho_bar)**gamma overflows on data whose wave speed
     # this must still see, to reject them as too fast; a wave speed that
     # overflows (a huge gamma) is inf, which rejects them too
     with np.errstate(over="ignore"):
-        guess = 1.2 * _in_workspace(gas, state)._work.max_speed
+        guess = 1.2 * _Workspace(state, gas).max_speed
     if M + t_end * guess >= state.grid.r_max:
         raise ValueError(
             f"grid.r_max={state.grid.r_max!r} too small: support {M!r} plus "
@@ -568,16 +569,12 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
         raise ValueError("monitor_cadence must be positive")
 
     snapshots: list[RadialState] = []
-
-    def sample(s: RadialState, t: float) -> None:
-        s.t = t  # march lands exactly on t; the next step starts from there
-        snapshots.append(s.copy())
-
-    start = _in_workspace(gas, state)
-    limit = gradient_limit(max_velocity_gradient(start))
+    ws = _Workspace(state, gas)
+    limit = gradient_limit(ws.max_velocity_gradient())
     # |u| <= |u| + c, so max(|u| + c) bounds the velocity the gradient is taken of
-    gradient = screened_gradient(max_velocity_gradient, lambda s: s._work.max_speed, state.grid.dr, limit)
-    verdict = march(start, t_end, sample_times(t_end, monitor_cadence), lambda s: stable_dt(gas, s, cfl),
-                    lambda s, t, dt: step(gas, damping, s, cfl, dt=dt, muscl=muscl), gradient, sample, limit)
+    gradient = screened_gradient(_Workspace.max_velocity_gradient, lambda w: w.max_speed, ws.dr, limit)
+    verdict = march(ws, t_end, sample_times(t_end, monitor_cadence), lambda w: w.stable_dt(cfl),
+                    lambda w, t, dt: w.step(damping, t, dt, muscl), gradient,
+                    lambda w, t: snapshots.append(w.state_at(t)), limit)
     columns = series(snapshots, gas, damping, cfl)
     return RunResult(np.asarray([s.t for s in snapshots]), columns, snapshots, verdict)

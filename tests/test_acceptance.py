@@ -63,7 +63,8 @@ def test_criterion_01_lifespan_dichotomy_sweep(tmp_path):
         "sweep",
     )
     run_experiment(cfg)
-    rows = open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        rows = fh.read().splitlines()[1:]
     mismatches = []
     for row in rows:
         lam_s, mu_s, _, verdict, _ = row.split(",")

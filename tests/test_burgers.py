@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -330,6 +331,12 @@ def test_characteristic_outside_support_zero():
     assert eval_characteristic(p, 3.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [-1e-300, -1.0, -math.inf])
+def test_characteristic_before_time_zero_raises(t):
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        eval_characteristic(ramp_problem(0.1, 0.5, 1.0), t, 0.0)
+
+
 def test_characteristic_after_lifespan_raises():
     p = ramp_problem(0.1, 0.5, 1.0)  # T = 35
     with pytest.raises(LifespanError):
@@ -524,11 +531,17 @@ def test_fv_validates_config():
             simulate_fv(p, 64, 1.0, 0.5, x_span=span)
     _, verdict = simulate_fv(p, 64, 1.0, 0.5, x_span=(-1.0, 1.0))
     assert isinstance(verdict, Global)
+    for times in ([-0.1, 0.5], [0.0, 1.5], [math.nan]):
+        with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, t_end\]"):
+            simulate_fv(p, 64, 1.0, 0.5, snapshot_times=times)
 
 
 def test_problem_validation():
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     with pytest.raises(ValueError):
         BurgersProblem(zero, zero, (1.0, -1.0), 0.1, DampingLaw(1.0, 1.0))
+    for plateau, support in [(0.0, 3.0), (3.0, 3.0), (2.0, 1.0)]:
+        with pytest.raises(ValueError, match="need 0 < plateau < support"):
+            line_ramp(plateau, support)
     with pytest.raises(ValueError):
         BurgersProblem(zero, zero, (-1.0, 1.0), 0.0, DampingLaw(1.0, 1.0))

@@ -100,10 +100,12 @@ def test_sample_count_is_capped(mode):
 # ---------------------------------------------------------------- modes
 
 def test_lifespan_mode_writes_verdict(tmp_path):
+    # a list-valued key, set though this mode reads none, is echoed as the
+    # reprs of its values
     out = str(tmp_path / "v")
     cfg = parse_config(
         "damping.lambda = 1.0\ndamping.mu = 0.5\nprofile.epsilon = 0.1\n"
-        f"output.dir = {out}",
+        f"sweep.lambda = 1,2\noutput.dir = {out}",
         "burgers-lifespan",
     )
     run_experiment(cfg)
@@ -111,6 +113,7 @@ def test_lifespan_mode_writes_verdict(tmp_path):
     assert type(v).__name__ == "FiniteLifespan"
     body = read(os.path.join(out, "verdict.txt"))
     assert "damping.mu = 0.5" in body
+    assert "sweep.lambda = 1.0,2.0" in body.splitlines()
 
 
 def test_burgers_sim_outputs(tmp_path):

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from critdamp.csvio import read_radial_snapshots, write_radial_snapshots
 from critdamp.euler import (
     _STACK_CELLS,
     RadialState,
-    _in_workspace,
     _wave_speed,
     _Window,
     _Workspace,
@@ -50,6 +51,8 @@ from helpers import (
 
 GAS = GasModel(gamma=2.0, rho_bar=1.0)
 LAW = DampingLaw(mu=1.0, lam=0.5)
+# a RadialState is plain data: what it holds, and nothing of a workspace
+STATE_FIELDS = {"t", "rho_pert", "mom", "grid", "rho_bar"}
 
 
 def bump_profile(epsilon):
@@ -295,6 +298,17 @@ def test_run_starts_at_time_zero():
         run(GAS, LAW, later, t_end=1.0)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"t_end": 0.0}, "t_end"), ({"t_end": math.nan}, "t_end"),
+    ({"cfl": 0.0}, "cfl"), ({"cfl": 0.95}, "cfl"),
+    ({"monitor_cadence": 0.0}, "monitor_cadence"), ({"monitor_cadence": math.nan}, "monitor_cadence"),
+])
+def test_run_rejects_arguments_out_of_range(kwargs, key):
+    state = init_state(GAS, bump_profile(0.1), RadialGrid(30.0, 64))
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        run(GAS, LAW, state, **{"t_end": 1.0, **kwargs})
+
+
 def test_grid_and_profile_validation():
     with pytest.raises(ValueError):
         RadialGrid(0.0, 64)
@@ -305,6 +319,9 @@ def test_grid_and_profile_validation():
         InitialProfile(rho0, u0, epsilon=-0.1, M=1.0)
     with pytest.raises(ValueError):
         InitialProfile(rho0, u0, epsilon=0.1, M=1.0, M0=1.5)
+    for m0, m in [(1.0, 1.0), (0.5, 0.3), (-0.1, 1.0)]:
+        with pytest.raises(ValueError, match="shell radii"):
+            radial_shell(m0, m)
 
 
 _RHO0, _U0 = radial_bump(1.0)
@@ -345,20 +362,27 @@ def outcome_of(fn):
         return (exc.time, exc.cause)
 
 
+def workspace_step(ws, law, t, cfl, *, dt=None, muscl=False):
+    """Step the workspace ``ws`` in place from ``t``, as ``run``'s march
+    does, by ``dt`` or else its CFL step, and return a copy of its state."""
+    dt = ws.stable_dt(cfl) if dt is None else dt
+    return ws.step(law, t, dt, muscl).state_at(t + dt)
+
+
 def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
     """Step ``s`` in a workspace, as ``run`` does, with a bare ``step`` and
     with the full-grid oracle; every state, stable_dt and
     max_velocity_gradient must agree bit for bit, and the workspace's window
     must hold the new state's live cells (see assert_window_holds)."""
-    s = _in_workspace(GAS, s)
+    ws = _Workspace(s, GAS)
     for _ in range(n_steps):
-        assert stable_dt(GAS, s, 0.4) == full_grid_stable_dt(GAS, s, 0.4)
-        assert max_velocity_gradient(s) == full_grid_max_velocity_gradient(s)
+        assert ws.stable_dt(0.4) == stable_dt(GAS, s, 0.4) == full_grid_stable_dt(GAS, s, 0.4)
+        assert ws.max_velocity_gradient() == max_velocity_gradient(s) == full_grid_max_velocity_gradient(s)
         dt = None if dt_fraction is None else dt_fraction * full_grid_stable_dt(GAS, s, 0.4)
         full = outcome_of(lambda: full_grid_step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
-        bare = outcome_of(lambda: step(GAS, law, s.copy(), 0.4, dt=dt, muscl=muscl))
-        end = s._work.win.end
-        windowed = outcome_of(lambda: step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
+        bare = outcome_of(lambda: step(GAS, law, s, 0.4, dt=dt, muscl=muscl))
+        end = ws.win.end
+        windowed = outcome_of(lambda: workspace_step(ws, law, s.t, 0.4, dt=dt, muscl=muscl))
         if isinstance(full, tuple):
             assert windowed == full
             assert bare == full
@@ -369,20 +393,21 @@ def assert_windowed_matches_full_grid(law, s, n_steps, muscl, dt_fraction=None):
             assert new.rho_pert.tobytes() == full.rho_pert.tobytes()
             assert new.mom.tobytes() == full.mom.tobytes()
             assert new.t == full.t
-        assert_window_holds(windowed, end)
+        assert_window_holds(ws, end)
         s = windowed
 
 
-def assert_window_holds(state, before):
-    """The window of a run's ``state`` never shrinks: it ends where the one
-    before the step did, at ``before``, or where a full scan opens it, if
-    that lies further.  Every cell from its end on is +0.0, and so is cell
-    end - 1 unless the window is the grid; its views are those made fresh."""
-    ws = state._work
+def assert_window_holds(ws, before):
+    """The window of a run's workspace ``ws`` never shrinks: it ends where
+    the one before the step did, at ``before``, or where a full scan opens
+    it, if that lies further.  Every cell from its end on is +0.0, and so is
+    cell end - 1 unless the window is the grid; its views are those made
+    fresh."""
+    q, mom = ws.cells
     end, n = ws.win.end, ws.n
-    assert end == max(before, _Workspace(state.copy()).win.end)
-    assert state.rho_pert[end:].tobytes() == state.mom[end:].tobytes() == bytes(8 * (n - end))
-    assert end == n or state.rho_pert[end - 1:end].tobytes() == state.mom[end - 1:end].tobytes() == bytes(8)
+    assert end == max(before, _Workspace(ws.state_at(0.0)).win.end)
+    assert q[end:].tobytes() == mom[end:].tobytes() == bytes(8 * (n - end))
+    assert end == n or q[end - 1:end].tobytes() == mom[end - 1:end].tobytes() == bytes(8)
     assert window_views(ws.win) == window_views(_Window(ws, end))
 
 
@@ -470,11 +495,11 @@ def test_window_keeps_its_end_when_the_front_vanishes(shell, muscl):
     cell = last + 20
     s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
-    state = _in_workspace(GAS, s)
-    end = state._work.win.end
+    ws = _Workspace(s, GAS)
+    end = ws.win.end
     assert end == block_end(cell + 2, s.grid.n_cells)
-    new = step(GAS, law, state, 0.4, muscl=muscl)
-    assert new.mom[cell] == 0.0 and new._work.win.end == end
+    new = workspace_step(ws, law, s.t, 0.4, muscl=muscl)
+    assert new.mom[cell] == 0.0 and ws.win.end == end
     assert_windowed_matches_full_grid(law, s, 3, muscl)
 
 
@@ -493,8 +518,10 @@ CELL_BITS = st.one_of(st.just(0), st.sampled_from(SPECIAL_BITS), st.integers(-2*
 @example(q_bits=[0, 0, 0], mom_bits=[0, 0, SPECIAL_BITS[2]], n_cells=33, at=30)
 def test_span_matches_full_scan(q_bits, mom_bits, n_cells, at):
     # the first window of a workspace ends a cell past the last live cell (by
-    # its bits, so -0.0, nan and subnormals are live) that a full scan finds,
-    # in blocks; the workspace checks rho > 0 over that window
+    # its bits, so -0.0, nan, inf and subnormals are live) that a full scan
+    # finds, in blocks; the workspace checks rho > 0 over that window, then
+    # that its cells are finite.  With that last check set aside, a
+    # workspace of non-finite cells shows the window it opens
     n = min(len(q_bits), len(mom_bits))
     at = min(at, n_cells - n)
     q, mom = np.zeros(n_cells), np.zeros(n_cells)
@@ -505,11 +532,19 @@ def test_span_matches_full_scan(q_bits, mom_bits, n_cells, at):
     s = RadialState(0.0, q, mom, RadialGrid(1.0, n_cells), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # u = mom / rho of any finite bits
-        if np.all(1.0 + q[:end] > 0):
-            assert _Workspace(s).win.end == end
-        else:
-            with pytest.raises(BreakdownError):
+        if not np.all(1.0 + q[:end] > 0):
+            with pytest.raises(BreakdownError) as raised:
                 _Workspace(s)
+            assert raised.value.cause == BreakdownCause.NEGATIVE_DENSITY
+            return
+        if not (np.isfinite(q).all() and np.isfinite(mom).all()):
+            with pytest.raises(BreakdownError) as raised:
+                _Workspace(s)
+            assert raised.value.cause == BreakdownCause.NON_FINITE
+            with mock.patch.object(euler, "_all_finite", lambda win: True):
+                assert _Workspace(s).win.end == end
+            return
+        assert _Workspace(s).win.end == end
 
 
 @settings(max_examples=20, deadline=None)
@@ -517,10 +552,10 @@ def test_span_matches_full_scan(q_bits, mom_bits, n_cells, at):
        n_cells=st.integers(32, 160), stepped=st.booleans(), dt_fraction=st.none() | st.floats(0.05, 1.0))
 def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_cells, stepped, dt_fraction):
     # step, stable_dt and max_velocity_gradient update workspace buffers in
-    # place; none may write through to a bare input state.  A run's state is
-    # the pair of its workspace, beside its window's kernels: stable_dt and
-    # max_velocity_gradient only read them (a step writes them, see
-    # test_run_steps_its_window_in_place)
+    # place; none may write through to their input state.  A run's state is
+    # the pair of its workspace, beside its window's kernels: the
+    # workspace's stable_dt and max_velocity_gradient only read them (a step
+    # writes them, see test_run_steps_its_window_in_place)
     rho0, u0 = radial_outgoing_shell(0.3, 1.0)
     rho_sign = -1.0 if rarefied else 1.0
     u_sign = -1.0 if inward else 1.0
@@ -529,21 +564,21 @@ def test_step_and_monitors_leave_their_input_unchanged(eps, rarefied, inward, n_
     s = init_state(GAS, prof, RadialGrid(12.0, n_cells))
     if stepped:
         s = step(GAS, LAW, s, 0.4)
-    assert s._work is None
+    assert vars(s).keys() == STATE_FIELDS
     before = [s.rho_pert.tobytes(), s.mom.tobytes()]
     dt = None if dt_fraction is None else dt_fraction * stable_dt(GAS, s, 0.4)
     for muscl in (False, True):
         outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
-        owned = _in_workspace(GAS, s)
-        ws = owned._work
+        ws = _Workspace(s, GAS)
         m = ws.win.end + 4
-        arrays = [owned.rho_pert, owned.mom, ws.q[:m], ws.mom[:m], ws.rho[:m], ws.u[:m], ws.speed[:m], ws.p]
+        arrays = [*ws.cells, ws.q[:m], ws.mom[:m], ws.rho[:m], ws.u[:m], ws.speed[:m], ws.p]
         owned_before = [a.tobytes() for a in arrays]
-        stable_dt(GAS, owned, 0.4)
-        max_velocity_gradient(owned)
+        ws.stable_dt(0.4)
+        ws.max_velocity_gradient()
         assert [a.tobytes() for a in arrays] == owned_before
-        new = outcome_of(lambda: step(GAS, LAW, owned, 0.4, dt=dt, muscl=muscl))
-        assert isinstance(new, tuple) or new._work is ws
+        new = outcome_of(lambda: workspace_step(ws, LAW, s.t, 0.4, dt=dt, muscl=muscl))
+        assert isinstance(new, tuple) or [new.rho_pert.tobytes(), new.mom.tobytes()] == [
+            a.tobytes() for a in ws.cells]
     stable_dt(GAS, s, 0.4)
     max_velocity_gradient(s)
     assert [s.rho_pert.tobytes(), s.mom.tobytes()] == before
@@ -576,7 +611,7 @@ def test_breakdown_non_finite_matches_full_grid(band, muscl):
     with np.errstate(over="ignore", invalid="ignore"):
         full = outcome_of(lambda: full_grid_step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
         windowed = outcome_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))
-        in_run = outcome_of(lambda: step(GAS, LAW, _in_workspace(GAS, s), 0.4, dt=dt, muscl=muscl))
+        in_run = outcome_of(lambda: workspace_step(_Workspace(s, GAS), LAW, s.t, 0.4, dt=dt, muscl=muscl))
     cause = BreakdownCause.NON_FINITE if band == 1 else BreakdownCause.NEGATIVE_DENSITY
     assert full == (s.t + dt, cause)
     assert windowed == in_run == full
@@ -628,13 +663,13 @@ def test_step_to_non_finite_values_matches_full_grid(build, rho_kinds, mom_kinds
     owned = []
 
     def in_workspace():
-        owned.append(_in_workspace(GAS, s))
-        return step(GAS, LAW, owned[0], 0.4, dt=dt, muscl=muscl)
+        owned.append(_Workspace(s, GAS))
+        return workspace_step(owned[0], LAW, s.t, 0.4, dt=dt, muscl=muscl)
 
     windowed, windowed_warnings = warnings_of(in_workspace)
     assert windowed == full
     assert windowed_warnings <= full_warnings
-    assert (non_finite_kinds(owned[0].rho_pert), non_finite_kinds(owned[0].mom)) == (rho_kinds, mom_kinds)
+    assert tuple(non_finite_kinds(a) for a in owned[0].cells) == (rho_kinds, mom_kinds)
     assert warnings_of(lambda: step(GAS, LAW, s, 0.4, dt=dt, muscl=muscl))[0] == full
 
 
@@ -652,10 +687,11 @@ def test_step_to_a_finite_state_whose_wave_speed_overflows_is_not_non_finite():
     full = full_grid_step(gas, LAW, s, 0.4, dt=dt)
     with np.errstate(over="ignore"):  # the new state's c^2
         assert full_grid_max_speed(gas, full) == math.inf
-        new = step(gas, LAW, _in_workspace(gas, s), 0.4, dt=dt)
+        ws = _Workspace(s, gas)
+        new = workspace_step(ws, LAW, s.t, 0.4, dt=dt)
         bare = step(gas, LAW, s, 0.4, dt=dt)
-        assert stable_dt(gas, new, 0.4) == 0.0
-    assert new._work.max_speed == math.inf
+        assert ws.stable_dt(0.4) == stable_dt(gas, new, 0.4) == 0.0
+    assert ws.max_speed == math.inf
     for ours in (new, bare):
         assert ours.t == full.t
         assert (ours.rho_pert.tobytes(), ours.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
@@ -673,6 +709,59 @@ def test_a_state_off_the_gas_background_is_rejected(call):
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
     with pytest.raises(ValueError, match="background density"):
         call(GasModel(2.0, 2.0), s)
+
+
+@pytest.mark.parametrize("cells", [
+    {"rho_pert": math.inf, "mom": math.inf}, {"rho_pert": math.inf}, {"mom": -math.inf}, {"mom": math.nan},
+], ids=["both-inf", "rho_pert-inf", "mom-minus-inf", "mom-nan"])
+@pytest.mark.parametrize("call", [
+    lambda s: stable_dt(GAS, s, 0.4),
+    lambda s: step(GAS, LAW, s, 0.4),
+    lambda s: step(GAS, LAW, s, 0.4, dt=1e-3),
+    lambda s: step(GAS, LAW, s, 0.4, dt=1e-3, muscl=True),
+    lambda s: validate_horizon(GAS, s, 1.0, 1.0),
+    lambda s: max_velocity_gradient(s),
+], ids=["stable_dt", "step", "step-dt", "step-muscl", "validate_horizon", "max_velocity_gradient"])
+def test_a_state_holding_a_non_finite_cell_is_non_finite_at_its_own_time(call, cells):
+    # a workspace tests the cells it takes in before it forms u = mom / rho,
+    # so every call reports them at the state's own time, with no warning,
+    # rather than forming a nan or an inf wave speed from them
+    s = init_state(GAS, bump_profile(0.1), RadialGrid(5.0, 64))
+    s.t = 0.25
+    for field, value in cells.items():
+        getattr(s, field)[3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BreakdownError) as raised:
+            call(s)
+    assert (raised.value.time, raised.value.cause) == (0.25, BreakdownCause.NON_FINITE)
+
+
+def test_muscl_step_stops_on_a_face_density_that_is_not_positive():
+    # every cell that a workspace takes in or a step leaves lies above the
+    # density floor, and a minmod face value lies between its cell and a
+    # neighbour, so this test of the face densities guards the division
+    # by them: a cell written below zero into the workspace reaches it, and
+    # the step stops at the time it starts from
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
+    ws = _Workspace(s, GAS)
+    ws.cells[0][3] = -2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BreakdownError) as raised:
+            ws.step(LAW, 0.5, 1e-3, muscl=True)
+    assert (raised.value.time, raised.value.cause) == (0.5, BreakdownCause.NEGATIVE_DENSITY)
+
+
+def test_radial_state_is_plain_data():
+    # a state holds its time, cells, grid and background and nothing of a
+    # workspace: the initial state, a bare step's result and a run's
+    # snapshots alike
+    s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
+    res = run(GAS, LAW, s, t_end=0.5, cfl=0.4, monitor_cadence=0.25)
+    for state in [s, step(GAS, LAW, s, 0.4), *res.snapshots]:
+        assert [f.name for f in dataclasses.fields(state)] == ["t", "rho_pert", "mom", "grid", "rho_bar"]
+        assert vars(state).keys() == STATE_FIELDS
 
 
 def test_bare_step_collapses_on_its_own_cfl_step():
@@ -761,10 +850,10 @@ def test_run_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeyp
     # step.  Either way the run is the full-grid march's, byte for byte
     calls = {"step": 0, "max_velocity_gradient": 0}
     for name in calls:
-        def counted(*args, _name=name, _f=getattr(euler, name), **kwargs):
+        def counted(self, *args, _name=name, _f=getattr(_Workspace, name)):
             calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(euler, name, counted)
+            return _f(self, *args)
+        monkeypatch.setattr(_Workspace, name, counted)
     s = init_state(GAS, shell_profile(eps), RadialGrid(12.0, n_cells))
     assert_run_matches_reference(GAS, LAW, s, 1.25, 0.4, 0.25, False)
     assert calls["step"] > 10
@@ -781,21 +870,21 @@ def test_run_clears_the_tail_a_shrinking_window_leaves(muscl):
     cell = last + 20
     s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
-    state = _in_workspace(GAS, s)
-    ws, end = state._work, state._work.win.end
-    assert state.mom[cell] == 5e-324 and end > cell
+    ws = _Workspace(s, GAS)
+    end, state = ws.win.end, s
+    assert ws.cells[1][cell] == 5e-324 and end > cell
     for _ in range(cell - last - 1):
-        state = step(GAS, law, state, 0.4, muscl=muscl)
+        state = workspace_step(ws, law, state.t, 0.4, muscl=muscl)
         assert state.mom[cell:cell + 1].tobytes() == bytes(8)
     assert ws.win.end == end
     assert_run_matches_reference(GAS, law, s, 0.5, 0.4, 0.1, muscl)
 
 
 def test_run_snapshots_and_bare_steps_keep_their_values():
-    # a run's states are views of its workspace, which later steps
-    # overwrite, so each snapshot must be a copy: the snapshot at t equals
-    # the last one of a run that ends at t.  A bare step's result belongs to
-    # no workspace, so stepping its input again, or it, leaves it as it is.
+    # a run's later steps overwrite its workspace, so each snapshot must be
+    # a copy: the snapshot at t equals the last one of a run that ends at t.
+    # A bare step's result belongs to no workspace, so stepping its input
+    # again, or it, leaves it as it is.
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))
     before = (s.rho_pert.tobytes(), s.mom.tobytes())
     res = run(GAS, LAW, s, t_end=1.5, cfl=0.4, monitor_cadence=0.5)
@@ -816,29 +905,30 @@ def test_run_snapshots_and_bare_steps_keep_their_values():
 
 @pytest.mark.parametrize("muscl", [False, True])
 def test_run_steps_its_window_in_place(monkeypatch, muscl):
-    # a run's step writes the new window into the pair its input is a view
-    # of, and leaves the cells from the old window on as the +0.0 they
-    # were; run's snapshots are copies, apart from its one workspace
+    # a run's step writes the new window into its workspace's pair, and
+    # leaves the cells from the old window on as the +0.0 they were; run's
+    # snapshots are copies, apart from its one workspace
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))
-    owned = _in_workspace(GAS, s)
-    ws, end = owned._work, owned._work.win.end
-    full = full_grid_step(GAS, LAW, owned, 0.4, muscl=muscl)
-    new = step(GAS, LAW, owned, 0.4, muscl=muscl)
-    assert new._work is ws
-    assert np.shares_memory(new.rho_pert, owned.rho_pert) and np.shares_memory(new.mom, owned.mom)
-    assert (new.rho_pert.tobytes(), new.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
-    assert new.rho_pert[end:].tobytes() == new.mom[end:].tobytes() == bytes(8 * (s.grid.n_cells - end))
+    ws = _Workspace(s, GAS)
+    end, (q, mom) = ws.win.end, ws.cells
+    full = full_grid_step(GAS, LAW, s, 0.4, muscl=muscl)
+    assert ws.step(LAW, s.t, ws.stable_dt(0.4), muscl) is ws
+    new = ws.cells
+    assert np.shares_memory(new[0], q) and np.shares_memory(new[1], mom)
+    assert (new[0].tobytes(), new[1].tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
+    assert new[0][end:].tobytes() == new[1][end:].tobytes() == bytes(8 * (s.grid.n_cells - end))
 
     starts = []
 
-    def spy(gas, state):
-        starts.append(_in_workspace(gas, state))
-        return starts[-1]
+    class Spied(_Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            starts.append(self)
 
-    monkeypatch.setattr("critdamp.euler._in_workspace", spy)
+    monkeypatch.setattr("critdamp.euler._Workspace", Spied)
     res = run(GAS, LAW, s, t_end=1.5, cfl=0.4, monitor_cadence=0.5, muscl=muscl)
     assert len(starts) == 1 and len(res.snapshots) == 4
-    buffers = [a for a in vars(starts[0]._work).values() if isinstance(a, np.ndarray)]
+    buffers = [a for a in vars(starts[0]).values() if isinstance(a, np.ndarray)]
     for snap in res.snapshots:
         assert not any(np.shares_memory(a, b) for a in (snap.rho_pert, snap.mom) for b in buffers)
 
@@ -849,9 +939,9 @@ def test_bare_step_builds_one_workspace(monkeypatch, dt):
     builds = []
 
     class Counted(_Workspace):
-        def __init__(self, state):
+        def __init__(self, state, gas=None):
             builds.append(state.t)
-            super().__init__(state)
+            super().__init__(state, gas)
 
     monkeypatch.setattr("critdamp.euler._Workspace", Counted)
     step(GAS, LAW, init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64)), 0.4, dt=dt)
@@ -875,10 +965,11 @@ def test_workspace_step_takes_log_beta_at_the_time_it_is_given():
     # a run reuses log beta(t_new) of the step before as the next step's
     # log beta(t); a sample time may move t off t_new (by rounding in a
     # march), and then the factor must follow the moved t
-    s = step(GAS, LAW, _in_workspace(GAS, init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))), 0.4)
+    ws = _Workspace(init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128)), GAS)
+    s = workspace_step(ws, LAW, 0.0, 0.4)
     s.t *= 2.0
     full = full_grid_step(GAS, LAW, s, 0.4)
-    new = step(GAS, LAW, s, 0.4)
+    new = workspace_step(ws, LAW, s.t, 0.4)
     assert new.t == full.t
     assert new.mom.tobytes() == full.mom.tobytes()
 
@@ -895,7 +986,7 @@ def test_workspace_kernels_match_the_gas_kernels_on_fresh_arrays(gamma, rho_bar,
     gas = GasModel(gamma, rho_bar)
     span = data.draw(st.sampled_from([0, 1, n_cells - 1, n_cells]) | st.integers(0, n_cells))
     s = random_state(RadialGrid(12.0, n_cells), rho_bar, 0.0, data.draw(st.integers(0, 2**32 - 1)), span, 0.0)
-    ws = _in_workspace(gas, s)._work
+    ws = _Workspace(s, gas)
     m = ws.win.end + 4
     x, u = ws.rho[:m] / gas.rho_bar, ws.u[:m].copy()
     assert ws.speed[:m].tobytes() == _wave_speed(gas, x, u).tobytes()
@@ -924,15 +1015,14 @@ def test_window_views_follow_the_window_as_it_shrinks_and_grows(muscl):
     cell = last + 20
     s.mom[cell] = 5e-324
     law = DampingLaw(mu=100.0, lam=0.0)
-    state = _in_workspace(GAS, s)
-    ws = state._work
+    ws, state = _Workspace(s, GAS), s
     views = [ws.win]
     for _ in range(40):
         full = full_grid_step(GAS, law, state, 0.4, muscl=muscl)
-        state = step(GAS, law, state, 0.4, muscl=muscl)
+        state = workspace_step(ws, law, state.t, 0.4, muscl=muscl)
         assert (state.rho_pert.tobytes(), state.mom.tobytes()) == (full.rho_pert.tobytes(), full.mom.tobytes())
-        assert state._work is ws
-        assert_window_holds(state, views[-1].end)
+        assert [state.rho_pert.tobytes(), state.mom.tobytes()] == [a.tobytes() for a in ws.cells]
+        assert_window_holds(ws, views[-1].end)
         views.append(ws.win)
     ends = [v.end for v in views]
     assert all((a is b) == (a.end == b.end) for a, b in zip(views, views[1:]))
@@ -944,20 +1034,24 @@ def test_first_order_step_in_a_workspace_allocates_no_window_sized_array():
     # a run's first-order step forms its fluxes and kernels in workspace
     # buffers; only a new window's views and small Python objects are new
     s = init_state(GAS, shell_profile(0.3), RadialGrid(1.25, 4096))
-    state = _in_workspace(GAS, s)
+    ws, t = _Workspace(s, GAS), s.t
     for _ in range(3):
-        state = step(GAS, LAW, state, 0.4)
-    window_bytes = 8 * (state._work.win.end + 4)
+        dt = ws.stable_dt(0.4)
+        ws.step(LAW, t, dt)
+        t += dt
+    window_bytes = 8 * (ws.win.end + 4)
     tracemalloc.start()
     try:
         for _ in range(5):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            state = step(GAS, LAW, state, 0.4)
+            dt = ws.stable_dt(0.4)
+            ws.step(LAW, t, dt)
+            t += dt
             assert tracemalloc.get_traced_memory()[1] - before < window_bytes / 2
     finally:
         tracemalloc.stop()
-    assert state._work.win.end > 3000
+    assert ws.win.end > 3000
 
 
 # ---------------------------------------------------------------- stacked series
@@ -988,7 +1082,7 @@ def assert_series_matches_one_state_monitors(states, gas, law, cfl):
     assert list(columns) == SERIES_NAMES
     got = np.array(list(columns.values())).reshape(7, len(states))
     for j, s in enumerate(states):
-        assert s._work is None
+        assert vars(s).keys() == STATE_FIELDS
         package = [mass_excess(s, gas), weighted_momentum(s), weighted_potential_energy(s, gas, law),
                    float(np.min(s.rho)), float(np.max(np.abs(s.mom / s.rho))),
                    max_velocity_gradient(s), stable_dt(gas, s, cfl)]
@@ -1098,7 +1192,7 @@ def test_run_rejects_a_state_off_the_gas_background_before_stepping(monkeypatch)
     def no_step(*args, **kwargs):
         raise AssertionError("run stepped")
 
-    monkeypatch.setattr("critdamp.euler.step", no_step)
+    monkeypatch.setattr(_Workspace, "step", no_step)
     with pytest.raises(ValueError, match="background"):
         run(GAS, LAW, state, 1.0)
 

@@ -9,11 +9,13 @@ from critdamp.outcome import (
     DT_FLOOR,
     BreakdownCause,
     BreakdownError,
+    FiniteLifespan,
     Global,
     NumericalBreakdown,
     march,
     sample_times,
     screened_gradient,
+    verdict_label,
 )
 
 RATE = 0.5
@@ -90,6 +92,23 @@ def test_cfl_collapse_at_current_time(dt):
     assert decay_march(1.0, [0.0], dt=dt, advance=advance)[0] == \
         NumericalBreakdown(0.0, BreakdownCause.CFL_COLLAPSE)
     assert calls == []
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: FiniteLifespan(0.0), "lifespan must be positive"),
+    (lambda: FiniteLifespan(math.nan), "lifespan must be positive"),
+    (lambda: NumericalBreakdown(-1.0, BreakdownCause.NON_FINITE), "breakdown time must be nonnegative"),
+    (lambda: NumericalBreakdown(math.nan, BreakdownCause.NON_FINITE), "breakdown time must be nonnegative"),
+], ids=["lifespan-zero", "lifespan-nan", "breakdown-negative", "breakdown-nan"])
+def test_verdicts_reject_times_out_of_range(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_verdict_label_rejects_what_is_not_a_verdict():
+    assert verdict_label(FiniteLifespan(35.0)) == "FiniteLifespan:35.0"
+    with pytest.raises(TypeError, match="not a verdict"):
+        verdict_label("Global")
 
 
 def test_breakdown_error_passes_through():
