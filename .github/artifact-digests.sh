@@ -15,9 +15,10 @@
 # Two calls that must fail with a config error (a support M whose slope
 # overflows, and a snapshots.csv with a negative density) print instead
 # "sha256  case/mode/exit", the digest of their exit code and stderr; the
-# script stops if either exits 0.  Every call runs in a temporary directory
-# with a relative --output.dir (and --profile.file), so two source trees make
-# byte-identical artifacts exactly when their outputs match:
+# script stops if either exits with any code but 2, a config error's.  Every
+# call runs in a temporary directory with a relative --output.dir (and
+# --profile.file), so two source trees make byte-identical artifacts exactly
+# when their outputs match:
 #
 #     .github/artifact-digests.sh base/src > base.txt
 #     .github/artifact-digests.sh src | diff base.txt -
@@ -49,14 +50,15 @@ run() {
 }
 
 # fails <case> <mode> [--key value ...]: one CLI call in $work/<case> that
-# must exit nonzero; the digest of its exit code and stderr, as <case>/<mode>/exit.
+# must exit 2, a config error; the digest of its exit code and stderr, as
+# <case>/<mode>/exit.
 fails() {
     local case=$1 mode=$2 rc=0
     shift 2
     mkdir -p "$work/$case"
     (cd "$work/$case" && PYTHONPATH="$src" python3 -m critdamp.cli "$mode" "$@" > /dev/null 2> "$work/stderr") || rc=$?
-    if [ "$rc" -eq 0 ]; then
-        echo "artifact-digests.sh: $case/$mode exited 0, where it must fail" >&2
+    if [ "$rc" -ne 2 ]; then
+        echo "artifact-digests.sh: $case/$mode exited $rc, where it must fail with a config error (2)" >&2
         exit 1
     fi
     { echo "$rc"; cat "$work/stderr"; } | sha256sum | sed "s#  -\$#  $case/$mode/exit#" >> "$work/digests"

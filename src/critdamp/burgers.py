@@ -6,25 +6,22 @@ the solution is w(t, X) = eps*w0(x0)/beta(t) on X = x0 + eps*w0(x0)*I(t) with
 I the reciprocal integral of the damping law.  Characteristics first cross
 (gradient blowup) at the root of eps * m * I(T) = 1, m = max(-w0').
 
-Workspace rule: a finite-volume step is bound by numpy call overhead, so
-:func:`simulate_fv` gives its march one workspace, on the contract of
-:mod:`critdamp.euler`'s notes: the state lives in one padded buffer of
-n_cells + 2 cells, whose +0.0 ghosts nothing writes, and a step forms every
-face flux before it updates the cells in place, allocating no array of the
-grid's size.  |w|, its maximum and the face jumps are formed once per
-state, when it is made: the interior jumps as diff(w), the boundary ones as
-the subtractions w[0] - 0.0 and 0.0 - w[-1] that e[1:] - e[:-1] performs, so
-a -0.0 keeps its bits.  stable_dt, the gradient trigger and the next step
-only read them.  One maximum per state, as in the radial solver: stable_dt
-is cfl * dx / max|w|; a step raises NonFinite where max|w| is not finite,
-which is exactly where some w is not, before it forms the jumps; and the
-march takes max |diff(w)| / dx only where 2 (1 + 1e-15) max|w| / dx does
-not already lie below the trigger's limit
-(:func:`critdamp.outcome.screened_gradient`).  Every pass keeps the
-operation and operand order of the allocating expression it replaces, up to
-swapping the operands of * (exact in IEEE 754), and nothing is reassociated
-or fused, so states, dt values and artifacts stay bit-identical to it.  The state holds until the next step, so
-``sample`` copies it.
+Workspace: a step is bound by numpy call overhead, so :func:`simulate_fv`
+marches one ``_Workspace`` (see :func:`critdamp.outcome.march`), a padded
+buffer of n_cells + 2 cells whose +0.0 ghosts nothing writes: a step forms
+every face flux, then updates the cells in place, allocating no array of
+the grid's size.  |w|, its maximum and the face jumps are formed once per
+state: the interior jumps as diff(w), the boundary ones as w[0] - 0.0 and
+0.0 - w[-1], as e[1:] - e[:-1] forms them, so a -0.0 keeps its bits.  One
+maximum per state, as in the radial solver: stable_dt is cfl * dx / max|w|;
+a step raises NonFinite where max|w| is not finite, which is exactly where
+some w is not, before it forms the jumps; and the march takes max
+|diff(w)| / dx only where 2 (1 + 1e-15) max|w| / dx does not already lie
+below the trigger's limit (:func:`critdamp.outcome.screened_gradient`).
+Every pass keeps the operation and operand order of the allocating
+expression it replaces, up to swapping the operands of * (exact in IEEE
+754); nothing is reassociated or fused, so states, dt values and artifacts
+stay bit-identical to it.
 """
 
 from __future__ import annotations
@@ -85,7 +82,7 @@ class BurgersProblem:
 
 @dataclass(frozen=True, eq=False)
 class Snapshot1D:
-    """Cell-centered line snapshot at time ``t``; ``dt`` is the step size in force."""
+    """Line snapshot at ``t``: ``x`` the run's shared, read-only cell centers; ``dt`` the step in force."""
 
     t: float
     x: np.ndarray
@@ -291,19 +288,17 @@ def simulate_fv(
     x = x_lo + (np.arange(n_cells) + 0.5) * dx
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
 
-    wanted = sorted(set(float(s) for s in (snapshot_times if snapshot_times is not None else (t_end,))))
-    if not all(0 <= s <= t_end for s in wanted):
-        raise ValueError("snapshot times must lie in [0, t_end]")
-
+    x.flags.writeable = False
     snapshots: list[Snapshot1D] = []
+
+    def sample(ws: _Workspace, t: float) -> None:
+        snapshots.append(Snapshot1D(t, x, ws.cells.copy(), ws.stable_dt()))
+
     ws = _Workspace(w, law, dx, cfl, t_end)
-
-    def sample(values: np.ndarray, t: float) -> None:
-        snapshots.append(Snapshot1D(t, x.copy(), values.copy(), ws.stable_dt(values)))
-
-    limit = gradient_limit(ws.gradient(ws.cells)) if gradient_threshold is None else gradient_threshold
-    gradient = screened_gradient(ws.gradient, lambda values: ws.max_abs, dx, limit)
-    verdict = march(ws.cells, t_end, wanted, ws.stable_dt, ws.advance, gradient, sample, limit)
+    limit = gradient_limit(ws.gradient()) if gradient_threshold is None else gradient_threshold
+    gradient = screened_gradient(_Workspace.gradient, lambda ws: ws.max_abs, dx, limit)
+    verdict = march(ws, t_end, snapshot_times if snapshot_times is not None else (t_end,), _Workspace.stable_dt,
+                    _Workspace.step, gradient, sample, limit)
     return snapshots, verdict
 
 
@@ -341,15 +336,14 @@ class _Workspace:
         self.jump[0] = w[0] - 0.0
         self.jump[-1] = 0.0 - w[-1]
 
-    def stable_dt(self, values: np.ndarray) -> float:
-        speed = self.max_abs
-        return self.cfl * self.dx / speed if speed > 0 else self.t_end
+    def stable_dt(self) -> float:
+        return self.cfl * self.dx / self.max_abs if self.max_abs > 0 else self.t_end
 
-    def gradient(self, values: np.ndarray) -> float:
+    def gradient(self) -> float:
         """max |diff(w)| / dx."""
         return float(np.maximum.reduce(np.abs(self.jump_c, out=self.flux_c))) / self.dx
 
-    def advance(self, values: np.ndarray, t: float, dt: float) -> np.ndarray:
+    def step(self, t: float, dt: float) -> _Workspace:
         # Local Lax-Friedrichs flux on faces, zero ghost states at both ends;
         # the support never reaches the boundary, so the total telescopes.
         np.multiply(self.pad, self.pad, out=self.sq)
@@ -371,7 +365,7 @@ class _Workspace:
         if not math.isfinite(self.max_abs):
             raise BreakdownError(t_new, BreakdownCause.NON_FINITE)
         self._form_jumps()
-        return out
+        return self
 
 
 def series(snapshots: Sequence[Snapshot1D]) -> dict[str, np.ndarray]:

@@ -24,13 +24,14 @@ from .outcome import sample_times
 
 
 @contextlib.contextmanager
-def _as_config_error(key: str, errors=(OSError, ValueError)):
+def _as_config_error(key: str | tuple[str, str], errors=(OSError, ValueError)):
     """Report ``errors`` met in the block (by default a bad value, ValueError,
-    or an unreadable file, OSError) as a config error on ``key``."""
+    or an unreadable file, OSError) as a config error on ``key``, or on a pair of keys."""
     try:
         yield
     except errors as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
+        named = f"key {key!r}" if isinstance(key, str) else f"keys {key[0]!r}/{key[1]!r}"
+        raise ConfigError(f"{named}: {exc}") from exc
 
 
 def _profile_error(cfg: ExperimentConfig, problem) -> ConfigError:
@@ -91,7 +92,9 @@ def _burgers_problem(cfg: ExperimentConfig) -> burgers.BurgersProblem:
 
 def _run_burgers_lifespan(cfg: ExperimentConfig, out: str) -> None:
     problem = _burgers_problem(cfg)
-    with _as_config_error("profile.epsilon", OverflowError):  # a lifespan below the float range
+    # a lifespan below the float range, or a law whose I(t) or I(inf) is left unresolved at its caps
+    with _as_config_error("profile.epsilon", OverflowError), \
+            _as_config_error(("damping.lambda", "damping.mu"), ConvergenceError):
         verdict = burgers.classify_lifespan(problem)
     csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
@@ -101,7 +104,8 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
     rows = []
     for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
         combo = dataclasses.replace(problem, epsilon=eps, damping=DampingLaw(mu=mu, lam=lam))
-        with _as_config_error("sweep.epsilon", OverflowError):  # a lifespan below the float range
+        with _as_config_error("sweep.epsilon", OverflowError), \
+                _as_config_error(("sweep.lambda", "sweep.mu"), ConvergenceError):  # as in burgers-lifespan
             rows.append((lam, mu, eps, burgers.classify_lifespan(combo)))
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
@@ -110,8 +114,10 @@ def _run_burgers_sim(cfg: ExperimentConfig, out: str) -> None:
     problem = _burgers_problem(cfg)
     t_end = cfg["run.t_end"]
     span = (cfg["grid.x_lo"], cfg["grid.x_hi"]) if cfg["grid.x_lo"] is not None else None
-    # simulate_fv's only ValueError on a validated config: a span that cuts the support
-    with _as_config_error("grid.x_lo", ValueError):
+    # simulate_fv's only ValueError on a validated config: a span that cuts the support;
+    # a ConvergenceError is I(t_end) left unresolved at its caps, as in burgers-lifespan
+    with _as_config_error(("damping.lambda", "damping.mu"), ConvergenceError), \
+            _as_config_error("grid.x_lo", ValueError):
         snapshots, verdict = burgers.simulate_fv(
             problem, cfg["grid.n_cells"], t_end, cfg["run.cfl"],
             snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]), x_span=span,

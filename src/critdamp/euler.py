@@ -49,30 +49,27 @@ below the gradient trigger's limit
 (:func:`critdamp.outcome.screened_gradient`): rounding is monotone and
 c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u exceeds 2 M.
 
-Workspace rule: a state is stepped only in a ``_Workspace``, which copies
-it in; a RadialState is plain data that no call writes.  The workspace's
+Workspace: a state is stepped only in a ``_Workspace``, which copies it
+in; a RadialState is plain data that no call writes.  The workspace's
 constructor is the one place a state is checked: against the gas's
 rho_bar, and for rho > 0 and finite cells over its window.  :func:`run`
-hands its one workspace to the march, which steps it in place from the
-march's t and samples copies of it at the march's t; step, stable_dt,
-validate_horizon and max_velocity_gradient each build one workspace from
-the state they are given (step returns a copy of its new state).  A
-workspace holds one padded (rho_pert, mom) pair of n_cells + 4 cells (two
-ghost cells mirrored at r = 0, two background cells past r_max), the
-current window's rho, u, wave speed and pressure, the flux and update
-scratch, and the views of these over cells [0, end) (``_Window``).  A step
-is bound by numpy call overhead on small windows, so it copies and
-concatenates nothing, and its scalars (the 0.5 factors, dt, the damping
-factor and rho_bar) are 0-d arrays, which numpy takes without converting a
-Python float on every pass.  A first-order step forms its fluxes, its
-update and the new window's kernels in those buffers, so it allocates no
-array data; a MUSCL step allocates its face values and their kernels.  A
-step forms every flux from the current cells before it writes any cell, so
-it updates the window in place, and then the new window's kernels.  Each
-in-place pass keeps the operation and operand order of the expression it
-replaces, up to swapping the operands of * or + (exact in IEEE 754);
-nothing is reassociated or fused, and the only passes left out are
-identities (x = rho/rho_bar at rho_bar = 1, and c^2 *= gamma - 1 at
+marches one workspace (see :func:`critdamp.outcome.march`); step,
+stable_dt, validate_horizon and max_velocity_gradient each build one from
+the state they are given.  A workspace holds one padded (rho_pert, mom)
+pair of n_cells + 4 cells (two ghost cells mirrored at r = 0, two
+background cells past r_max), the current window's rho, u, wave speed and
+pressure, the flux and update scratch, and the views of these over cells
+[0, end) (``_Window``).  A step is bound by numpy call overhead on small
+windows, so it copies and concatenates nothing, and its scalars (the 0.5
+factors, dt, the damping factor and rho_bar) are 0-d arrays (see _HALF).
+A step forms every flux from the current cells before it writes any cell,
+so it updates the window in place, and then forms the new window's
+kernels: a first-order step all in those buffers, allocating no array
+data, a MUSCL step with its face values and their kernels allocated.
+Each in-place pass keeps the operation and operand order of the
+expression it replaces, up to swapping the operands of * or + (exact in
+IEEE 754); nothing is reassociated or fused, and the only passes left out
+are identities (x = rho/rho_bar at rho_bar = 1, and c^2 *= gamma - 1 at
 gamma = 2), so states, dt values and artifacts stay bit-identical to the
 out-of-place formulas.
 """
@@ -504,10 +501,10 @@ def validate_horizon(gas: GasModel, state: RadialState, M: float, t_end: float) 
     must stay inside r_max.  A density <= 0 or nan, or a cell that is not
     finite, raises :class:`BreakdownError`.
     """
-    # the pressure (rho/rho_bar)**gamma overflows on data whose wave speed
-    # this must still see, to reject them as too fast; a wave speed that
-    # overflows (a huge gamma) is inf, which rejects them too
-    with np.errstate(over="ignore"):
+    # the pressure, unread here, overflows (or is 0 * inf at a tiny rho_bar)
+    # on data whose wave speed must still reject them as too fast; a wave
+    # speed that overflows (a huge gamma) is inf, which rejects them too
+    with np.errstate(over="ignore", invalid="ignore"):
         guess = 1.2 * _Workspace(state, gas).max_speed
     if M + t_end * guess >= state.grid.r_max:
         raise ValueError(

@@ -113,20 +113,21 @@ def screened_gradient(gradient: Callable, max_abs: Callable, h: float, limit: fl
 
 
 def march(
-    state, t_end: float, sample_times: Sequence[float], stable_dt: Callable, advance: Callable,
-    gradient: Callable, sample: Callable, grad_limit: float | None = None,
+    state, t_end: float, sample_times: Sequence[float], stable_dt: Callable, step: Callable,
+    gradient: Callable, sample: Callable, grad_limit: float,
 ) -> Verdict:
-    """Advance ``state`` from t = 0 to ``t_end``; ``advance(state, t, dt)``
-    returns the state at t + dt or raises :class:`BreakdownError`.
-
-    Steps land exactly on each sorted sample time (then on ``t_end``), where
-    ``sample(state, t)`` is called; a leading 0 samples the initial state.
-    Breakdown: ``stable_dt(state)`` non-finite or <= DT_FLOOR, a raise from
-    ``advance``, or ``gradient(state) >= grad_limit`` (default 1000x the
-    initial gradient, never when that is 0).  Otherwise Global().
-    """
-    if grad_limit is None:
-        grad_limit = gradient_limit(gradient(state))
+    """Advance ``state``, a solver's workspace, from t = 0 to ``t_end``:
+    ``step(state, t, dt)`` returns the state at t + dt (``state`` itself, if
+    stepped in place) or raises :class:`BreakdownError`, and ``stable_dt`` and
+    ``gradient`` only read it.  Steps land exactly on each sample time (taken
+    sorted, without repeats, and each in [0, t_end], else ValueError), then on
+    ``t_end``; there ``sample(state, t)`` copies out what it keeps, and a time
+    0 samples the initial state.  Breakdown: ``stable_dt(state)`` non-finite
+    or <= DT_FLOOR, a raise from ``step``, or ``gradient(state) >= grad_limit``
+    (see :func:`gradient_limit`).  Otherwise Global()."""
+    sample_times = sorted(set(float(s) for s in sample_times))
+    if not all(0 <= s <= t_end for s in sample_times):
+        raise ValueError("snapshot times must lie in [0, t_end]")
     t, i = 0.0, 0
     if sample_times and sample_times[0] == 0.0:
         sample(state, t)
@@ -139,7 +140,7 @@ def march(
         clamped = t + dt >= target
         dt = min(dt, target - t)
         try:
-            state = advance(state, t, dt)
+            state = step(state, t, dt)
         except BreakdownError as exc:
             return NumericalBreakdown(exc.time, exc.cause)
         t = target if clamped else t + dt

@@ -35,6 +35,7 @@ from critdamp.outcome import (
     FiniteLifespan,
     Global,
     NumericalBreakdown,
+    gradient_limit,
     march,
     sample_times,
 )
@@ -239,7 +240,8 @@ def full_grid_run(gas, damping, state, t_end, cfl, cadence, muscl=False):
 
     verdict = march(state, t_end, sample_times(t_end, cadence), lambda s: full_grid_stable_dt(gas, s, cfl),
                     lambda s, t, dt: full_grid_step(gas, damping, s, cfl, dt=dt, muscl=muscl),
-                    full_grid_max_velocity_gradient, sample)
+                    full_grid_max_velocity_gradient, sample,
+                    gradient_limit(full_grid_max_velocity_gradient(state)))
     table = np.array([one_state_series(s, gas, damping, cfl) for s in snapshots]).reshape(-1, 7).T
     columns = {name: np.ascontiguousarray(column) for name, column in zip(SERIES_NAMES, table)}
     return np.asarray([s.t for s in snapshots]), columns, snapshots, verdict
@@ -282,8 +284,11 @@ def reference_simulate_fv(problem, n_cells, t_end, cfl, x_span, snapshot_times, 
     def sample(values, t):
         snapshots.append((t, values.copy(), stable_dt(values)))
 
-    verdict = march(w, t_end, wanted, stable_dt, advance,
-                    lambda values: float(np.max(np.abs(np.diff(values)))) / dx, sample, gradient_threshold)
+    def gradient(values):
+        return float(np.max(np.abs(np.diff(values)))) / dx
+
+    limit = gradient_limit(gradient(w)) if gradient_threshold is None else gradient_threshold
+    verdict = march(w, t_end, wanted, stable_dt, advance, gradient, sample, limit)
     return snapshots, verdict
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -498,7 +499,7 @@ def test_fv_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeypa
     # (9.5 at first here) the trigger cannot fire, and simulate_fv takes no
     # gradient; the low threshold takes it after every step and fires
     # GradientThreshold at the allocating reference's time
-    calls = {"gradient": 0, "advance": 0}
+    calls = {"gradient": 0, "step": 0}
     for name in calls:
         def counted(self, *args, _name=name, _f=getattr(burgers._Workspace, name)):
             calls[_name] += 1
@@ -512,9 +513,17 @@ def test_fv_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeypa
     assert [s.w.tobytes() for s in snaps] == [w.tobytes() for _, w, _ in ref_snaps]
     if fires:
         assert verdict.cause.value == "GradientThreshold" and 0.0 < verdict.time < 35.0
-        assert calls["gradient"] == calls["advance"] > 30
+        assert calls["gradient"] == calls["step"] > 30
     else:
-        assert isinstance(verdict, Global) and calls["gradient"] == 0 and calls["advance"] > 30
+        assert isinstance(verdict, Global) and calls["gradient"] == 0 and calls["step"] > 30
+
+
+def test_fv_snapshots_share_one_read_only_x_and_hold_their_own_w():
+    snaps, verdict = simulate_fv(bump_problem(0.1, 0.5, 1.0), 64, 1.0, 0.5, snapshot_times=[0.0, 0.5, 1.0])
+    assert isinstance(verdict, Global) and [s.t for s in snaps] == [0.0, 0.5, 1.0]
+    assert all(s.x is snaps[0].x for s in snaps) and not snaps[0].x.flags.writeable
+    assert all(s.w.flags.owndata and s.w.flags.writeable for s in snaps)
+    assert not any(np.array_equal(a.w, b.w) for a, b in itertools.combinations(snaps, 2))
 
 
 def test_fv_validates_config():

@@ -23,7 +23,7 @@ from critdamp import (
     run,
 )
 from critdamp.cli import main, run_experiment
-from critdamp.config import ConfigError, parse_config
+from critdamp.config import MODES, ConfigError, parse_config
 from critdamp.csvio import read_radial_snapshots
 from critdamp.profiles import BUMP_M1, sampled_profile
 from helpers import parse_verdict_label, read_series
@@ -375,6 +375,15 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
     assert rc == 2 and err.startswith("io-error:")
 
 
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"]], ids=["no-argument", "-h", "--help"])
+def test_cli_usage_lists_every_mode(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith("usage: critdamp <mode>")
+    assert message.splitlines()[-1] == "modes: " + ", ".join(MODES)
+
+
 def test_cli_config_file_plus_flag_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("damping.mu = 2.0\ndamping.lambda = 1.0\nprofile.epsilon = 0.1\n")
@@ -419,8 +428,11 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     # overflows (rho_bar 2) or divides by zero (rho_bar 0.5) in Python floats
     (["--gas.gamma", "1e300", "--gas.rho_bar", "2", "--grid.n_cells", "64"], "grid.r_max"),
     (["--gas.gamma", "1e300", "--gas.rho_bar", "0.5", "--grid.n_cells", "64"], "grid.r_max"),
+    # rho_bar / gamma rounds to 0, so the pressure (rho_bar / gamma) x**gamma
+    # is 0 * inf: the horizon check reads only the wave speed, with no numpy warning
+    (["--gas.rho_bar", "5e-324", "--grid.n_cells", "64"], "grid.r_max"),
 ], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300",
-        "rho_bar-1e-300", "gamma-1e300", "gamma-1e300-rho_bar-2", "gamma-1e300-rho_bar-0.5"])
+        "rho_bar-1e-300", "gamma-1e300", "gamma-1e300-rho_bar-2", "gamma-1e300-rho_bar-0.5", "rho_bar-5e-324"])
 def test_euler_sim_grid_and_profile_faults_are_config_errors(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     rc = main(["euler-sim", "--run.t_end", "1", "--output.dir", str(out)] + argv)
@@ -701,8 +713,20 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text
      "profile.file"),
     (["functionals"], {"out/snapshots.csv": snapshot_32("1.0").replace("t,r,rho,mom", "t,r,rho,u")},
      "output.dir"),
+    # the damping integral left unresolved at its caps: lambda > 1 past
+    # SERIES_MAX_C, where 1/beta is a spike of width about 1/mu at tau = 0 ...
+    (["burgers-lifespan", "--damping.lambda", "2", "--damping.mu", "1e13"], {}, "keys 'damping.lambda'/'damping.mu':"),
+    (["sweep", "--sweep.lambda", "2", "--sweep.mu", "1e300", "--sweep.epsilon", "1"], {},
+     "keys 'sweep.lambda'/'sweep.mu':"),
+    (["burgers-sim", "--damping.lambda", "2", "--damping.mu", "1e16", "--run.t_end", "1", "--grid.n_cells", "64"], {},
+     "keys 'damping.lambda'/'damping.mu':"),
+    # ... and lambda just below 1 at mu near 1, where the gamma expansions of
+    # I(inf) hit their term cap and its quadrature cannot resolve the integrand
+    (["burgers-lifespan", "--damping.lambda", "0.9999997", "--damping.mu", "0.99"], {},
+     "keys 'damping.lambda'/'damping.mu':"),
 ], ids=["x_lo-without-x_hi", "fractional-n_cells", "empty-config-value", "empty-lambda-list",
-        "stray-argument", "flag-without-value", "profile-header", "snapshot-header"])
+        "stray-argument", "flag-without-value", "profile-header", "snapshot-header", "lifespan-law-spike",
+        "sweep-law-spike", "burgers-sim-law-spike", "lifespan-law-lambda-near-1"])
 def test_documented_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, argv, files, key):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)

@@ -12,6 +12,7 @@ from critdamp.outcome import (
     FiniteLifespan,
     Global,
     NumericalBreakdown,
+    gradient_limit,
     march,
     sample_times,
     screened_gradient,
@@ -30,7 +31,7 @@ def decay_march(t_end, times, dt=0.03, gradient=abs, grad_limit=None, advance=No
         advance or (lambda y, t, h: y * math.exp(-RATE * h)),
         gradient,
         lambda y, t: samples.append((t, y)),
-        grad_limit,
+        gradient_limit(gradient(1.0)) if grad_limit is None else grad_limit,
     )
     return verdict, samples
 
@@ -66,6 +67,14 @@ def test_steps_land_exactly_on_sample_times():
     # 0.2 + (0.9 - 0.2) rounds to 0.9000000000000001: the clamped step lands on 0.9
     _, samples = decay_march(0.9, [0.0, 0.2, 0.9], dt=1.0)
     assert [t for t, _ in samples] == [0.0, 0.2, 0.9]
+
+
+def test_sample_times_are_sorted_without_repeats_and_checked():
+    _, samples = decay_march(1.0, [0.5, 0.0, 0.25, 0.5, -0.0])
+    assert [t for t, _ in samples] == [0.0, 0.25, 0.5]
+    for times in ([-0.1, 0.5], [0.0, 1.5], [math.nan], [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, t_end\]"):
+            decay_march(1.0, times)
 
 
 def test_short_sample_list_still_marches_to_t_end():
