@@ -168,11 +168,14 @@ awk 'BEGIN { print "t,r,rho,mom"; print "# t=0.0"
 fails cfg-negative-rho functionals --output.dir out
 
 # functionals rebuilds the series of euler-sim from its snapshots.csv alone, so
-# each radial case's two series.csv must be byte-identical (gas-crlf reads a
-# copy of gas-rho-bar's snapshots).
+# the two series.csv of every case that ran both must be byte-identical, as
+# must gas-crlf's, which reads a copy of gas-rho-bar's snapshots.
+both=$(awk '$2 ~ /^[^\/]+\/(euler-sim|functionals)\/out\/series\.csv$/ { split($2, p, "/"); ran[p[1], p[2]] = 1 }
+            END { for (k in ran) { split(k, p, SUBSEP)
+                                   if (p[2] == "euler-sim" && (p[1], "functionals") in ran) print p[1] } }' \
+      "$work/digests" | sort)
 status=0
-for pair in readme-euler radial-io gas-gamma gas-rho-bar gas-huge-rho breakdown grid-edge gas-crlf:gas-rho-bar \
-        file-radial; do
+for pair in $both gas-crlf:gas-rho-bar; do
     rebuilt="${pair%%:*}/functionals/out/series.csv" written="${pair##*:}/euler-sim/out/series.csv"
     a=$(awk -v f="$rebuilt" '$2 == f { print $1 }' "$work/digests")
     b=$(awk -v f="$written" '$2 == f { print $1 }' "$work/digests")

@@ -17,7 +17,6 @@ from .euler import (
     InitialProfile,
     RadialGrid,
     RadialState,
-    RunResult,
     init_state,
     run,
     step,
@@ -53,7 +52,6 @@ __all__ = [
     "NumericalBreakdown",
     "RadialGrid",
     "RadialState",
-    "RunResult",
     "Snapshot1D",
     "Verdict",
     "blowup_criterion",

@@ -297,8 +297,7 @@ def simulate_fv(
     ws = _Workspace(w, law, dx, cfl, t_end)
     limit = gradient_limit(ws.gradient()) if gradient_threshold is None else gradient_threshold
     gradient = screened_gradient(_Workspace.gradient, lambda ws: ws.max_abs, dx, limit)
-    verdict = march(ws, t_end, snapshot_times if snapshot_times is not None else (t_end,), _Workspace.stable_dt,
-                    _Workspace.step, gradient, sample, limit)
+    verdict = march(ws, t_end, snapshot_times, _Workspace.stable_dt, _Workspace.step, gradient, sample, limit)
     return snapshots, verdict
 
 

@@ -104,9 +104,11 @@ def _run_sweep(cfg: ExperimentConfig, out: str) -> None:
     rows = []
     for lam, mu, eps in itertools.product(cfg["sweep.lambda"], cfg["sweep.mu"], cfg["sweep.epsilon"]):
         combo = dataclasses.replace(problem, epsilon=eps, damping=DampingLaw(mu=mu, lam=lam))
-        with _as_config_error("sweep.epsilon", OverflowError), \
-                _as_config_error(("sweep.lambda", "sweep.mu"), ConvergenceError):  # as in burgers-lifespan
+        try:
             rows.append((lam, mu, eps, burgers.classify_lifespan(combo)))
+        except (OverflowError, ConvergenceError) as exc:  # as in burgers-lifespan, naming the combo
+            keys = "key 'sweep.epsilon'" if isinstance(exc, OverflowError) else "keys 'sweep.lambda'/'sweep.mu'"
+            raise ConfigError(f"{keys}: at lambda={lam!r}, mu={mu!r}, epsilon={eps!r}: {exc}") from exc
     csvio.write_sweep(os.path.join(out, "sweep.csv"), rows)
 
 
@@ -139,10 +141,17 @@ def _euler_grid(cfg: ExperimentConfig, profile: euler.InitialProfile) -> euler.R
     return euler.RadialGrid(r_max=r_max, n_cells=cfg["grid.n_cells"])
 
 
+def _write_radial_series(out: str, states, gas, damping: DampingLaw, cfl: float) -> None:
+    """Write series.csv of radial states: euler-sim's snapshots, or those functionals reads."""
+    with _as_config_error("damping.lambda", OverflowError):  # the E0 weight
+        columns = euler.series(states, gas, damping, cfl)
+    csvio.write_series(os.path.join(out, "series.csv"), np.array([s.t for s in states]), columns)
+
+
 def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
-    gas = cfg.gas()
-    damping = cfg.damping()
+    gas, damping = cfg.gas(), cfg.damping()
     profile = _radial_profile(cfg)
+    t_end, cfl = cfg["run.t_end"], cfg["run.cfl"]
     with _as_config_error("grid.r_max"):
         grid = _euler_grid(cfg, profile)
     try:
@@ -150,26 +159,21 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
     except ValueError as exc:
         raise _profile_error(cfg, exc) from exc
     with _as_config_error("grid.r_max"):
-        euler.validate_horizon(gas, state, profile.M, cfg["run.t_end"])
-    with _as_config_error("damping.lambda", OverflowError):  # the E0 weight
-        result = euler.run(
-            gas, damping, state, cfg["run.t_end"], cfg["run.cfl"], monitor_cadence=cfg["run.monitor_cadence"]
-        )
-    csvio.write_series(os.path.join(out, "series.csv"), result.times, result.columns)
-    csvio.write_radial_snapshots(os.path.join(out, "snapshots.csv"), result.snapshots)
-    csvio.write_verdict(os.path.join(out, "verdict.txt"), result.verdict, cfg.echo_params())
+        euler.validate_horizon(gas, state, profile.M, t_end)
+    with _as_config_error("gas.rho_bar"):  # run's only ValueError on a validated config
+        snapshots, verdict = euler.run(gas, damping, state, t_end, cfl,
+                                       snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]))
+    _write_radial_series(out, snapshots, gas, damping, cfl)
+    csvio.write_radial_snapshots(os.path.join(out, "snapshots.csv"), snapshots)
+    csvio.write_verdict(os.path.join(out, "verdict.txt"), verdict, cfg.echo_params())
 
 
 def _run_functionals(cfg: ExperimentConfig, out: str) -> None:
     """Recompute the monitor series from snapshots.csv (round-trip path)."""
     gas = cfg.gas()
-    damping = cfg.damping()
-    path = os.path.join(out, "snapshots.csv")
     with _as_config_error("output.dir"):
-        states = csvio.read_radial_snapshots(path, gas.rho_bar)
-    with _as_config_error("damping.lambda", OverflowError):  # the E0 weight
-        columns = euler.series(states, gas, damping, cfg["run.cfl"])
-    csvio.write_series(os.path.join(out, "series.csv"), np.array([s.t for s in states]), columns)
+        states = csvio.read_radial_snapshots(os.path.join(out, "snapshots.csv"), gas.rho_bar)
+    _write_radial_series(out, states, gas, cfg.damping(), cfg["run.cfl"])
 
 
 def _run_criterion(cfg: ExperimentConfig, out: str) -> None:

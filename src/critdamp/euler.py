@@ -94,7 +94,6 @@ from .outcome import (
     Verdict,
     gradient_limit,
     march,
-    sample_times,
     screened_gradient,
 )
 
@@ -127,6 +126,10 @@ class RadialGrid:
             raise ValueError("r_max must be finite and positive")
         if self.n_cells < 32:
             raise ValueError("n_cells must be at least 32")
+        # the monitors weigh cells by r^3, and the step divides by r^2 dr
+        with np.errstate(over="ignore", divide="ignore"):
+            if not (np.isfinite(self.centers**3).all() and np.isfinite(self._inv_vol).all()):
+                raise ValueError(f"r_max={self.r_max!r} leaves the float range: r^3 or 1/(r^2 dr) is not finite")
 
     @property
     def dr(self) -> float:
@@ -406,14 +409,6 @@ def _wave_speed(gas: GasModel, x: np.ndarray, u: np.ndarray, out=None, scratch=N
     return speed
 
 
-@dataclass(eq=False)
-class RunResult:
-    times: np.ndarray
-    columns: dict[str, np.ndarray]
-    snapshots: list[RadialState]
-    verdict: Verdict
-
-
 def _cell_weighted_average(f: Callable, grid: RadialGrid) -> np.ndarray:
     """Per-cell averages of f weighted by r^2, normalized by r_i^2 dr.
 
@@ -547,14 +542,16 @@ def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
 
 
 def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cfl: float = 0.4, *,
-        monitor_cadence: float = 0.5, muscl: bool = False) -> RunResult:
+        snapshot_times: Sequence[float] | None = None, muscl: bool = False) -> tuple[list[RadialState], Verdict]:
     """Advance the initial ``state`` (t = 0, built by :func:`init_state` and
-    guarded by :func:`validate_horizon`) to ``t_end`` or breakdown, sampling
-    snapshots and the :func:`series` columns on a fixed cadence.  The verdict follows
-    :func:`critdamp.outcome.march` with max |du/dr| as the gradient (its
+    guarded by :func:`validate_horizon`) to ``t_end`` or breakdown: the
+    snapshots at the ``snapshot_times`` (default: ``t_end`` alone) reached
+    before any breakdown, and the verdict.  The stepping and sampling rule is
+    :func:`critdamp.outcome.march`, with max |du/dr| as the gradient (its
     trigger is off for velocity-free data, which starts trivially smooth),
     taken only where the wave speed does not already bound it below the
-    trigger (see module notes).
+    trigger (see module notes).  A gas whose face pressure 0.5 (p_l + p_r)
+    overflows at the background is rejected.
     """
     if state.t != 0:
         raise ValueError("the initial state must be at t = 0")
@@ -562,16 +559,15 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
         raise ValueError("t_end must be positive")
     if not 0.0 < cfl <= 0.9:
         raise ValueError("cfl must lie in (0, 0.9]")
-    if not monitor_cadence > 0:
-        raise ValueError("monitor_cadence must be positive")
+    if not math.isfinite(2.0 * (gas.rho_bar / gas.gamma)):
+        raise ValueError(f"rho_bar={gas.rho_bar!r} too large: 0.5 (p_l + p_r) overflows at p = rho_bar/gamma")
 
     snapshots: list[RadialState] = []
     ws = _Workspace(state, gas)
     limit = gradient_limit(ws.max_velocity_gradient())
     # |u| <= |u| + c, so max(|u| + c) bounds the velocity the gradient is taken of
     gradient = screened_gradient(_Workspace.max_velocity_gradient, lambda w: w.max_speed, ws.dr, limit)
-    verdict = march(ws, t_end, sample_times(t_end, monitor_cadence), lambda w: w.stable_dt(cfl),
+    verdict = march(ws, t_end, snapshot_times, lambda w: w.stable_dt(cfl),
                     lambda w, t, dt: w.step(damping, t, dt, muscl), gradient,
                     lambda w, t: snapshots.append(w.state_at(t)), limit)
-    columns = series(snapshots, gas, damping, cfl)
-    return RunResult(np.asarray([s.t for s in snapshots]), columns, snapshots, verdict)
+    return snapshots, verdict

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from critdamp.csvio import read_csv
-from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState
+from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState, series
 from critdamp.monitors import FOUR_PI
 from critdamp.numerics import adaptive_quad, gamma_fraction, gamma_series
 from critdamp.outcome import (
@@ -37,7 +37,6 @@ from critdamp.outcome import (
     NumericalBreakdown,
     gradient_limit,
     march,
-    sample_times,
 )
 
 
@@ -229,22 +228,19 @@ def full_grid_step(gas, damping, state, cfl, *, dt=None, muscl=False):
     return RadialState(t_new, q_new, mom_new, grid, gas.rho_bar)
 
 
-def full_grid_run(gas, damping, state, t_end, cfl, cadence, muscl=False):
-    """``euler.run`` on the full-grid oracles: (times, columns, snapshots,
-    verdict), the columns as ``euler.series`` names and orders them."""
+def full_grid_run(gas, damping, state, t_end, cfl, snapshot_times, muscl=False):
+    """``euler.run`` on the full-grid oracles: (snapshots, verdict)."""
     snapshots = []
 
     def sample(s, t):
         s.t = t
         snapshots.append(s.copy())
 
-    verdict = march(state, t_end, sample_times(t_end, cadence), lambda s: full_grid_stable_dt(gas, s, cfl),
+    verdict = march(state, t_end, snapshot_times, lambda s: full_grid_stable_dt(gas, s, cfl),
                     lambda s, t, dt: full_grid_step(gas, damping, s, cfl, dt=dt, muscl=muscl),
                     full_grid_max_velocity_gradient, sample,
                     gradient_limit(full_grid_max_velocity_gradient(state)))
-    table = np.array([one_state_series(s, gas, damping, cfl) for s in snapshots]).reshape(-1, 7).T
-    columns = {name: np.ascontiguousarray(column) for name, column in zip(SERIES_NAMES, table)}
-    return np.asarray([s.t for s in snapshots]), columns, snapshots, verdict
+    return snapshots, verdict
 
 
 def reference_damping_factor(law, t0, t1):
@@ -616,19 +612,20 @@ def density_from_enthalpy(gas, y):
     return out if np.ndim(y) else float(out)
 
 
-def momentum_ode_residual(res, gas, law) -> float:
+def momentum_ode_residual(snapshots, gas, law) -> float:
     """Sum over sample intervals of the trapezoid residual of
     H' + mu (1+t)^-lam H = int (rho u^2 + 3 (p - p_bar)) along a radial run,
-    with the right side computed from the run's snapshots."""
+    with H the ``euler.series`` column and the right side computed from the
+    run's snapshots."""
     rhs = []
-    for s in res.snapshots:
+    for s in snapshots:
         r = s.grid.centers
         rho = s.rho
         u = s.mom / rho
         pe = gas.pressure(rho) - gas.pressure(gas.rho_bar)
         rhs.append(4 * np.pi * float(np.sum(r**2 * (rho * u * u + 3.0 * pe)) * s.grid.dr))
-    t = res.times
-    H = res.columns["H"]
+    t = np.array([s.t for s in snapshots])
+    H = series(snapshots, gas, law, 0.4)["H"]  # the cfl sets only the dt column
     damp = law.mu * (1.0 + t) ** (-law.lam) * H
     total = 0.0
     for k in range(len(t) - 1):

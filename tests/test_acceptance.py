@@ -11,7 +11,9 @@ import critdamp as cd
 from critdamp import monitors as mon
 from critdamp.cli import run_experiment
 from critdamp.config import parse_config
+from critdamp.euler import series
 from critdamp.numerics import adaptive_quad
+from critdamp.outcome import sample_times
 from critdamp.profiles import (
     _smooth_step,
     line_bump,
@@ -142,11 +144,12 @@ def test_criterion_05_mass_conservation():
     prof = cd.InitialProfile(rho0, u0, epsilon=0.1, M=1.0)
     grid = cd.RadialGrid(r_max=30.0, n_cells=1024)
     law = cd.DampingLaw(mu=1.0, lam=0.5)
-    res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=20.0, cfl=0.4, monitor_cadence=0.5)
-    L = res.columns["L"]
+    snapshots, verdict = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=20.0, cfl=0.4,
+                                snapshot_times=sample_times(20.0, 0.5))
+    L = series(snapshots, GAS, law, 0.4)["L"]
     drift = float(np.max(np.abs(L - L[0])) / abs(L[0]))
     elapsed = time.monotonic() - t0
-    report(5, isinstance(res.verdict, cd.Global) and drift <= 1e-10, elapsed, 120.0,
+    report(5, isinstance(verdict, cd.Global) and drift <= 1e-10, elapsed, 120.0,
            f"max relative drift {drift:.2e} over {len(L)} samples")
 
 
@@ -160,8 +163,8 @@ def test_criterion_06_momentum_ode_residual():
 
     def residual(n):
         state = cd.init_state(GAS, prof, cd.RadialGrid(12.0, n))
-        res = cd.run(GAS, law, state, t_end=4.0, cfl=0.4, monitor_cadence=0.2)
-        return momentum_ode_residual(res, GAS, law)
+        snapshots, _ = cd.run(GAS, law, state, t_end=4.0, cfl=0.4, snapshot_times=sample_times(4.0, 0.2))
+        return momentum_ode_residual(snapshots, GAS, law)
 
     r_coarse, r_fine = residual(192), residual(384)
     ratio = r_coarse / r_fine
@@ -206,17 +209,17 @@ def test_criterion_07_large_data_blowup_criterion():
     assert rep.satisfied
 
     grid = cd.RadialGrid(r_max=1.0 + t_star * 1.3 * 52.0, n_cells=4096)
-    res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=t_star, cfl=0.85,
-                 monitor_cadence=t_star / 20, muscl=True)
-    broke = isinstance(res.verdict, cd.NumericalBreakdown) and res.verdict.time < t_star
+    _, verdict = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=t_star, cfl=0.85,
+                        snapshot_times=sample_times(t_star, t_star / 20), muscl=True)
+    broke = isinstance(verdict, cd.NumericalBreakdown) and verdict.time < t_star
 
     control = cd.InitialProfile(rho0, velocity(0.01), epsilon=1.0, M=1.0, M0=0.2)
-    res_ctrl = cd.run(GAS, law, cd.init_state(GAS, control, grid), t_end=t_star, cfl=0.85,
-                      monitor_cadence=t_star / 4, muscl=True)
-    control_ok = isinstance(res_ctrl.verdict, cd.Global)
+    _, verdict_ctrl = cd.run(GAS, law, cd.init_state(GAS, control, grid), t_end=t_star, cfl=0.85,
+                             snapshot_times=sample_times(t_star, t_star / 4), muscl=True)
+    control_ok = isinstance(verdict_ctrl, cd.Global)
     elapsed = time.monotonic() - t0
     report(7, broke and control_ok, elapsed, 600.0,
-           f"H0={h0:.1f}, L0={l0:.2f}, T*={t_star:.3f}, verdict {cd.verdict_label(res.verdict)}")
+           f"H0={h0:.1f}, L0={l0:.2f}, T*={t_star:.3f}, verdict {cd.verdict_label(verdict)}")
 
 
 def test_criterion_08_small_data_boundedness():
@@ -231,15 +234,18 @@ def test_criterion_08_small_data_boundedness():
     ok = True
     for lam in (0.0, 0.5, 1.0):
         law = cd.DampingLaw(mu=1.0, lam=lam)
-        res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=200.0, cfl=0.4, monitor_cadence=1.0)
-        E0 = res.columns["E0"]
-        max_u = res.columns["max_u"]
-        i5 = int(np.searchsorted(res.times, 5.0))
-        i1 = int(np.searchsorted(res.times, 1.0))
+        snapshots, verdict = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=200.0, cfl=0.4,
+                                    snapshot_times=sample_times(200.0, 1.0))
+        columns = series(snapshots, GAS, law, 0.4)
+        times = [s.t for s in snapshots]
+        E0 = columns["E0"]
+        max_u = columns["max_u"]
+        i5 = int(np.searchsorted(times, 5.0))
+        i1 = int(np.searchsorted(times, 1.0))
         bound = 2.0 * max(E0[0], E0[i1])
         case_ok = (
-            isinstance(res.verdict, cd.Global)
-            and float(np.min(res.columns["min_rho"])) > 0.0
+            isinstance(verdict, cd.Global)
+            and float(np.min(columns["min_rho"])) > 0.0
             and max_u[-1] < max_u[i5]
             and float(np.max(E0)) <= bound
         )
@@ -264,10 +270,11 @@ def test_criterion_09_weak_damping_steepening():
     law = cd.DampingLaw(mu=1.0, lam=2.0)
     prof = cd.InitialProfile(rho0, u0_in, epsilon=0.3, M=1.0, M0=0.3)
     grid = cd.RadialGrid(r_max=6.5, n_cells=8192)
-    res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4, monitor_cadence=0.02)
-    g = res.columns["max_du_dr"]
+    snapshots, verdict = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4,
+                                snapshot_times=sample_times(3.0, 0.02))
+    g = series(snapshots, GAS, law, 0.4)["max_du_dr"]
     growth = float(np.max(g) / g[0])
-    broke = isinstance(res.verdict, cd.NumericalBreakdown)
+    broke = isinstance(verdict, cd.NumericalBreakdown)
     elapsed = time.monotonic() - t0
     report(9, growth >= 10.0 or broke, elapsed, 300.0,
            f"gradient growth {growth:.1f}x (initial {g[0]:.3f}) by t<=3 < 100")
@@ -302,8 +309,9 @@ def test_criterion_10_functional_identities():
 
     def band_residual(n, cadence):
         grid = cd.RadialGrid(20.0, n)
-        res = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4, monitor_cadence=cadence)
-        slices = [(s.t, *moment_band(s, GAS, prof.M0, prof.M, n_l=64)) for s in res.snapshots]
+        snapshots, _ = cd.run(GAS, law, cd.init_state(GAS, prof, grid), t_end=3.0, cfl=0.4,
+                              snapshot_times=sample_times(3.0, cadence))
+        slices = [(s.t, *moment_band(s, GAS, prof.M0, prof.M, n_l=64)) for s in snapshots]
         times, F, band = double_time_integral(slices, prof.M0, prof.M)
         dt = times[1] - times[0]
         d2 = (F[2:] - 2 * F[1:-1] + F[:-2]) / dt**2

@@ -25,6 +25,7 @@ from critdamp import (
 from critdamp.cli import main, run_experiment
 from critdamp.config import MODES, ConfigError, parse_config
 from critdamp.csvio import read_radial_snapshots
+from critdamp.outcome import sample_times
 from critdamp.profiles import BUMP_M1, sampled_profile
 from helpers import parse_verdict_label, read_series
 
@@ -431,8 +432,18 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     # rho_bar / gamma rounds to 0, so the pressure (rho_bar / gamma) x**gamma
     # is 0 * inf: the horizon check reads only the wave speed, with no numpy warning
     (["--gas.rho_bar", "5e-324", "--grid.n_cells", "64"], "grid.r_max"),
+    # r^3, the monitors' weight, overflows on the grid (H was nan in every row) ...
+    (["--grid.r_max", "1e150", "--grid.n_cells", "64"], "grid.r_max"),
+    (["--grid.r_max", "1e200"], "grid.r_max"),
+    (["--run.t_end", "1e160", "--run.monitor_cadence", "1e156"], "grid.r_max"),  # auto r_max 2e160
+    # ... or r^2 dr underflows, so 1/(r^2 dr) is inf
+    (["--grid.r_max", "1e-300", "--profile.M", "1e-301", "--run.t_end", "1e-310"], "grid.r_max"),
+    # 0.5 (p_l + p_r) overflows at the background pressure rho_bar / gamma
+    (["--gas.rho_bar", "1.7e308", "--gas.gamma", "1.1", "--profile.epsilon", "0", "--grid.n_cells", "64"],
+     "gas.rho_bar"),
 ], ids=["r_max-zero", "r_max-negative", "r_max-auto-overflow", "bump-1e300", "bump-1e200", "shell-1e300",
-        "rho_bar-1e-300", "gamma-1e300", "gamma-1e300-rho_bar-2", "gamma-1e300-rho_bar-0.5", "rho_bar-5e-324"])
+        "rho_bar-1e-300", "gamma-1e300", "gamma-1e300-rho_bar-2", "gamma-1e300-rho_bar-0.5", "rho_bar-5e-324",
+        "r_max-1e150-r_cubed", "r_max-1e200", "r_max-auto-2e160", "r_max-1e-300-volume", "rho_bar-1.7e308-gamma-1.1"])
 def test_euler_sim_grid_and_profile_faults_are_config_errors(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
     rc = main(["euler-sim", "--run.t_end", "1", "--output.dir", str(out)] + argv)
@@ -637,11 +648,13 @@ def test_radial_profile_file_matches_library(tmp_path):
     (rho0, _), (u0, _) = sampled_profile(rs, rho0s), sampled_profile(rs, u0s)
     gas = GasModel(2.0, 1.0)
     state = init_state(gas, InitialProfile(rho0, u0, 0.1, 1.0), RadialGrid(8.0, 64))
-    expected = run(gas, DampingLaw(1.0, 1.0), state, 1.0)
+    law = DampingLaw(1.0, 1.0)
+    snapshots, _ = run(gas, law, state, 1.0, snapshot_times=sample_times(1.0, 0.5))
+    expected = euler.series(snapshots, gas, law, 0.4)
     times, cols = read_series(os.path.join(out, "series.csv"))
-    assert times.tolist() == expected.times.tolist()
-    assert list(cols) == list(expected.columns)
-    for name, values in expected.columns.items():
+    assert times.tolist() == [s.t for s in snapshots]
+    assert list(cols) == list(expected)
+    for name, values in expected.items():
         assert cols[name].tolist() == values.tolist()
 
 
@@ -716,8 +729,14 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text
     # the damping integral left unresolved at its caps: lambda > 1 past
     # SERIES_MAX_C, where 1/beta is a spike of width about 1/mu at tau = 0 ...
     (["burgers-lifespan", "--damping.lambda", "2", "--damping.mu", "1e13"], {}, "keys 'damping.lambda'/'damping.mu':"),
+    # a sweep names the failing combo after its keys
     (["sweep", "--sweep.lambda", "2", "--sweep.mu", "1e300", "--sweep.epsilon", "1"], {},
-     "keys 'sweep.lambda'/'sweep.mu':"),
+     "keys 'sweep.lambda'/'sweep.mu': at lambda=2.0, mu=1e+300, epsilon=1.0:"),
+    (["sweep", "--sweep.lambda", "0,2", "--sweep.mu", "1,1e300", "--sweep.epsilon", "1"], {},
+     "keys 'sweep.lambda'/'sweep.mu': at lambda=2.0, mu=1e+300, epsilon=1.0:"),
+    # 1/(eps m) = 1.25e-600 is no float
+    (["sweep", "--profile.M", "1e-300", "--sweep.epsilon", "1,1e300", "--sweep.lambda", "0,2", "--sweep.mu", "1"],
+     {}, "key 'sweep.epsilon': at lambda=0.0, mu=1.0, epsilon=1e+300:"),
     (["burgers-sim", "--damping.lambda", "2", "--damping.mu", "1e16", "--run.t_end", "1", "--grid.n_cells", "64"], {},
      "keys 'damping.lambda'/'damping.mu':"),
     # ... and lambda just below 1 at mu near 1, where the gamma expansions of
@@ -726,7 +745,8 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys, mode, file, text
      "keys 'damping.lambda'/'damping.mu':"),
 ], ids=["x_lo-without-x_hi", "fractional-n_cells", "empty-config-value", "empty-lambda-list",
         "stray-argument", "flag-without-value", "profile-header", "snapshot-header", "lifespan-law-spike",
-        "sweep-law-spike", "burgers-sim-law-spike", "lifespan-law-lambda-near-1"])
+        "sweep-law-spike", "sweep-law-spike-combo", "sweep-epsilon-combo", "burgers-sim-law-spike",
+        "lifespan-law-lambda-near-1"])
 def test_documented_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, argv, files, key):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)

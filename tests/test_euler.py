@@ -35,7 +35,7 @@ from critdamp.euler import (
     validate_horizon,
 )
 from critdamp.monitors import FOUR_PI, mass_excess, weighted_momentum, weighted_potential_energy
-from critdamp.outcome import BreakdownCause, BreakdownError
+from critdamp.outcome import BreakdownCause, BreakdownError, sample_times
 from critdamp.profiles import _smooth_step, line_bump, mollifier, radial_bump, radial_outgoing_shell, radial_shell
 from helpers import (
     composite_simpson,
@@ -101,13 +101,35 @@ def test_init_rejects_overflowing_data(epsilon):
 
 # ---------------------------------------------------------------- stepping
 
-def test_constant_state_is_exact_fixed_point():
-    grid = RadialGrid(10.0, 64)
-    s = init_state(GAS, bump_profile(0.0), grid)
-    for law in (LAW, DampingLaw(0.0, 0.0), DampingLaw(3.0, 2.0)):
-        s2 = step(GAS, law, s, 0.4)
-        assert np.all(s2.rho_pert == 0.0)
-        assert np.all(s2.mom == 0.0)
+FLOAT_MAX = np.finfo(float).max
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.0, 3.0, exclude_min=True), rho_bar=st.floats(-300.0, 308.25).map(lambda e: 10.0**e),
+       law=st.sampled_from([LAW, DampingLaw(0.0, 0.0), DampingLaw(3.0, 2.0)]) | st.builds(
+           DampingLaw, st.floats(0.0, 10.0), st.floats(0.0, 3.0)),
+       n_cells=st.integers(32, 128), cfl=st.floats(0.1, 0.9), muscl=st.booleans())
+@example(gamma=2.0, rho_bar=FLOAT_MAX, law=LAW, n_cells=64, cfl=0.4, muscl=False)
+@example(gamma=1.1, rho_bar=1.7e308, law=LAW, n_cells=64, cfl=0.4, muscl=False)
+def test_constant_state_is_exact_fixed_point(gamma, rho_bar, law, n_cells, cfl, muscl):
+    # a bare step, and every step of a run, leaves the constant state
+    # (rho_bar, 0) at +0.0 by its bits, as p_face - p_c is exactly 0 there,
+    # whatever the gas, law, grid, cfl or order; a run rejects a background
+    # pressure rho_bar / gamma past half the float range, where 0.5 (p_l + p_r) overflows
+    gas = GasModel(gamma, rho_bar)
+    s = init_state(gas, bump_profile(0.0), RadialGrid(10.0, n_cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if rho_bar / gamma > FLOAT_MAX / 2:
+            with pytest.raises(ValueError, match="rho_bar"):
+                run(gas, law, s, 1.0, cfl, muscl=muscl)
+            return
+        snapshots, verdict = run(gas, law, s, 1.0, cfl, snapshot_times=sample_times(1.0, 0.25), muscl=muscl)
+        bare = step(gas, law, s, cfl, muscl=muscl)
+    assert verdict == Global()
+    assert len(snapshots) == 5
+    for snap in [bare, *snapshots]:
+        assert snap.rho_pert.tobytes() == snap.mom.tobytes() == bytes(8 * n_cells)
 
 
 def test_step_second_order_self_consistency():
@@ -140,9 +162,10 @@ def test_momentum_zero_beyond_support():
 
 def test_mass_conserved_along_run():
     grid = RadialGrid(30.0, 512)
-    res = run(GAS, LAW, init_state(GAS, bump_profile(0.1), grid), t_end=20.0, cfl=0.4, monitor_cadence=2.0)
-    L = res.columns["L"]
-    assert isinstance(res.verdict, Global)
+    snapshots, verdict = run(GAS, LAW, init_state(GAS, bump_profile(0.1), grid), t_end=20.0, cfl=0.4,
+                             snapshot_times=sample_times(20.0, 2.0))
+    L = series(snapshots, GAS, LAW, 0.4)["L"]
+    assert isinstance(verdict, Global)
     assert np.max(np.abs(L - L[0])) <= 1e-10 * abs(L[0])
 
 
@@ -178,19 +201,22 @@ def test_mass_conserved_for_random_smooth_data(rho_bump, u_bump, eps, mu, lam, r
 
 def test_run_zero_perturbation_constant_series():
     grid = RadialGrid(16.0, 64)
-    res = run(GAS, LAW, init_state(GAS, bump_profile(0.0), grid), t_end=10.0, cfl=0.4, monitor_cadence=2.0)
-    assert isinstance(res.verdict, Global)
+    snapshots, verdict = run(GAS, LAW, init_state(GAS, bump_profile(0.0), grid), t_end=10.0, cfl=0.4,
+                             snapshot_times=sample_times(10.0, 2.0))
+    columns = series(snapshots, GAS, LAW, 0.4)
+    assert isinstance(verdict, Global)
     for name in ("L", "H", "E0", "max_u", "max_du_dr"):
-        assert np.all(res.columns[name] == 0.0)
-    assert np.all(res.columns["min_rho"] == GAS.rho_bar)
+        assert np.all(columns[name] == 0.0)
+    assert np.all(columns["min_rho"] == GAS.rho_bar)
 
 
 def test_small_data_velocity_decays():
     grid = RadialGrid(70.0, 512)
-    res = run(GAS, LAW, init_state(GAS, bump_profile(0.01), grid), t_end=50.0, cfl=0.4, monitor_cadence=1.0)
-    assert isinstance(res.verdict, Global)
-    mu = res.columns["max_u"]
-    i5 = np.searchsorted(res.times, 5.0)
+    snapshots, verdict = run(GAS, LAW, init_state(GAS, bump_profile(0.01), grid), t_end=50.0, cfl=0.4,
+                             snapshot_times=sample_times(50.0, 1.0))
+    assert isinstance(verdict, Global)
+    mu = series(snapshots, GAS, LAW, 0.4)["max_u"]
+    i5 = np.searchsorted([s.t for s in snapshots], 5.0)
     assert mu[-1] < mu[i5]
 
 
@@ -212,8 +238,9 @@ def test_cfl_safety_random_smooth_data(seed):
 
     prof = InitialProfile(rho0, u0, epsilon=amp, M=1.0)
     grid = RadialGrid(12.0, 128)
-    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=6.0, cfl=0.5, monitor_cadence=1.0)
-    for s in res.snapshots:
+    snapshots, _ = run(GAS, LAW, init_state(GAS, prof, grid), t_end=6.0, cfl=0.5,
+                       snapshot_times=sample_times(6.0, 1.0))
+    for s in snapshots:
         assert np.all(np.isfinite(s.rho)) and np.all(np.isfinite(s.mom))
         assert np.all(s.rho > 0)
 
@@ -224,11 +251,11 @@ def test_violent_data_reports_breakdown_cause():
     rho0, u0 = radial_outgoing_shell(0.2, 1.0)
     prof = InitialProfile(rho0, lambda r: 50.0 * np.asarray(u0(r)), epsilon=1.0, M=1.0, M0=0.2)
     grid = RadialGrid(15.0, 512)
-    res = run(GAS, DampingLaw(1.0, 1.0), init_state(GAS, prof, grid), t_end=0.2, cfl=0.85,
-              monitor_cadence=0.05, muscl=True)
-    assert isinstance(res.verdict, NumericalBreakdown)
-    assert res.verdict.time < 0.2
-    for s in res.snapshots:
+    snapshots, verdict = run(GAS, DampingLaw(1.0, 1.0), init_state(GAS, prof, grid), t_end=0.2, cfl=0.85,
+                             snapshot_times=sample_times(0.2, 0.05), muscl=True)
+    assert isinstance(verdict, NumericalBreakdown)
+    assert verdict.time < 0.2
+    for s in snapshots:
         assert np.all(np.isfinite(s.rho))
 
 
@@ -237,8 +264,8 @@ def test_discrete_momentum_ode_residual_shrinks():
     # when (dr, dt) halve together at fixed cfl
     def residual(n):
         state = init_state(GAS, shell_profile(0.05), RadialGrid(12.0, n))
-        res = run(GAS, LAW, state, t_end=4.0, cfl=0.4, monitor_cadence=0.2)
-        return momentum_ode_residual(res, GAS, LAW)
+        snapshots, _ = run(GAS, LAW, state, t_end=4.0, cfl=0.4, snapshot_times=sample_times(4.0, 0.2))
+        return momentum_ode_residual(snapshots, GAS, LAW)
 
     assert residual(192) / residual(384) >= 1.8
 
@@ -301,7 +328,7 @@ def test_run_starts_at_time_zero():
 @pytest.mark.parametrize("kwargs, key", [
     ({"t_end": 0.0}, "t_end"), ({"t_end": math.nan}, "t_end"),
     ({"cfl": 0.0}, "cfl"), ({"cfl": 0.95}, "cfl"),
-    ({"monitor_cadence": 0.0}, "monitor_cadence"), ({"monitor_cadence": math.nan}, "monitor_cadence"),
+    ({"snapshot_times": [-0.5]}, "snapshot times"), ({"snapshot_times": [0.5, math.nan]}, "snapshot times"),
 ])
 def test_run_rejects_arguments_out_of_range(kwargs, key):
     state = init_state(GAS, bump_profile(0.1), RadialGrid(30.0, 64))
@@ -314,6 +341,14 @@ def test_grid_and_profile_validation():
         RadialGrid(0.0, 64)
     with pytest.raises(ValueError):
         RadialGrid(10.0, 16)
+    # r^3, the monitors' weight, or 1/(r^2 dr), the step's, leaves the float
+    # range: the CLI's 64-cell edge, its auto-sized 2e160, and r^2 dr underflowing
+    for r_max, n_cells in [(5.7e102, 64), (1e150, 64), (1e200, 512), (2e160, 512), (1e-300, 512)]:
+        with pytest.raises(ValueError, match="float range"):
+            RadialGrid(r_max, n_cells)
+    grid = RadialGrid(5e102, 64)
+    assert np.isfinite(grid.centers**3).all()
+    assert grid._inv_vol.tobytes() == (1.0 / (grid.centers**2 * grid.dr)).tobytes()
     rho0, u0 = radial_bump(1.0)
     with pytest.raises(ValueError):
         InitialProfile(rho0, u0, epsilon=-0.1, M=1.0)
@@ -758,8 +793,8 @@ def test_radial_state_is_plain_data():
     # workspace: the initial state, a bare step's result and a run's
     # snapshots alike
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
-    res = run(GAS, LAW, s, t_end=0.5, cfl=0.4, monitor_cadence=0.25)
-    for state in [s, step(GAS, LAW, s, 0.4), *res.snapshots]:
+    snapshots, _ = run(GAS, LAW, s, t_end=0.5, cfl=0.4, snapshot_times=sample_times(0.5, 0.25))
+    for state in [s, step(GAS, LAW, s, 0.4), *snapshots]:
         assert [f.name for f in dataclasses.fields(state)] == ["t", "rho_pert", "mom", "grid", "rho_bar"]
         assert vars(state).keys() == STATE_FIELDS
 
@@ -779,20 +814,24 @@ def test_bare_step_collapses_on_its_own_cfl_step():
 
 def assert_run_matches_reference(gas, law, s, t_end, cfl, cadence, muscl):
     """``run`` and the full-grid march agree byte for byte: verdict, sample
-    times, every series column and every snapshot."""
-    res = run(gas, law, s, t_end=t_end, cfl=cfl, monitor_cadence=cadence, muscl=muscl)
-    times, columns, snapshots, verdict = full_grid_run(gas, law, s, t_end, cfl, cadence, muscl)
-    assert res.verdict == verdict
-    assert res.times.tobytes() == times.tobytes()
-    assert list(res.columns) == list(columns)
-    for name, column in columns.items():
-        assert res.columns[name].tobytes() == column.tobytes(), name
-    assert len(res.snapshots) == len(snapshots)
-    for ours, theirs in zip(res.snapshots, snapshots):
-        assert ours.t == theirs.t
-        assert ours.rho_pert.tobytes() == theirs.rho_pert.tobytes()
-        assert ours.mom.tobytes() == theirs.mom.tobytes()
-    return res
+    times, every series column (``series`` of the run's snapshots against the
+    one-state rows of the march's) and every snapshot; returns the verdict."""
+    times = sample_times(t_end, cadence)
+    ours, verdict = run(gas, law, s, t_end=t_end, cfl=cfl, snapshot_times=times, muscl=muscl)
+    theirs, expected = full_grid_run(gas, law, s, t_end, cfl, times, muscl)
+    assert verdict == expected
+    assert np.array([o.t for o in ours]).tobytes() == np.array([r.t for r in theirs]).tobytes()
+    columns = series(ours, gas, law, cfl)
+    table = np.array([one_state_series(r, gas, law, cfl) for r in theirs]).reshape(-1, 7).T
+    assert list(columns) == SERIES_NAMES
+    for name, column in zip(SERIES_NAMES, table):
+        assert columns[name].tobytes() == np.ascontiguousarray(column).tobytes(), name
+    assert len(ours) == len(theirs)
+    for o, r in zip(ours, theirs):
+        assert o.t == r.t
+        assert o.rho_pert.tobytes() == r.rho_pert.tobytes()
+        assert o.mom.tobytes() == r.mom.tobytes()
+    return verdict
 
 
 @settings(max_examples=30, deadline=None)
@@ -837,8 +876,8 @@ def test_run_matches_full_grid_march_at_acceptance_07():
     prof = InitialProfile(rho0, u0, epsilon=1.0, M=1.0, M0=0.2)
     t_star = 0.241
     s = init_state(GAS, prof, RadialGrid(r_max=1.0 + t_star * 1.3 * 52.0, n_cells=4096))
-    res = assert_run_matches_reference(GAS, law, s, t_star, 0.85, t_star / 20, True)
-    assert res.verdict.cause == BreakdownCause.NEGATIVE_DENSITY
+    verdict = assert_run_matches_reference(GAS, law, s, t_star, 0.85, t_star / 20, True)
+    assert verdict.cause == BreakdownCause.NEGATIVE_DENSITY
 
 
 @pytest.mark.parametrize("eps, n_cells, holds", [(0.3, 64, True), (1e-3, 256, False)])
@@ -887,9 +926,9 @@ def test_run_snapshots_and_bare_steps_keep_their_values():
     # again, or it, leaves it as it is.
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 128))
     before = (s.rho_pert.tobytes(), s.mom.tobytes())
-    res = run(GAS, LAW, s, t_end=1.5, cfl=0.4, monitor_cadence=0.5)
-    for snap in res.snapshots[1:-1]:
-        last = run(GAS, LAW, s, t_end=snap.t, cfl=0.4, monitor_cadence=0.5).snapshots[-1]
+    snapshots, _ = run(GAS, LAW, s, t_end=1.5, cfl=0.4, snapshot_times=sample_times(1.5, 0.5))
+    for snap in snapshots[1:-1]:
+        last = run(GAS, LAW, s, t_end=snap.t, cfl=0.4, snapshot_times=sample_times(snap.t, 0.5))[0][-1]
         assert last.t == snap.t
         assert (snap.rho_pert.tobytes(), snap.mom.tobytes()) == (last.rho_pert.tobytes(), last.mom.tobytes())
     assert (s.rho_pert.tobytes(), s.mom.tobytes()) == before
@@ -926,10 +965,10 @@ def test_run_steps_its_window_in_place(monkeypatch, muscl):
             starts.append(self)
 
     monkeypatch.setattr("critdamp.euler._Workspace", Spied)
-    res = run(GAS, LAW, s, t_end=1.5, cfl=0.4, monitor_cadence=0.5, muscl=muscl)
-    assert len(starts) == 1 and len(res.snapshots) == 4
+    snapshots, _ = run(GAS, LAW, s, t_end=1.5, cfl=0.4, snapshot_times=sample_times(1.5, 0.5), muscl=muscl)
+    assert len(starts) == 1 and len(snapshots) == 4
     buffers = [a for a in vars(starts[0]).values() if isinstance(a, np.ndarray)]
-    for snap in res.snapshots:
+    for snap in snapshots:
         assert not any(np.shares_memory(a, b) for a in (snap.rho_pert, snap.mom) for b in buffers)
 
 

@@ -15,8 +15,10 @@ from critdamp import (
     weighted_momentum,
     weighted_potential_energy,
 )
+from critdamp.euler import series
 from critdamp.monitors import CriterionReport
 from critdamp.numerics import time_integral
+from critdamp.outcome import sample_times
 from critdamp.profiles import radial_bump, radial_outgoing_shell
 from helpers import (
     _split_cells,
@@ -160,8 +162,9 @@ def test_moment_sign_claim_along_run():
     # tolerance for l >= M0 over the whole run
     prof = shell_profile()
     grid = RadialGrid(20.0, 512)
-    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=6.0, cfl=0.4, monitor_cadence=0.5)
-    for s in res.snapshots:
+    snapshots, _ = run(GAS, LAW, init_state(GAS, prof, grid), t_end=6.0, cfl=0.4,
+                       snapshot_times=sample_times(6.0, 0.5))
+    for s in snapshots:
         ls, vals = moment_band(s, GAS, prof.M0, prof.M, n_l=24)
         tols = np.array([density_moment_tolerance(s, GAS, l) for l in ls])
         assert np.all(vals >= -10.0 * tols - 1e-12)
@@ -171,11 +174,12 @@ def test_moment_damped_convexity_residual():
     # second differences of P in t plus the damping term stay above -O(dt)
     prof = shell_profile()
     grid = RadialGrid(20.0, 512)
-    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=4.0, cfl=0.4, monitor_cadence=0.1)
-    t = res.times
+    snapshots, _ = run(GAS, LAW, init_state(GAS, prof, grid), t_end=4.0, cfl=0.4,
+                       snapshot_times=sample_times(4.0, 0.1))
+    t = np.array([s.t for s in snapshots])
     dt = t[1] - t[0]
     for l_probe in (0.5, 0.8):
-        p_series = np.array([density_moment(s, GAS, l_probe) for s in res.snapshots])
+        p_series = np.array([density_moment(s, GAS, l_probe) for s in snapshots])
         d2 = (p_series[2:] - 2 * p_series[1:-1] + p_series[:-2]) / dt**2
         d1 = (p_series[2:] - p_series[:-2]) / (2 * dt)
         coeff = LAW.mu * (1.0 + t[1:-1]) ** (-LAW.lam)
@@ -188,8 +192,9 @@ def test_moment_damped_convexity_residual():
 def run_band_slices(cadence=0.25, n_l=64, t_end=3.0, n=512):
     prof = shell_profile()
     grid = RadialGrid(20.0, n)
-    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=t_end, cfl=0.4, monitor_cadence=cadence)
-    return [(s.t, *moment_band(s, GAS, prof.M0, prof.M, n_l=n_l)) for s in res.snapshots]
+    snapshots, _ = run(GAS, LAW, init_state(GAS, prof, grid), t_end=t_end, cfl=0.4,
+                       snapshot_times=sample_times(t_end, cadence))
+    return [(s.t, *moment_band(s, GAS, prof.M0, prof.M, n_l=n_l)) for s in snapshots]
 
 
 def test_double_time_integral_identity():
@@ -233,8 +238,9 @@ def test_weighted_momentum_zero_for_rest_data():
 def test_mass_excess_constant_along_run():
     prof = shell_profile()
     grid = RadialGrid(20.0, 256)
-    res = run(GAS, LAW, init_state(GAS, prof, grid), t_end=8.0, cfl=0.4, monitor_cadence=1.0)
-    L = res.columns["L"]
+    snapshots, _ = run(GAS, LAW, init_state(GAS, prof, grid), t_end=8.0, cfl=0.4,
+                       snapshot_times=sample_times(8.0, 1.0))
+    L = series(snapshots, GAS, LAW, 0.4)["L"]
     assert np.max(np.abs(L - L[0])) <= 1e-10 * abs(L[0])
 
 

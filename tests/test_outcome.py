@@ -5,6 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from critdamp import (
+    DampingLaw,
+    GasModel,
+    InitialProfile,
+    RadialGrid,
+    burgers,
+    euler,
+)
 from critdamp.outcome import (
     DT_FLOOR,
     BreakdownCause,
@@ -18,6 +26,8 @@ from critdamp.outcome import (
     screened_gradient,
     verdict_label,
 )
+
+from critdamp.profiles import line_ramp, radial_bump, radial_outgoing_shell
 
 RATE = 0.5
 
@@ -75,6 +85,14 @@ def test_sample_times_are_sorted_without_repeats_and_checked():
     for times in ([-0.1, 0.5], [0.0, 1.5], [math.nan], [0.5, math.nan]):
         with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, t_end\]"):
             decay_march(1.0, times)
+
+
+def test_a_step_ending_just_short_of_a_sample_time_lands_on_it():
+    # ten steps of 0.1 sum to 0.9999999999999999, within 1e-14 of t_end = 1:
+    # the tenth is stretched onto 1.0, and the sample there is taken
+    _, samples = decay_march(1.0, [0.0, 1.0], dt=0.1)
+    assert [t for t, _ in samples] == [0.0, 1.0]
+    assert samples[-1][1] == pytest.approx(math.exp(-RATE), rel=1e-12)
 
 
 def test_short_sample_list_still_marches_to_t_end():
@@ -170,3 +188,54 @@ def test_screened_gradient_fires_exactly_where_the_gradient_does(v, h, limit, sl
     assert (screened(v) >= limit) == (gradient(v) >= limit)
     if screened(v) != gradient(v):
         assert gradient(v) < screened(v) < limit
+
+
+def radial_case(breaks):
+    """(t_end, solve) for ``euler.run``, ``solve(snapshot_times)`` giving its
+    (snapshots, verdict): a small bump, or a shell whose violent shear loses
+    positivity at second order (NegativeDensity)."""
+    gas = GasModel(2.0, 1.0)
+    if breaks:
+        rho0, u0 = radial_outgoing_shell(0.2, 1.0)
+        profile = InitialProfile(rho0, lambda r: 50.0 * np.asarray(u0(r)), epsilon=1.0, M=1.0, M0=0.2)
+        t_end, law, grid, cfl = 0.2, DampingLaw(1.0, 1.0), RadialGrid(15.0, 512), 0.85
+    else:
+        profile = InitialProfile(*radial_bump(1.0), epsilon=0.1, M=1.0)
+        t_end, law, grid, cfl = 1.0, DampingLaw(1.0, 0.5), RadialGrid(12.0, 64), 0.4
+    state = euler.init_state(gas, profile, grid)
+    return t_end, lambda times: euler.run(gas, law, state, t_end, cfl, snapshot_times=times, muscl=breaks)
+
+
+def line_case(breaks):
+    """(t_end, solve) for ``burgers.simulate_fv``, as :func:`radial_case`: a
+    ramp, whose gradient trigger fires (GradientThreshold) at a low threshold."""
+    w0, w0p, support = line_ramp()
+    problem = burgers.BurgersProblem(w0, w0p, support, 0.1, DampingLaw(0.5, 1.0), m=1.0)
+    t_end = 36.0
+    return t_end, lambda times: burgers.simulate_fv(problem, 400, t_end, 0.5, snapshot_times=times,
+                                                     gradient_threshold=0.38 if breaks else None,
+                                                     x_span=(-4.2, 4.2))
+
+
+@pytest.mark.parametrize("case", [radial_case, line_case], ids=["euler.run", "burgers.simulate_fv"])
+def test_both_solvers_share_one_run_contract(case):
+    # each takes sample times (t_end alone by default), checked by march, and
+    # returns (snapshots, verdict): the snapshots sit at exactly the sorted,
+    # distinct requested times, and a run that breaks down returns those
+    # before its breakdown
+    t_end, solve = case(breaks=False)
+    wanted = [t_end, 0.5 * t_end, 0.0, 0.25 * t_end, 0.5 * t_end, 0.3 * t_end]
+    snapshots, verdict = solve(wanted)
+    assert verdict == Global()
+    assert [s.t for s in snapshots] == sorted(set(wanted))
+    assert [s.t for s in solve(None)[0]] == [t_end]
+    with pytest.raises(ValueError, match="snapshot times"):
+        solve([0.0, 2.0 * t_end])
+
+    t_end, solve = case(breaks=True)
+    wanted = sample_times(t_end, t_end / 40)[::-1]
+    snapshots, verdict = solve(wanted)
+    assert isinstance(verdict, NumericalBreakdown) and 0.0 < verdict.time < t_end
+    before = [t for t in sorted(wanted) if t < verdict.time]
+    assert len(before) >= 2
+    assert [s.t for s in snapshots] == before
