@@ -289,16 +289,11 @@ def simulate_fv(
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
 
     x.flags.writeable = False
-    snapshots: list[Snapshot1D] = []
-
-    def sample(ws: _Workspace, t: float) -> None:
-        snapshots.append(Snapshot1D(t, x, ws.cells.copy(), ws.stable_dt()))
-
     ws = _Workspace(w, law, dx, cfl, t_end)
     limit = gradient_limit(ws.gradient()) if gradient_threshold is None else gradient_threshold
     gradient = screened_gradient(_Workspace.gradient, lambda ws: ws.max_abs, dx, limit)
-    verdict = march(ws, t_end, snapshot_times, _Workspace.stable_dt, _Workspace.step, gradient, sample, limit)
-    return snapshots, verdict
+    return march(ws, t_end, snapshot_times, _Workspace.stable_dt, _Workspace.step, gradient,
+                 lambda ws, t: Snapshot1D(t, x, ws.cells.copy(), ws.stable_dt()), limit)
 
 
 class _Workspace:

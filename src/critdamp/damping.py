@@ -189,10 +189,11 @@ class DampingLaw:
         The finite values are closed forms: 1/(mu-1) at lam = 1, 1/mu at
         lam = 0 and an upper incomplete gamma function for 0 < lam < 1 (also
         +inf where it exceeds the float range).  Only where the gamma
-        expansions hit their term cap (lam within about 1e-7 of 1, mu near 1)
-        is I(inf) integrated by quadrature.  For lam > 1 the integrating
-        factor is bounded above by exp(mu/(lam-1)), so the integrand is
-        bounded below and the integral diverges.
+        expansions hit their term cap (lam within about 1e-7 of 1, mu near 1),
+        or at lam = 1 - 2^-53, mu = 1 (where c + 1 - s rounds to 0), is I(inf)
+        integrated by quadrature.  For lam > 1 the integrating factor is
+        bounded above by exp(mu/(lam-1)), so the integrand is bounded below
+        and the integral diverges.
         """
         if self.lam == 1.0:
             return 1.0 / (self.mu - 1.0) if self.mu > 1.0 else math.inf

@@ -193,9 +193,6 @@ class RadialState:
     def rho(self) -> np.ndarray:
         return self.rho_bar + self.rho_pert
 
-    def copy(self) -> "RadialState":
-        return RadialState(self.t, self.rho_pert.copy(), self.mom.copy(), self.grid, self.rho_bar)
-
 
 class _Workspace:
     """The arrays one state steps in (see module notes), the state of
@@ -468,8 +465,9 @@ def step(gas: GasModel, damping: DampingLaw, state: RadialState, cfl: float, *,
     Boundary conditions: mirrored ghost cells at r = 0 (regularity u(0) = 0;
     the inner face has zero area so no flux crosses the center) and the fixed
     constant state (rho_bar, 0) outside, where waves must never arrive.  An
-    explicit ``dt`` (used for sample-time clamping and step-halving tests)
-    bypasses the CFL floor check, which only guards internally computed steps.
+    explicit ``dt`` (a caller's own step; :func:`run` clamps its steps in
+    its workspace, not here) bypasses the CFL floor check, which only guards
+    internally computed steps.
     Only the window's cells are updated (see module notes), in a workspace
     built from ``state``, which must lie on the background density of
     ``gas``; the new state is a copy of it.
@@ -562,12 +560,9 @@ def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cf
     if not math.isfinite(2.0 * (gas.rho_bar / gas.gamma)):
         raise ValueError(f"rho_bar={gas.rho_bar!r} too large: 0.5 (p_l + p_r) overflows at p = rho_bar/gamma")
 
-    snapshots: list[RadialState] = []
     ws = _Workspace(state, gas)
     limit = gradient_limit(ws.max_velocity_gradient())
     # |u| <= |u| + c, so max(|u| + c) bounds the velocity the gradient is taken of
     gradient = screened_gradient(_Workspace.max_velocity_gradient, lambda w: w.max_speed, ws.dr, limit)
-    verdict = march(ws, t_end, snapshot_times, lambda w: w.stable_dt(cfl),
-                    lambda w, t, dt: w.step(damping, t, dt, muscl), gradient,
-                    lambda w, t: snapshots.append(w.state_at(t)), limit)
-    return snapshots, verdict
+    return march(ws, t_end, snapshot_times, lambda w: w.stable_dt(cfl),
+                 lambda w, t, dt: w.step(damping, t, dt, muscl), gradient, _Workspace.state_at, limit)

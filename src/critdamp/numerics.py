@@ -252,9 +252,12 @@ def gamma_fraction(s: float, x: float) -> float:
         1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / (x + 5 - s - ...)))
 
     by the modified Lentz method, for x >= s + 1, where it converges fast.
-    Raises ``ConvergenceError`` if ``GAMMA_MAX_TERMS`` terms do not converge.
+    Raises ``ConvergenceError`` if ``GAMMA_MAX_TERMS`` terms do not converge,
+    or if x + 1 - s rounds to 0 (x = s >= 2^53, where x + 1 rounds to x).
     """
     b = x + 1.0 - s
+    if b == 0.0:
+        raise ConvergenceError(f"incomplete gamma continued fraction has a zero denominator (s={s!r}, x={x!r})")
     c = 1.0 / _TINY
     d = h = 1.0 / b
     for i in range(1, GAMMA_MAX_TERMS):

@@ -115,7 +115,7 @@ def screened_gradient(gradient: Callable, max_abs: Callable, h: float, limit: fl
 def march(
     state, t_end: float, sample_times: Sequence[float] | None, stable_dt: Callable, step: Callable,
     gradient: Callable, sample: Callable, grad_limit: float,
-) -> Verdict:
+) -> tuple[list, Verdict]:
     """Advance ``state``, a solver's workspace, from t = 0 to ``t_end``:
     ``step(state, t, dt)`` returns the state at t + dt (``state`` itself, if
     stepped in place) or raises :class:`BreakdownError`, and ``stable_dt`` and
@@ -123,32 +123,32 @@ def march(
     sorted, without repeats, and each in [0, t_end], else ValueError; None
     is ``t_end`` alone), then on ``t_end``, a step that would end within
     1e-14 * t_end short of one stretched onto it; there ``sample(state, t)``
-    copies out what it keeps, and a time 0 samples the initial state.
-    Breakdown: ``stable_dt(state)`` non-finite or <= DT_FLOOR, a raise from
-    ``step``, or ``gradient(state) >= grad_limit`` (see
-    :func:`gradient_limit`).  Otherwise Global()."""
+    returns a copy of what to keep, and a time 0 samples the initial state.
+    Returns the samples taken, in time order, and the verdict: a breakdown
+    (``stable_dt(state)`` non-finite or <= DT_FLOOR, a raise from ``step``,
+    or ``gradient(state) >= grad_limit``; see :func:`gradient_limit`) keeps
+    the samples taken before it.  Otherwise Global()."""
     sample_times = sorted(set(float(s) for s in (sample_times if sample_times is not None else (t_end,))))
     if not all(0 <= s <= t_end for s in sample_times):
         raise ValueError("snapshot times must lie in [0, t_end]")
-    t, i, tol = 0.0, 0, 1e-14 * t_end
+    t, tol, samples = 0.0, 1e-14 * t_end, []
     if sample_times and sample_times[0] == 0.0:
-        sample(state, t)
-        i = 1
+        samples.append(sample(state, t))
     while t < t_end - tol:
         dt = stable_dt(state)
         if not math.isfinite(dt) or dt <= DT_FLOOR:
-            return NumericalBreakdown(t, BreakdownCause.CFL_COLLAPSE)
+            return samples, NumericalBreakdown(t, BreakdownCause.CFL_COLLAPSE)
+        i = len(samples)
         target = sample_times[i] if i < len(sample_times) else t_end
         clamped = t + dt >= target - tol  # else the march could stop within tol short of t_end
         dt = target - t if clamped else dt
         try:
             state = step(state, t, dt)
         except BreakdownError as exc:
-            return NumericalBreakdown(exc.time, exc.cause)
+            return samples, NumericalBreakdown(exc.time, exc.cause)
         t = target if clamped else t + dt
         if gradient(state) >= grad_limit:
-            return NumericalBreakdown(t, BreakdownCause.GRADIENT_THRESHOLD)
+            return samples, NumericalBreakdown(t, BreakdownCause.GRADIENT_THRESHOLD)
         if clamped and i < len(sample_times):
-            sample(state, t)
-            i += 1
-    return Global()
+            samples.append(sample(state, t))
+    return samples, Global()

@@ -5,7 +5,8 @@ composite rules at extreme refinement, plain bisection and mpmath's incomplete
 gamma function, so every dual-route check compares two independent code
 paths.  The exceptions are the full-grid radial step, the march over it and
 the one-state series row, which the windowed ``euler.step``, ``euler.run``
-and the stacked ``euler.series`` must reproduce bit for bit, the allocating
+and the stacked ``euler.series`` must reproduce bit for bit, the workspace
+march with a source term (for manufactured solutions), the allocating
 Burgers march, which ``burgers.simulate_fv`` must reproduce bit for bit, the naive
 snapshot writer, the snapshot and series writers that call ``repr`` once per
 value, and the line-fed CSV reader, whose bytes and results ``csvio`` must
@@ -17,6 +18,7 @@ the radial solver is checked against; the smooth-data moments use the
 package's ``adaptive_quad``.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from critdamp.csvio import read_csv
-from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState, series
+from critdamp.euler import DENSITY_FLOOR_FACTOR, RadialState, _mirror, _Workspace, series
 from critdamp.monitors import FOUR_PI
 from critdamp.numerics import adaptive_quad, gamma_fraction, gamma_series
 from critdamp.outcome import (
@@ -229,18 +231,37 @@ def full_grid_step(gas, damping, state, cfl, *, dt=None, muscl=False):
 
 
 def full_grid_run(gas, damping, state, t_end, cfl, snapshot_times, muscl=False):
-    """``euler.run`` on the full-grid oracles: (snapshots, verdict)."""
-    snapshots = []
+    """``euler.run`` on the full-grid oracles: (snapshots, verdict).  A step
+    starts from the march's time, as ``run``'s does (a clamped step's
+    t + dt can miss its sample time by an ulp), and makes fresh arrays, so a
+    sample need only take the sample time."""
+    return march(state, t_end, snapshot_times, lambda s: full_grid_stable_dt(gas, s, cfl),
+                 lambda s, t, dt: full_grid_step(gas, damping, dataclasses.replace(s, t=t), cfl, dt=dt, muscl=muscl),
+                 full_grid_max_velocity_gradient, lambda s, t: dataclasses.replace(s, t=t),
+                 gradient_limit(full_grid_max_velocity_gradient(state)))
 
-    def sample(s, t):
-        s.t = t
-        snapshots.append(s.copy())
 
-    verdict = march(state, t_end, snapshot_times, lambda s: full_grid_stable_dt(gas, s, cfl),
-                    lambda s, t, dt: full_grid_step(gas, damping, s, cfl, dt=dt, muscl=muscl),
-                    full_grid_max_velocity_gradient, sample,
-                    gradient_limit(full_grid_max_velocity_gradient(state)))
-    return snapshots, verdict
+def source_run(gas, damping, state, t_end, cfl, source):
+    """``euler.run`` with a source term: each workspace step from t by dt is
+    followed by dt * ``source(t, r)``, a (rho, mom) pair at the cell centres
+    r, added to the cells, and the ghosts, rho, u and the kernels are formed
+    anew.  For a state whose window is the grid: (snapshots, verdict)."""
+    ws = _Workspace(state, gas)
+    assert ws.win.end == ws.n
+    r = state.grid.centers
+
+    def step(w, t, dt):
+        w.step(damping, t, dt)
+        (q, mom), (s_rho, s_mom) = w.cells, source(t, r)
+        q += dt * s_rho
+        mom += dt * s_mom
+        _mirror(w.q, w.mom)
+        np.add(w.win.q, w.rho_bar, out=w.win.rho)
+        np.divide(w.win.mom, w.win.rho, out=w.win.u)
+        w.kernels()
+        return w
+
+    return march(ws, t_end, None, lambda w: w.stable_dt(cfl), step, lambda w: 0.0, _Workspace.state_at, math.inf)
 
 
 def reference_damping_factor(law, t0, t1):
@@ -258,7 +279,6 @@ def reference_simulate_fv(problem, n_cells, t_end, cfl, x_span, snapshot_times, 
     x = x_lo + (np.arange(n_cells) + 0.5) * dx
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
     wanted = sorted(set(float(s) for s in snapshot_times))
-    snapshots = []
 
     def stable_dt(values):
         speed = float(np.max(np.abs(values)))
@@ -277,15 +297,12 @@ def reference_simulate_fv(problem, n_cells, t_end, cfl, x_span, snapshot_times, 
             raise BreakdownError(t + dt, BreakdownCause.NON_FINITE)
         return out
 
-    def sample(values, t):
-        snapshots.append((t, values.copy(), stable_dt(values)))
-
     def gradient(values):
         return float(np.max(np.abs(np.diff(values)))) / dx
 
     limit = gradient_limit(gradient(w)) if gradient_threshold is None else gradient_threshold
-    verdict = march(w, t_end, wanted, stable_dt, advance, gradient, sample, limit)
-    return snapshots, verdict
+    return march(w, t_end, wanted, stable_dt, advance, gradient,
+                 lambda values, t: (t, values.copy(), stable_dt(values)), limit)
 
 
 SERIES_NAMES = ["L", "H", "E0", "min_rho", "max_u", "max_du_dr", "dt"]

@@ -605,6 +605,26 @@ def test_lifespan_where_eps_m_overflows_is_one_over_eps_m(tmp_path, mode, eps, M
         assert 0.0 < t < 2.0**-1022 and abs(t - float(exact)) <= 2.0**-1074
 
 
+@pytest.mark.parametrize("mode, args, eps", [
+    ("burgers-lifespan", ["--damping.lambda", "0.9999999999999999", "--damping.mu", "1"], 0.01),
+    ("sweep", ["--sweep.lambda", "0.9999999999999999", "--sweep.mu", "1", "--sweep.epsilon", "1"], 1.0),
+])
+def test_lifespan_at_the_last_lambda_below_one(tmp_path, mode, args, eps):
+    # lambda = 1 - 2^-53, mu = 1: s = 1/(1 - lambda) = 2^53 and s + 1 rounds
+    # to s, so I(inf) is a quadrature.  With a = 2^-53 and L = log(1 + T),
+    # I(T) = L - a L^3/6 + ..., so T is lambda = 1's expm1(1/(eps m)) to
+    # a L^3/6 relative: 3.6e-11 at eps = 0.01, below an ulp at eps = 1
+    out = tmp_path / "out"
+    assert main([mode, "--output.dir", str(out)] + args) == 0
+    if mode == "sweep":
+        (row,) = [line.split(",") for line in read(out / "sweep.csv").splitlines()[1:]]
+        assert row[3] == "FiniteLifespan"
+        lifespan = float(row[4])
+    else:
+        lifespan = verdict_of(out).lifespan
+    assert lifespan == pytest.approx(np.expm1(1.0 / (eps * BUMP_M1)), rel=1e-9)
+
+
 def test_lifespan_below_the_float_range_is_an_epsilon_config_error(tmp_path, capsys):
     # 1/(eps m) = 1.25e-600 is no float; beside mu = 1e300 the lifespan is
     # not 1/(eps m) = 1.25e-310, and no closed form gives it

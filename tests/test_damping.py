@@ -199,6 +199,16 @@ def test_limit_beyond_the_term_cap_uses_quadrature(monkeypatch):
     assert law.reciprocal_integral_limit() == pytest.approx(by_quadrature, rel=1e-9)
 
 
+def test_limit_at_the_last_double_below_one_uses_quadrature():
+    # lam = 1 - 2^-53, mu = 1: s = c = 2^53, where the continued fraction's
+    # first denominator c + 1 - s rounds to 0.  I(inf) = e^s s^-s Gamma(s, s) s
+    # is mpmath's 118947364.09336122, sqrt(pi s / 2) - 1/3 + O(s^-1/2) (DLMF 8.11.12)
+    law = DampingLaw(1.0, 1.0 - 2.0**-53)
+    with pytest.raises(numerics.ConvergenceError):
+        law._gamma_limit()
+    assert law.reciprocal_integral_limit() == pytest.approx(118947364.09336122, rel=1e-6)
+
+
 @pytest.mark.parametrize("field, mu, lam", [("mu", math.inf, 1.0), ("mu", math.nan, 1.0),
                                             ("lam", 1.0, math.inf), ("lam", 1.0, math.nan)])
 def test_nonfinite_parameters_are_rejected(field, mu, lam):

@@ -773,11 +773,12 @@ def test_a_state_holding_a_non_finite_cell_is_non_finite_at_its_own_time(call, c
 
 
 def test_muscl_step_stops_on_a_face_density_that_is_not_positive():
-    # every cell that a workspace takes in or a step leaves lies above the
-    # density floor, and a minmod face value lies between its cell and a
-    # neighbour, so this test of the face densities guards the division
-    # by them: a cell written below zero into the workspace reaches it, and
-    # the step stops at the time it starts from
+    # a workspace takes in only cells with rho > 0 (not above the density
+    # floor: see test_validate_horizon_takes_the_full_grid_wave_speed), a
+    # step leaves only cells above the floor, and a minmod face value lies
+    # between its cell and a neighbour, so this test of the face densities
+    # guards the division by them: a cell written below zero into the
+    # workspace reaches it, and the step stops at the time it starts from
     s = init_state(GAS, shell_profile(0.3), RadialGrid(12.0, 64))
     ws = _Workspace(s, GAS)
     ws.cells[0][3] = -2.0
@@ -812,11 +813,10 @@ def test_bare_step_collapses_on_its_own_cfl_step():
 
 # ---------------------------------------------------------------- run against the full-grid march
 
-def assert_run_matches_reference(gas, law, s, t_end, cfl, cadence, muscl):
+def assert_run_matches_reference(gas, law, s, t_end, cfl, times, muscl):
     """``run`` and the full-grid march agree byte for byte: verdict, sample
     times, every series column (``series`` of the run's snapshots against the
     one-state rows of the march's) and every snapshot; returns the verdict."""
-    times = sample_times(t_end, cadence)
     ours, verdict = run(gas, law, s, t_end=t_end, cfl=cfl, snapshot_times=times, muscl=muscl)
     theirs, expected = full_grid_run(gas, law, s, t_end, cfl, times, muscl)
     assert verdict == expected
@@ -861,7 +861,7 @@ def test_run_matches_full_grid_march(gamma, rho_bar, eps, lam, mu, n_cells, cfl,
     prof = InitialProfile(lambda r: rho_sign * rho0(r), lambda r: u_sign * u0(r),
                           epsilon=eps, M=1.0, M0=0.3)
     s = init_state(gas, prof, RadialGrid(12.0, n_cells))
-    assert_run_matches_reference(gas, DampingLaw(mu, lam), s, 1.25, cfl, 0.25, muscl)
+    assert_run_matches_reference(gas, DampingLaw(mu, lam), s, 1.25, cfl, sample_times(1.25, 0.25), muscl)
 
 
 def test_run_matches_full_grid_march_at_acceptance_07():
@@ -876,8 +876,18 @@ def test_run_matches_full_grid_march_at_acceptance_07():
     prof = InitialProfile(rho0, u0, epsilon=1.0, M=1.0, M0=0.2)
     t_star = 0.241
     s = init_state(GAS, prof, RadialGrid(r_max=1.0 + t_star * 1.3 * 52.0, n_cells=4096))
-    verdict = assert_run_matches_reference(GAS, law, s, t_star, 0.85, t_star / 20, True)
+    verdict = assert_run_matches_reference(GAS, law, s, t_star, 0.85, sample_times(t_star, t_star / 20), True)
     assert verdict.cause == BreakdownCause.NEGATIVE_DENSITY
+
+
+def test_run_matches_full_grid_march_past_a_sample_time_that_t_plus_dt_misses():
+    # the step from the sample at 0.03 clamps onto 0.3, where 0.03 + 0.27
+    # misses it by an ulp: both marches step on from 0.3, and the damping
+    # factors of every later step agree bit for bit
+    assert 0.03 + (0.3 - 0.03) != 0.3
+    s = init_state(GAS, shell_profile(0.5), RadialGrid(12.0, 32))
+    law = DampingLaw(mu=1.0, lam=1.0)
+    assert assert_run_matches_reference(GAS, law, s, 0.6, 0.9, [0.03, 0.3, 0.6], False) == Global()
 
 
 @pytest.mark.parametrize("eps, n_cells, holds", [(0.3, 64, True), (1e-3, 256, False)])
@@ -894,7 +904,7 @@ def test_run_takes_the_exact_gradient_only_where_its_bound_does_not_hold(monkeyp
             return _f(self, *args)
         monkeypatch.setattr(_Workspace, name, counted)
     s = init_state(GAS, shell_profile(eps), RadialGrid(12.0, n_cells))
-    assert_run_matches_reference(GAS, LAW, s, 1.25, 0.4, 0.25, False)
+    assert_run_matches_reference(GAS, LAW, s, 1.25, 0.4, sample_times(1.25, 0.25), False)
     assert calls["step"] > 10
     assert calls["max_velocity_gradient"] == (1 if holds else calls["step"] + 1)
 
@@ -916,7 +926,7 @@ def test_run_clears_the_tail_a_shrinking_window_leaves(muscl):
         state = workspace_step(ws, law, state.t, 0.4, muscl=muscl)
         assert state.mom[cell:cell + 1].tobytes() == bytes(8)
     assert ws.win.end == end
-    assert_run_matches_reference(GAS, law, s, 0.5, 0.4, 0.1, muscl)
+    assert_run_matches_reference(GAS, law, s, 0.5, 0.4, sample_times(0.5, 0.1), muscl)
 
 
 def test_run_snapshots_and_bare_steps_keep_their_values():

@@ -242,6 +242,13 @@ def test_regularized_gamma_edges():
             regularized_gamma(s, x)
 
 
+def test_gamma_fraction_with_a_zero_first_denominator_raises():
+    # x + 1 rounds to x = s at 2^53, so the fraction's first term 1/(x + 1 - s)
+    # has no value; the caller falls back to quadrature, as at the term cap
+    with pytest.raises(numerics.ConvergenceError, match="zero denominator"):
+        numerics.gamma_fraction(2.0**53, 2.0**53)
+
+
 def test_regularized_gamma_cap_raises(monkeypatch):
     monkeypatch.setattr(numerics, "GAMMA_MAX_TERMS", 3)
     with pytest.raises(numerics.ConvergenceError, match="series"):

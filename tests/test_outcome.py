@@ -34,13 +34,12 @@ RATE = 0.5
 
 def decay_march(t_end, times, dt=0.03, gradient=abs, grad_limit=None, advance=None):
     """Toy problem: the state is a float that decays exactly, y' = -RATE y."""
-    samples = []
-    verdict = march(
+    samples, verdict = march(
         1.0, t_end, times,
         lambda y: dt,
         advance or (lambda y, t, h: y * math.exp(-RATE * h)),
         gradient,
-        lambda y, t: samples.append((t, y)),
+        lambda y, t: (t, y),
         gradient_limit(gradient(1.0)) if grad_limit is None else grad_limit,
     )
     return verdict, samples
