@@ -15,9 +15,8 @@ state: the interior jumps as diff(w), the boundary ones as w[0] - 0.0 and
 0.0 - w[-1], as e[1:] - e[:-1] forms them, so a -0.0 keeps its bits.  One
 maximum per state, as in the radial solver: stable_dt is cfl * dx / max|w|;
 a step raises NonFinite where max|w| is not finite, which is exactly where
-some w is not, before it forms the jumps; and the march takes max
-|diff(w)| / dx only where 2 (1 + 1e-15) max|w| / dx does not already lie
-below the trigger's limit (:func:`critdamp.outcome.screened_gradient`).
+some w is not, before it forms the jumps; and max|w| bounds max |diff(w)|
+for the screen of :func:`critdamp.outcome.march`'s gradient trigger.
 Every pass keeps the operation and operand order of the allocating
 expression it replaces, up to swapping the operands of * (exact in IEEE
 754); nothing is reassociated or fused, so states, dt values and artifacts
@@ -36,14 +35,13 @@ import numpy as np
 from .damping import DampingLaw, StepFactor
 from .numerics import scan_maximum, solve_bracketed
 from .outcome import (
+    GRADIENT_BOUND_FACTOR,
     BreakdownCause,
     BreakdownError,
     FiniteLifespan,
     Global,
     Verdict,
-    gradient_limit,
     march,
-    screened_gradient,
 )
 
 
@@ -259,17 +257,18 @@ def simulate_fv(
     holds to round-off.  Breakdown is reported (never silently continued)
     when the discrete gradient exceeds ``gradient_threshold`` (default: 1000x
     its initial value), when values go non-finite, or when dt collapses; the
-    stepping and sampling rule is :func:`critdamp.outcome.march`.  The
-    automatic ``x_span`` pads the support by eps * max|w0| * I(t_end), with
-    I capped at the crossing value 1/(eps*m) when m > 0; an explicit one must
-    contain the support, on which the exact solution stays before the lifespan.
+    stepping, sampling and stop rule, with the finite ``t_end`` it needs, is
+    :func:`critdamp.outcome.march`.  The automatic ``x_span`` pads the
+    support by eps * max|w0| * I(t_end), with I capped at the crossing value
+    1/(eps*m) when m > 0; an explicit one must contain the support, on which
+    the exact solution stays before the lifespan.
     """
     if n_cells < 16:
         raise ValueError("n_cells must be at least 16")
     if not 0.0 < cfl <= 0.9:
         raise ValueError("cfl must lie in (0, 0.9]")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:  # before the automatic span reads I(t_end)
+        raise ValueError("t_end must be positive and finite")
 
     law = problem.damping
     if x_span is None:
@@ -289,11 +288,9 @@ def simulate_fv(
     w = problem.epsilon * np.asarray(problem.w0(x), dtype=float)
 
     x.flags.writeable = False
-    ws = _Workspace(w, law, dx, cfl, t_end)
-    limit = gradient_limit(ws.gradient()) if gradient_threshold is None else gradient_threshold
-    gradient = screened_gradient(_Workspace.gradient, lambda ws: ws.max_abs, dx, limit)
-    return march(ws, t_end, snapshot_times, _Workspace.stable_dt, _Workspace.step, gradient,
-                 lambda ws, t: Snapshot1D(t, x, ws.cells.copy(), ws.stable_dt()), limit)
+    return march(_Workspace(w, law, dx, cfl, t_end), t_end, snapshot_times, _Workspace.stable_dt,
+                 _Workspace.step, _Workspace.gradient, _Workspace.gradient_bound,
+                 lambda ws, t: Snapshot1D(t, x, ws.cells.copy(), ws.stable_dt()), gradient_threshold)
 
 
 class _Workspace:
@@ -336,6 +333,9 @@ class _Workspace:
     def gradient(self) -> float:
         """max |diff(w)| / dx."""
         return float(np.maximum.reduce(np.abs(self.jump_c, out=self.flux_c))) / self.dx
+
+    def gradient_bound(self) -> float:
+        return GRADIENT_BOUND_FACTOR * self.max_abs / self.dx
 
     def step(self, t: float, dt: float) -> _Workspace:
         # Local Lax-Friedrichs flux on faces, zero ghost states at both ends;

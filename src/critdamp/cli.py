@@ -158,8 +158,12 @@ def _run_euler_sim(cfg: ExperimentConfig, out: str) -> None:
         state = euler.init_state(gas, profile, grid)
     except ValueError as exc:
         raise _profile_error(cfg, exc) from exc
-    with _as_config_error("grid.r_max"):
+    try:
         euler.validate_horizon(gas, state, profile.M, t_end)
+    except ValueError as exc:
+        auto = "" if cfg["grid.r_max"] is not None else (
+            "; grid.r_max is unset and was sized automatically as support + 2 (run.t_end + 1): set grid.r_max")
+        raise ConfigError(f"key 'grid.r_max': {exc}{auto}") from exc
     with _as_config_error("gas.rho_bar"):  # run's only ValueError on a validated config
         snapshots, verdict = euler.run(gas, damping, state, t_end, cfl,
                                        snapshot_times=sample_times(t_end, cfg["run.monitor_cadence"]))

@@ -43,11 +43,9 @@ the two maxima is not finite (a nan or an inf, or a finite state whose rho
 or wave speed overflows) are the cells tested one by one, so every verdict
 and cause is the cell-by-cell test's; a workspace takes in only finite
 cells, so only a step that overflowed, and so already warned, forms the
-kernels of a mom that is not finite.  And :func:`run`'s march takes max
-|du/dr| only where the bound 2 (1 + 1e-15) M / dr does not already lie
-below the gradient trigger's limit
-(:func:`critdamp.outcome.screened_gradient`): rounding is monotone and
-c >= 0, so |u| <= fl(|u| + c) <= M, and no difference of two u exceeds 2 M.
+kernels of a mom that is not finite.  And M bounds max |du/dr| for the
+screen of :func:`critdamp.outcome.march`'s gradient trigger: rounding is
+monotone and c >= 0, so |u| <= fl(|u| + c) <= M.
 
 Workspace: a state is stepped only in a ``_Workspace``, which copies it
 in; a RadialState is plain data that no call writes.  The workspace's
@@ -89,12 +87,11 @@ from .damping import DampingLaw, StepFactor
 from .gas import GasModel
 from .outcome import (
     DT_FLOOR,
+    GRADIENT_BOUND_FACTOR,
     BreakdownCause,
     BreakdownError,
     Verdict,
-    gradient_limit,
     march,
-    screened_gradient,
 )
 
 DENSITY_FLOOR_FACTOR = 1e-6
@@ -261,6 +258,9 @@ class _Workspace:
         win = self.win
         d = np.subtract(win.u_r, win.u_l, out=win.du)
         return float(np.maximum.reduce(np.abs(d, out=d))) / self.dr
+
+    def gradient_bound(self) -> float:
+        return GRADIENT_BOUND_FACTOR * self.max_speed / self.dr
 
     def step(self, damping: DampingLaw, t: float, dt: float, muscl: bool = False) -> _Workspace:
         """Advance the state from ``t`` to ``t + dt`` in place (see
@@ -542,27 +542,21 @@ def series(states: Sequence[RadialState], gas: GasModel, damping: DampingLaw,
 def run(gas: GasModel, damping: DampingLaw, state: RadialState, t_end: float, cfl: float = 0.4, *,
         snapshot_times: Sequence[float] | None = None, muscl: bool = False) -> tuple[list[RadialState], Verdict]:
     """Advance the initial ``state`` (t = 0, built by :func:`init_state` and
-    guarded by :func:`validate_horizon`) to ``t_end`` or breakdown: the
-    snapshots at the ``snapshot_times`` (default: ``t_end`` alone) reached
-    before any breakdown, and the verdict.  The stepping and sampling rule is
-    :func:`critdamp.outcome.march`, with max |du/dr| as the gradient (its
-    trigger is off for velocity-free data, which starts trivially smooth),
-    taken only where the wave speed does not already bound it below the
-    trigger (see module notes).  A gas whose face pressure 0.5 (p_l + p_r)
-    overflows at the background is rejected.
+    guarded by :func:`validate_horizon`) to a finite ``t_end`` or breakdown:
+    the snapshots at the ``snapshot_times`` (default: ``t_end`` alone)
+    reached before any breakdown, and the verdict.  The stepping, sampling
+    and stop rule is :func:`critdamp.outcome.march`, with max |du/dr| as the
+    gradient (its trigger is off for velocity-free data, which starts
+    trivially smooth), bounded by the wave speed (see module notes).  A gas
+    whose face pressure 0.5 (p_l + p_r) overflows at the background is
+    rejected.
     """
     if state.t != 0:
         raise ValueError("the initial state must be at t = 0")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
     if not 0.0 < cfl <= 0.9:
         raise ValueError("cfl must lie in (0, 0.9]")
     if not math.isfinite(2.0 * (gas.rho_bar / gas.gamma)):
         raise ValueError(f"rho_bar={gas.rho_bar!r} too large: 0.5 (p_l + p_r) overflows at p = rho_bar/gamma")
-
-    ws = _Workspace(state, gas)
-    limit = gradient_limit(ws.max_velocity_gradient())
-    # |u| <= |u| + c, so max(|u| + c) bounds the velocity the gradient is taken of
-    gradient = screened_gradient(_Workspace.max_velocity_gradient, lambda w: w.max_speed, ws.dr, limit)
-    return march(ws, t_end, snapshot_times, lambda w: w.stable_dt(cfl),
-                 lambda w, t, dt: w.step(damping, t, dt, muscl), gradient, _Workspace.state_at, limit)
+    return march(_Workspace(state, gas), t_end, snapshot_times, lambda w: w.stable_dt(cfl),
+                 lambda w, t, dt: w.step(damping, t, dt, muscl), _Workspace.max_velocity_gradient,
+                 _Workspace.gradient_bound, _Workspace.state_at)

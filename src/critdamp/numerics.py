@@ -15,7 +15,7 @@ import numpy as np
 
 GAMMA_MAX_TERMS = 10_000
 MAX_ROUNDS = 60  # adaptive_quad: halvings of the range
-MAX_INTERVALS = 1 << 21  # adaptive_quad: pending intervals
+MAX_INTERVALS = 1 << 16  # adaptive_quad: pending intervals
 TIME_REL_TOL = 1e-14  # time_integral
 _SCAN_CHUNK = 4096  # scan_maximum: grid points per evaluation of f
 _EPS = float(np.finfo(float).eps)

@@ -11,7 +11,7 @@ from typing import Callable, Sequence, Union
 DT_FLOOR = 1e-10
 GRADIENT_BLOWUP_FACTOR = 1e3
 # a difference of two values is at most twice their largest size: see
-# :func:`screened_gradient`
+# :func:`march`
 GRADIENT_BOUND_FACTOR = 2.0 * (1.0 + 1e-15)
 
 
@@ -87,50 +87,43 @@ def sample_times(t_end: float, cadence: float) -> list[float]:
     return times
 
 
-def gradient_limit(grad0: float) -> float:
-    """The gradient trigger's default limit: 1000x the initial gradient
-    ``grad0``, or inf when that is 0 (nothing to steepen from)."""
-    return GRADIENT_BLOWUP_FACTOR * grad0 if grad0 > 0 else math.inf
-
-
-def screened_gradient(gradient: Callable, max_abs: Callable, h: float, limit: float) -> Callable:
-    """``gradient`` for :func:`march`, the discrete max |diff(v)| / h of a
-    state, taken only where the bound 2 (1 + 1e-15) max_abs(state) / h does
-    not already lie below ``limit``; there it returns that bound.
-
-    ``max_abs(state)`` must be at least max |v|.  The bound holds in
-    floating point: rounding is monotone and 2 max|v| is a float, so
-    |fl(v[i+1] - v[i])| <= 2 max|v| <= fl(2 (1 + 1e-15) max_abs(state)), and
-    so on through the division by h (the 1e-15 is margin only).  So the
-    march fires exactly where it would on ``gradient`` alone.  A bound that
-    overflows, or a nan, takes ``gradient``.
-    """
-    def screened(state) -> float:
-        bound = GRADIENT_BOUND_FACTOR * max_abs(state) / h
-        return bound if bound < limit else gradient(state)
-
-    return screened
-
-
 def march(
     state, t_end: float, sample_times: Sequence[float] | None, stable_dt: Callable, step: Callable,
-    gradient: Callable, sample: Callable, grad_limit: float,
+    gradient: Callable, bound: Callable, sample: Callable, limit: float | None = None,
 ) -> tuple[list, Verdict]:
-    """Advance ``state``, a solver's workspace, from t = 0 to ``t_end``:
-    ``step(state, t, dt)`` returns the state at t + dt (``state`` itself, if
-    stepped in place) or raises :class:`BreakdownError`, and ``stable_dt`` and
-    ``gradient`` only read it.  Steps land exactly on each sample time (taken
-    sorted, without repeats, and each in [0, t_end], else ValueError; None
-    is ``t_end`` alone), then on ``t_end``, a step that would end within
+    """Advance ``state``, a solver's workspace, from t = 0 to ``t_end`` (in
+    (0, inf), else ValueError): ``step(state, t, dt)`` returns the state at
+    t + dt (``state`` itself, if stepped in place) or raises
+    :class:`BreakdownError`, and ``stable_dt``, ``gradient`` and ``bound``
+    only read it.  Steps land exactly on each sample time (taken sorted,
+    without repeats, and each in [0, t_end], else ValueError; None is
+    ``t_end`` alone), then on ``t_end``, a step that would end within
     1e-14 * t_end short of one stretched onto it; there ``sample(state, t)``
     returns a copy of what to keep, and a time 0 samples the initial state.
     Returns the samples taken, in time order, and the verdict: a breakdown
     (``stable_dt(state)`` non-finite or <= DT_FLOOR, a raise from ``step``,
-    or ``gradient(state) >= grad_limit``; see :func:`gradient_limit`) keeps
-    the samples taken before it.  Otherwise Global()."""
+    or the gradient trigger) keeps the samples taken before it.  Otherwise
+    Global().
+
+    The trigger fires after a step where ``gradient(state) >= limit``;
+    ``limit`` defaults to 1000x the gradient at t = 0, or inf where that is
+    0 (nothing to steepen from).  ``gradient`` is taken only where
+    ``bound(state)``, which must be at least it, does not lie below
+    ``limit``: a nan or an overflowed bound takes it, so the trigger fires
+    exactly where it would on ``gradient`` alone.  Each solver's gradient is
+    max |diff(v)| / h and its bound GRADIENT_BOUND_FACTOR * A / h for some
+    A >= max|v|.  That holds in floating point: rounding is monotone and
+    2 max|v| is a float, so |fl(v[i+1] - v[i])| <= 2 max|v| <=
+    fl(2 (1 + 1e-15) A), and so on through the division by h (the 1e-15 is
+    margin only)."""
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     sample_times = sorted(set(float(s) for s in (sample_times if sample_times is not None else (t_end,))))
     if not all(0 <= s <= t_end for s in sample_times):
         raise ValueError("snapshot times must lie in [0, t_end]")
+    if limit is None:
+        grad0 = gradient(state)
+        limit = GRADIENT_BLOWUP_FACTOR * grad0 if grad0 > 0 else math.inf
     t, tol, samples = 0.0, 1e-14 * t_end, []
     if sample_times and sample_times[0] == 0.0:
         samples.append(sample(state, t))
@@ -147,7 +140,7 @@ def march(
         except BreakdownError as exc:
             return samples, NumericalBreakdown(exc.time, exc.cause)
         t = target if clamped else t + dt
-        if gradient(state) >= grad_limit:
+        if not bound(state) < limit and gradient(state) >= limit:
             return samples, NumericalBreakdown(t, BreakdownCause.GRADIENT_THRESHOLD)
         if clamped and i < len(sample_times):
             samples.append(sample(state, t))

@@ -37,7 +37,6 @@ from critdamp.outcome import (
     FiniteLifespan,
     Global,
     NumericalBreakdown,
-    gradient_limit,
     march,
 )
 
@@ -237,8 +236,7 @@ def full_grid_run(gas, damping, state, t_end, cfl, snapshot_times, muscl=False):
     sample need only take the sample time."""
     return march(state, t_end, snapshot_times, lambda s: full_grid_stable_dt(gas, s, cfl),
                  lambda s, t, dt: full_grid_step(gas, damping, dataclasses.replace(s, t=t), cfl, dt=dt, muscl=muscl),
-                 full_grid_max_velocity_gradient, lambda s, t: dataclasses.replace(s, t=t),
-                 gradient_limit(full_grid_max_velocity_gradient(state)))
+                 full_grid_max_velocity_gradient, lambda s: math.inf, lambda s, t: dataclasses.replace(s, t=t))
 
 
 def source_run(gas, damping, state, t_end, cfl, source):
@@ -261,7 +259,8 @@ def source_run(gas, damping, state, t_end, cfl, source):
         w.kernels()
         return w
 
-    return march(ws, t_end, None, lambda w: w.stable_dt(cfl), step, lambda w: 0.0, _Workspace.state_at, math.inf)
+    return march(ws, t_end, None, lambda w: w.stable_dt(cfl), step, lambda w: 0.0, lambda w: math.inf,
+                 _Workspace.state_at, math.inf)
 
 
 def reference_damping_factor(law, t0, t1):
@@ -300,9 +299,8 @@ def reference_simulate_fv(problem, n_cells, t_end, cfl, x_span, snapshot_times, 
     def gradient(values):
         return float(np.max(np.abs(np.diff(values)))) / dx
 
-    limit = gradient_limit(gradient(w)) if gradient_threshold is None else gradient_threshold
-    return march(w, t_end, wanted, stable_dt, advance, gradient,
-                 lambda values, t: (t, values.copy(), stable_dt(values)), limit)
+    return march(w, t_end, wanted, stable_dt, advance, gradient, lambda values: math.inf,
+                 lambda values, t: (t, values.copy(), stable_dt(values)), gradient_threshold)
 
 
 SERIES_NAMES = ["L", "H", "E0", "min_rho", "max_u", "max_du_dr", "dt"]

@@ -436,9 +436,9 @@ def test_fv_step_in_its_workspace_allocates_no_grid_sized_array(monkeypatch):
             return out
         return call
 
-    def measured_march(state, t_end, wanted, stable_dt, advance, gradient, sample, grad_limit):
-        return march(state, t_end, wanted, measured(stable_dt), measured(advance), measured(gradient), sample,
-                     grad_limit)
+    def measured_march(state, t_end, wanted, stable_dt, advance, gradient, bound, sample, limit):
+        return march(state, t_end, wanted, measured(stable_dt), measured(advance), measured(gradient),
+                     measured(bound), sample, limit)
 
     monkeypatch.setattr(burgers, "march", measured_march)
     tracemalloc.start()

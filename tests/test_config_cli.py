@@ -641,6 +641,23 @@ def test_lifespan_below_the_float_range_is_an_epsilon_config_error(tmp_path, cap
     assert list(out.iterdir()) == []
 
 
+def test_too_small_automatic_r_max_says_it_was_sized_automatically(tmp_path, capsys):
+    # the automatic r_max = M + 2 (t_end + 1) = 23 assumes wave speeds near
+    # 2, and the eps = 3 shell's are near 2.5: the error names the rule and
+    # the key to set, which an r_max the user set does not need
+    args = ["euler-sim", "--profile.name", "outgoing-shell", "--profile.M0", "0.3", "--run.t_end", "10",
+            "--grid.n_cells", "256", "--output.dir", str(tmp_path / "out")]
+    assert main(args + ["--profile.epsilon", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error: key 'grid.r_max': grid.r_max=23.0 too small:")
+    assert err.rstrip().endswith("; grid.r_max is unset and was sized automatically as support + 2 (run.t_end + 1): "
+                                 "set grid.r_max")
+    assert main(args + ["--profile.epsilon", "3", "--grid.r_max", "23"]) == 2
+    assert "automatically" not in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+    assert main(args + ["--profile.epsilon", "1"]) == 0
+
+
 def test_radial_profile_file_ends_at_its_last_r(tmp_path, capsys):
     # rho0 = cos(pi r / 6)^2 on 0 <= r <= 2.95, far past the default profile.M = 1
     rs = np.arange(60) * 0.05

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,21 @@ def test_limit_at_the_last_double_below_one_uses_quadrature():
     with pytest.raises(numerics.ConvergenceError):
         law._gamma_limit()
     assert law.reciprocal_integral_limit() == pytest.approx(118947364.09336122, rel=1e-6)
+
+
+def test_unresolved_limit_fails_within_a_small_memory_bound():
+    # lam just below 1 with mu near 1: the gamma expansions hit their term
+    # cap and the quadrature cannot resolve its integrand.  Its width cap of
+    # 2^16 pending intervals stops it at a peak of about 6 MiB (320 MiB at
+    # 2^21); the widest quadrature this suite answers splits 7,692 intervals
+    tracemalloc.start()
+    try:
+        with pytest.raises(numerics.ConvergenceError):
+            DampingLaw(mu=0.99, lam=0.9999997).reciprocal_integral_limit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("field, mu, lam", [("mu", math.inf, 1.0), ("mu", math.nan, 1.0),

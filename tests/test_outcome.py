@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critdamp import (
@@ -15,15 +15,14 @@ from critdamp import (
 )
 from critdamp.outcome import (
     DT_FLOOR,
+    GRADIENT_BOUND_FACTOR,
     BreakdownCause,
     BreakdownError,
     FiniteLifespan,
     Global,
     NumericalBreakdown,
-    gradient_limit,
     march,
     sample_times,
-    screened_gradient,
     verdict_label,
 )
 
@@ -32,15 +31,16 @@ from critdamp.profiles import line_ramp, radial_bump, radial_outgoing_shell
 RATE = 0.5
 
 
-def decay_march(t_end, times, dt=0.03, gradient=abs, grad_limit=None, advance=None):
+def decay_march(t_end, times, dt=0.03, gradient=abs, limit=None, advance=None):
     """Toy problem: the state is a float that decays exactly, y' = -RATE y."""
     samples, verdict = march(
         1.0, t_end, times,
         lambda y: dt,
         advance or (lambda y, t, h: y * math.exp(-RATE * h)),
         gradient,
+        lambda y: math.inf,
         lambda y, t: (t, y),
-        gradient_limit(gradient(1.0)) if grad_limit is None else grad_limit,
+        limit,
     )
     return verdict, samples
 
@@ -157,7 +157,7 @@ def test_gradient_trigger_time():
     assert verdict.cause is BreakdownCause.GRADIENT_THRESHOLD
     assert verdict.time == pytest.approx(math.ceil(t_cross / 0.25) * 0.25, abs=1e-9)
 
-    verdict, _ = decay_march(20.0, [0.0], dt=0.25, gradient=lambda y: 1.0 / y, grad_limit=2.0)
+    verdict, _ = decay_march(20.0, [0.0], dt=0.25, gradient=lambda y: 1.0 / y, limit=2.0)
     assert verdict.time == pytest.approx(math.ceil(math.log(2.0) / RATE / 0.25) * 0.25, abs=1e-9)
 
 
@@ -169,30 +169,79 @@ def test_zero_initial_gradient_disables_trigger():
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1.7976931348623157e308, 5e-324, -0.0])
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+def test_march_refuses_a_t_end_outside_zero_to_inf(t_end):
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        decay_march(t_end, [0.0])
+
+
 @given(v=st.lists(FLOATS, min_size=2, max_size=6), h=st.floats(1e-300, 1e300),
        limit=st.floats(0.0, math.inf), slack=st.sampled_from([1.0, 1.5]))
 # two values of opposite sign at the float limit: their difference overflows
 @example(v=[1.7976931348623157e308, -1.7976931348623157e308], h=1.0, limit=1e308, slack=1.0)
 @example(v=[5e-324, -5e-324], h=1e-300, limit=1e-23, slack=1.0)
-def test_screened_gradient_fires_exactly_where_the_gradient_does(v, h, limit, slack):
-    # max |diff(v)| / h against the bound 2 (1 + 1e-15) max_abs / h, for
-    # max_abs = max|v| and a looser one: the trigger's verdict never changes
+def test_gradient_screen_fires_exactly_where_the_gradient_does(v, h, limit, slack):
+    # one step of march on max |diff(v)| / h, screened by the bound
+    # 2 (1 + 1e-15) max_abs / h, for max_abs = max|v| and a looser one: the
+    # trigger's verdict never changes, and where march skips the exact
+    # gradient, the bound lies at or above it and below the limit
     v = np.array(v)
+    taken = []
 
     def gradient(values):
         with np.errstate(over="ignore"):
             return float(np.max(np.abs(np.diff(values)))) / h
 
-    screened = screened_gradient(gradient, lambda values: slack * float(np.max(np.abs(values))), h, limit)
-    assert (screened(v) >= limit) == (gradient(v) >= limit)
-    if screened(v) != gradient(v):
-        assert gradient(v) < screened(v) < limit
+    def exact(values):
+        taken.append(values)
+        return gradient(values)
+
+    def bound(values):
+        return GRADIENT_BOUND_FACTOR * (slack * float(np.max(np.abs(values)))) / h
+
+    _, verdict = march(v, 1.0, None, lambda values: 1.0, lambda values, t, dt: values, exact, bound,
+                       lambda values, t: t, limit)
+    assert (verdict == NumericalBreakdown(1.0, BreakdownCause.GRADIENT_THRESHOLD)) == (gradient(v) >= limit)
+    if not taken:
+        assert gradient(v) <= bound(v) < limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cells=st.integers(32, 48), r_max=st.floats(1e-3, 1e3), gamma=st.sampled_from([2.0, 1.4, 3.0]),
+       rho_bar=st.sampled_from([1.0, 2.0, 0.7]), muscl=st.booleans(),
+       x=st.lists(st.floats(0.01, 50.0), min_size=48, max_size=48),
+       u=st.lists(st.floats(-1e100, 1e100) | st.sampled_from([-0.0, 5e-324, 1.0]), min_size=48, max_size=48))
+def test_radial_gradient_bound_is_at_least_the_gradient(n_cells, r_max, gamma, rho_bar, muscl, x, u):
+    # 2 (1 + 1e-15) max(|u| + c) / dr bounds max |du/dr| on a state and on
+    # the state after a step at either order
+    rho = rho_bar * np.array(x[:n_cells])
+    state = euler.RadialState(0.0, rho - rho_bar, rho * np.array(u[:n_cells]), RadialGrid(r_max, n_cells), rho_bar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = euler._Workspace(state, GasModel(gamma, rho_bar))
+        assert ws.gradient_bound() >= ws.max_velocity_gradient()
+        try:
+            ws.step(DampingLaw(1.0, 0.5), 0.0, ws.stable_dt(0.9), muscl)
+        except BreakdownError:
+            return
+        assert ws.gradient_bound() >= ws.max_velocity_gradient()
+
+
+HUGE_AND_TINY = st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -0.0, 1.7976931348623157e308, -5e-324])
+
+
+@given(w=st.lists(FLOATS | HUGE_AND_TINY, min_size=16, max_size=40), dx=st.floats(1e-300, 1e300))
+def test_line_gradient_bound_is_at_least_the_gradient(w, dx):
+    # 2 (1 + 1e-15) max|w| / dx bounds max |diff(w)| / dx
+    with np.errstate(over="ignore"):
+        ws = burgers._Workspace(np.array(w), DampingLaw(1.0, 0.5), dx, 0.5, 1.0)
+        assert ws.gradient_bound() >= ws.gradient()
 
 
 def radial_case(breaks):
     """(t_end, solve) for ``euler.run``, ``solve(snapshot_times)`` giving its
-    (snapshots, verdict): a small bump, or a shell whose violent shear loses
-    positivity at second order (NegativeDensity)."""
+    (snapshots, verdict), to ``t_end`` or another end time: a small bump, or
+    a shell whose violent shear loses positivity at second order
+    (NegativeDensity)."""
     gas = GasModel(2.0, 1.0)
     if breaks:
         rho0, u0 = radial_outgoing_shell(0.2, 1.0)
@@ -202,7 +251,8 @@ def radial_case(breaks):
         profile = InitialProfile(*radial_bump(1.0), epsilon=0.1, M=1.0)
         t_end, law, grid, cfl = 1.0, DampingLaw(1.0, 0.5), RadialGrid(12.0, 64), 0.4
     state = euler.init_state(gas, profile, grid)
-    return t_end, lambda times: euler.run(gas, law, state, t_end, cfl, snapshot_times=times, muscl=breaks)
+    return t_end, lambda times, t_end=t_end: euler.run(gas, law, state, t_end, cfl, snapshot_times=times,
+                                                        muscl=breaks)
 
 
 def line_case(breaks):
@@ -211,9 +261,9 @@ def line_case(breaks):
     w0, w0p, support = line_ramp()
     problem = burgers.BurgersProblem(w0, w0p, support, 0.1, DampingLaw(0.5, 1.0), m=1.0)
     t_end = 36.0
-    return t_end, lambda times: burgers.simulate_fv(problem, 400, t_end, 0.5, snapshot_times=times,
-                                                     gradient_threshold=0.38 if breaks else None,
-                                                     x_span=(-4.2, 4.2))
+    return t_end, lambda times, t_end=t_end: burgers.simulate_fv(problem, 400, t_end, 0.5, snapshot_times=times,
+                                                                  gradient_threshold=0.38 if breaks else None,
+                                                                  x_span=(-4.2, 4.2))
 
 
 @pytest.mark.parametrize("case", [radial_case, line_case], ids=["euler.run", "burgers.simulate_fv"])
@@ -230,6 +280,10 @@ def test_both_solvers_share_one_run_contract(case):
     assert [s.t for s in solve(None)[0]] == [t_end]
     with pytest.raises(ValueError, match="snapshot times"):
         solve([0.0, 2.0 * t_end])
+    # a run to t_end = inf would end at once in a Global it never reached
+    for times in ([0.0], [0.0, 1.0], None):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            solve(times, math.inf)
 
     t_end, solve = case(breaks=True)
     wanted = sample_times(t_end, t_end / 40)[::-1]
